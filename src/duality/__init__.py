@@ -24,11 +24,8 @@ from .interferometer import (
 )
 from .linalg import (
     HermitianEigen,
-    dagger,
     haar_random_unitary,
     hermitian_eigen,
-    kron,
-    mat_mul,
     random_density,
     trace_norm,
 )

@@ -8,7 +8,7 @@ Subcommands:
 * ``figures``: emit the Delta-surface (fig3) or visibility-bound-curve (fig4)
   CSV data.
 
-Exit codes: 0 success, 1 inequality violation, 2 input or I/O error,
+Exit codes: 0 success, 1 inequality violation, 2 input, I/O or numerical error,
 3 degenerate branch.  Standard error carries diagnostics only; every number
 printed is formatted to 12 significant digits.
 """
@@ -19,6 +19,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+from numpy.linalg import LinAlgError
 
 from .errors import DegenerateBranchError, IdentityError, ValidationError
 from .interferometer import instance_from_dict
@@ -84,7 +86,10 @@ def _parse_classes(tokens: str):
 
 
 def cmd_verify(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:
+        raise ValidationError(f"--dims must be a comma list of integers, got {args.dims!r}") from None
     state_classes, block_classes = _parse_classes(args.classes)
     cfg = SweepConfig(seed=args.seed, count=args.count, dims=dims,
                       state_classes=state_classes, block_classes=block_classes)
@@ -154,10 +159,7 @@ def main(argv=None) -> int:
     except DegenerateBranchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, IdentityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, IdentityError, LinAlgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateBranchError, ValidationError
-from .linalg import SIGMA_X, VALIDATION_ATOL
-
-# Branch weights below this are treated as zero-probability ways.
-DEGENERATE_WEIGHT = 1e-12
+from .linalg import SIGMA_X
+from .tolerances import DEGENERATE_WEIGHT, PURE_S_ATOL, VALIDATION_ATOL
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -62,6 +61,57 @@ class WwmBlocks:
 
 
 @dataclass(frozen=True)
+class BranchKernel:
+    """Branch quantities of one instance, computed once.
+
+    Every measure is a function of the way probabilities w+-, the conditional
+    marker states rho+- and the contrast factor C, all read from here.
+
+    The way probabilities come by two routes, each feeding its own outputs:
+    ``w_plus``/``w_minus`` = tr(rho_d0 W+-) from the way operators
+    ``wp_op``/``wm_op``, and ``wp_tr``/``wm_tr``, the traces of the
+    unnormalized conditional marker states ``wp_rho``/``wm_rho`` =
+    sum V^dagger rho_d0 V.  ``cross_up``/``cross_down`` are V+- V++^dagger and
+    V-- V-+^dagger; ``polarized`` is |s| = 1 within ``PURE_S_ATOL``.
+    """
+
+    wp_op: np.ndarray
+    wm_op: np.ndarray
+    w_plus: float
+    w_minus: float
+    wp_rho: np.ndarray
+    wm_rho: np.ndarray
+    wp_tr: float
+    wm_tr: float
+    cross_up: np.ndarray
+    cross_down: np.ndarray
+    c_up: complex
+    c_down: complex
+    c: complex
+    polarized: bool
+
+
+def branch_kernel(b: WwmBlocks, s: float, rho_d0: np.ndarray) -> BranchKernel:
+    """Evaluate the branch quantities of blocks, inversion and marker state."""
+    a, bb = (1.0 + s) / 4.0, (1.0 - s) / 4.0
+    wp_op = a * (b.vpp @ b.vpp.conj().T) + bb * (b.vmp @ b.vmp.conj().T)
+    wm_op = a * (b.vpm @ b.vpm.conj().T) + bb * (b.vmm @ b.vmm.conj().T)
+    wp_rho = a * (b.vpp.conj().T @ rho_d0 @ b.vpp) + bb * (b.vmp.conj().T @ rho_d0 @ b.vmp)
+    wm_rho = a * (b.vpm.conj().T @ rho_d0 @ b.vpm) + bb * (b.vmm.conj().T @ rho_d0 @ b.vmm)
+    cross_up = b.vpm @ b.vpp.conj().T
+    cross_down = b.vmm @ b.vmp.conj().T
+    for m in (wp_op, wm_op, wp_rho, wm_rho, cross_up, cross_down):
+        m.setflags(write=False)
+    c_up = complex(np.trace(rho_d0 @ cross_up))
+    c_down = -complex(np.trace(rho_d0 @ cross_down))
+    return BranchKernel(
+        wp_op, wm_op, float(np.trace(rho_d0 @ wp_op).real), float(np.trace(rho_d0 @ wm_op).real),
+        wp_rho, wm_rho, float(np.trace(wp_rho).real), float(np.trace(wm_rho).real),
+        cross_up, cross_down, c_up, c_down, (1.0 + s) / 2.0 * c_up + (1.0 - s) / 2.0 * c_down,
+        abs(abs(s) - 1.0) <= PURE_S_ATOL)
+
+
+@dataclass(frozen=True)
 class InterferometerInstance:
     """A complete interferometer configuration.
 
@@ -69,6 +119,7 @@ class InterferometerInstance:
     the closed interval [-1, 1] is admitted since the fully polarized
     endpoints are the pure-preparation cases used throughout.  ``rho_d0`` is
     the marker's initial density matrix and ``phi`` the phase-shifter angle.
+    Construction validates every field, including block unitarity.
     """
 
     s: float
@@ -79,15 +130,25 @@ class InterferometerInstance:
     def __post_init__(self):
         if not -1.0 <= self.s <= 1.0:
             raise ValidationError(f"inversion s must lie in [-1, 1], got {self.s}")
+        if not math.isfinite(self.phi):
+            raise ValidationError(f"phase phi must be finite, got {self.phi}")
         rho = linalg.require_density(self.rho_d0, "rho_d0")
         if rho.shape[0] != self.blocks.n:
             raise ValidationError(
                 f"rho_d0 dimension {rho.shape[0]} does not match block dimension {self.blocks.n}")
+        if not validate_unitarity(self.blocks):
+            raise ValidationError(
+                f"assembled joint operator is not unitary within {VALIDATION_ATOL:.0e}")
         object.__setattr__(self, "rho_d0", _frozen_array(rho))
 
     @property
     def n(self) -> int:
         return self.blocks.n
+
+    @cached_property
+    def kernel(self) -> BranchKernel:
+        """Branch quantities, computed on first use so generation stays cheap."""
+        return branch_kernel(self.blocks, self.s, self.rho_d0)
 
     def to_dict(self) -> dict:
         """Serialize to the documented JSON schema (row-major [re, im] pairs)."""
@@ -114,7 +175,6 @@ class EvolutionResult:
     and ``bloch_final`` the quanton Bloch vector (x, y, z) after the merger.
     """
 
-    rho_final: np.ndarray
     w_plus: float
     w_minus: float
     c_up: complex
@@ -149,7 +209,7 @@ def instance_from_dict(d: dict) -> InterferometerInstance:
             vmp=matrix_from_pairs(b["vmp"], n, "vmp"),
             vmm=matrix_from_pairs(b["vmm"], n, "vmm"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed instance object: {exc}") from exc
     return InterferometerInstance(s=s, blocks=blocks, rho_d0=rho, phi=phi)
 
@@ -169,9 +229,7 @@ def validate_unitarity(blocks: WwmBlocks) -> bool:
     return linalg.is_unitary(assemble_global_unitary(blocks), VALIDATION_ATOL)
 
 
-def from_unitary_pair(u_plus, u_minus) -> WwmBlocks:
-    """Blocks for a symmetric beam splitter followed by a way-controlled
-    unitary marker coupling (U+ on the + way, U- on the - way)."""
+def _unitary_pair(u_plus, u_minus) -> tuple[np.ndarray, np.ndarray]:
     up = linalg.as_square(u_plus, "u_plus")
     um = linalg.as_square(u_minus, "u_minus")
     if up.shape != um.shape:
@@ -179,6 +237,13 @@ def from_unitary_pair(u_plus, u_minus) -> WwmBlocks:
     for name, u in (("u_plus", up), ("u_minus", um)):
         if not linalg.is_unitary(u):
             raise ValidationError(f"{name} is not unitary within {VALIDATION_ATOL:.0e}")
+    return up, um
+
+
+def from_unitary_pair(u_plus, u_minus) -> WwmBlocks:
+    """Blocks for a symmetric beam splitter followed by a way-controlled
+    unitary marker coupling (U+ on the + way, U- on the - way)."""
+    up, um = _unitary_pair(u_plus, u_minus)
     return WwmBlocks(vpp=up, vpm=um, vmp=up, vmm=um)
 
 
@@ -188,16 +253,11 @@ def from_tilted_pair(theta: float, u_plus, u_minus) -> WwmBlocks:
 
     The way probabilities are cos(theta)^2 and sin(theta)^2 for a fully
     polarized quanton, independent of the marker state, so the predictability
-    is |cos(2 theta)| by construction.  theta = pi/4 recovers
-    :func:`from_unitary_pair`.
+    is |cos(2 theta)| by construction.  theta = pi/4 describes the same
+    device as :func:`from_unitary_pair`, but not bit for bit: the block scale
+    sqrt(2) cos(pi/4) rounds to 1.0000000000000002.
     """
-    up = linalg.as_square(u_plus, "u_plus")
-    um = linalg.as_square(u_minus, "u_minus")
-    if up.shape != um.shape:
-        raise ValidationError("u_plus and u_minus must share the same dimension")
-    for name, u in (("u_plus", up), ("u_minus", um)):
-        if not linalg.is_unitary(u):
-            raise ValidationError(f"{name} is not unitary within {VALIDATION_ATOL:.0e}")
+    up, um = _unitary_pair(u_plus, u_minus)
     c = math.sqrt(2.0) * math.cos(theta)
     d = math.sqrt(2.0) * math.sin(theta)
     return WwmBlocks(vpp=c * up, vpm=d * um, vmp=d * up, vmm=c * um)
@@ -220,81 +280,54 @@ def from_global_unitary(u) -> WwmBlocks:
     )
 
 
-def way_operators(blocks: WwmBlocks, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Marker-space operators whose expectations in rho_d0 are the way
-    probabilities w+ and w-."""
-    wp = (1.0 + s) / 4.0 * (blocks.vpp @ blocks.vpp.conj().T) \
-        + (1.0 - s) / 4.0 * (blocks.vmp @ blocks.vmp.conj().T)
-    wm = (1.0 + s) / 4.0 * (blocks.vpm @ blocks.vpm.conj().T) \
-        + (1.0 - s) / 4.0 * (blocks.vmm @ blocks.vmm.conj().T)
-    return wp, wm
-
-
-def phase_shifter(phi: float, n: int) -> np.ndarray:
-    """exp(-i phi sigma_z / 2) on the quanton, identity on the marker."""
-    quanton = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
-    return np.kron(quanton, np.eye(n))
-
-
-def beam_merger(n: int) -> np.ndarray:
-    """exp(-i pi sigma_y / 4) on the quanton, identity on the marker."""
-    r = 1.0 / math.sqrt(2.0)
-    quanton = np.array([[r, -r], [r, r]], dtype=complex)
-    return np.kron(quanton, np.eye(n))
-
-
 def contrast_factors(inst: InterferometerInstance) -> tuple[complex, complex, complex]:
     """Per-branch contrast factors and their inversion-weighted combination."""
-    b = inst.blocks
-    c_up = complex(np.trace(inst.rho_d0 @ (b.vpm @ b.vpp.conj().T)))
-    c_down = -complex(np.trace(inst.rho_d0 @ (b.vmm @ b.vmp.conj().T)))
-    c = (1.0 + inst.s) / 2.0 * c_up + (1.0 - inst.s) / 2.0 * c_down
-    return c_up, c_down, c
+    k = inst.kernel
+    return k.c_up, k.c_down, k.c
 
 
 def evolve(inst: InterferometerInstance) -> EvolutionResult:
     """Run the instance through splitter+marker, phase shifter, and merger.
 
-    The final joint state is computed by the direct matrix route; the way
-    probabilities, contrast factors, and final Bloch vector come from their
-    closed-form expressions in the blocks.  Cheap structural postconditions
-    (probability normalization, Bloch norm, final-state validity) are enforced.
+    The way probabilities, contrast factors, and final Bloch vector are read
+    from the instance's kernel.  Construction enforces unitary blocks and a
+    density-matrix rho_d0, so the final joint state (:func:`final_state`) is
+    a density matrix; probability normalization and Bloch norm are checked.
     """
-    n = inst.n
-    if not validate_unitarity(inst.blocks):
-        raise ValidationError("assembled joint operator is not unitary within 1e-10")
-
-    u = assemble_global_unitary(inst.blocks)
-    rho_q0 = np.diag([(1.0 + inst.s) / 2.0, (1.0 - inst.s) / 2.0]).astype(complex)
-    rho = np.kron(rho_q0, inst.rho_d0)
-    rho = u.conj().T @ rho @ u
-    ps = phase_shifter(inst.phi, n)
-    rho = ps @ rho @ ps.conj().T
-    bm = beam_merger(n)
-    rho_final = bm @ rho @ bm.conj().T
-
-    wp_op, wm_op = way_operators(inst.blocks, inst.s)
-    w_plus = float(np.trace(inst.rho_d0 @ wp_op).real)
-    w_minus = float(np.trace(inst.rho_d0 @ wm_op).real)
-    if abs(w_plus + w_minus - 1.0) > VALIDATION_ATOL:
-        raise ValidationError(f"way probabilities do not sum to one: {w_plus + w_minus!r}")
+    k = inst.kernel
+    if abs(k.w_plus + k.w_minus - 1.0) > VALIDATION_ATOL:
+        raise ValidationError(f"way probabilities do not sum to one: {k.w_plus + k.w_minus!r}")
 
     c_up, c_down, c = contrast_factors(inst)
     zy = -np.exp(-1j * inst.phi) * c
-    bloch = np.array([w_plus - w_minus, zy.imag, zy.real])
+    bloch = np.array([k.w_plus - k.w_minus, zy.imag, zy.real])
     if np.linalg.norm(bloch) > 1.0 + VALIDATION_ATOL:
         raise ValidationError("final Bloch vector exceeds unit norm beyond tolerance")
-    linalg.require_density(rho_final, "rho_final")
 
     return EvolutionResult(
-        rho_final=_frozen_array(rho_final),
-        w_plus=w_plus,
-        w_minus=w_minus,
+        w_plus=k.w_plus,
+        w_minus=k.w_minus,
         c_up=c_up,
         c_down=c_down,
         c=c,
         bloch_final=bloch,
     )
+
+
+def final_state(inst: InterferometerInstance) -> np.ndarray:
+    """Final joint 2n x 2n state by the direct matrix route.
+
+    Conjugates the initial product state by the assembled joint operator and
+    then by the quanton optics: the phase shifter exp(-i phi sigma_z / 2)
+    followed by the merger exp(-i pi sigma_y / 4), identity on the marker.
+    It shares no arithmetic with the kernel, so tests use it as an
+    independent oracle for :func:`evolve` and :func:`conditional_wwm_states`.
+    """
+    r = 1.0 / math.sqrt(2.0)
+    optics = np.array([[r, -r], [r, r]]) @ np.diag([np.exp(-0.5j * inst.phi), np.exp(0.5j * inst.phi)])
+    m = np.kron(optics, np.eye(inst.n)) @ assemble_global_unitary(inst.blocks).conj().T
+    rho_q0 = np.diag([(1.0 + inst.s) / 2.0, (1.0 - inst.s) / 2.0])
+    return m @ np.kron(rho_q0, inst.rho_d0) @ m.conj().T
 
 
 def conditional_wwm_states(
@@ -307,17 +340,11 @@ def conditional_wwm_states(
     when either way has (numerically) zero probability, since the conditional
     state on that branch is undefined.
     """
-    b = inst.blocks
-    a = (1.0 + inst.s) / 4.0
-    bb = (1.0 - inst.s) / 4.0
-    wp_rho = a * (b.vpp.conj().T @ inst.rho_d0 @ b.vpp) + bb * (b.vmp.conj().T @ inst.rho_d0 @ b.vmp)
-    wm_rho = a * (b.vpm.conj().T @ inst.rho_d0 @ b.vpm) + bb * (b.vmm.conj().T @ inst.rho_d0 @ b.vmm)
-    w_plus = float(np.trace(wp_rho).real)
-    w_minus = float(np.trace(wm_rho).real)
-    if w_plus < DEGENERATE_WEIGHT or w_minus < DEGENERATE_WEIGHT:
+    k = inst.kernel
+    if k.wp_tr < DEGENERATE_WEIGHT or k.wm_tr < DEGENERATE_WEIGHT:
         raise DegenerateBranchError(
-            f"degenerate branch: w+ = {w_plus!r}, w- = {w_minus!r}")
-    return w_plus, wp_rho / w_plus, w_minus, wm_rho / w_minus
+            f"degenerate branch: w+ = {k.wp_tr!r}, w- = {k.wm_tr!r}")
+    return k.wp_tr, k.wp_rho / k.wp_tr, k.wm_tr, k.wm_rho / k.wm_tr
 
 
 def visibility(res: EvolutionResult) -> float:
@@ -333,27 +360,28 @@ def predictability(res: EvolutionResult) -> float:
 def upper_port_probability(inst: InterferometerInstance, phi: float) -> float:
     """Probability of the quanton's upper output state at phase ``phi``.
 
-    Convenience for fringe scans: re-evolves the instance at the given phase
-    and projects the final state onto (1 + sigma_z)/2 on the quanton factor.
+    Convenience for fringe scans: re-runs the instance at the given phase by
+    the direct route and projects the final state onto (1 + sigma_z)/2 on the
+    quanton factor.
     """
     shifted = InterferometerInstance(s=inst.s, blocks=inst.blocks, rho_d0=inst.rho_d0, phi=phi)
-    res = evolve(shifted)
-    proj = np.kron((np.eye(2) + linalg.SIGMA_Z) / 2.0, np.eye(inst.n))
-    return float(np.trace(proj @ res.rho_final).real)
+    return float(reduced_quanton_state(shifted)[0, 0].real)
 
 
-def reduced_quanton_state(res: EvolutionResult, n: int) -> np.ndarray:
+def reduced_quanton_state(inst: InterferometerInstance) -> np.ndarray:
     """Partial trace of the final joint state over the marker."""
-    return np.trace(res.rho_final.reshape(2, n, 2, n), axis1=1, axis2=3)
+    return np.trace(final_state(inst).reshape(2, inst.n, 2, inst.n), axis1=1, axis2=3)
 
 
-def conditional_states_from_final(res: EvolutionResult, n: int) -> tuple[float, np.ndarray, float, np.ndarray]:
+def conditional_states_from_final(inst: InterferometerInstance) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Conditional marker states extracted projectively from the final joint
     state, used to cross-check :func:`conditional_wwm_states`."""
+    n = inst.n
+    rho_final = final_state(inst)
     out = []
     for sign in (+1.0, -1.0):
         proj = np.kron((np.eye(2) + sign * SIGMA_X) / 2.0, np.eye(n))
-        sub = proj @ res.rho_final
+        sub = proj @ rho_final
         w_rho = np.trace(sub.reshape(2, n, 2, n), axis1=0, axis2=2)
         w = float(np.trace(w_rho).real)
         if w < DEGENERATE_WEIGHT:

@@ -19,11 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-
-# Tolerances: construction-time structural checks are held to 1e-12, while
-# checks on derived quantities (which accumulate round-off) use 1e-10.
-CONSTRUCTION_ATOL = 1e-12
-VALIDATION_ATOL = 1e-10
+from .tolerances import CONSTRUCTION_ATOL, VALIDATION_ATOL
 
 _U64 = (1 << 64) - 1
 
@@ -52,15 +48,10 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def is_hermitian(m, atol: float = CONSTRUCTION_ATOL) -> bool:
-    a = as_square(m)
-    return bool(np.abs(a - a.conj().T).max(initial=0.0) <= atol)
-
-
 def require_hermitian(m, atol: float = CONSTRUCTION_ATOL, name: str = "matrix") -> np.ndarray:
     a = as_square(m, name)
     dev = np.abs(a - a.conj().T).max(initial=0.0)
-    if dev > atol:
+    if not dev <= atol:
         raise ValidationError(f"{name} is not Hermitian (max deviation {dev:.3e} > {atol:.0e})")
     return a
 
@@ -74,35 +65,12 @@ def require_density(rho, name: str = "rho") -> np.ndarray:
     """Validate a density matrix: Hermitian, trace one, positive semidefinite."""
     a = require_hermitian(rho, CONSTRUCTION_ATOL, name)
     tr = np.trace(a).real
-    if abs(tr - 1.0) > CONSTRUCTION_ATOL:
+    if not abs(tr - 1.0) <= CONSTRUCTION_ATOL:
         raise ValidationError(f"{name} must have unit trace, got {tr!r}")
     evals = np.linalg.eigvalsh(a)
     if evals.min() < -VALIDATION_ATOL:
         raise ValidationError(f"{name} is not positive semidefinite (min eigenvalue {evals.min():.3e})")
     return a
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    am = as_square(a, "a")
-    bm = as_square(b, "b")
-    if am.shape != bm.shape:
-        raise ValidationError(f"dimension mismatch in mat_mul: {am.shape[0]} vs {bm.shape[0]}")
-    return am @ bm
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.ascontiguousarray(as_square(a).conj().T)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the first factor as the slow (outer) index.
-
-    ``kron(quanton_op, marker_op)`` therefore indexes the joint space as
-    (quanton, marker) with the quanton index major.
-    """
-    return np.kron(as_square(a, "a"), as_square(b, "b"))
 
 
 def hermitian_eigen(m) -> HermitianEigen:

@@ -27,25 +27,19 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateBranchError, IdentityError, ValidationError
 from .interferometer import (
-    DEGENERATE_WEIGHT,
     InterferometerInstance,
     conditional_wwm_states,
     evolve,
     predictability,
     visibility,
-    way_operators,
 )
+from .tolerances import (CONSTRUCTION_ATOL, DEGENERATE_WEIGHT, IDENTITY_ATOL, PURE_S_ATOL,
+                         PURITY_ATOL, VALIDATION_ATOL)
 
 # Every inequality in this package is asserted as slack >= -SLACK_TOL; the
 # slack itself carries eigenvalue round-off, so exact comparisons are never
 # used.
 SLACK_TOL = 1e-9
-IDENTITY_ATOL = 1e-10
-
-# |s| must be exactly polarized (to construction tolerance) for the
-# pure-branch identities to apply.
-_PURE_S_ATOL = 1e-12
-_PURITY_ATOL = 1e-10
 
 
 def _clamped_unit(x: float, name: str) -> float:
@@ -57,7 +51,7 @@ def _clamped_unit(x: float, name: str) -> float:
 def _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus):
     if w_plus < 0.0 or w_minus < 0.0:
         raise ValidationError(f"way probabilities must be non-negative, got {w_plus}, {w_minus}")
-    if abs(w_plus + w_minus - 1.0) > linalg.VALIDATION_ATOL:
+    if abs(w_plus + w_minus - 1.0) > VALIDATION_ATOL:
         raise ValidationError(f"way probabilities must sum to one, got {w_plus + w_minus!r}")
     rp = linalg.require_density(rho_plus, "rho_plus")
     rm = linalg.require_density(rho_minus, "rho_minus")
@@ -124,7 +118,7 @@ def chi_closed_form(d1: float, d2: float, p: float, xi_value: float) -> float:
     """
     if d1 < 0.0 or d2 < 0.0:
         raise ValidationError(f"spectral weights must be non-negative, got {d1}, {d2}")
-    if abs(d1 + d2 - 1.0) > 1e-12:
+    if abs(d1 + d2 - 1.0) > CONSTRUCTION_ATOL:
         raise ValidationError(f"spectral weights must sum to one, got {d1 + d2!r}")
     pc = _clamped_unit(float(p), "p")
     if xi_value <= 0.0:
@@ -146,9 +140,8 @@ def state_independent_ways(inst: InterferometerInstance, atol: float = IDENTITY_
     closed form for chi are enforced; merely requiring the way operators to be
     diagonal is not sufficient (counterexamples exist, see the README).
     """
-    wp_op, wm_op = way_operators(inst.blocks, inst.s)
     n = inst.n
-    for op in (wp_op, wm_op):
+    for op in (inst.kernel.wp_op, inst.kernel.wm_op):
         mean = np.trace(op).real / n
         if np.abs(op - mean * np.eye(n)).max() > atol:
             return False
@@ -218,7 +211,7 @@ def hierarchy_report(inst: InterferometerInstance) -> DualityReport:
     chi_value = None
     if inst.n == 2:
         r_value = r_measure(w_plus, rho_plus, w_minus, rho_minus, p)
-        if abs(abs(inst.s) - 1.0) <= _PURE_S_ATOL and state_independent_ways(inst):
+        if inst.kernel.polarized and state_independent_ways(inst):
             slacks["main"] = xi_value - d
             if xi_value > 1e-12:
                 chi_value = d * d / (xi_value * xi_value)
@@ -237,33 +230,17 @@ def hierarchy_report(inst: InterferometerInstance) -> DualityReport:
     )
 
 
-def _branch_blocks(inst: InterferometerInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Effective (V+, V-) pair for the branch selected by sign(s).
-
-    The negative branch applies the replacement rule V++ -> -V-+, V+- -> V--,
-    which also fixes the sign of that branch's contrast factor.
-    """
-    if inst.s >= 0.0:
-        return np.asarray(inst.blocks.vpp), np.asarray(inst.blocks.vpm)
-    return -np.asarray(inst.blocks.vmp), np.asarray(inst.blocks.vmm)
-
-
-def _branch_data(inst: InterferometerInstance):
-    va, vb = _branch_blocks(inst)
-    rho0 = inst.rho_d0
-    wp_rho = 0.5 * (va.conj().T @ rho0 @ va)
-    wm_rho = 0.5 * (vb.conj().T @ rho0 @ vb)
-    w_plus = float(np.trace(wp_rho).real)
-    w_minus = float(np.trace(wm_rho).real)
-    if min(w_plus, w_minus) < DEGENERATE_WEIGHT:
-        raise DegenerateBranchError(f"degenerate branch: w+ = {w_plus!r}, w- = {w_minus!r}")
+def _polarized_branch(inst: InterferometerInstance, what: str):
+    """(w+, rho+, w-, rho-, P, C) of the branch sign(s) selects at |s| = 1,
+    the only branch populated there."""
+    if not inst.kernel.polarized:
+        raise ValidationError(f"{what} requires |s| = 1, got s = {inst.s}")
+    w_plus, rho_plus, w_minus, rho_minus = conditional_wwm_states(inst)
     p = abs(w_plus - w_minus)
-    if p >= 1.0 - _PURE_S_ATOL:
+    if p >= 1.0 - PURE_S_ATOL:
         raise DegenerateBranchError(f"predictability {p!r} saturates; identity divides by 1 - P^2")
-    contrast = complex(np.trace(rho0 @ (vb @ va.conj().T)))
-    # Branch quality: half the trace distance of the normalized conditionals.
-    q_branch = 0.5 * linalg.trace_norm(wp_rho / w_plus - wm_rho / w_minus)
-    return va, vb, w_plus, w_minus, p, contrast, q_branch, wp_rho, wm_rho
+    contrast = inst.kernel.c_up if inst.s >= 0.0 else inst.kernel.c_down
+    return w_plus, rho_plus, w_minus, rho_minus, p, contrast
 
 
 def pure_state_identity_check(inst: InterferometerInstance) -> float:
@@ -275,15 +252,11 @@ def pure_state_identity_check(inst: InterferometerInstance) -> float:
     conditional-state overlap is checked against |C|^2 / (4 w+ w-); failures
     of those internal identities raise :class:`IdentityError`.
     """
-    if abs(abs(inst.s) - 1.0) > _PURE_S_ATOL:
-        raise ValidationError(f"pure identity requires |s| = 1, got s = {inst.s}")
+    w_plus, rho_plus, w_minus, rho_minus, p, contrast = _polarized_branch(inst, "pure identity")
     purity = float(np.trace(inst.rho_d0 @ inst.rho_d0).real)
-    if abs(purity - 1.0) > _PURITY_ATOL:
+    if abs(purity - 1.0) > PURITY_ATOL:
         raise ValidationError(f"pure identity requires a pure marker state, purity = {purity!r}")
-
-    _, _, w_plus, w_minus, p, contrast, q_branch, wp_rho, wm_rho = _branch_data(inst)
-    rho_plus = wp_rho / w_plus
-    rho_minus = wm_rho / w_minus
+    q_branch = 0.5 * linalg.trace_norm(rho_plus - rho_minus)
 
     gamma = 0.5 * (rho_plus - rho_minus)
     evals = np.linalg.eigvalsh(gamma)
@@ -322,20 +295,21 @@ class SpectralComponent(NamedTuple):
 
 def spectral_components(inst: InterferometerInstance) -> list[SpectralComponent]:
     """Decompose the marker state spectrally and evaluate each pure component."""
-    if abs(abs(inst.s) - 1.0) > _PURE_S_ATOL:
-        raise ValidationError(f"spectral decomposition of the branch requires |s| = 1, got s = {inst.s}")
-    va, vb, _, _, p, _, _, _, _ = _branch_data(inst)
+    p = _polarized_branch(inst, "spectral decomposition of the branch")[4]
     eig = linalg.hermitian_eigen(inst.rho_d0)
-    cross_op = vb @ va.conj().T
+    # At |s| = 1 the way operator W+ is half the branch's V+ V+^dagger, and
+    # the branch cross operator is V+- V++^dagger or -V-- V-+^dagger.
+    way_op = inst.kernel.wp_op
+    cross_op = inst.kernel.cross_up if inst.s >= 0.0 else -inst.kernel.cross_down
     one_minus_p2 = 1.0 - p * p
     out = []
     for k in range(inst.n):
         weight = float(eig.values[k])
-        if weight <= 1e-12:
+        if weight <= DEGENERATE_WEIGHT:
             continue
         dk = eig.vectors[:, k]
         contrast_k = complex(dk.conj() @ cross_op @ dk)
-        w_plus_k = float(0.5 * (dk.conj() @ (va @ va.conj().T) @ dk).real)
+        w_plus_k = float((dk.conj() @ way_op @ dk).real)
         out.append(SpectralComponent(
             weight=weight,
             contrast=contrast_k,
@@ -346,22 +320,31 @@ def spectral_components(inst: InterferometerInstance) -> list[SpectralComponent]
     return out
 
 
-def mixed_state_bound_check(inst: InterferometerInstance) -> float:
+class MixingBound(NamedTuple):
+    """Slack of the mixing bound and the residual of the spectral
+    recomposition C = sum_k D_k C_k of the branch contrast factor."""
+
+    slack: float
+    recomposition: float
+
+
+def mixed_state_bound_check(inst: InterferometerInstance) -> MixingBound:
     """Slack of the mixing bound Q^2 + |C|^2/(1 - P^2) <= 1 for |s| = 1.
 
     The marker state may be mixed.  The branch contrast factor is verified to
     recompose from its spectral components (C = sum_k D_k C_k within 1e-10);
-    a failure there raises :class:`IdentityError`.  The returned slack is
-    non-negative up to round-off for every valid instance.
+    a failure there raises :class:`IdentityError`, and the residual is
+    returned beside the slack.  The slack is non-negative up to round-off for
+    every valid instance.
     """
-    if abs(abs(inst.s) - 1.0) > _PURE_S_ATOL:
-        raise ValidationError(f"mixing bound requires |s| = 1, got s = {inst.s}")
-    _, _, _, _, p, contrast, q_branch, _, _ = _branch_data(inst)
+    _, rho_plus, _, rho_minus, p, contrast = _polarized_branch(inst, "mixing bound")
+    q_branch = 0.5 * linalg.trace_norm(rho_plus - rho_minus)
 
     components = spectral_components(inst)
     recomposed = sum(c.weight * c.contrast for c in components)
-    if abs(recomposed - contrast) > IDENTITY_ATOL:
+    residual = abs(recomposed - contrast)
+    if residual > IDENTITY_ATOL:
         raise IdentityError(
             f"spectral recomposition of the contrast factor failed: {recomposed!r} vs {contrast!r}")
 
-    return 1.0 - (q_branch ** 2 + abs(contrast) ** 2 / (1.0 - p * p))
+    return MixingBound(1.0 - (q_branch ** 2 + abs(contrast) ** 2 / (1.0 - p * p)), residual)

@@ -27,9 +27,7 @@ import numpy as np
 from .errors import IdentityError, ValidationError
 from .interferometer import InterferometerInstance, from_tilted_pair
 from .linalg import SIGMA_X, SIGMA_Z
-
-_TIE_ATOL = 1e-12
-_BRANCH_AGREE_ATOL = 1e-10
+from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, TIE_ATOL
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,12 @@ class SqdsConfig:
     phi_ent: float
 
     def __post_init__(self):
+        for name in ("p_d", "v_d0", "p_q", "phi_ent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.p_d < 0.0 or self.v_d0 < 0.0:
             raise ValidationError(f"p_d and v_d0 must be non-negative, got {self.p_d}, {self.v_d0}")
-        if self.p_d ** 2 + self.v_d0 ** 2 > 1.0 + 1e-12:
+        if self.p_d ** 2 + self.v_d0 ** 2 > 1.0 + CONSTRUCTION_ATOL:
             raise ValidationError(
                 f"detecton Bloch norm exceeds one: p_d^2 + v_d0^2 = {self.p_d ** 2 + self.v_d0 ** 2!r}")
         if not 0.0 <= self.p_q <= 1.0:
@@ -113,8 +114,8 @@ def sqds_delta(cfg: SqdsConfig) -> float:
     r_q, _ = sqds_distinguishability(cfg)
     upper = q * q * (1.0 - cfg.p_q ** 2)                       # P_Q > R_Q
     lower = cfg.p_q ** 2 * (1.0 - cfg.s_d_norm ** 2)           # P_Q <= R_Q
-    if abs(cfg.p_q - r_q) <= _TIE_ATOL:
-        if abs(upper - lower) > _BRANCH_AGREE_ATOL:
+    if abs(cfg.p_q - r_q) <= TIE_ATOL:
+        if abs(upper - lower) > BRANCH_AGREE_ATOL:
             raise IdentityError(
                 f"branch expressions disagree at the P = R tie: {upper!r} vs {lower!r}")
         return 0.5 * (upper + lower)
@@ -139,15 +140,15 @@ def sqds_chi(cfg: SqdsConfig) -> float:
     d1d2 = (1.0 - cfg.s_d_norm ** 2) / 4.0
     upper = cfg.p_q ** 2 / xi_sq                               # P_Q > R_Q
     lower = 1.0 - 4.0 * d1d2 * cfg.p_q ** 2 / xi_sq            # P_Q <= R_Q
-    if abs(cfg.p_q - r_q) <= _TIE_ATOL:
-        if abs(upper - lower) > _BRANCH_AGREE_ATOL:
+    if abs(cfg.p_q - r_q) <= TIE_ATOL:
+        if abs(upper - lower) > BRANCH_AGREE_ATOL:
             raise IdentityError(
                 f"chi branch expressions disagree at the P = R tie: {upper!r} vs {lower!r}")
         chi = 0.5 * (upper + lower)
     else:
         chi = upper if cfg.p_q > r_q else lower
     via_delta = 1.0 - sqds_delta(cfg) / xi_sq
-    if abs(chi - via_delta) > _BRANCH_AGREE_ATOL:
+    if abs(chi - via_delta) > BRANCH_AGREE_ATOL:
         raise IdentityError(f"chi branch value {chi!r} disagrees with 1 - Delta/Xi^2 = {via_delta!r}")
     return chi
 

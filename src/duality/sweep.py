@@ -24,7 +24,6 @@ from . import linalg
 from .errors import DegenerateBranchError, IdentityError, ValidationError
 from .interferometer import (
     InterferometerInstance,
-    contrast_factors,
     from_global_unitary,
     from_tilted_pair,
     from_unitary_pair,
@@ -36,8 +35,8 @@ from .measures import (
     hierarchy_report,
     mixed_state_bound_check,
     pure_state_identity_check,
-    spectral_components,
 )
+from .tolerances import TIE_ATOL
 
 WWM_CLASSES = ("pure", "mixed")
 S_CLASSES = ("s_pure", "s_mixed")
@@ -241,27 +240,22 @@ def _evaluate(inst: InterferometerInstance, labels: dict, summary: SweepSummary)
     for name in ("o2p", "o2q", "o2_nuevita", "o1"):
         slack(name, report.slacks[name])
 
-    polarized = abs(abs(inst.s) - 1.0) <= 1e-12
     pure_marker = labels["wwm_class"] == "pure"
 
     if inst.n == 2:
         deviation("d_two_level", abs(d_two_level(report.p, report.r) - report.d))
 
-    if polarized and pure_marker:
+    if inst.kernel.polarized and pure_marker:
         deviation("pure_saturation_xi", abs(report.v ** 2 + report.xi ** 2 - 1.0))
         deviation("pure_saturation_d", abs(report.d - report.xi))
         residual = pure_state_identity_check(inst)
         row["pure_identity_residual"] = residual
         deviation("pure_identity", residual)
-    elif polarized:
-        mix_slack = mixed_state_bound_check(inst)
-        row["mixing_bound_slack"] = mix_slack
-        slack("mixing_bound", mix_slack)
-        comps = spectral_components(inst)
-        recomposed = sum(c.weight * c.contrast for c in comps)
-        c_up, c_down, _ = contrast_factors(inst)
-        branch_contrast = c_up if inst.s >= 0 else c_down
-        deviation("contrast_recomposition", abs(recomposed - branch_contrast))
+    elif inst.kernel.polarized:
+        bound = mixed_state_bound_check(inst)
+        row["mixing_bound_slack"] = bound.slack
+        slack("mixing_bound", bound.slack)
+        deviation("contrast_recomposition", bound.recomposition)
 
     summary.xi_minus_d_min = (row["xi_minus_d"] if summary.xi_minus_d_min is None
                               else min(summary.xi_minus_d_min, row["xi_minus_d"]))
@@ -270,7 +264,7 @@ def _evaluate(inst: InterferometerInstance, labels: dict, summary: SweepSummary)
         slack("main", report.slacks["main"])
         if report.chi is not None:
             eig = linalg.hermitian_eigen(inst.rho_d0)
-            if report.p > report.r + 1e-12:
+            if report.p > report.r + TIE_ATOL:
                 closed = report.p ** 2 / report.xi ** 2
             else:
                 closed = chi_closed_form(float(eig.values[0]), float(max(eig.values[1], 0.0)),

@@ -1,14 +1,19 @@
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from numpy.linalg import LinAlgError
+
+from duality import cli
 from duality.cli import main
 from duality.errors import ValidationError
 from duality.interferometer import InterferometerInstance, from_tilted_pair, from_unitary_pair
-from duality.sweep import SweepConfig, generate_instance, run_sweep, sweep_plan
+from duality.sweep import SweepConfig, generate_instance, run_sweep, sweep_plan, write_instances_csv
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -65,6 +70,29 @@ def test_analyze_invalid_instance_exits_2(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
 
 
+def test_analyze_non_finite_phase_exits_2(tmp_path, capsys):
+    data = InterferometerInstance(s=0.0, blocks=from_unitary_pair(I2, I2),
+                                  rho_d0=np.diag([0.5, 0.5]).astype(complex)).to_dict()
+    for phi in (math.inf, math.nan):
+        data["phi"] = phi
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_analyze_linalg_error_exits_2(tmp_path, capsys, monkeypatch):
+    def fail(inst):
+        raise LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "hierarchy_report", fail)
+    inst = InterferometerInstance(s=0.0, blocks=from_unitary_pair(I2, I2),
+                                  rho_d0=np.diag([0.5, 0.5]).astype(complex))
+    assert main(["analyze", str(write_instance(tmp_path, inst))]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_analyze_degenerate_branch_exits_3(tmp_path, capsys):
     inst = InterferometerInstance(s=1.0, blocks=from_tilted_pair(0.0, I2, I2),
                                   rho_d0=np.diag([1.0, 0.0]).astype(complex))
@@ -117,6 +145,12 @@ def test_verify_rejects_bad_classes(capsys):
 
 def test_verify_rejects_bad_dims(capsys):
     assert main(["verify", "--dims", "9", "--count", "1"]) == 2
+
+
+def test_verify_rejects_non_integer_dims(capsys):
+    for dims in ("2,x", "", "2,,3"):
+        assert main(["verify", "--dims", dims, "--count", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_verify_unwritable_out_exits_2(tmp_path, capsys):
@@ -198,3 +232,13 @@ def test_run_sweep_summary_contents():
     data = summary.to_dict()
     assert json.dumps(data)  # serializable
     assert data["xi_minus_d_min"] is not None
+
+
+def test_default_sweep_csv_golden(tmp_path):
+    # instances.csv is byte-stable: any change to the engine's arithmetic
+    # shows here (digest recorded with numpy 2.4 on x86-64).
+    _, rows = run_sweep(SweepConfig(seed=0, count=4))
+    path = tmp_path / "instances.csv"
+    write_instances_csv(path, rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "a9fab8465f28712f9ae30a74a9706edb6737e411865a2f75867efc764d3b50d7")

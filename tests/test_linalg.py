@@ -6,13 +6,9 @@ from duality import linalg
 from duality.errors import ValidationError
 from duality.linalg import (
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
-    dagger,
     haar_random_unitary,
     hermitian_eigen,
-    kron,
-    mat_mul,
     random_density,
     rng,
     trace_norm,
@@ -66,57 +62,16 @@ def random_hermitian(gen: np.random.Generator, dim: int) -> np.ndarray:
     return g + g.conj().T
 
 
-# --- mat_mul / dagger / kron -------------------------------------------------
+# --- validation -----------------------------------------------------------------
 
-def test_mat_mul_identity():
-    m = np.array([[1.0, 2.0j], [3.0, 4.0]], dtype=complex)
-    assert np.array_equal(mat_mul(I2, m), m)
-
-
-def test_mat_mul_pauli_involution():
-    assert np.allclose(mat_mul(SIGMA_X, SIGMA_X), I2, atol=0)
-
-
-def test_mat_mul_sigma_x_sigma_y():
-    # hand-computed entrywise: sigma_x sigma_y = i sigma_z
-    expected = np.array([[1j, 0.0], [0.0, -1j]])
-    assert np.allclose(mat_mul(SIGMA_X, SIGMA_Y), expected, atol=0)
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        mat_mul(I2, np.eye(3))
-
-
-def test_dagger_identity_and_hermitian():
-    assert np.array_equal(dagger(I2), I2)
-    assert np.allclose(dagger(SIGMA_Y), SIGMA_Y, atol=0)
-
-
-def test_dagger_conjugates():
-    assert np.allclose(dagger(np.diag([1j, -1j])), np.diag([-1j, 1j]), atol=0)
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-    assert np.array_equal(kron(SIGMA_Z, I2), np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
-
-
-def test_kron_flips_both_qubits():
-    # column for |00> of sigma_x (x) sigma_x is |11>: entry (i*2+j, 0) = X[i,0] X[j,0]
-    col = kron(SIGMA_X, SIGMA_X)[:, 0]
-    assert np.array_equal(col, np.array([0, 0, 0, 1], dtype=complex))
-
-
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**32 - 1),
-       dims=st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)))
-def test_kron_associative(seed, dims):
-    gen = rng(seed)
-    a, b, c = (random_hermitian(gen, d) for d in dims)
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
-    assert np.abs(left - right).max() <= 1e-12
+def test_validation_rejects_nan_as_non_hermitian():
+    for entry in ((0, 0), (0, 1)):
+        m = np.eye(2, dtype=complex) / 2.0
+        m[entry] = np.nan
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            linalg.require_hermitian(m)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            linalg.require_density(m)
 
 
 # --- hermitian_eigen ----------------------------------------------------------

@@ -309,8 +309,7 @@ def test_gate_rejects_generic_blocks():
 
 def test_gate_rejects_diagonal_but_unequal_ways():
     inst = _diagonal_way_counterexample()
-    from duality.interferometer import way_operators
-    wp_op, _ = way_operators(inst.blocks, inst.s)
+    wp_op = inst.kernel.wp_op
     assert abs(wp_op[0, 1]) <= 1e-12  # diagonal...
     assert abs(wp_op[0, 0] - wp_op[1, 1]) > 0.01  # ...but state dependent
     assert not state_independent_ways(inst)
@@ -363,7 +362,7 @@ def test_mixing_bound_reduces_to_pure_identity():
     for stream in range(50):
         inst = generate_instance(20, stream, 3, "pure", "s_pure", "general_unitary")
         try:
-            slack = mixed_state_bound_check(inst)
+            slack = mixed_state_bound_check(inst).slack
         except DegenerateBranchError:
             continue
         assert abs(slack) <= 1e-9
@@ -375,7 +374,7 @@ def test_mixing_bound_maximally_mixed_marker():
     # and the bound is maximally slack.
     inst = InterferometerInstance(s=1.0, blocks=from_unitary_pair(I2, SIGMA_X),
                                   rho_d0=np.eye(2, dtype=complex) / 2.0)
-    assert mixed_state_bound_check(inst) == pytest.approx(1.0, abs=1e-12)
+    assert mixed_state_bound_check(inst).slack == pytest.approx(1.0, abs=1e-12)
     for comp in spectral_components(inst):
         sub = InterferometerInstance(s=1.0, blocks=inst.blocks,
                                      rho_d0=np.outer(
@@ -390,15 +389,16 @@ def test_mixing_bound_random_sweep_and_recomposition():
         dim = 2 + stream % 3
         inst = generate_instance(21, stream, dim, "mixed", "s_pure", "general_unitary")
         try:
-            slack = mixed_state_bound_check(inst)
+            bound = mixed_state_bound_check(inst)
         except DegenerateBranchError:
             continue
-        assert slack >= -1e-9
+        assert bound.slack >= -1e-9
         comps = spectral_components(inst)
         recomposed = sum(c.weight * c.contrast for c in comps)
         c_up, c_down, _ = contrast_factors(inst)
         branch = c_up if inst.s >= 0 else c_down
         assert abs(recomposed - branch) <= 1e-10
+        assert bound.recomposition == abs(recomposed - branch)
 
 
 def test_theta_bounded_on_state_independent_classes():

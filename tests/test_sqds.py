@@ -45,6 +45,14 @@ def test_config_rejects_super_unit_bloch():
         SqdsConfig(p_d=0.0, v_d0=0.5, p_q=1.5, phi_ent=0.0)
 
 
+def test_config_rejects_non_finite_fields():
+    good = dict(p_d=0.3, v_d0=0.4, p_q=0.5, phi_ent=1.0)
+    for name in good:
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                SqdsConfig(**{**good, name: value})
+
+
 # --- closed forms -----------------------------------------------------------------
 
 def test_quality_examples():
