@@ -35,6 +35,7 @@ from .measures import (
     d_two_level,
     distinguishability,
     hierarchy_report,
+    hierarchy_reports,
     mixed_state_bound_check,
     pure_state_identity_check,
     quality,
@@ -56,6 +57,6 @@ from .sqds import (
     sqds_visibility,
     sqds_xi,
 )
-from .sweep import SweepConfig, SweepSummary, generate_instance, run_sweep
+from .sweep import SweepConfig, SweepSummary, generate_instance, iter_sweep, run_sweep
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``analyze <file>``: read an instance JSON file and print its duality report.
-* ``verify``: run a randomized inequality sweep, persist ``summary.json`` and
-  ``instances.csv`` under the output directory, print the summary.
+* ``verify``: run a randomized inequality sweep, stream ``instances.csv`` and
+  then write ``summary.json`` under the output directory, print the summary.
 * ``figures``: emit the Delta-surface (fig3) or visibility-bound-curve (fig4)
   CSV data.
 
@@ -31,7 +31,8 @@ from .sweep import (
     S_CLASSES,
     WWM_CLASSES,
     SweepConfig,
-    run_sweep,
+    SweepSummary,
+    iter_sweep,
     write_instances_csv,
 )
 
@@ -93,12 +94,14 @@ def cmd_verify(args) -> int:
     state_classes, block_classes = _parse_classes(args.classes)
     cfg = SweepConfig(seed=args.seed, count=args.count, dims=dims,
                       state_classes=state_classes, block_classes=block_classes)
-    summary, rows = run_sweep(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # Rows go to the file as each chunk of the sweep finishes; the summary is
+    # complete once the last row is written.
+    summary = SweepSummary(config=cfg)
+    write_instances_csv(out / "instances.csv", iter_sweep(cfg, summary))
     (out / "summary.json").write_text(
         json.dumps(_round12(summary.to_dict()), indent=2) + "\n", encoding="utf-8")
-    write_instances_csv(out / "instances.csv", rows)
     _print_json(summary.to_dict())
     return 1 if summary.violation_count else 0
 

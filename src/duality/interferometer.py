@@ -20,7 +20,7 @@ fully polarized quanton (s = 1) give unit fringe visibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +39,11 @@ def _frozen_array(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WwmBlocks:
-    """The four marker-space blocks of the joint beam-splitter/marker operator."""
+    """The four marker-space blocks of the joint beam-splitter/marker operator.
+
+    Each block is an ``(n, n)`` matrix, or a stack ``(..., n, n)`` holding the
+    blocks of several instances.
+    """
 
     vpp: np.ndarray
     vpm: np.ndarray
@@ -49,23 +53,55 @@ class WwmBlocks:
     def __post_init__(self):
         mats = [linalg.as_square(m, name) for m, name in
                 zip((self.vpp, self.vpm, self.vmp, self.vmm), ("vpp", "vpm", "vmp", "vmm"))]
-        n = mats[0].shape[0]
-        if any(m.shape[0] != n for m in mats):
+        if any(m.shape != mats[0].shape for m in mats):
             raise ValidationError("all four blocks must share the same dimension")
         for name, m in zip(("vpp", "vpm", "vmp", "vmm"), mats):
             object.__setattr__(self, name, _frozen_array(m))
 
     @property
     def n(self) -> int:
-        return self.vpp.shape[0]
+        return self.vpp.shape[-1]
+
+
+def validate_instances(s, blocks: WwmBlocks, rho_d0, phi) -> np.ndarray:
+    """Check instance fields and return ``rho_d0`` as a complex array.
+
+    ``s`` and ``phi`` are scalars for one instance, or arrays of shape (N,)
+    beside stacked blocks and marker states for N instances.  Every instance
+    needs s in [-1, 1], a finite phi, a density-matrix ``rho_d0`` of the
+    blocks' dimension, and blocks that assemble into a unitary within 1e-10.
+    """
+    s, phi = np.asarray(s), np.asarray(phi)
+    for name, value in (("inversion s", s), ("phase phi", phi)):
+        if value.dtype.kind not in "fiu":
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+    i = linalg.first_failure(np.abs(s) <= 1.0)
+    if i is not None:
+        raise ValidationError(f"inversion {linalg.label('s', i)} must lie in [-1, 1], got {s[i]}")
+    i = linalg.first_failure(np.isfinite(phi))
+    if i is not None:
+        raise ValidationError(f"phase {linalg.label('phi', i)} must be finite, got {phi[i]}")
+    rho = linalg.require_density(rho_d0, "rho_d0")
+    if rho.shape != blocks.vpp.shape:
+        raise ValidationError(
+            f"rho_d0 dimension {rho.shape[-1]} does not match block dimension {blocks.n}")
+    i = linalg.first_failure(validate_unitarity(blocks))
+    if i is not None:
+        raise ValidationError(
+            f"assembled {linalg.label('joint operator', i)} is not unitary within {VALIDATION_ATOL:.0e}")
+    return rho
 
 
 @dataclass(frozen=True)
 class BranchKernel:
-    """Branch quantities of one instance, computed once.
+    """Branch quantities of a stack of instances, computed once.
 
     Every measure is a function of the way probabilities w+-, the conditional
-    marker states rho+- and the contrast factor C, all read from here.
+    marker states rho+- and the contrast factor C, all read from here.  Each
+    field carries the instances' leading shape: none for one instance
+    (``inst.kernel``), (N,) for a stack, so one instance is a batch of one
+    through the same code.  ``s``, ``phi`` and ``rho_d0`` are the instances'
+    own fields.
 
     The way probabilities come by two routes, each feeding its own outputs:
     ``w_plus``/``w_minus`` = tr(rho_d0 W+-) from the way operators
@@ -75,40 +111,66 @@ class BranchKernel:
     V-- V-+^dagger; ``polarized`` is |s| = 1 within ``PURE_S_ATOL``.
     """
 
+    s: np.ndarray
+    phi: np.ndarray
+    rho_d0: np.ndarray
     wp_op: np.ndarray
     wm_op: np.ndarray
-    w_plus: float
-    w_minus: float
+    w_plus: np.ndarray
+    w_minus: np.ndarray
     wp_rho: np.ndarray
     wm_rho: np.ndarray
-    wp_tr: float
-    wm_tr: float
+    wp_tr: np.ndarray
+    wm_tr: np.ndarray
     cross_up: np.ndarray
     cross_down: np.ndarray
-    c_up: complex
-    c_down: complex
-    c: complex
-    polarized: bool
+    c_up: np.ndarray
+    c_down: np.ndarray
+    c: np.ndarray
+    polarized: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.wp_op.shape[-1]
+
+    def take(self, index) -> BranchKernel:
+        """The kernel of the instances at ``index`` along the leading axis."""
+        return BranchKernel(*_frozen(*(getattr(self, f.name)[index] for f in fields(self))))
 
 
-def branch_kernel(b: WwmBlocks, s: float, rho_d0: np.ndarray) -> BranchKernel:
-    """Evaluate the branch quantities of blocks, inversion and marker state."""
-    a, bb = (1.0 + s) / 4.0, (1.0 - s) / 4.0
-    wp_op = a * (b.vpp @ b.vpp.conj().T) + bb * (b.vmp @ b.vmp.conj().T)
-    wm_op = a * (b.vpm @ b.vpm.conj().T) + bb * (b.vmm @ b.vmm.conj().T)
-    wp_rho = a * (b.vpp.conj().T @ rho_d0 @ b.vpp) + bb * (b.vmp.conj().T @ rho_d0 @ b.vmp)
-    wm_rho = a * (b.vpm.conj().T @ rho_d0 @ b.vpm) + bb * (b.vmm.conj().T @ rho_d0 @ b.vmm)
-    cross_up = b.vpm @ b.vpp.conj().T
-    cross_down = b.vmm @ b.vmp.conj().T
-    for m in (wp_op, wm_op, wp_rho, wm_rho, cross_up, cross_down):
-        m.setflags(write=False)
-    c_up = complex(np.trace(rho_d0 @ cross_up))
-    c_down = -complex(np.trace(rho_d0 @ cross_down))
-    return BranchKernel(
-        wp_op, wm_op, float(np.trace(rho_d0 @ wp_op).real), float(np.trace(rho_d0 @ wm_op).real),
-        wp_rho, wm_rho, float(np.trace(wp_rho).real), float(np.trace(wm_rho).real),
+def _frozen(*values) -> tuple:
+    for v in values:
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    return values
+
+
+def branch_kernel(b: WwmBlocks, s, rho_d0, phi) -> BranchKernel:
+    """Evaluate the branch quantities of (stacks of) blocks, inversions,
+    marker states and phases; see :class:`BranchKernel` for the shapes."""
+    s = np.asarray(s, dtype=float)
+    # The weights as complex numbers (w + 0i), as numpy would cast them for
+    # the products anyway.
+    a = ((1.0 + s) / 4.0).astype(complex)[..., None, None]
+    bb = ((1.0 - s) / 4.0).astype(complex)[..., None, None]
+    vpp_h, vpm_h, vmp_h, vmm_h = (linalg.dagger(v) for v in (b.vpp, b.vpm, b.vmp, b.vmm))
+    wp_op = a * (b.vpp @ vpp_h) + bb * (b.vmp @ vmp_h)
+    wm_op = a * (b.vpm @ vpm_h) + bb * (b.vmm @ vmm_h)
+    wp_rho = a * (vpp_h @ rho_d0 @ b.vpp) + bb * (vmp_h @ rho_d0 @ b.vmp)
+    wm_rho = a * (vpm_h @ rho_d0 @ b.vpm) + bb * (vmm_h @ rho_d0 @ b.vmm)
+    cross_up = b.vpm @ vpp_h
+    cross_down = b.vmm @ vmp_h
+
+    def trace(m):
+        return m.trace(0, -2, -1)
+
+    c_up = trace(rho_d0 @ cross_up)
+    c_down = -trace(rho_d0 @ cross_down)
+    return BranchKernel(s, np.asarray(phi, dtype=float), rho_d0, *_frozen(
+        wp_op, wm_op, trace(rho_d0 @ wp_op).real, trace(rho_d0 @ wm_op).real,
+        wp_rho, wm_rho, trace(wp_rho).real, trace(wm_rho).real,
         cross_up, cross_down, c_up, c_down, (1.0 + s) / 2.0 * c_up + (1.0 - s) / 2.0 * c_down,
-        abs(abs(s) - 1.0) <= PURE_S_ATOL)
+        np.abs(np.abs(s) - 1.0) <= PURE_S_ATOL))
 
 
 @dataclass(frozen=True)
@@ -119,7 +181,8 @@ class InterferometerInstance:
     the closed interval [-1, 1] is admitted since the fully polarized
     endpoints are the pure-preparation cases used throughout.  ``rho_d0`` is
     the marker's initial density matrix and ``phi`` the phase-shifter angle.
-    Construction validates every field, including block unitarity.
+    Construction validates every field, including block unitarity
+    (:func:`validate_instances`).
     """
 
     s: float
@@ -128,17 +191,7 @@ class InterferometerInstance:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not -1.0 <= self.s <= 1.0:
-            raise ValidationError(f"inversion s must lie in [-1, 1], got {self.s}")
-        if not math.isfinite(self.phi):
-            raise ValidationError(f"phase phi must be finite, got {self.phi}")
-        rho = linalg.require_density(self.rho_d0, "rho_d0")
-        if rho.shape[0] != self.blocks.n:
-            raise ValidationError(
-                f"rho_d0 dimension {rho.shape[0]} does not match block dimension {self.blocks.n}")
-        if not validate_unitarity(self.blocks):
-            raise ValidationError(
-                f"assembled joint operator is not unitary within {VALIDATION_ATOL:.0e}")
+        rho = validate_instances(self.s, self.blocks, self.rho_d0, self.phi)
         object.__setattr__(self, "rho_d0", _frozen_array(rho))
 
     @property
@@ -148,22 +201,12 @@ class InterferometerInstance:
     @cached_property
     def kernel(self) -> BranchKernel:
         """Branch quantities, computed on first use so generation stays cheap."""
-        return branch_kernel(self.blocks, self.s, self.rho_d0)
+        return branch_kernel(self.blocks, self.s, self.rho_d0, self.phi)
 
     def to_dict(self) -> dict:
         """Serialize to the documented JSON schema (row-major [re, im] pairs)."""
-        return {
-            "s": float(self.s),
-            "phi": float(self.phi),
-            "n": self.n,
-            "rho_d0": matrix_to_pairs(self.rho_d0),
-            "blocks": {
-                "vpp": matrix_to_pairs(self.blocks.vpp),
-                "vpm": matrix_to_pairs(self.blocks.vpm),
-                "vmp": matrix_to_pairs(self.blocks.vmp),
-                "vmm": matrix_to_pairs(self.blocks.vmm),
-            },
-        }
+        b = self.blocks
+        return instance_to_dict(self.s, self.phi, self.rho_d0, b.vpp, b.vpm, b.vmp, b.vmm)
 
 
 @dataclass(frozen=True)
@@ -181,6 +224,19 @@ class EvolutionResult:
     c_down: complex
     c: complex
     bloch_final: np.ndarray = field(repr=False)
+
+
+def instance_to_dict(s, phi, rho_d0, vpp, vpm, vmp, vmm) -> dict:
+    """The documented JSON object of one instance's fields, taken as they
+    are (validation is the constructor's job)."""
+    return {
+        "s": float(s),
+        "phi": float(phi),
+        "n": vpp.shape[-1],
+        "rho_d0": matrix_to_pairs(rho_d0),
+        "blocks": {"vpp": matrix_to_pairs(vpp), "vpm": matrix_to_pairs(vpm),
+                   "vmp": matrix_to_pairs(vmp), "vmm": matrix_to_pairs(vmm)},
+    }
 
 
 def matrix_to_pairs(m) -> list:
@@ -215,34 +271,43 @@ def instance_from_dict(d: dict) -> InterferometerInstance:
 
 
 def assemble_global_unitary(blocks: WwmBlocks) -> np.ndarray:
-    """Assemble the joint 2n x 2n operator from the four marker blocks.
+    """Assemble the joint 2n x 2n operator (a stack for stacked blocks).
 
     Unitarity is not asserted here; see :func:`validate_unitarity`.
     """
-    top = np.hstack([blocks.vpp, blocks.vpm])
-    bottom = np.hstack([-blocks.vmp, blocks.vmm])
-    return np.vstack([top, bottom]) / math.sqrt(2.0)
+    top = np.concatenate([blocks.vpp, blocks.vpm], axis=-1)
+    bottom = np.concatenate([-blocks.vmp, blocks.vmm], axis=-1)
+    return np.concatenate([top, bottom], axis=-2) / math.sqrt(2.0)
 
 
-def validate_unitarity(blocks: WwmBlocks) -> bool:
-    """True iff the assembled joint operator is unitary within 1e-10."""
+def validate_unitarity(blocks: WwmBlocks):
+    """Whether the assembled joint operator is unitary within 1e-10: a bool,
+    or one per instance for stacked blocks."""
     return linalg.is_unitary(assemble_global_unitary(blocks), VALIDATION_ATOL)
 
 
+def _require_unitary(u, name: str) -> np.ndarray:
+    a = linalg.as_square(u, name)
+    i = linalg.first_failure(linalg.is_unitary(a))
+    if i is not None:
+        raise ValidationError(f"{linalg.label(name, i)} is not unitary within {VALIDATION_ATOL:.0e}")
+    return a
+
+
 def _unitary_pair(u_plus, u_minus) -> tuple[np.ndarray, np.ndarray]:
-    up = linalg.as_square(u_plus, "u_plus")
-    um = linalg.as_square(u_minus, "u_minus")
+    up = _require_unitary(u_plus, "u_plus")
+    um = _require_unitary(u_minus, "u_minus")
     if up.shape != um.shape:
         raise ValidationError("u_plus and u_minus must share the same dimension")
-    for name, u in (("u_plus", up), ("u_minus", um)):
-        if not linalg.is_unitary(u):
-            raise ValidationError(f"{name} is not unitary within {VALIDATION_ATOL:.0e}")
     return up, um
 
 
 def from_unitary_pair(u_plus, u_minus) -> WwmBlocks:
     """Blocks for a symmetric beam splitter followed by a way-controlled
-    unitary marker coupling (U+ on the + way, U- on the - way)."""
+    unitary marker coupling (U+ on the + way, U- on the - way).
+
+    Like every block constructor here, it also takes stacks of unitaries.
+    """
     up, um = _unitary_pair(u_plus, u_minus)
     return WwmBlocks(vpp=up, vpm=um, vmp=up, vmm=um)
 
@@ -255,62 +320,74 @@ def from_tilted_pair(theta: float, u_plus, u_minus) -> WwmBlocks:
     polarized quanton, independent of the marker state, so the predictability
     is |cos(2 theta)| by construction.  theta = pi/4 describes the same
     device as :func:`from_unitary_pair`, but not bit for bit: the block scale
-    sqrt(2) cos(pi/4) rounds to 1.0000000000000002.
+    sqrt(2) cos(pi/4) rounds to 1.0000000000000002.  ``theta`` may be an
+    array of one angle per unitary of the stacks.
     """
     up, um = _unitary_pair(u_plus, u_minus)
-    c = math.sqrt(2.0) * math.cos(theta)
-    d = math.sqrt(2.0) * math.sin(theta)
+    theta = np.asarray(theta, dtype=float)
+    # math.cos and math.sin, not their numpy ufuncs, whose vectorized loops
+    # may round differently: generated instances must replay bit for bit.
+    c = np.reshape([math.sqrt(2.0) * math.cos(t) for t in theta.flat], theta.shape)[..., None, None]
+    d = np.reshape([math.sqrt(2.0) * math.sin(t) for t in theta.flat], theta.shape)[..., None, None]
     return WwmBlocks(vpp=c * up, vpm=d * um, vmp=d * up, vmm=c * um)
 
 
 def from_global_unitary(u) -> WwmBlocks:
     """Invert :func:`assemble_global_unitary` for a given joint unitary."""
     a = linalg.as_square(u, "u")
-    if a.shape[0] % 2 != 0:
-        raise ValidationError(f"joint operator must have even dimension, got {a.shape[0]}")
-    if not linalg.is_unitary(a):
-        raise ValidationError(f"joint operator is not unitary within {VALIDATION_ATOL:.0e}")
-    n = a.shape[0] // 2
+    if a.shape[-1] % 2 != 0:
+        raise ValidationError(f"joint operator must have even dimension, got {a.shape[-1]}")
+    a = _require_unitary(a, "joint operator")
+    n = a.shape[-1] // 2
     s2 = math.sqrt(2.0)
     return WwmBlocks(
-        vpp=s2 * a[:n, :n],
-        vpm=s2 * a[:n, n:],
-        vmp=-s2 * a[n:, :n],
-        vmm=s2 * a[n:, n:],
+        vpp=s2 * a[..., :n, :n],
+        vpm=s2 * a[..., :n, n:],
+        vmp=-s2 * a[..., n:, :n],
+        vmm=s2 * a[..., n:, n:],
     )
 
 
 def contrast_factors(inst: InterferometerInstance) -> tuple[complex, complex, complex]:
     """Per-branch contrast factors and their inversion-weighted combination."""
     k = inst.kernel
-    return k.c_up, k.c_down, k.c
+    return complex(k.c_up), complex(k.c_down), complex(k.c)
+
+
+def bloch_vectors(k: BranchKernel) -> np.ndarray:
+    """Quanton Bloch vectors (x, y, z) after the merger: shape (3,) for one
+    instance, (N, 3) for a stack.
+
+    Construction enforces unitary blocks and a density-matrix rho_d0, so the
+    final joint state (:func:`final_state`) is a density matrix; each
+    instance's probability normalization and Bloch norm are checked.
+    """
+    total = k.w_plus + k.w_minus
+    i = linalg.first_failure(np.abs(total - 1.0) <= VALIDATION_ATOL)
+    if i is not None:
+        raise ValidationError(f"way probabilities do not sum to one: {float(total[i])!r}")
+    zy = -np.exp(-1j * k.phi) * k.c
+    bloch = np.array([k.w_plus - k.w_minus, zy.imag, zy.real]).T
+    if linalg.first_failure(np.sqrt((bloch * bloch).sum(axis=-1)) <= 1.0 + VALIDATION_ATOL) is not None:
+        raise ValidationError("final Bloch vector exceeds unit norm beyond tolerance")
+    return bloch
 
 
 def evolve(inst: InterferometerInstance) -> EvolutionResult:
     """Run the instance through splitter+marker, phase shifter, and merger.
 
-    The way probabilities, contrast factors, and final Bloch vector are read
-    from the instance's kernel.  Construction enforces unitary blocks and a
-    density-matrix rho_d0, so the final joint state (:func:`final_state`) is
-    a density matrix; probability normalization and Bloch norm are checked.
+    The way probabilities, contrast factors, and final Bloch vector
+    (:func:`bloch_vectors`) are read from the instance's kernel.
     """
     k = inst.kernel
-    if abs(k.w_plus + k.w_minus - 1.0) > VALIDATION_ATOL:
-        raise ValidationError(f"way probabilities do not sum to one: {k.w_plus + k.w_minus!r}")
-
     c_up, c_down, c = contrast_factors(inst)
-    zy = -np.exp(-1j * inst.phi) * c
-    bloch = np.array([k.w_plus - k.w_minus, zy.imag, zy.real])
-    if np.linalg.norm(bloch) > 1.0 + VALIDATION_ATOL:
-        raise ValidationError("final Bloch vector exceeds unit norm beyond tolerance")
-
     return EvolutionResult(
-        w_plus=k.w_plus,
-        w_minus=k.w_minus,
+        w_plus=float(k.w_plus),
+        w_minus=float(k.w_minus),
         c_up=c_up,
         c_down=c_down,
         c=c,
-        bloch_final=bloch,
+        bloch_final=bloch_vectors(k),
     )
 
 
@@ -330,21 +407,29 @@ def final_state(inst: InterferometerInstance) -> np.ndarray:
     return m @ np.kron(rho_q0, inst.rho_d0) @ m.conj().T
 
 
-def conditional_wwm_states(
-    inst: InterferometerInstance,
-) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Way probabilities and the marker states conditioned on each way.
+def conditional_states(k: BranchKernel) -> tuple:
+    """Way probabilities and conditional marker states of every instance of a kernel.
 
     Returns ``(w_plus, rho_plus, w_minus, rho_minus)`` with the conditional
     states normalized to unit trace.  Raises :class:`DegenerateBranchError`
-    when either way has (numerically) zero probability, since the conditional
-    state on that branch is undefined.
+    when either way of any instance has (numerically) zero probability,
+    since the conditional state on that branch is undefined.
     """
-    k = inst.kernel
-    if k.wp_tr < DEGENERATE_WEIGHT or k.wm_tr < DEGENERATE_WEIGHT:
+    i = linalg.first_failure((k.wp_tr >= DEGENERATE_WEIGHT) & (k.wm_tr >= DEGENERATE_WEIGHT))
+    if i is not None:
         raise DegenerateBranchError(
-            f"degenerate branch: w+ = {k.wp_tr!r}, w- = {k.wm_tr!r}")
-    return k.wp_tr, k.wp_rho / k.wp_tr, k.wm_tr, k.wm_rho / k.wm_tr
+            f"degenerate branch: w+ = {float(k.wp_tr[i])!r}, w- = {float(k.wm_tr[i])!r}")
+    return (k.wp_tr, k.wp_rho / k.wp_tr[..., None, None],
+            k.wm_tr, k.wm_rho / k.wm_tr[..., None, None])
+
+
+def conditional_wwm_states(
+    inst: InterferometerInstance,
+) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """Way probabilities and the marker states conditioned on each way
+    (:func:`conditional_states` of the instance's kernel)."""
+    w_plus, rho_plus, w_minus, rho_minus = conditional_states(inst.kernel)
+    return float(w_plus), rho_plus, float(w_minus), rho_minus
 
 
 def visibility(res: EvolutionResult) -> float:

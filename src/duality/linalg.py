@@ -3,8 +3,10 @@ generators for test instances.
 
 Everything here works on plain ``numpy`` complex arrays.  Matrices are dense
 and row-major; dimensions in this package stay below ~16, so there is no
-attempt at sparse or blocked storage.  All functions are pure and never
-mutate their arguments.
+attempt at sparse or blocked storage.  The validators, ``trace_norm`` and
+``hermitian_eigen`` accept a single ``(n, n)`` matrix or a stack of shape
+``(..., n, n)``, and act on each matrix of a stack as they would on it
+alone.  All functions are pure and never mutate their arguments.
 
 Randomness is produced by numpy's Philox bit generator, a 64-bit counter-based
 generator.  A stream is keyed by the pair ``(seed, stream)`` (two unsigned
@@ -14,12 +16,13 @@ replayed bit-identically;  see :func:`rng`.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .tolerances import CONSTRUCTION_ATOL, VALIDATION_ATOL
+from .tolerances import CONSTRUCTION_ATOL, PIVOT_ATOL, VALIDATION_ATOL
 
 _U64 = (1 << 64) - 1
 
@@ -29,75 +32,111 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class HermitianEigen(NamedTuple):
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix or a stack of them.
 
-    ``values`` are real eigenvalues in descending order; ``vectors`` holds the
-    matching orthonormal eigenvectors as columns, each phase-fixed so that its
-    first component of non-negligible magnitude is real and positive.
+    ``values`` are real eigenvalues in descending order along the last axis;
+    ``vectors`` holds the matching orthonormal eigenvectors as columns, each
+    phase-fixed so that its first component of non-negligible magnitude is
+    real and positive.
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def first_failure(ok):
+    """Index tuple of the first False entry of the boolean array ``ok``
+    (``()`` for a scalar), or None when every entry holds.
+
+    Checks are written as "ok" masks, so that NaN, which fails every
+    comparison, fails the check.
+    """
+    # One instance's checks are numpy scalars, whose truth value is cheap;
+    # a stack's take one reduction.
+    if ok.all() if ok.ndim else ok:
+        return None
+    return np.unravel_index(int(np.argmin(ok)), np.shape(ok))
+
+
+def label(name: str, index: tuple) -> str:
+    """``name`` for a single matrix, ``name[i]`` for matrix ``i`` of a stack."""
+    return f"{name}[{', '.join(map(str, index))}]" if index else name
+
+
 def as_square(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex array, raising :class:`ValidationError` otherwise."""
+    """Coerce to a complex square matrix or stack of them, shape (..., n, n).
+
+    Raises :class:`ValidationError` for any other shape.
+    """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
 
 
 def require_hermitian(m, atol: float = CONSTRUCTION_ATOL, name: str = "matrix") -> np.ndarray:
     a = as_square(m, name)
-    dev = np.abs(a - a.conj().T).max(initial=0.0)
-    if not dev <= atol:
-        raise ValidationError(f"{name} is not Hermitian (max deviation {dev:.3e} > {atol:.0e})")
+    dev = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
+    i = first_failure(dev <= atol)
+    if i is not None:
+        raise ValidationError(
+            f"{label(name, i)} is not Hermitian (max deviation {dev[i]:.3e} > {atol:.0e})")
     return a
 
 
-def is_unitary(m, atol: float = VALIDATION_ATOL) -> bool:
+def is_unitary(m, atol: float = VALIDATION_ATOL):
+    """Whether each matrix is unitary within ``atol``: a bool, or one per matrix of a stack."""
     a = as_square(m)
-    return bool(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max() <= atol)
+    return np.abs(dagger(a) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1)) <= atol
 
 
 def require_density(rho, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix: Hermitian, trace one, positive semidefinite."""
+    """Validate density matrices: Hermitian, trace one, positive semidefinite."""
     a = require_hermitian(rho, CONSTRUCTION_ATOL, name)
-    tr = np.trace(a).real
-    if not abs(tr - 1.0) <= CONSTRUCTION_ATOL:
-        raise ValidationError(f"{name} must have unit trace, got {tr!r}")
-    evals = np.linalg.eigvalsh(a)
-    if evals.min() < -VALIDATION_ATOL:
-        raise ValidationError(f"{name} is not positive semidefinite (min eigenvalue {evals.min():.3e})")
+    tr = a.trace(0, -2, -1).real
+    i = first_failure(np.abs(tr - 1.0) <= CONSTRUCTION_ATOL)
+    if i is not None:
+        raise ValidationError(f"{label(name, i)} must have unit trace, got {float(tr[i])!r}")
+    low = np.linalg.eigvalsh(a).min(axis=-1)
+    i = first_failure(low >= -VALIDATION_ATOL)
+    if i is not None:
+        raise ValidationError(
+            f"{label(name, i)} is not positive semidefinite (min eigenvalue {low[i]:.3e})")
     return a
 
 
 def hermitian_eigen(m) -> HermitianEigen:
-    """Full spectral decomposition of a Hermitian matrix.
+    """Full spectral decomposition of a Hermitian matrix or stack of them.
 
     Eigenvalues are returned in descending order.  Each eigenvector column is
-    normalized so its first component with magnitude above 1e-12 is real and
-    positive, making the output deterministic for non-degenerate spectra.
+    normalized so its first component with magnitude above ``PIVOT_ATOL`` is
+    real and positive, making the output deterministic for non-degenerate
+    spectra.  The pivot's modulus is taken with ``np.hypot``, which rounds as
+    Python's complex ``abs`` does; ``np.abs`` on complex arrays does not.
     """
     a = require_hermitian(m)
     evals, evecs = np.linalg.eigh(a)
-    order = np.argsort(evals)[::-1]
-    evals = np.ascontiguousarray(evals[order])
-    evecs = np.ascontiguousarray(evecs[:, order])
-    for j in range(evecs.shape[1]):
-        col = evecs[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size:
-            pivot = col[idx[0]]
-            evecs[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return HermitianEigen(evals, evecs)
+    # eigh returns ascending eigenvalues; reverse to descending.
+    evals = np.ascontiguousarray(evals[..., ::-1])
+    evecs = evecs[..., ::-1]
+    first = np.argmax(np.abs(evecs) > PIVOT_ATOL, axis=-2)[..., None, :]
+    pivot = np.take_along_axis(evecs, first, axis=-2)
+    return HermitianEigen(evals, evecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag)))
 
 
-def trace_norm(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix (trace-class norm)."""
+def trace_norm(m):
+    """Sum of absolute eigenvalues of a Hermitian matrix (trace-class norm).
+
+    A float for one matrix, an array of one norm per matrix for a stack.
+    """
     a = require_hermitian(m)
-    return float(np.abs(np.linalg.eigvalsh(a)).sum())
+    norm = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
+    return float(norm) if a.ndim == 2 else norm
 
 
 def rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -110,18 +149,25 @@ def rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def haar_unitary_from(gen: np.random.Generator, dim: int) -> np.ndarray:
-    """Draw a Haar-distributed unitary from an existing generator.
+def haar_from_normals(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from standard normal pairs ``g`` of shape (..., 2, m, m).
 
-    Ginibre matrix followed by QR, with the R diagonal phase-normalized so the
-    distribution is exactly Haar rather than QR-gauge biased.
+    The Ginibre matrix (g[0] + i g[1]) / sqrt(2) is followed by QR, with the R
+    diagonal phase-normalized so the distribution is exactly Haar rather
+    than QR-gauge biased.  Every step acts matrix by matrix, so a stack gives
+    the same bits as its members one at a time.
     """
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = r.diagonal(0, -2, -1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary_from(gen: np.random.Generator, dim: int) -> np.ndarray:
+    """Draw a Haar-distributed unitary from an existing generator."""
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
-    z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return haar_from_normals(gen.standard_normal((2, dim, dim)))
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
@@ -129,15 +175,21 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     return haar_unitary_from(rng(seed), dim)
 
 
+def density_from_normals(g: np.ndarray) -> np.ndarray:
+    """Density matrices G G^dagger / tr(G G^dagger) from standard normal pairs
+    ``g`` of shape (..., 2, dim, rank), with G = g[0] + i g[1]."""
+    a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    out = a @ dagger(a)
+    out /= out.trace(0, -2, -1).real[..., None, None]
+    # Exact Hermitian symmetrization; GG^dagger is Hermitian up to round-off.
+    return (out + dagger(out)) / 2.0
+
+
 def density_from(gen: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     """Draw a random rank-``rank`` density matrix from an existing generator."""
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
-    a = gen.standard_normal((dim, rank)) + 1j * gen.standard_normal((dim, rank))
-    out = a @ a.conj().T
-    out /= np.trace(out).real
-    # Exact Hermitian symmetrization; GG^dagger is Hermitian up to round-off.
-    return (out + out.conj().T) / 2.0
+    return density_from_normals(gen.standard_normal((2, dim, rank)))
 
 
 def random_density(dim: int, rank: int, seed: int) -> np.ndarray:

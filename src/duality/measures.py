@@ -14,6 +14,16 @@ The module also exposes the proof machinery behind those bounds as executable
 checks: the pure-preparation identity Q^2 + V^2/(1-P^2) = 1 and its mixing
 bound, and the two-level closed form chi = 1 - 4 D1 D2 P^2 / Xi^2 for the
 stringency ratio chi = D^2/Xi^2.
+
+Each instance-level function evaluates its instance as a batch of one through
+the batched function it wraps (``hierarchy_reports``, ``pure_identities``,
+``mixing_bounds``, ``spectral_decompositions``), which take a
+:class:`~duality.interferometer.BranchKernel` of any number of instances.
+The array work is done on whole stacks; the scalar tail of every formula
+(Xi, the slacks, the identity residuals) runs on Python floats per instance,
+because Python's ``x ** 2`` and complex ``abs`` round differently from
+numpy's vectorized square and complex absolute value, and outputs must stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -26,15 +36,10 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateBranchError, IdentityError, ValidationError
-from .interferometer import (
-    InterferometerInstance,
-    conditional_wwm_states,
-    evolve,
-    predictability,
-    visibility,
-)
+from .interferometer import BranchKernel, InterferometerInstance, bloch_vectors, conditional_states
+from .interferometer import evolve  # noqa: F401  (kept importable from this module)
 from .tolerances import (CONSTRUCTION_ATOL, DEGENERATE_WEIGHT, IDENTITY_ATOL, PURE_S_ATOL,
-                         PURITY_ATOL, VALIDATION_ATOL)
+                         PURITY_ATOL, VALIDATION_ATOL, XI_ATOL)
 
 # Every inequality in this package is asserted as slack >= -SLACK_TOL; the
 # slack itself carries eigenvalue round-off, so exact comparisons are never
@@ -49,10 +54,12 @@ def _clamped_unit(x: float, name: str) -> float:
 
 
 def _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus):
-    if w_plus < 0.0 or w_minus < 0.0:
+    w_plus, w_minus = np.asarray(w_plus), np.asarray(w_minus)
+    if linalg.first_failure((w_plus >= 0.0) & (w_minus >= 0.0)) is not None:
         raise ValidationError(f"way probabilities must be non-negative, got {w_plus}, {w_minus}")
-    if abs(w_plus + w_minus - 1.0) > VALIDATION_ATOL:
-        raise ValidationError(f"way probabilities must sum to one, got {w_plus + w_minus!r}")
+    i = linalg.first_failure(np.abs(w_plus + w_minus - 1.0) <= VALIDATION_ATOL)
+    if i is not None:
+        raise ValidationError(f"way probabilities must sum to one, got {float((w_plus + w_minus)[i])!r}")
     rp = linalg.require_density(rho_plus, "rho_plus")
     rm = linalg.require_density(rho_minus, "rho_minus")
     if rp.shape != rm.shape:
@@ -60,18 +67,30 @@ def _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus):
     return rp, rm
 
 
-def distinguishability(w_plus, rho_plus, w_minus, rho_minus) -> float:
-    """Trace norm of w+ rho+ - w- rho-: the best achievable way knowledge."""
+def _helstrom(w_plus, rp, w_minus, rm):
+    return np.asarray(w_plus)[..., None, None] * rp - np.asarray(w_minus)[..., None, None] * rm
+
+
+def distinguishability(w_plus, rho_plus, w_minus, rho_minus):
+    """Trace norm of w+ rho+ - w- rho-: the best achievable way knowledge.
+
+    Takes one pair of conditional states, or stacks of them with arrays of
+    way probabilities, and then returns one value per instance.
+    """
     rp, rm = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus)
-    return linalg.trace_norm(w_plus * rp - w_minus * rm)
+    return linalg.trace_norm(_helstrom(w_plus, rp, w_minus, rm))
 
 
-def quality(rho_plus, rho_minus) -> float:
-    """Trace distance between the conditional marker states."""
+def quality(rho_plus, rho_minus):
+    """Trace distance between the conditional marker states (or stacks of them)."""
     rp = linalg.require_density(rho_plus, "rho_plus")
     rm = linalg.require_density(rho_minus, "rho_minus")
     if rp.shape != rm.shape:
         raise ValidationError("conditional states must share the same dimension")
+    return _quality(rp, rm)
+
+
+def _quality(rp, rm):
     return 0.5 * linalg.trace_norm(rp - rm)
 
 
@@ -86,19 +105,24 @@ def xi(p: float, q: float) -> float:
     return math.sqrt(p_sq + q_sq - p_sq * q_sq)
 
 
-def r_measure(w_plus, rho_plus, w_minus, rho_minus, p: float) -> float:
+def r_measure(w_plus, rho_plus, w_minus, rho_minus, p):
     """Purity-style component of the two-level distinguishability.
 
     For a two-dimensional marker, D = max(P, R) with
     R^2 = 2 tr(Delta^2) - P^2 and Delta = w+ rho+ - w- rho-.  The formula is
     only asserted for two-level markers, so other dimensions are rejected.
+    Takes stacks as :func:`distinguishability` does.
     """
     rp, rm = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus)
-    if rp.shape[0] != 2:
-        raise ValidationError(f"r_measure is defined for two-level markers only, got n={rp.shape[0]}")
-    delta = w_plus * rp - w_minus * rm
-    tr2 = float(np.trace(delta @ delta).real)
-    return math.sqrt(max(0.0, 2.0 * tr2 - p * p))
+    return _r_measure(_helstrom(w_plus, rp, w_minus, rm), p)
+
+
+def _r_measure(delta, p):
+    if delta.shape[-1] != 2:
+        raise ValidationError(f"r_measure is defined for two-level markers only, got n={delta.shape[-1]}")
+    tr2 = np.trace(delta @ delta, axis1=-2, axis2=-1).real
+    r = np.sqrt(np.maximum(0.0, 2.0 * tr2 - p * p))
+    return float(r) if r.ndim == 0 else r
 
 
 def d_two_level(p: float, r: float) -> float:
@@ -140,12 +164,16 @@ def state_independent_ways(inst: InterferometerInstance, atol: float = IDENTITY_
     closed form for chi are enforced; merely requiring the way operators to be
     diagonal is not sufficient (counterexamples exist, see the README).
     """
-    n = inst.n
-    for op in (inst.kernel.wp_op, inst.kernel.wm_op):
-        mean = np.trace(op).real / n
-        if np.abs(op - mean * np.eye(n)).max() > atol:
-            return False
-    return True
+    return bool(_state_independent(inst.kernel, atol))
+
+
+def _state_independent(k: BranchKernel, atol: float = IDENTITY_ATOL) -> np.ndarray:
+    n = k.n
+    ok = True
+    for op in (k.wp_op, k.wm_op):
+        mean = np.trace(op, axis1=-2, axis2=-1).real / n
+        ok = ok & (np.abs(op - mean[..., None, None] * np.eye(n)).max(axis=(-2, -1)) <= atol)
+    return ok
 
 
 @dataclass(frozen=True)
@@ -192,30 +220,48 @@ def hierarchy_report(inst: InterferometerInstance) -> DualityReport:
     ``o1`` (V^2 <= 1 - D^2), and, in the two-level state-independent-way
     regime with a polarized quanton, ``main`` (Xi - D).
     """
-    res = evolve(inst)
-    w_plus, rho_plus, w_minus, rho_minus = conditional_wwm_states(inst)
-    v = visibility(res)
-    p = predictability(res)
-    q = quality(rho_plus, rho_minus)
-    d = distinguishability(w_plus, rho_plus, w_minus, rho_minus)
-    xi_value = xi(p, q)
+    return hierarchy_reports(inst.kernel)[0]
 
+
+def _floats(a) -> list:
+    """The entries of an array (or a scalar) as a list of Python numbers."""
+    return np.ravel(a).tolist()
+
+
+def hierarchy_reports(k: BranchKernel) -> list[DualityReport]:
+    """:func:`hierarchy_report` of every instance of a kernel, in order.
+
+    V, P, Q, D and R are computed on the stacks, with one batched eigensolve
+    for Q and one for D.  A degenerate branch in any instance raises
+    :class:`DegenerateBranchError` for the whole batch.
+    """
+    bloch_vectors(k)
+    v = np.hypot(k.c.real, k.c.imag)
+    p = np.abs(k.w_plus - k.w_minus)
+    w_plus, rho_plus, w_minus, rho_minus = conditional_states(k)
+    rp, rm = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus)
+    delta = _helstrom(w_plus, rp, w_minus, rm)
+    columns = [v, p, _quality(rp, rm), linalg.trace_norm(delta)]
+    if k.n == 2:
+        columns += [_r_measure(delta, p), k.polarized & _state_independent(k)]
+    return [_report(*values) for values in zip(*map(_floats, columns))]
+
+
+def _report(v: float, p: float, q: float, d: float, r: float | None = None,
+            gated: bool = False) -> DualityReport:
+    """The scalar tail of one instance's report, on Python floats."""
+    xi_value = xi(p, q)
     slacks = {
         "o2p": (1.0 - p * p) - v * v,
         "o2q": (1.0 - q * q) - v * v,
         "o2_nuevita": (1.0 - p * p) * (1.0 - q * q) - v * v,
         "o1": (1.0 - d * d) - v * v,
     }
-
-    r_value = None
     chi_value = None
-    if inst.n == 2:
-        r_value = r_measure(w_plus, rho_plus, w_minus, rho_minus, p)
-        if inst.kernel.polarized and state_independent_ways(inst):
-            slacks["main"] = xi_value - d
-            if xi_value > 1e-12:
-                chi_value = d * d / (xi_value * xi_value)
-
+    if gated:
+        slacks["main"] = xi_value - d
+        if xi_value > XI_ATOL:
+            chi_value = d * d / (xi_value * xi_value)
     return DualityReport(
         v=v,
         p=p,
@@ -225,21 +271,23 @@ def hierarchy_report(inst: InterferometerInstance) -> DualityReport:
         v_bound_d=math.sqrt(max(0.0, 1.0 - d * d)),
         v_bound_xi=math.sqrt(max(0.0, 1.0 - xi_value * xi_value)),
         slacks=slacks,
-        r=r_value,
+        r=r,
         chi=chi_value,
     )
 
 
-def _polarized_branch(inst: InterferometerInstance, what: str):
+def _polarized_branches(k: BranchKernel, what: str):
     """(w+, rho+, w-, rho-, P, C) of the branch sign(s) selects at |s| = 1,
-    the only branch populated there."""
-    if not inst.kernel.polarized:
-        raise ValidationError(f"{what} requires |s| = 1, got s = {inst.s}")
-    w_plus, rho_plus, w_minus, rho_minus = conditional_wwm_states(inst)
-    p = abs(w_plus - w_minus)
-    if p >= 1.0 - PURE_S_ATOL:
-        raise DegenerateBranchError(f"predictability {p!r} saturates; identity divides by 1 - P^2")
-    contrast = inst.kernel.c_up if inst.s >= 0.0 else inst.kernel.c_down
+    the only branch populated there, for every instance of the kernel."""
+    i = linalg.first_failure(k.polarized)
+    if i is not None:
+        raise ValidationError(f"{what} requires |s| = 1, got s = {k.s[i]}")
+    w_plus, rho_plus, w_minus, rho_minus = conditional_states(k)
+    p = np.abs(w_plus - w_minus)
+    i = linalg.first_failure(p < 1.0 - PURE_S_ATOL)
+    if i is not None:
+        raise DegenerateBranchError(f"predictability {float(p[i])!r} saturates; identity divides by 1 - P^2")
+    contrast = np.where(k.s >= 0.0, k.c_up, k.c_down)
     return w_plus, rho_plus, w_minus, rho_minus, p, contrast
 
 
@@ -252,29 +300,41 @@ def pure_state_identity_check(inst: InterferometerInstance) -> float:
     conditional-state overlap is checked against |C|^2 / (4 w+ w-); failures
     of those internal identities raise :class:`IdentityError`.
     """
-    w_plus, rho_plus, w_minus, rho_minus, p, contrast = _polarized_branch(inst, "pure identity")
-    purity = float(np.trace(inst.rho_d0 @ inst.rho_d0).real)
-    if abs(purity - 1.0) > PURITY_ATOL:
-        raise ValidationError(f"pure identity requires a pure marker state, purity = {purity!r}")
-    q_branch = 0.5 * linalg.trace_norm(rho_plus - rho_minus)
+    return pure_identities(inst.kernel)[0]
 
-    gamma = 0.5 * (rho_plus - rho_minus)
-    evals = np.linalg.eigvalsh(gamma)
-    lam_max, lam_min = evals[-1], evals[0]
-    if abs(lam_max + lam_min) > IDENTITY_ATOL:
-        raise IdentityError(f"half-difference spectrum is not symmetric: {lam_max!r} vs {lam_min!r}")
-    if evals.size > 2 and np.abs(evals[1:-1]).max() > IDENTITY_ATOL:
+
+def pure_identities(k: BranchKernel) -> list[float]:
+    """:func:`pure_state_identity_check` of every instance of a kernel; the
+    first instance that fails a check raises for the batch."""
+    w_plus, rho_plus, w_minus, rho_minus, p, contrast = _polarized_branches(k, "pure identity")
+    purity = np.trace(k.rho_d0 @ k.rho_d0, axis1=-2, axis2=-1).real
+    i = linalg.first_failure(np.abs(purity - 1.0) <= PURITY_ATOL)
+    if i is not None:
+        raise ValidationError(
+            f"pure identity requires a pure marker state, purity = {float(purity[i])!r}")
+    q_branch = _quality(rho_plus, rho_minus)
+
+    evals = np.linalg.eigvalsh(0.5 * (rho_plus - rho_minus))
+    lam_max, lam_min = evals[..., -1], evals[..., 0]
+    i = linalg.first_failure(np.abs(lam_max + lam_min) <= IDENTITY_ATOL)
+    if i is not None:
+        raise IdentityError(
+            f"half-difference spectrum is not symmetric: {float(lam_max[i])!r} vs {float(lam_min[i])!r}")
+    if k.n > 2 and linalg.first_failure(np.abs(evals[..., 1:-1]).max(axis=-1) <= IDENTITY_ATOL) is not None:
         raise IdentityError("half-difference of pure conditionals has rank above two")
-    if abs(q_branch - 2.0 * abs(lam_max)) > IDENTITY_ATOL:
+    if linalg.first_failure(np.abs(q_branch - 2.0 * np.abs(lam_max)) <= IDENTITY_ATOL) is not None:
         raise IdentityError("branch quality disagrees with twice the top eigenvalue")
 
-    cross = float(np.trace(rho_plus @ rho_minus).real)
-    expected_cross = abs(contrast) ** 2 / (4.0 * w_plus * w_minus)
-    if abs(cross - expected_cross) > IDENTITY_ATOL:
+    cross = np.trace(rho_plus @ rho_minus, axis1=-2, axis2=-1).real
+    expected_cross = np.hypot(contrast.real, contrast.imag) ** 2 / (4.0 * w_plus * w_minus)
+    i = linalg.first_failure(np.abs(cross - expected_cross) <= IDENTITY_ATOL)
+    if i is not None:
         raise IdentityError(
-            f"conditional-state overlap {cross!r} disagrees with contrast form {expected_cross!r}")
+            f"conditional-state overlap {float(cross[i])!r} disagrees with contrast form "
+            f"{float(expected_cross[i])!r}")
 
-    return abs(q_branch ** 2 + abs(contrast) ** 2 / (1.0 - p * p) - 1.0)
+    return [abs(q ** 2 + abs(c) ** 2 / (1.0 - pp * pp) - 1.0)
+            for q, c, pp in zip(*map(_floats, (q_branch, contrast, p)))]
 
 
 class SpectralComponent(NamedTuple):
@@ -295,29 +355,36 @@ class SpectralComponent(NamedTuple):
 
 def spectral_components(inst: InterferometerInstance) -> list[SpectralComponent]:
     """Decompose the marker state spectrally and evaluate each pure component."""
-    p = _polarized_branch(inst, "spectral decomposition of the branch")[4]
-    eig = linalg.hermitian_eigen(inst.rho_d0)
+    k = inst.kernel
+    p = _polarized_branches(k, "spectral decomposition of the branch")[4]
+    return spectral_decompositions(k, p)[0]
+
+
+def spectral_decompositions(k: BranchKernel, p) -> list[list[SpectralComponent]]:
+    """:func:`spectral_components` of every instance of a polarized kernel,
+    given the branch predictabilities ``p``."""
+    eig = linalg.hermitian_eigen(k.rho_d0)
     # At |s| = 1 the way operator W+ is half the branch's V+ V+^dagger, and
     # the branch cross operator is V+- V++^dagger or -V-- V-+^dagger.
-    way_op = inst.kernel.wp_op
-    cross_op = inst.kernel.cross_up if inst.s >= 0.0 else -inst.kernel.cross_down
-    one_minus_p2 = 1.0 - p * p
-    out = []
-    for k in range(inst.n):
-        weight = float(eig.values[k])
-        if weight <= DEGENERATE_WEIGHT:
-            continue
-        dk = eig.vectors[:, k]
-        contrast_k = complex(dk.conj() @ cross_op @ dk)
-        w_plus_k = float((dk.conj() @ way_op @ dk).real)
-        out.append(SpectralComponent(
+    cross_op = np.where(k.s[..., None, None] >= 0.0, k.cross_up, -k.cross_down)
+    # Eigenvector k as a contiguous conjugated row and as a strided column,
+    # exactly the operands of dk.conj() @ op @ dk on one eigenvector.
+    rows = np.ascontiguousarray(linalg.dagger(eig.vectors))[..., :, None, :]
+    cols = eig.vectors.swapaxes(-1, -2)[..., :, :, None]
+    contrasts = (rows @ cross_op[..., None, :, :] @ cols)[..., 0, 0]
+    ways = (rows @ k.wp_op[..., None, :, :] @ cols)[..., 0, 0].real
+    per_instance = (np.reshape(a, (-1, k.n)).tolist() for a in (eig.values, contrasts, ways))
+    return [
+        [SpectralComponent(
             weight=weight,
             contrast=contrast_k,
             theta_sq=abs(contrast_k) ** 2 / one_minus_p2,
             w_plus=w_plus_k,
             w_minus=1.0 - w_plus_k,
-        ))
-    return out
+        ) for weight, contrast_k, w_plus_k in zip(weights, contrasts_i, ways_i)
+            if weight > DEGENERATE_WEIGHT]
+        for weights, contrasts_i, ways_i, one_minus_p2 in zip(*per_instance, _floats(1.0 - p * p))
+    ]
 
 
 class MixingBound(NamedTuple):
@@ -337,14 +404,21 @@ def mixed_state_bound_check(inst: InterferometerInstance) -> MixingBound:
     returned beside the slack.  The slack is non-negative up to round-off for
     every valid instance.
     """
-    _, rho_plus, _, rho_minus, p, contrast = _polarized_branch(inst, "mixing bound")
-    q_branch = 0.5 * linalg.trace_norm(rho_plus - rho_minus)
+    return mixing_bounds(inst.kernel)[0]
 
-    components = spectral_components(inst)
-    recomposed = sum(c.weight * c.contrast for c in components)
-    residual = abs(recomposed - contrast)
-    if residual > IDENTITY_ATOL:
-        raise IdentityError(
-            f"spectral recomposition of the contrast factor failed: {recomposed!r} vs {contrast!r}")
 
-    return MixingBound(1.0 - (q_branch ** 2 + abs(contrast) ** 2 / (1.0 - p * p)), residual)
+def mixing_bounds(k: BranchKernel) -> list[MixingBound]:
+    """:func:`mixed_state_bound_check` of every instance of a kernel; the
+    first instance that fails the recomposition raises for the batch."""
+    _, rho_plus, _, rho_minus, p, contrast = _polarized_branches(k, "mixing bound")
+    q_branch = _floats(_quality(rho_plus, rho_minus))
+    out = []
+    for q, c, pp, components in zip(q_branch, _floats(contrast), _floats(p),
+                                    spectral_decompositions(k, p)):
+        recomposed = sum(comp.weight * comp.contrast for comp in components)
+        residual = abs(recomposed - c)
+        if residual > IDENTITY_ATOL:
+            raise IdentityError(
+                f"spectral recomposition of the contrast factor failed: {recomposed!r} vs {c!r}")
+        out.append(MixingBound(1.0 - (q ** 2 + abs(c) ** 2 / (1.0 - pp * pp)), residual))
+    return out

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import IdentityError, ValidationError
 from .interferometer import InterferometerInstance, from_tilted_pair
 from .linalg import SIGMA_X, SIGMA_Z
-from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, TIE_ATOL
+from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, SQDS_XI_ATOL, TIE_ATOL
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def sqds_chi(cfg: SqdsConfig) -> float:
     1 - Delta/Xi^2 is enforced internally.
     """
     xi_q = sqds_xi(cfg)
-    if xi_q <= 1e-15:
+    if xi_q <= SQDS_XI_ATOL:
         if cfg.p_q > 0.0:
             raise ValidationError("xi = 0 with p_q > 0 is inconsistent")
         return 1.0

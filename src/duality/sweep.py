@@ -12,29 +12,48 @@ of tilted-pair instances (asymmetric splitter, way-controlled unitary
 coupling, polarized quanton).  On that lane the way probabilities are state
 independent, which is the regime where Xi >= D and the two-level closed form
 for chi are theorems; outside it the sweep only records the sign of Xi - D.
+
+The engine walks the plan in index order, a chunk of instances at a time.
+Inside a chunk it groups the instances by marker dimension and generates,
+validates and measures each group as ``(N, n, n)`` stacks; the per-instance
+checks and the summary then run over the chunk in index order, and each row
+is yielded as soon as its chunk is done.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from . import linalg
-from .errors import DegenerateBranchError, IdentityError, ValidationError
+from .errors import DegenerateBranchError, DualityError, IdentityError, ValidationError
 from .interferometer import (
+    BranchKernel,
     InterferometerInstance,
+    WwmBlocks,
+    branch_kernel,
     from_global_unitary,
     from_tilted_pair,
     from_unitary_pair,
+    instance_to_dict,
+    validate_instances,
 )
 from .measures import (
     SLACK_TOL,
+    DualityReport,
+    MixingBound,
     chi_closed_form,
     d_two_level,
-    hierarchy_report,
-    mixed_state_bound_check,
-    pure_state_identity_check,
+    hierarchy_reports,
+    mixing_bounds,
+    pure_identities,
 )
 from .tolerances import TIE_ATOL
 
@@ -66,8 +85,13 @@ class SweepConfig:
     block_classes: tuple = BLOCK_CLASSES
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValidationError(f"count must be >= 1, got {self.count}")
+        for name, low, high in (("seed", 0, 1 << 64), ("count", 1, None)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low or (high is not None and value >= high)):
+                bounds = f"in [{low}, 2**64)" if high else f">= {low}"
+                raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         dims = tuple(sorted(set(int(d) for d in self.dims)))
         if not dims or any(d < 2 or d > 8 for d in dims):
             raise ValidationError(f"dims must be a non-empty subset of 2..8, got {self.dims}")
@@ -96,36 +120,85 @@ class SweepConfig:
         }
 
 
+def _draw(seed: int, jobs: list, dim: int) -> tuple:
+    """Generate instances of marker dimension ``dim`` as stacks.
+
+    ``jobs`` lists (stream, block_class, wwm_class, s_class) per instance.
+    Each instance draws from the Philox stream keyed by (seed, stream) in a
+    fixed order: inversion, phase, splitter angle (tilted pairs only), block
+    unitaries, marker rank, marker state.  The Haar QR, the block
+    constructors' unitarity checks and the marker states then run on stacks,
+    which give the same bits as one instance at a time.  Returns
+    ``(s, blocks, rho_d0, phi)``; the instances are not validated yet.
+    """
+    if dim < 1:
+        raise ValidationError(f"dim must be >= 1, got {dim}")
+    s, phi, thetas, ranks, rho_normals = [], [], [], [], []
+    unitary_normals = {"unitary_pair": {}, "general_unitary": {}, STRINGENCY_CLASS: {}}
+    for pos, (stream, block_class, wwm_class, s_class) in enumerate(jobs):
+        gen = linalg.rng(seed, stream)
+        if s_class == "s_pure":
+            s.append(1.0 if gen.uniform() < 0.5 else -1.0)
+        else:
+            s.append(float(gen.uniform(-1.0, 1.0)))
+        phi.append(float(gen.uniform(0.0, 2.0 * math.pi)))
+        if block_class == "general_unitary":
+            unitary_normals[block_class][pos] = gen.standard_normal((2, 2 * dim, 2 * dim))
+        elif block_class in unitary_normals:
+            if block_class == STRINGENCY_CLASS:
+                # Keep both ways comfortably populated so branches never degenerate.
+                thetas.append(float(gen.uniform(0.05, math.pi / 4.0)))
+            unitary_normals[block_class][pos] = gen.standard_normal((2, 2, dim, dim))
+        else:
+            raise ValidationError(f"unknown block class {block_class!r}")
+        ranks.append(1 if wwm_class == "pure" else int(gen.integers(2, dim + 1)))
+        rho_normals.append(gen.standard_normal((2, dim, ranks[-1])))
+
+    built = []
+    for block_class, normals in unitary_normals.items():
+        if not normals:
+            continue
+        u = linalg.haar_from_normals(np.array(list(normals.values())))
+        if block_class == "general_unitary":
+            b = from_global_unitary(u)
+        elif block_class == "unitary_pair":
+            b = from_unitary_pair(u[:, 0], u[:, 1])
+        else:
+            b = from_tilted_pair(np.array(thetas), u[:, 0], u[:, 1])
+        built.append((list(normals), b))
+    blocks = built[0][1] if len(built) == 1 else WwmBlocks(*(
+        _gather([(members, getattr(b, name)) for members, b in built], len(jobs))
+        for name in ("vpp", "vpm", "vmp", "vmm")))
+
+    by_rank = {}
+    for i, g in enumerate(rho_normals):
+        by_rank.setdefault(g.shape[-1], []).append(i)
+    rho = _gather([(members, linalg.density_from_normals(np.array([rho_normals[i] for i in members])))
+                   for members in by_rank.values()], len(jobs))
+    return np.array(s), blocks, rho, np.array(phi)
+
+
+def _gather(parts: list, size: int) -> np.ndarray:
+    """The rows of ``size`` instances from (members, rows) parts that
+    together cover every instance; a single part is already in order."""
+    if len(parts) == 1:
+        return parts[0][1]
+    out = np.empty((size,) + parts[0][1].shape[1:], dtype=parts[0][1].dtype)
+    for members, rows in parts:
+        out[members] = rows
+    return out
+
+
 def generate_instance(seed: int, stream: int, dim: int, wwm_class: str,
                       s_class: str, block_class: str) -> InterferometerInstance:
     """Build one instance from the Philox stream keyed by (seed, stream).
 
-    Draw order (fixed for reproducibility): inversion, phase, splitter angle
-    (tilted pairs only), block unitaries, marker rank, marker state.
+    It is the sweep's generator on a batch of one, so it replays the sweep's
+    instance bit for bit.
     """
-    gen = linalg.rng(seed, stream)
-    if s_class == "s_pure":
-        s = 1.0 if gen.uniform() < 0.5 else -1.0
-    else:
-        s = float(gen.uniform(-1.0, 1.0))
-    phi = float(gen.uniform(0.0, 2.0 * math.pi))
-
-    if block_class == "unitary_pair":
-        blocks = from_unitary_pair(linalg.haar_unitary_from(gen, dim),
-                                   linalg.haar_unitary_from(gen, dim))
-    elif block_class == "general_unitary":
-        blocks = from_global_unitary(linalg.haar_unitary_from(gen, 2 * dim))
-    elif block_class == STRINGENCY_CLASS:
-        # Keep both ways comfortably populated so branches never degenerate.
-        theta = float(gen.uniform(0.05, math.pi / 4.0))
-        blocks = from_tilted_pair(theta, linalg.haar_unitary_from(gen, dim),
-                                  linalg.haar_unitary_from(gen, dim))
-    else:
-        raise ValidationError(f"unknown block class {block_class!r}")
-
-    rank = 1 if wwm_class == "pure" else int(gen.integers(2, dim + 1))
-    rho = linalg.density_from(gen, dim, rank)
-    return InterferometerInstance(s=s, blocks=blocks, rho_d0=rho, phi=phi)
+    s, b, rho, phi = _draw(seed, [(stream, block_class, wwm_class, s_class)], dim)
+    return InterferometerInstance(s=float(s[0]), blocks=WwmBlocks(b.vpp[0], b.vpm[0], b.vmp[0], b.vmm[0]),
+                                  rho_d0=rho[0], phi=float(phi[0]))
 
 
 def sweep_plan(cfg: SweepConfig) -> list:
@@ -178,8 +251,9 @@ class SweepSummary:
     instance_count: int = 0
     degenerate_count: int = 0
     runtime_seconds: float = 0.0
-    slack_checks: dict = field(default_factory=dict)
-    deviation_checks: dict = field(default_factory=dict)
+    slack_checks: dict = field(default_factory=lambda: {name: CheckStats() for name in SLACK_CHECKS})
+    deviation_checks: dict = field(
+        default_factory=lambda: {name: CheckStats() for name in DEVIATION_CHECKS})
     xi_minus_d_min: float | None = None
     xi_minus_d_candidates: int = 0
     violations: list = field(default_factory=list)
@@ -206,13 +280,81 @@ class SweepSummary:
         }
 
 
-def _evaluate(inst: InterferometerInstance, labels: dict, summary: SweepSummary) -> dict:
-    """Run every applicable check on one instance; returns the CSV row."""
-    report = hierarchy_report(inst)
+class _Outcome(NamedTuple):
+    """One instance's inputs ``s`` and ``phi`` and its measured values, or
+    the failure that stopped them.
+
+    ``check`` is the pure-identity residual or the mixing bound of a
+    polarized instance; ``spectrum`` the eigenvalues of ``rho_d0`` where the
+    chi closed form applies.  A stored exception is raised by
+    :func:`_record` at the point where the per-instance checks reach it.
+    """
+
+    s: float
+    phi: float
+    report: DualityReport | DualityError
+    polarized: bool = False
+    check: float | MixingBound | DualityError | None = None
+    spectrum: list | None = None
+
+
+def _evaluate(k: BranchKernel, pure_marker: np.ndarray) -> list[_Outcome]:
+    """Reports and |s| = 1 checks of every instance of a kernel.
+
+    A failure in any instance raises for the whole batch.
+    """
+    reports = hierarchy_reports(k)
+    polarized = k.polarized.tolist()
+    checks = [None] * len(reports)
+    for mask, batch_checks in ((k.polarized & pure_marker, pure_identities),
+                               (k.polarized & ~pure_marker, mixing_bounds)):
+        members = np.flatnonzero(mask)
+        if members.size:
+            for i, value in zip(members.tolist(), batch_checks(k.take(members))):
+                checks[i] = value
+    spectra = [None] * len(reports)
+    members = [i for i, report in enumerate(reports) if report.chi is not None]
+    if members:
+        for i, values in zip(members, linalg.hermitian_eigen(k.rho_d0[members]).values.tolist()):
+            spectra[i] = values
+    return [_Outcome(*outcome) for outcome in
+            zip(k.s.tolist(), k.phi.tolist(), reports, polarized, checks, spectra)]
+
+
+def _evaluate_each(k: BranchKernel, pure_marker: np.ndarray) -> list[_Outcome]:
+    """:func:`_evaluate` one instance at a time, keeping each failure with its instance."""
+    out = []
+    for i in range(len(pure_marker)):
+        one, pure_one = k.take([i]), pure_marker[[i]]
+        s, phi = float(one.s[0]), float(one.phi[0])
+        try:
+            report = hierarchy_reports(one)[0]
+        except DegenerateBranchError as exc:
+            out.append(_Outcome(s, phi, exc))
+            continue
+        try:
+            out.extend(_evaluate(one, pure_one))
+        except (DegenerateBranchError, IdentityError) as exc:
+            out.append(_Outcome(s, phi, report, True, exc))
+    return out
+
+
+def _instance_dict(s, blocks: WwmBlocks, rho_d0, phi, i: int) -> dict:
+    return instance_to_dict(s[i], phi[i], rho_d0[i], blocks.vpp[i], blocks.vpm[i],
+                            blocks.vmp[i], blocks.vmm[i])
+
+
+def _record(outcome: _Outcome, labels: dict, instance, summary: SweepSummary) -> dict:
+    """Run every applicable check on one instance; returns the CSV row.
+
+    ``instance()`` gives the instance's JSON object for violation records.
+    """
+    s, phi, report, polarized, check, spectrum = outcome
+    if isinstance(report, DualityError):
+        raise report
     row = dict(labels)
-    row.update(s=inst.s, phi=inst.phi, v=report.v, p=report.p, q=report.q,
-               d=report.d, xi=report.xi, r=report.r, chi=report.chi,
-               xi_minus_d=report.xi - report.d)
+    row.update(s=s, phi=phi, v=report.v, p=report.p, q=report.q, d=report.d, xi=report.xi, r=report.r,
+               chi=report.chi, xi_minus_d=report.xi - report.d)
     for name in ("o2p", "o2q", "o2_nuevita", "o1"):
         row[f"slack_{name}"] = report.slacks[name]
     row["slack_main"] = report.slacks.get("main")
@@ -221,20 +363,20 @@ def _evaluate(inst: InterferometerInstance, labels: dict, summary: SweepSummary)
         if not summary.slack_checks[name].update_slack(value):
             summary.violations.append({
                 "check": name, "slack": value, "threshold": -SLACK_TOL,
-                "labels": labels, "instance": inst.to_dict(),
+                "labels": labels, "instance": instance(),
             })
         if value < summary._worst_slack:
             summary._worst_slack = value
             summary.worst_instance = {
                 "check": name, "slack": value, "labels": labels,
-                "instance": inst.to_dict(),
+                "instance": instance(),
             }
 
     def deviation(name, value):
         if not summary.deviation_checks[name].update_deviation(value, DEVIATION_CHECKS[name]):
             summary.violations.append({
                 "check": name, "deviation": value, "threshold": DEVIATION_CHECKS[name],
-                "labels": labels, "instance": inst.to_dict(),
+                "labels": labels, "instance": instance(),
             })
 
     for name in ("o2p", "o2q", "o2_nuevita", "o1"):
@@ -242,20 +384,21 @@ def _evaluate(inst: InterferometerInstance, labels: dict, summary: SweepSummary)
 
     pure_marker = labels["wwm_class"] == "pure"
 
-    if inst.n == 2:
+    if labels["n"] == 2:
         deviation("d_two_level", abs(d_two_level(report.p, report.r) - report.d))
 
-    if inst.kernel.polarized and pure_marker:
+    if polarized and pure_marker:
         deviation("pure_saturation_xi", abs(report.v ** 2 + report.xi ** 2 - 1.0))
         deviation("pure_saturation_d", abs(report.d - report.xi))
-        residual = pure_state_identity_check(inst)
-        row["pure_identity_residual"] = residual
-        deviation("pure_identity", residual)
-    elif inst.kernel.polarized:
-        bound = mixed_state_bound_check(inst)
-        row["mixing_bound_slack"] = bound.slack
-        slack("mixing_bound", bound.slack)
-        deviation("contrast_recomposition", bound.recomposition)
+    if isinstance(check, DualityError):
+        raise check
+    if polarized and pure_marker:
+        row["pure_identity_residual"] = check
+        deviation("pure_identity", check)
+    elif polarized:
+        row["mixing_bound_slack"] = check.slack
+        slack("mixing_bound", check.slack)
+        deviation("contrast_recomposition", check.recomposition)
 
     summary.xi_minus_d_min = (row["xi_minus_d"] if summary.xi_minus_d_min is None
                               else min(summary.xi_minus_d_min, row["xi_minus_d"]))
@@ -263,12 +406,10 @@ def _evaluate(inst: InterferometerInstance, labels: dict, summary: SweepSummary)
     if "main" in report.slacks:
         slack("main", report.slacks["main"])
         if report.chi is not None:
-            eig = linalg.hermitian_eigen(inst.rho_d0)
             if report.p > report.r + TIE_ATOL:
                 closed = report.p ** 2 / report.xi ** 2
             else:
-                closed = chi_closed_form(float(eig.values[0]), float(max(eig.values[1], 0.0)),
-                                         report.p, report.xi)
+                closed = chi_closed_form(spectrum[0], max(spectrum[1], 0.0), report.p, report.xi)
             row["chi_closed_dev"] = abs(report.chi - closed)
             deviation("chi_closed_form", row["chi_closed_dev"])
     elif row["xi_minus_d"] < -SLACK_TOL:
@@ -286,41 +427,90 @@ CSV_COLUMNS = (
     "chi_closed_dev", "pure_identity_residual", "mixing_bound_slack",
 )
 
+# Instances are generated and measured together until their marker matrices
+# hold this many entries (the sum of n^2): 256 instances at n = 2, 64 at
+# n = 4, 16 at n = 8.  The stacks' memory grows with n^2 per instance, while
+# numpy's per-call overhead, which the stacks spread, does not: at a fixed
+# 128 instances the n = 8 stacks raised the peak memory of a sweep by 14%,
+# and at a fixed 32 small-n sweeps ran 1.5x slower.  At this size the peak
+# memory of an n = 8 sweep stays at that of one instance at a time.
+_CHUNK_ENTRIES = 1024
+
+
+def _chunks(dims: list) -> Iterator[range]:
+    """Consecutive index ranges whose marker dimensions ``dims`` hold at
+    most ``_CHUNK_ENTRIES`` entries (or a single instance)."""
+    start, entries = 0, 0
+    for i, dim in enumerate(dims):
+        if entries + dim * dim > _CHUNK_ENTRIES and i > start:
+            yield range(start, i)
+            start, entries = i, 0
+        entries += dim * dim
+    if start < len(dims):
+        yield range(start, len(dims))
+
+
+def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[dict]:
+    """Generate and check every instance of the plan, yielding one CSV row
+    per non-degenerate instance in index order.
+
+    ``summary`` is updated in index order as the rows are produced, and its
+    ``runtime_seconds`` is set once the last row is taken.  Checks never
+    abort the sweep; all violations are collected so a failing instance
+    surfaces with full context.
+    """
+    started = time.perf_counter()
+    lanes = [lane for lane in sweep_plan(cfg) for _ in range(cfg.count)]
+    for chunk in _chunks([lane[3] for lane in lanes]):
+        by_dim = {}
+        for stream in chunk:
+            by_dim.setdefault(lanes[stream][3], []).append(stream)
+        measured = {}
+        for dim, streams in by_dim.items():
+            s, blocks, rho, phi = _draw(cfg.seed, [(i, *lanes[i][:3]) for i in streams], dim)
+            rho = validate_instances(s, blocks, rho, phi)
+            k = branch_kernel(blocks, s, rho, phi)
+            pure_marker = np.array([lanes[i][1] == "pure" for i in streams])
+            try:
+                outcomes = _evaluate(k, pure_marker)
+            except (DegenerateBranchError, IdentityError):
+                outcomes = _evaluate_each(k, pure_marker)
+            for pos, (stream, outcome) in enumerate(zip(streams, outcomes)):
+                measured[stream] = (outcome, functools.partial(_instance_dict, s, blocks, rho, phi, pos))
+        for stream in chunk:
+            block_class, wwm_class, s_class, dim = lanes[stream]
+            labels = {"index": stream, "block_class": block_class,
+                      "wwm_class": wwm_class, "s_class": s_class, "n": dim}
+            outcome, instance = measured.pop(stream)
+            try:
+                row = _record(outcome, labels, instance, summary)
+            except DegenerateBranchError:
+                summary.degenerate_count += 1
+                continue
+            except IdentityError as exc:
+                summary.violations.append({
+                    "check": "internal_identity", "error": str(exc),
+                    "labels": labels, "instance": instance(),
+                })
+                continue
+            summary.instance_count += 1
+            yield row
+    summary.runtime_seconds = time.perf_counter() - started
+
 
 def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list]:
     """Generate and check every instance of the plan.
 
-    Returns the summary plus one row dict per instance (CSV order).  Checks
-    never abort the sweep; all violations are collected so a failing instance
-    surfaces with full context.
+    Returns the summary plus one row dict per instance (CSV order); see
+    :func:`iter_sweep`, which produces the rows without holding them.
     """
     summary = SweepSummary(config=cfg)
-    summary.slack_checks = {name: CheckStats() for name in SLACK_CHECKS}
-    summary.deviation_checks = {name: CheckStats() for name in DEVIATION_CHECKS}
-    rows = []
-    started = time.perf_counter()
-    stream = 0
-    for block_class, wwm_class, s_class, dim in sweep_plan(cfg):
-        for _ in range(cfg.count):
-            inst = generate_instance(cfg.seed, stream, dim, wwm_class, s_class, block_class)
-            labels = {"index": stream, "block_class": block_class,
-                      "wwm_class": wwm_class, "s_class": s_class, "n": dim}
-            stream += 1
-            try:
-                rows.append(_evaluate(inst, labels, summary))
-                summary.instance_count += 1
-            except DegenerateBranchError:
-                summary.degenerate_count += 1
-            except IdentityError as exc:
-                summary.violations.append({
-                    "check": "internal_identity", "error": str(exc),
-                    "labels": labels, "instance": inst.to_dict(),
-                })
-    summary.runtime_seconds = time.perf_counter() - started
+    rows = list(iter_sweep(cfg, summary))
     return summary, rows
 
 
 def write_instances_csv(path, rows) -> None:
+    """Write ``instances.csv`` from any iterable of row dicts, one line per row as it arrives."""
     def fmt(value):
         if value is None:
             return ""

@@ -12,6 +12,14 @@ VALIDATION_ATOL = 1e-10
 # Branch and spectral weights at or below this are treated as zero.
 DEGENERATE_WEIGHT = 1e-12
 
+# An eigenvector's phase is fixed by its first component above this magnitude.
+PIVOT_ATOL = 1e-12
+
+# Xi at or below these counts as zero, so chi = D^2/Xi^2 is not formed: the
+# generic engine's Xi, and the SQDS closed-form Xi_Q.
+XI_ATOL = 1e-12
+SQDS_XI_ATOL = 1e-15
+
 # Exact internal identities (pure-state spectrum, spectral recomposition).
 IDENTITY_ATOL = 1e-10
 

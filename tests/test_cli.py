@@ -153,6 +153,15 @@ def test_verify_rejects_non_integer_dims(capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_verify_rejects_out_of_range_seed(tmp_path, capsys):
+    # 2**64 would alias seed 0 and -1 would alias 2**64 - 1 in the Philox key.
+    for seed in (str(2 ** 64), "-1"):
+        assert main(["verify", "--seed", seed, "--count", "1", "--dims", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "instances.csv").exists()
+
+
 def test_verify_unwritable_out_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory", encoding="utf-8")
@@ -205,6 +214,23 @@ def test_sweep_config_validation():
         SweepConfig(seed=0, count=1, state_classes=(("weird", "s_pure"),))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 2 ** 64), ("seed", -1), ("seed", 1.0), ("seed", True), ("seed", "0"),
+    ("count", 2.5), ("count", True), ("count", "3"),
+])
+def test_sweep_config_rejects_non_integer_or_aliased_values(field, value):
+    args = {"seed": 0, "count": 1, field: value}
+    with pytest.raises(ValidationError, match=field):
+        SweepConfig(**args)
+
+
+def test_sweep_config_accepts_the_full_seed_range():
+    for seed in (0, 2 ** 64 - 1, np.uint64(5)):
+        cfg = SweepConfig(seed=seed, count=np.int64(1))
+        assert type(cfg.seed) is int and type(cfg.count) is int
+        json.dumps(cfg.to_dict())
+
+
 def test_sweep_instances_replayable():
     inst1 = generate_instance(5, 17, 3, "mixed", "s_mixed", "general_unitary")
     inst2 = generate_instance(5, 17, 3, "mixed", "s_mixed", "general_unitary")
@@ -234,11 +260,25 @@ def test_run_sweep_summary_contents():
     assert data["xi_minus_d_min"] is not None
 
 
+def csv_digest(tmp_path, cfg):
+    _, rows = run_sweep(cfg)
+    path = tmp_path / "instances.csv"
+    write_instances_csv(path, rows)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_default_sweep_csv_golden(tmp_path):
     # instances.csv is byte-stable: any change to the engine's arithmetic
     # shows here (digest recorded with numpy 2.4 on x86-64).
-    _, rows = run_sweep(SweepConfig(seed=0, count=4))
-    path = tmp_path / "instances.csv"
-    write_instances_csv(path, rows)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+    assert csv_digest(tmp_path, SweepConfig(seed=0, count=4)) == (
         "a9fab8465f28712f9ae30a74a9706edb6737e411865a2f75867efc764d3b50d7")
+
+
+@pytest.mark.parametrize("dims, count, digest", [
+    # n = 8: numpy's pairwise summation switches to its unrolled order at
+    # eight terms, so stacked and one-at-a-time reductions could part here.
+    ((8,), 10, "e66a82cb87cb415e054aeb2ab03b3cbe135fe943f1ce98b53b85135585af8c1f"),
+    ((5, 6, 7), 2, "e6d043aef308c1158f12dc5fd14809aa1488d2c3b5f3bbc23eb2814c8657f4be"),
+])
+def test_other_sizes_sweep_csv_golden(tmp_path, dims, count, digest):
+    assert csv_digest(tmp_path, SweepConfig(seed=0, count=count, dims=dims)) == digest

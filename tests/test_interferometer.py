@@ -312,6 +312,13 @@ def test_instance_rejects_non_finite_phase():
             InterferometerInstance(s=0.0, blocks=blocks, rho_d0=KET0, phi=phi)
 
 
+def test_instance_rejects_non_numeric_inversion_and_phase():
+    blocks = from_unitary_pair(I2, I2)
+    for fields in ({"s": "0.5"}, {"s": 0.5j}, {"phi": "0"}, {"phi": None}):
+        with pytest.raises(ValidationError, match="real number"):
+            InterferometerInstance(**{"s": 0.0, "blocks": blocks, "rho_d0": KET0, **fields})
+
+
 def test_instance_rejects_dimension_mismatch():
     blocks = from_unitary_pair(I2, I2)
     with pytest.raises(ValidationError):

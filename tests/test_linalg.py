@@ -122,6 +122,38 @@ def test_eigen_phase_convention_deterministic():
         assert abs(first.imag) <= 1e-12
 
 
+def hermitian_eigen_column_by_column(m: np.ndarray):
+    """Reference for one matrix: sort descending, then fix each column's
+    phase by its first component above 1e-12, with numpy scalar arithmetic."""
+    evals, evecs = np.linalg.eigh(m)
+    order = np.argsort(evals)[::-1]
+    evals = np.ascontiguousarray(evals[order])
+    evecs = np.ascontiguousarray(evecs[:, order])
+    for j in range(evecs.shape[1]):
+        col = evecs[:, j]
+        pivot = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+        evecs[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return evals, evecs
+
+
+def test_stacked_eigen_equals_the_column_by_column_reference():
+    # Bit for bit: the vectorized phase fix must round as the loop does.
+    # np.abs on a complex pivot rounds differently from abs() on rare
+    # inputs, among them the three pure states below.
+    pure = np.array([random_density(3, 1, seed) for seed in (12013, 13882, 16654)])
+    for dim in range(1, 9):
+        gen = rng(31, dim)
+        g = gen.standard_normal((500, dim, dim)) + 1j * gen.standard_normal((500, dim, dim))
+        stack = g + np.conj(np.swapaxes(g, -1, -2))
+        if dim == 3:
+            stack = np.concatenate([pure, stack])
+        res = hermitian_eigen(stack)
+        for m, values, vectors in zip(stack, res.values, res.vectors):
+            ref_values, ref_vectors = hermitian_eigen_column_by_column(m)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(vectors, ref_vectors)
+
+
 # --- trace_norm ----------------------------------------------------------------
 
 def test_trace_norm_paulis():
