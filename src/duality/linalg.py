@@ -11,12 +11,16 @@ alone.  All functions are pure and never mutate their arguments.
 Randomness is produced by numpy's Philox bit generator, a 64-bit counter-based
 generator.  A stream is keyed by the pair ``(seed, stream)`` (two unsigned
 64-bit words), so independent substreams can be derived per instance and
-replayed bit-identically;  see :func:`rng`.
+replayed bit-identically.  :class:`PhiloxStreams` defines the stream: it keeps
+one generator and re-keys it to the start of each stream it is asked for,
+which gives the numbers a fresh ``Philox(key=(seed, stream))`` gives without
+building one per stream.  :func:`rng` is a fresh generator for one stream.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -139,14 +143,47 @@ def trace_norm(m):
     return float(norm) if a.ndim == 2 else norm
 
 
-def rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Deterministic generator for the Philox stream keyed by ``(seed, stream)``.
+def _key_word(value, name: str) -> int:
+    """``value`` as a Python int, if it is an integer in [0, 2**64) and not a bool."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+        value = int(value)
+    if not 0 <= value <= _U64:
+        raise ValidationError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return value
 
-    Philox is counter-based, so every ``(seed, stream)`` pair is an independent,
-    replayable stream regardless of how many draws other streams have made.
+
+class PhiloxStreams:
+    """The Philox streams ``(seed, stream)`` of one seed, through one generator.
+
+    ``streams(stream)`` re-keys the generator to the start of stream
+    ``(seed, stream)``: key (seed, stream), counter 0, an empty buffer and no
+    pending 32-bit half.  It returns the same generator every time, so a
+    stream's draws must be taken before the next stream is started.  Philox
+    is counter-based, so every stream is independent and replayable however
+    many draws other streams have made.  Re-keying costs about a tenth of a
+    new ``Philox``, whose construction also hashes OS entropy that the key
+    then overrides.
     """
-    key = np.array([int(seed) & _U64, int(stream) & _U64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+
+    def __init__(self, seed: int):
+        self._key = [_key_word(seed, "seed"), 0]
+        # The state setter copies these values, so one dict serves every stream.
+        self._state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._generator = np.random.Generator(self._bit_generator)
+
+    def __call__(self, stream: int) -> np.random.Generator:
+        self._key[1] = _key_word(stream, "stream")
+        self._bit_generator.state = self._state
+        return self._generator
+
+
+def rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """A new generator for the Philox stream keyed by ``(seed, stream)``."""
+    return PhiloxStreams(seed)(stream)
 
 
 def haar_from_normals(g: np.ndarray) -> np.ndarray:

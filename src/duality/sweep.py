@@ -26,7 +26,7 @@ import functools
 import math
 import numbers
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -92,6 +92,8 @@ class SweepConfig:
                 bounds = f"in [{low}, 2**64)" if high else f">= {low}"
                 raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in self.dims):
+            raise ValidationError(f"dims must be integers, got {self.dims!r}")
         dims = tuple(sorted(set(int(d) for d in self.dims)))
         if not dims or any(d < 2 or d > 8 for d in dims):
             raise ValidationError(f"dims must be a non-empty subset of 2..8, got {self.dims}")
@@ -125,34 +127,44 @@ def _draw(seed: int, jobs: list, dim: int) -> tuple:
 
     ``jobs`` lists (stream, block_class, wwm_class, s_class) per instance.
     Each instance draws from the Philox stream keyed by (seed, stream) in a
-    fixed order: inversion, phase, splitter angle (tilted pairs only), block
-    unitaries, marker rank, marker state.  The Haar QR, the block
+    fixed order: inversion and phase, splitter angle (tilted pairs only),
+    block unitaries, marker rank, marker state.  The Haar QR, the block
     constructors' unitarity checks and the marker states then run on stacks,
     which give the same bits as one instance at a time.  Returns
     ``(s, blocks, rho_d0, phi)``; the instances are not validated yet.
     """
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
-    s, phi, thetas, ranks, rho_normals = [], [], [], [], []
+    streams = linalg.PhiloxStreams(seed)
+    s, phi, thetas, rho_normals = [], [], [], []
     unitary_normals = {"unitary_pair": {}, "general_unitary": {}, STRINGENCY_CLASS: {}}
     for pos, (stream, block_class, wwm_class, s_class) in enumerate(jobs):
-        gen = linalg.rng(seed, stream)
-        if s_class == "s_pure":
-            s.append(1.0 if gen.uniform() < 0.5 else -1.0)
-        else:
-            s.append(float(gen.uniform(-1.0, 1.0)))
-        phi.append(float(gen.uniform(0.0, 2.0 * math.pi)))
+        gen = streams(stream)
+        # uniform(low, high) is low + (high - low) * random(), which is exact
+        # for (0, 1), (-1, 1) and (0, 2 pi), so s and phi from one random(2)
+        # equal uniform draws of them bit for bit.
+        u, v = gen.random(2).tolist()
+        s.append((1.0 if u < 0.5 else -1.0) if s_class == "s_pure" else -1.0 + 2.0 * u)
+        phi.append(2.0 * math.pi * v)
         if block_class == "general_unitary":
-            unitary_normals[block_class][pos] = gen.standard_normal((2, 2 * dim, 2 * dim))
+            shape = (2, 2 * dim, 2 * dim)
         elif block_class in unitary_normals:
             if block_class == STRINGENCY_CLASS:
                 # Keep both ways comfortably populated so branches never degenerate.
                 thetas.append(float(gen.uniform(0.05, math.pi / 4.0)))
-            unitary_normals[block_class][pos] = gen.standard_normal((2, 2, dim, dim))
+            shape = (2, 2, dim, dim)
         else:
             raise ValidationError(f"unknown block class {block_class!r}")
-        ranks.append(1 if wwm_class == "pure" else int(gen.integers(2, dim + 1)))
-        rho_normals.append(gen.standard_normal((2, dim, ranks[-1])))
+        if wwm_class == "pure":
+            # A rank-one marker draws no rank, so its normals follow the
+            # blocks' in the same stream and one call draws both.
+            size = math.prod(shape)
+            g = gen.standard_normal(size + 2 * dim)
+            unitary_normals[block_class][pos] = g[:size].reshape(shape)
+            rho_normals.append(g[size:].reshape(2, dim, 1))
+        else:
+            unitary_normals[block_class][pos] = gen.standard_normal(shape)
+            rho_normals.append(gen.standard_normal((2, dim, int(gen.integers(2, dim + 1)))))
 
     built = []
     for block_class, normals in unitary_normals.items():
@@ -257,8 +269,19 @@ class SweepSummary:
     xi_minus_d_min: float | None = None
     xi_minus_d_candidates: int = 0
     violations: list = field(default_factory=list)
-    worst_instance: dict | None = None
     _worst_slack: float = math.inf
+    _worst_record: Callable[[], dict] | dict | None = None
+
+    @property
+    def worst_instance(self) -> dict | None:
+        """The smallest slack so far, with its check, labels and instance JSON.
+
+        A sweep finds a new smallest slack many times, so the record is
+        built when it is first read, not each time.
+        """
+        if callable(self._worst_record):
+            self._worst_record = self._worst_record()
+        return self._worst_record
 
     @property
     def violation_count(self) -> int:
@@ -367,7 +390,7 @@ def _record(outcome: _Outcome, labels: dict, instance, summary: SweepSummary) ->
             })
         if value < summary._worst_slack:
             summary._worst_slack = value
-            summary.worst_instance = {
+            summary._worst_record = lambda: {
                 "check": name, "slack": value, "labels": labels,
                 "instance": instance(),
             }
@@ -460,7 +483,11 @@ def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[dict]:
     surfaces with full context.
     """
     started = time.perf_counter()
-    lanes = [lane for lane in sweep_plan(cfg) for _ in range(cfg.count)]
+    plan = sweep_plan(cfg)
+    lanes = [lane for lane in plan for _ in range(cfg.count)]
+    # Instance i belongs to lane i // count; its labels add the index.
+    lane_labels = [{"block_class": block_class, "wwm_class": wwm_class, "s_class": s_class, "n": dim}
+                   for block_class, wwm_class, s_class, dim in plan]
     for chunk in _chunks([lane[3] for lane in lanes]):
         by_dim = {}
         for stream in chunk:
@@ -478,9 +505,7 @@ def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[dict]:
             for pos, (stream, outcome) in enumerate(zip(streams, outcomes)):
                 measured[stream] = (outcome, functools.partial(_instance_dict, s, blocks, rho, phi, pos))
         for stream in chunk:
-            block_class, wwm_class, s_class, dim = lanes[stream]
-            labels = {"index": stream, "block_class": block_class,
-                      "wwm_class": wwm_class, "s_class": s_class, "n": dim}
+            labels = {"index": stream, **lane_labels[stream // cfg.count]}
             outcome, instance = measured.pop(stream)
             try:
                 row = _record(outcome, labels, instance, summary)
@@ -510,15 +535,22 @@ def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list]:
 
 
 def write_instances_csv(path, rows) -> None:
-    """Write ``instances.csv`` from any iterable of row dicts, one line per row as it arrives."""
-    def fmt(value):
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return f"{value:.12g}"
-        return str(value)
+    """Write ``instances.csv`` from any iterable of row dicts, one line per row as it arrives.
 
+    A float cell is written to 12 significant digits, a missing or None one
+    as empty and any other as ``str(value)``.  Each line is one ``%``
+    format, with a template made once per pattern of cell types.
+    """
+    templates = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(row.get(col)) for col in CSV_COLUMNS) + "\n")
+            values = tuple(map(row.get, CSV_COLUMNS))
+            kinds = tuple(map(type, values))
+            template = templates.get(kinds)
+            if template is None:
+                # "%.0s" prints nothing for its None.
+                template = templates[kinds] = ",".join(
+                    "%.0s" if value is None else "%.12g" if isinstance(value, float) else "%s"
+                    for value in values) + "\n"
+            fh.write(template % values)

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,15 @@ from duality import cli
 from duality.cli import main
 from duality.errors import ValidationError
 from duality.interferometer import InterferometerInstance, from_tilted_pair, from_unitary_pair
-from duality.sweep import SweepConfig, generate_instance, run_sweep, sweep_plan, write_instances_csv
+from duality.sweep import (
+    SweepConfig,
+    SweepSummary,
+    generate_instance,
+    iter_sweep,
+    run_sweep,
+    sweep_plan,
+    write_instances_csv,
+)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -162,6 +172,41 @@ def test_verify_rejects_out_of_range_seed(tmp_path, capsys):
     assert not (tmp_path / "instances.csv").exists()
 
 
+def test_repeated_main_calls_behave_alike(tmp_path, capsys):
+    # The parser is built once per process; every call must still parse
+    # afresh, with the defaults of its own subcommand.
+    path = write_instance(tmp_path, InterferometerInstance(s=0.3, blocks=from_unitary_pair(I2, SX),
+                                                           rho_d0=np.diag([0.6, 0.4]), phi=0.2))
+    calls = [
+        ["analyze", str(path)],
+        ["verify", "--seed", "3", "--count", "2", "--dims", "2", "--out", str(tmp_path / "v")],
+        ["analyze", str(tmp_path / "missing.json")],
+        ["verify", "--dims", "2,x", "--count", "1"],
+        ["verify", "--seed", "-1", "--count", "1"],
+        ["figures", "--which", "fig4", "--out", str(tmp_path / "f")],
+    ]
+    parser_errors = [["verify", "--count", "many"], ["figures"], ["bogus"], []]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            results.append((code, capsys.readouterr()))
+        for argv in parser_errors:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            results.append((exc.value.code, capsys.readouterr()))
+        # Timing aside, everything printed must repeat exactly.
+        return [(code, [line for line in out.splitlines() if "runtime_seconds" not in line], err)
+                for code, (out, err) in results]
+
+    first = run_all()
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 2, 0, 2, 2, 2, 2]
+    assert all(err.startswith(("error:", "usage:")) for code, _, err in first if code)
+    assert run_all() == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_verify_unwritable_out_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory", encoding="utf-8")
@@ -197,8 +242,12 @@ def test_figures_unwritable_out_exits_2(tmp_path):
 
 
 def test_module_entry_point():
+    # The child imports the package from where this process found it, so the
+    # test also runs when only pytest's own path setting points at src.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "duality", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "verify" in proc.stdout and "figures" in proc.stdout
 
@@ -222,6 +271,26 @@ def test_sweep_config_rejects_non_integer_or_aliased_values(field, value):
     args = {"seed": 0, "count": 1, field: value}
     with pytest.raises(ValidationError, match=field):
         SweepConfig(**args)
+
+
+@pytest.mark.parametrize("dims", [(2.7, 3.9), (2, 3.0), (True,), ("2",), (np.float64(4),)])
+def test_sweep_config_rejects_non_integer_dims(dims):
+    # int() would truncate 2.7 to 2 and accept True as 1.
+    with pytest.raises(ValidationError, match="dims"):
+        SweepConfig(seed=0, count=1, dims=dims)
+
+
+def test_sweep_config_accepts_numpy_integer_dims():
+    assert SweepConfig(seed=0, count=1, dims=(np.int64(3), np.uint8(2))).dims == (2, 3)
+
+
+@pytest.mark.parametrize("seed, stream, name", [
+    (2 ** 64, 3, "seed"), (-1, 3, "seed"), (True, 3, "seed"), (0, -1, "stream"), (0, 2 ** 64, "stream"),
+])
+def test_generate_instance_rejects_out_of_range_keys(seed, stream, name):
+    # Masked to 64 bits, seed 2**64 would replay seed 0.
+    with pytest.raises(ValidationError, match=name):
+        generate_instance(seed, stream, 2, "pure", "s_pure", "unitary_pair")
 
 
 def test_sweep_config_accepts_the_full_seed_range():
@@ -260,6 +329,22 @@ def test_run_sweep_summary_contents():
     assert data["xi_minus_d_min"] is not None
 
 
+def test_worst_instance_readable_during_and_after_a_sweep():
+    cfg = SweepConfig(seed=3, count=6, dims=(2,))
+    summary = SweepSummary(config=cfg)
+    smallest = math.inf
+    for row in iter_sweep(cfg, summary):
+        smallest = min([smallest] + [v for k, v in row.items() if "slack" in k and v is not None])
+        worst = summary.worst_instance
+        assert worst["slack"] == smallest and worst["labels"]["index"] <= row["index"]
+        assert summary.worst_instance == worst
+    assert summary.to_dict()["worst_instance"] == summary.worst_instance == worst
+    labels = worst["labels"]
+    inst = generate_instance(3, labels["index"], 2, labels["wwm_class"], labels["s_class"],
+                             labels["block_class"])
+    assert json.dumps(worst["instance"]) == json.dumps(inst.to_dict())
+
+
 def csv_digest(tmp_path, cfg):
     _, rows = run_sweep(cfg)
     path = tmp_path / "instances.csv"
@@ -282,3 +367,19 @@ def test_default_sweep_csv_golden(tmp_path):
 ])
 def test_other_sizes_sweep_csv_golden(tmp_path, dims, count, digest):
     assert csv_digest(tmp_path, SweepConfig(seed=0, count=count, dims=dims)) == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # Recorded with a new Philox per instance and one generator call per
+    # quantity; every line of summary.json but runtime_seconds must keep its bytes.
+    (["--seed", "0", "--count", "4"],
+     "5fdce2062fff48dc19d028ffeb6e13a380f100883714d6096e7e80b56f0769a6"),
+    (["--seed", "0", "--dims", "8", "--count", "10"],
+     "13b746af6a1bd29e60aa247a9f88dd5e705ca79d0658d43be40f5f73e34b24ca"),
+])
+def test_summary_json_golden(tmp_path, capsys, argv, digest):
+    assert main(["verify", *argv, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "summary.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == text
+    kept = "".join(line for line in text.splitlines(keepends=True) if '"runtime_seconds"' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest

@@ -4,12 +4,15 @@ A sweep generates and measures its instances as stacks; every instance must
 come out exactly as it does alone, through the instance-level functions.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from duality import linalg, sweep
 from duality.errors import IdentityError
-from duality.interferometer import WwmBlocks, from_tilted_pair
+from duality.interferometer import WwmBlocks, from_global_unitary, from_tilted_pair, from_unitary_pair
 from duality.measures import (
     chi_closed_form,
     hierarchy_report,
@@ -133,3 +136,43 @@ def test_internal_identity_failure_is_recorded_with_its_instance(monkeypatch):
         clean_summary.deviation_checks["pure_saturation_d"].count)
     assert summary.deviation_checks["pure_identity"].count == (
         clean_summary.deviation_checks["pure_identity"].count - 1)
+
+
+def draw_one_call_per_quantity(seed: int, jobs: list, dim: int) -> tuple:
+    """Reference for ``_draw``: a new Philox per instance, one generator call
+    per quantity, and every instance built alone."""
+    s, phi, blocks, rho = [], [], [], []
+    for stream, block_class, wwm_class, s_class in jobs:
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        if s_class == "s_pure":
+            s.append(1.0 if gen.uniform() < 0.5 else -1.0)
+        else:
+            s.append(float(gen.uniform(-1.0, 1.0)))
+        phi.append(float(gen.uniform(0.0, 2.0 * math.pi)))
+        if block_class == "general_unitary":
+            blocks.append(from_global_unitary(linalg.haar_unitary_from(gen, 2 * dim)))
+        else:
+            theta = float(gen.uniform(0.05, math.pi / 4.0)) if block_class == "tilted_pair" else None
+            u = linalg.haar_from_normals(gen.standard_normal((2, 2, dim, dim)))
+            blocks.append(from_unitary_pair(u[0], u[1]) if theta is None
+                          else from_tilted_pair(theta, u[0], u[1]))
+        rank = 1 if wwm_class == "pure" else int(gen.integers(2, dim + 1))
+        rho.append(linalg.density_from(gen, dim, rank))
+    stacks = WwmBlocks(*(np.array([getattr(b, name) for b in blocks])
+                         for name in ("vpp", "vpm", "vmp", "vmm")))
+    return np.array(s), stacks, np.array(rho), np.array(phi)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_draw_equals_one_call_per_quantity(seed, dim):
+    classes = itertools.product(("unitary_pair", "general_unitary", "tilted_pair"),
+                                sweep.WWM_CLASSES, sweep.S_CLASSES)
+    # Three instances per class, interleaved, so that every group mixes
+    # block classes and marker ranks.
+    jobs = [(7 * stream + dim, *job) for stream, job in enumerate(list(classes) * 3)]
+    (s, blocks, rho, phi), (s1, blocks1, rho1, phi1) = (
+        sweep._draw(seed, jobs, dim), draw_one_call_per_quantity(seed, jobs, dim))
+    for name, a, b in [("s", s, s1), ("rho_d0", rho, rho1), ("phi", phi, phi1)] + [
+            (name, getattr(blocks, name), getattr(blocks1, name)) for name in ("vpp", "vpm", "vmp", "vmm")]:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name

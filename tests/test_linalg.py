@@ -226,3 +226,58 @@ def test_random_generators_postconditions_sweep():
         evals = np.linalg.eigvalsh(rho)
         assert evals.min() >= -1e-10
         assert int((evals > 1e-9).sum()) == rank
+
+
+# --- Philox streams ------------------------------------------------------------------
+
+def fresh_philox(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def draw_mix(gen: np.random.Generator, stop: int) -> list:
+    """Draws of every kind a sweep takes, stopped after ``stop`` of them, so
+    the generator can be left with a partly used buffer or a pending 32-bit half."""
+    draws = [gen.random(2), gen.uniform(0.05, 0.7), gen.standard_normal((2, 3, 3)),
+             gen.integers(2, 9), gen.standard_normal(5), gen.integers(2, 4), gen.random()]
+    return [np.asarray(d).tolist() for d in draws[:stop]]
+
+
+def test_rekeyed_streams_equal_fresh_philox():
+    streams = linalg.PhiloxStreams(2024)
+    for stream in range(2000):
+        stop = stream % 8
+        assert draw_mix(streams(stream), stop) == draw_mix(fresh_philox(2024, stream), stop)
+
+
+def test_rekey_after_a_stream_stopped_mid_buffer():
+    streams = linalg.PhiloxStreams(5)
+    for stream in range(200):
+        # integers below 2**32 take 32-bit halves and leave one pending; a
+        # single double leaves three words of the four-word Philox buffer.
+        gen = streams(stream)
+        gen.integers(2, 5)
+        gen.random()
+        gen = streams(stream + 1)
+        assert draw_mix(gen, 7) == draw_mix(fresh_philox(5, stream + 1), 7)
+        assert draw_mix(streams(stream + 1), 7) == draw_mix(rng(5, stream + 1), 7)
+
+
+def test_rekeyed_streams_cover_the_full_key_range():
+    top = 2 ** 64 - 1
+    streams = linalg.PhiloxStreams(top)
+    for stream in (0, 1, top, np.uint64(7)):
+        assert draw_mix(streams(stream), 7) == draw_mix(fresh_philox(top, int(stream)), 7)
+
+
+@pytest.mark.parametrize("value", [2 ** 64, -1, True, False, 1.0, 2.5, "3", None])
+def test_rng_rejects_out_of_range_keys(value):
+    # Masking to 64 bits would make seed 2**64 replay seed 0, and stream -1
+    # replay stream 2**64 - 1.
+    with pytest.raises(ValidationError, match="seed"):
+        rng(value, 0)
+    with pytest.raises(ValidationError, match="stream"):
+        rng(0, value)
+    with pytest.raises(ValidationError, match="seed"):
+        linalg.PhiloxStreams(value)
+    with pytest.raises(ValidationError, match="stream"):
+        linalg.PhiloxStreams(0)(value)
