@@ -31,6 +31,7 @@ from .linalg import (
 )
 from .measures import (
     DualityReport,
+    branch_spectra,
     chi_closed_form,
     d_two_level,
     distinguishability,

@@ -55,7 +55,9 @@ def _json_text(obj) -> str:
 def cmd_analyze(args) -> int:
     try:
         data = json.loads(Path(args.path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bytes that are not UTF-8 and malformed JSON;
+    # RecursionError, nesting deeper than the decoder can follow.
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read instance file: {exc}", file=sys.stderr)
         return 2
     inst = instance_from_dict(data)

@@ -19,7 +19,9 @@ fully polarized quanton (s = 1) give unit fringe visibility.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -244,19 +246,35 @@ def matrix_to_pairs(m) -> list:
     return [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
 
 
+def _json_numbers(values, name: str, kind=numbers.Real) -> None:
+    """Raise :class:`ValidationError` unless every value is a number of
+    ``kind``.  A bool or a numeric string is not, although ``float`` and
+    ``np.asarray`` would convert it.  Each Python type is checked once."""
+    for value_type in set(map(type, values)):
+        if value_type is bool or not issubclass(value_type, kind):
+            noun = "integer" if kind is numbers.Integral else "number"
+            raise ValidationError(f"{name}: expected a JSON {noun}, got {value_type.__name__}")
+
+
 def matrix_from_pairs(pairs, n: int, name: str = "matrix") -> np.ndarray:
     flat = np.asarray(pairs, dtype=float)
     if flat.shape != (n * n, 2):
         raise ValidationError(f"{name} must be a list of {n * n} [re, im] pairs")
+    _json_numbers(itertools.chain.from_iterable(pairs), f"{name} entries")
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
 
 
 def instance_from_dict(d: dict) -> InterferometerInstance:
-    """Deserialize an instance from the documented JSON schema."""
+    """Deserialize an instance from the documented JSON schema.
+
+    ``n`` must be an integer and every other number a JSON number: a bool or
+    a string is rejected, not converted.
+    """
     try:
-        n = int(d["n"])
-        s = float(d["s"])
-        phi = float(d["phi"])
+        _json_numbers([d["n"]], "n", numbers.Integral)
+        for name in ("s", "phi"):
+            _json_numbers([d[name]], name)
+        n, s, phi = int(d["n"]), float(d["s"]), float(d["phi"])
         rho = matrix_from_pairs(d["rho_d0"], n, "rho_d0")
         b = d["blocks"]
         blocks = WwmBlocks(

@@ -18,7 +18,8 @@ stringency ratio chi = D^2/Xi^2.
 Each instance-level function evaluates its instance as a batch of one through
 the batched function it wraps (``hierarchy_reports``, ``pure_identities``,
 ``mixing_bounds``, ``spectral_decompositions``), which take a
-:class:`~duality.interferometer.BranchKernel` of any number of instances.
+:class:`~duality.interferometer.BranchKernel` of any number of instances and
+its :class:`BranchSpectra`, where each eigenproblem is solved once.
 The array work is done on whole stacks; the scalar tail of every formula
 (Xi, the slacks, the identity residuals) runs on Python floats per instance,
 because Python's ``x ** 2`` and complex ``abs`` round differently from
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateBranchError, IdentityError, ValidationError
-from .interferometer import BranchKernel, InterferometerInstance, bloch_vectors, conditional_states
+from .interferometer import BranchKernel, InterferometerInstance, conditional_states
 from .interferometer import evolve  # noqa: F401  (kept importable from this module)
 from .tolerances import (CONSTRUCTION_ATOL, DEGENERATE_WEIGHT, IDENTITY_ATOL, PURE_S_ATOL,
                          PURITY_ATOL, VALIDATION_ATOL, XI_ATOL)
@@ -87,10 +88,6 @@ def quality(rho_plus, rho_minus):
     rm = linalg.require_density(rho_minus, "rho_minus")
     if rp.shape != rm.shape:
         raise ValidationError("conditional states must share the same dimension")
-    return _quality(rp, rm)
-
-
-def _quality(rp, rm):
     return 0.5 * linalg.trace_norm(rp - rm)
 
 
@@ -176,6 +173,37 @@ def _state_independent(k: BranchKernel, atol: float = IDENTITY_ATOL) -> np.ndarr
     return ok
 
 
+class BranchSpectra(NamedTuple):
+    """The eigen-data of a kernel's instances, each eigenproblem solved once
+    (:func:`branch_spectra`), with the kernel's leading shape."""
+
+    rho_plus: np.ndarray  # the normalized conditional states
+    rho_minus: np.ndarray
+    p: np.ndarray  # |w+ - w-| from their traces, the P of the |s| = 1 checks
+    diff: np.ndarray  # the eigenvalues of rho+ - rho-, ascending
+    q: np.ndarray  # half their absolute sum
+    delta: np.ndarray  # w+ rho+ - w- rho-
+    d: np.ndarray  # its trace norm
+    marker_values: np.ndarray  # hermitian_eigen of rho_d0 where decomposed, zero elsewhere
+    marker_vectors: np.ndarray
+
+
+def branch_spectra(k: BranchKernel, decompose) -> BranchSpectra:
+    """Solve each eigenproblem of a kernel's instances once.  rho_d0 is
+    decomposed where ``decompose`` holds (a bool, or one per instance), as
+    the mixing bound and the chi closed form need.  A degenerate branch in
+    any instance raises :class:`DegenerateBranchError`.
+    """
+    w_plus, rho_plus, w_minus, rho_minus = conditional_states(k)
+    diff = np.linalg.eigvalsh(rho_plus - rho_minus)
+    delta = _helstrom(w_plus, rho_plus, w_minus, rho_minus)
+    values, vectors = np.zeros(k.rho_d0.shape[:-1]), np.zeros(k.rho_d0.shape, dtype=complex)
+    if np.any(decompose):
+        values[decompose], vectors[decompose] = linalg.hermitian_eigen(k.rho_d0[decompose])
+    return BranchSpectra(rho_plus, rho_minus, np.abs(w_plus - w_minus), diff, 0.5 * np.abs(diff).sum(axis=-1),
+                         delta, np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1), values, vectors)
+
+
 @dataclass(frozen=True)
 class DualityReport:
     """All scalar measures and inequality slacks for one instance.
@@ -220,7 +248,7 @@ def hierarchy_report(inst: InterferometerInstance) -> DualityReport:
     ``o1`` (V^2 <= 1 - D^2), and, in the two-level state-independent-way
     regime with a polarized quanton, ``main`` (Xi - D).
     """
-    return hierarchy_reports(inst.kernel)[0]
+    return hierarchy_reports(inst.kernel, branch_spectra(inst.kernel, False))[0]
 
 
 def _floats(a) -> list:
@@ -228,22 +256,17 @@ def _floats(a) -> list:
     return np.ravel(a).tolist()
 
 
-def hierarchy_reports(k: BranchKernel) -> list[DualityReport]:
+def hierarchy_reports(k: BranchKernel, sp: BranchSpectra) -> list[DualityReport]:
     """:func:`hierarchy_report` of every instance of a kernel, in order.
 
-    V, P, Q, D and R are computed on the stacks, with one batched eigensolve
-    for Q and one for D.  A degenerate branch in any instance raises
-    :class:`DegenerateBranchError` for the whole batch.
+    V and P are computed on the kernel's stacks; Q, D and the two-level R
+    are read from the instances' :class:`BranchSpectra` ``sp``.
     """
-    bloch_vectors(k)
     v = np.hypot(k.c.real, k.c.imag)
     p = np.abs(k.w_plus - k.w_minus)
-    w_plus, rho_plus, w_minus, rho_minus = conditional_states(k)
-    rp, rm = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus)
-    delta = _helstrom(w_plus, rp, w_minus, rm)
-    columns = [v, p, _quality(rp, rm), linalg.trace_norm(delta)]
+    columns = [v, p, sp.q, sp.d]
     if k.n == 2:
-        columns += [_r_measure(delta, p), k.polarized & _state_independent(k)]
+        columns += [_r_measure(sp.delta, p), k.polarized & _state_independent(k)]
     return [_report(*values) for values in zip(*map(_floats, columns))]
 
 
@@ -276,19 +299,16 @@ def _report(v: float, p: float, q: float, d: float, r: float | None = None,
     )
 
 
-def _polarized_branches(k: BranchKernel, what: str):
-    """(w+, rho+, w-, rho-, P, C) of the branch sign(s) selects at |s| = 1,
-    the only branch populated there, for every instance of the kernel."""
+def _polarized_branches(k: BranchKernel, sp: BranchSpectra, what: str) -> np.ndarray:
+    """The contrast factor C of the branch sign(s) selects at |s| = 1, the
+    only branch populated there, whose P ``sp`` holds, for every instance."""
     i = linalg.first_failure(k.polarized)
     if i is not None:
         raise ValidationError(f"{what} requires |s| = 1, got s = {k.s[i]}")
-    w_plus, rho_plus, w_minus, rho_minus = conditional_states(k)
-    p = np.abs(w_plus - w_minus)
-    i = linalg.first_failure(p < 1.0 - PURE_S_ATOL)
+    i = linalg.first_failure(sp.p < 1.0 - PURE_S_ATOL)
     if i is not None:
-        raise DegenerateBranchError(f"predictability {float(p[i])!r} saturates; identity divides by 1 - P^2")
-    contrast = np.where(k.s >= 0.0, k.c_up, k.c_down)
-    return w_plus, rho_plus, w_minus, rho_minus, p, contrast
+        raise DegenerateBranchError(f"predictability {float(sp.p[i])!r} saturates; identity divides by 1 - P^2")
+    return np.where(k.s >= 0.0, k.c_up, k.c_down)
 
 
 def pure_state_identity_check(inst: InterferometerInstance) -> float:
@@ -300,21 +320,21 @@ def pure_state_identity_check(inst: InterferometerInstance) -> float:
     conditional-state overlap is checked against |C|^2 / (4 w+ w-); failures
     of those internal identities raise :class:`IdentityError`.
     """
-    return pure_identities(inst.kernel)[0]
+    return pure_identities(inst.kernel, branch_spectra(inst.kernel, False))[0]
 
 
-def pure_identities(k: BranchKernel) -> list[float]:
-    """:func:`pure_state_identity_check` of every instance of a kernel; the
-    first instance that fails a check raises for the batch."""
-    w_plus, rho_plus, w_minus, rho_minus, p, contrast = _polarized_branches(k, "pure identity")
+def pure_identities(k: BranchKernel, sp: BranchSpectra) -> list[float]:
+    """:func:`pure_state_identity_check` of every instance of a kernel and its
+    spectra ``sp``; the first instance that fails a check raises for the batch."""
+    contrast = _polarized_branches(k, sp, "pure identity")
     purity = np.trace(k.rho_d0 @ k.rho_d0, axis1=-2, axis2=-1).real
     i = linalg.first_failure(np.abs(purity - 1.0) <= PURITY_ATOL)
     if i is not None:
         raise ValidationError(
             f"pure identity requires a pure marker state, purity = {float(purity[i])!r}")
-    q_branch = _quality(rho_plus, rho_minus)
 
-    evals = np.linalg.eigvalsh(0.5 * (rho_plus - rho_minus))
+    # The spectrum of 0.5 (rho+ - rho-), halved exactly from that of rho+ - rho-.
+    evals = 0.5 * sp.diff
     lam_max, lam_min = evals[..., -1], evals[..., 0]
     i = linalg.first_failure(np.abs(lam_max + lam_min) <= IDENTITY_ATOL)
     if i is not None:
@@ -322,11 +342,11 @@ def pure_identities(k: BranchKernel) -> list[float]:
             f"half-difference spectrum is not symmetric: {float(lam_max[i])!r} vs {float(lam_min[i])!r}")
     if k.n > 2 and linalg.first_failure(np.abs(evals[..., 1:-1]).max(axis=-1) <= IDENTITY_ATOL) is not None:
         raise IdentityError("half-difference of pure conditionals has rank above two")
-    if linalg.first_failure(np.abs(q_branch - 2.0 * np.abs(lam_max)) <= IDENTITY_ATOL) is not None:
+    if linalg.first_failure(np.abs(sp.q - 2.0 * np.abs(lam_max)) <= IDENTITY_ATOL) is not None:
         raise IdentityError("branch quality disagrees with twice the top eigenvalue")
 
-    cross = np.trace(rho_plus @ rho_minus, axis1=-2, axis2=-1).real
-    expected_cross = np.hypot(contrast.real, contrast.imag) ** 2 / (4.0 * w_plus * w_minus)
+    cross = np.trace(sp.rho_plus @ sp.rho_minus, axis1=-2, axis2=-1).real
+    expected_cross = np.hypot(contrast.real, contrast.imag) ** 2 / (4.0 * k.wp_tr * k.wm_tr)
     i = linalg.first_failure(np.abs(cross - expected_cross) <= IDENTITY_ATOL)
     if i is not None:
         raise IdentityError(
@@ -334,7 +354,7 @@ def pure_identities(k: BranchKernel) -> list[float]:
             f"{float(expected_cross[i])!r}")
 
     return [abs(q ** 2 + abs(c) ** 2 / (1.0 - pp * pp) - 1.0)
-            for q, c, pp in zip(*map(_floats, (q_branch, contrast, p)))]
+            for q, c, pp in zip(*map(_floats, (sp.q, contrast, sp.p)))]
 
 
 class SpectralComponent(NamedTuple):
@@ -356,24 +376,24 @@ class SpectralComponent(NamedTuple):
 def spectral_components(inst: InterferometerInstance) -> list[SpectralComponent]:
     """Decompose the marker state spectrally and evaluate each pure component."""
     k = inst.kernel
-    p = _polarized_branches(k, "spectral decomposition of the branch")[4]
-    return spectral_decompositions(k, p)[0]
+    sp = branch_spectra(k, True)
+    _polarized_branches(k, sp, "spectral decomposition of the branch")
+    return spectral_decompositions(k, sp)[0]
 
 
-def spectral_decompositions(k: BranchKernel, p) -> list[list[SpectralComponent]]:
+def spectral_decompositions(k: BranchKernel, sp: BranchSpectra) -> list[list[SpectralComponent]]:
     """:func:`spectral_components` of every instance of a polarized kernel,
-    given the branch predictabilities ``p``."""
-    eig = linalg.hermitian_eigen(k.rho_d0)
+    from its spectra ``sp``, built to decompose every rho_d0."""
     # At |s| = 1 the way operator W+ is half the branch's V+ V+^dagger, and
     # the branch cross operator is V+- V++^dagger or -V-- V-+^dagger.
     cross_op = np.where(k.s[..., None, None] >= 0.0, k.cross_up, -k.cross_down)
     # Eigenvector k as a contiguous conjugated row and as a strided column,
     # exactly the operands of dk.conj() @ op @ dk on one eigenvector.
-    rows = np.ascontiguousarray(linalg.dagger(eig.vectors))[..., :, None, :]
-    cols = eig.vectors.swapaxes(-1, -2)[..., :, :, None]
+    rows = np.ascontiguousarray(linalg.dagger(sp.marker_vectors))[..., :, None, :]
+    cols = sp.marker_vectors.swapaxes(-1, -2)[..., :, :, None]
     contrasts = (rows @ cross_op[..., None, :, :] @ cols)[..., 0, 0]
     ways = (rows @ k.wp_op[..., None, :, :] @ cols)[..., 0, 0].real
-    per_instance = (np.reshape(a, (-1, k.n)).tolist() for a in (eig.values, contrasts, ways))
+    per_instance = (np.reshape(a, (-1, k.n)).tolist() for a in (sp.marker_values, contrasts, ways))
     return [
         [SpectralComponent(
             weight=weight,
@@ -383,7 +403,7 @@ def spectral_decompositions(k: BranchKernel, p) -> list[list[SpectralComponent]]
             w_minus=1.0 - w_plus_k,
         ) for weight, contrast_k, w_plus_k in zip(weights, contrasts_i, ways_i)
             if weight > DEGENERATE_WEIGHT]
-        for weights, contrasts_i, ways_i, one_minus_p2 in zip(*per_instance, _floats(1.0 - p * p))
+        for weights, contrasts_i, ways_i, one_minus_p2 in zip(*per_instance, _floats(1.0 - sp.p * sp.p))
     ]
 
 
@@ -404,17 +424,16 @@ def mixed_state_bound_check(inst: InterferometerInstance) -> MixingBound:
     returned beside the slack.  The slack is non-negative up to round-off for
     every valid instance.
     """
-    return mixing_bounds(inst.kernel)[0]
+    return mixing_bounds(inst.kernel, branch_spectra(inst.kernel, True))[0]
 
 
-def mixing_bounds(k: BranchKernel) -> list[MixingBound]:
-    """:func:`mixed_state_bound_check` of every instance of a kernel; the
-    first instance that fails the recomposition raises for the batch."""
-    _, rho_plus, _, rho_minus, p, contrast = _polarized_branches(k, "mixing bound")
-    q_branch = _floats(_quality(rho_plus, rho_minus))
+def mixing_bounds(k: BranchKernel, sp: BranchSpectra) -> list[MixingBound]:
+    """:func:`mixed_state_bound_check` of every instance of a kernel and its
+    spectra ``sp``; the first instance that fails the recomposition raises for the batch."""
+    contrast = _polarized_branches(k, sp, "mixing bound")
     out = []
-    for q, c, pp, components in zip(q_branch, _floats(contrast), _floats(p),
-                                    spectral_decompositions(k, p)):
+    for q, c, pp, components in zip(_floats(sp.q), _floats(contrast), _floats(sp.p),
+                                    spectral_decompositions(k, sp)):
         recomposed = sum(comp.weight * comp.contrast for comp in components)
         residual = abs(recomposed - c)
         if residual > IDENTITY_ATOL:

@@ -47,8 +47,10 @@ from .interferometer import (
 )
 from .measures import (
     SLACK_TOL,
+    BranchSpectra,
     DualityReport,
     MixingBound,
+    branch_spectra,
     chi_closed_form,
     d_two_level,
     hierarchy_reports,
@@ -308,8 +310,8 @@ class _Outcome(NamedTuple):
     the failure that stopped them.
 
     ``check`` is the pure-identity residual or the mixing bound of a
-    polarized instance; ``spectrum`` the eigenvalues of ``rho_d0`` where the
-    chi closed form applies.  A stored exception is raised by
+    polarized instance; ``spectrum`` the eigenvalues of ``rho_d0``, solved
+    at least where the chi closed form applies.  A stored exception is raised by
     :func:`_record` at the point where the per-instance checks reach it.
     """
 
@@ -322,44 +324,39 @@ class _Outcome(NamedTuple):
 
 
 def _evaluate(k: BranchKernel, pure_marker: np.ndarray) -> list[_Outcome]:
-    """Reports and |s| = 1 checks of every instance of a kernel.
+    """Reports and |s| = 1 checks of every instance of a kernel, all read
+    from one :func:`branch_spectra`.
 
-    A failure in any instance raises for the whole batch.
+    If any instance fails, a batch of several is evaluated again one
+    instance at a time, and a batch of one keeps its failure in its outcome.
     """
-    reports = hierarchy_reports(k)
-    polarized = k.polarized.tolist()
+    s, phi = k.s.tolist(), k.phi.tolist()
+    try:
+        # The mixing bound and the chi closed form read rho_d0's spectrum.
+        sp = branch_spectra(k, k.polarized & (~pure_marker | (k.n == 2)))
+    except DegenerateBranchError as exc:
+        return _evaluate_each(k, pure_marker) if len(s) > 1 else [_Outcome(s[0], phi[0], exc)]
+    reports = hierarchy_reports(k, sp)
     checks = [None] * len(reports)
     for mask, batch_checks in ((k.polarized & pure_marker, pure_identities),
                                (k.polarized & ~pure_marker, mixing_bounds)):
         members = np.flatnonzero(mask)
         if members.size:
-            for i, value in zip(members.tolist(), batch_checks(k.take(members))):
+            try:
+                values = batch_checks(k.take(members), BranchSpectra(*(part[members] for part in sp)))
+            except (DegenerateBranchError, IdentityError) as exc:
+                if len(s) > 1:
+                    return _evaluate_each(k, pure_marker)
+                values = [exc]
+            for i, value in zip(members.tolist(), values):
                 checks[i] = value
-    spectra = [None] * len(reports)
-    members = [i for i, report in enumerate(reports) if report.chi is not None]
-    if members:
-        for i, values in zip(members, linalg.hermitian_eigen(k.rho_d0[members]).values.tolist()):
-            spectra[i] = values
     return [_Outcome(*outcome) for outcome in
-            zip(k.s.tolist(), k.phi.tolist(), reports, polarized, checks, spectra)]
+            zip(s, phi, reports, k.polarized.tolist(), checks, sp.marker_values.tolist())]
 
 
 def _evaluate_each(k: BranchKernel, pure_marker: np.ndarray) -> list[_Outcome]:
     """:func:`_evaluate` one instance at a time, keeping each failure with its instance."""
-    out = []
-    for i in range(len(pure_marker)):
-        one, pure_one = k.take([i]), pure_marker[[i]]
-        s, phi = float(one.s[0]), float(one.phi[0])
-        try:
-            report = hierarchy_reports(one)[0]
-        except DegenerateBranchError as exc:
-            out.append(_Outcome(s, phi, exc))
-            continue
-        try:
-            out.extend(_evaluate(one, pure_one))
-        except (DegenerateBranchError, IdentityError) as exc:
-            out.append(_Outcome(s, phi, report, True, exc))
-    return out
+    return [outcome for i in range(len(pure_marker)) for outcome in _evaluate(k.take([i]), pure_marker[[i]])]
 
 
 def _instance_dict(s, blocks: WwmBlocks, rho_d0, phi, i: int) -> dict:
@@ -498,11 +495,7 @@ def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[dict]:
             rho = validate_instances(s, blocks, rho, phi)
             k = branch_kernel(blocks, s, rho, phi)
             pure_marker = np.array([lanes[i][1] == "pure" for i in streams])
-            try:
-                outcomes = _evaluate(k, pure_marker)
-            except (DegenerateBranchError, IdentityError):
-                outcomes = _evaluate_each(k, pure_marker)
-            for pos, (stream, outcome) in enumerate(zip(streams, outcomes)):
+            for pos, (stream, outcome) in enumerate(zip(streams, _evaluate(k, pure_marker))):
                 measured[stream] = (outcome, functools.partial(_instance_dict, s, blocks, rho, phi, pos))
         for stream in chunk:
             labels = {"index": stream, **lane_labels[stream // cfg.count]}

@@ -14,7 +14,9 @@ from numpy.linalg import LinAlgError
 from duality import cli
 from duality.cli import main
 from duality.errors import ValidationError
-from duality.interferometer import InterferometerInstance, from_tilted_pair, from_unitary_pair
+from duality.interferometer import (InterferometerInstance, from_global_unitary, from_tilted_pair,
+                                   from_unitary_pair, instance_from_dict)
+from duality.measures import SLACK_TOL
 from duality.sweep import (
     SweepConfig,
     SweepSummary,
@@ -70,6 +72,41 @@ def test_analyze_missing_file_exits_2(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{",        # not UTF-8
+    b"[" * 100_000,      # nested deeper than the JSON decoder recurses
+], ids=["not-utf-8", "deep-nesting"])
+def test_analyze_unreadable_json_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where, value", [
+    (("n",), 2.7), (("n",), 2.0), (("n",), "2"), (("n",), True),
+    (("s",), "1.0"), (("s",), True), (("s",), None), (("phi",), "0"), (("phi",), False),
+    (("rho_d0", 0, 0), "0.5"), (("rho_d0", 1, 1), False),
+    (("blocks", "vpp", 0, 0), True), (("blocks", "vmm", 3, 1), "0"),
+])
+def test_analyze_rejects_non_numeric_json_fields(tmp_path, capsys, where, value):
+    # Each value equals the field it replaces once converted to a number,
+    # so only its JSON type is wrong.
+    data = InterferometerInstance(s=1.0, blocks=from_unitary_pair(I2, I2),
+                                  rho_d0=np.diag([0.5, 0.5]).astype(complex)).to_dict()
+    target = data
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    with pytest.raises(ValidationError):
+        instance_from_dict(data)
+
+
 def test_analyze_invalid_instance_exits_2(tmp_path, capsys):
     inst = InterferometerInstance(s=0.0, blocks=from_unitary_pair(I2, I2),
                                   rho_d0=np.diag([0.5, 0.5]).astype(complex))
@@ -101,6 +138,41 @@ def test_analyze_linalg_error_exits_2(tmp_path, capsys, monkeypatch):
                                   rho_d0=np.diag([0.5, 0.5]).astype(complex))
     assert main(["analyze", str(write_instance(tmp_path, inst))]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def edge_instance(s: float) -> InterferometerInstance:
+    """An instance that keeps every input rule with no room to spare.
+
+    rho_d0 has the eigenvalue -0.9e-10, inside the 1e-10 PSD tolerance, and
+    the joint unitary rotates the (0, 2) plane by t = 0.1.  The conditional
+    states derived from it are then a little further from PSD than rho_d0.
+    """
+    t = 0.1
+    u = np.eye(4, dtype=complex)
+    u[np.ix_([0, 2], [0, 2])] = [[math.sin(t), math.cos(t)], [-math.cos(t), math.sin(t)]]
+    return InterferometerInstance(s=s, blocks=from_global_unitary(u),
+                                  rho_d0=np.diag([1.0 + 0.9e-10, -0.9e-10]).astype(complex))
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0])
+def test_analyze_reports_an_instance_at_the_tolerance_edge(tmp_path, capsys, s):
+    assert main(["analyze", str(write_instance(tmp_path, edge_instance(s)))]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert min(report["slacks"].values()) >= -SLACK_TOL
+
+
+def test_analyze_output_golden(tmp_path, capsys):
+    # One generated instance per lane of every class and dimension, through
+    # the batch-of-one path (digest recorded with numpy 2.4 on x86-64).
+    cfg = SweepConfig(seed=0, count=1, dims=tuple(range(2, 9)))
+    out = []
+    for index, (block_class, wwm_class, s_class, dim) in enumerate(sweep_plan(cfg)):
+        inst = generate_instance(0, index, dim, wwm_class, s_class, block_class)
+        assert main(["analyze", str(write_instance(tmp_path, inst))]) == 0
+        out.append(capsys.readouterr().out)
+    assert len(out) == 58
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "b7c1fe6f42fdf6bcb94f6a822a92eec97541afb63bbb16399486f41d3928ead0")
 
 
 def test_analyze_degenerate_branch_exits_3(tmp_path, capsys):

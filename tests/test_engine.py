@@ -77,6 +77,35 @@ def test_rows_stream_chunk_by_chunk():
     rows.close()
 
 
+@pytest.mark.parametrize("cfg, solves", [
+    (SweepConfig(seed=0, count=4), 12),
+    (SweepConfig(seed=0, count=10, dims=(8,)), 20),
+])
+def test_each_group_solves_each_eigenproblem_once(monkeypatch, cfg, solves):
+    # Per dimension group of a chunk: the rho_d0 density check, rho+ - rho-
+    # (Q), the Helstrom operator (D) and at most one decomposition of rho_d0,
+    # which only polarized instances need.
+    counts = {"solves": 0, "groups": 0, "decomposed": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            if fn is eigh:
+                counts["decomposed"] += math.prod(np.shape(args[0])[:-2])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    eigh = np.linalg.eigh
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted("solves", getattr(np.linalg, name)))
+    monkeypatch.setattr(sweep, "branch_kernel", counted("groups", sweep.branch_kernel))
+    summary, _ = run_sweep(cfg)
+    assert counts["solves"] <= 4 * counts["groups"]
+    assert counts["solves"] <= solves
+    polarized = sum(cfg.count for lane in sweep_plan(cfg) if lane[2] == "s_pure")
+    assert 0 < counts["decomposed"] <= polarized < summary.instance_count
+
+
 def plan_index(cfg, lane_filter):
     """Index of the first instance of the first lane that passes ``lane_filter``."""
     lanes = [lane for lane in sweep_plan(cfg) for _ in range(cfg.count)]
@@ -118,10 +147,10 @@ def test_internal_identity_failure_is_recorded_with_its_instance(monkeypatch):
     target_phi = next(r["phi"] for r in clean if r["index"] == target)
     pure_identities = sweep.pure_identities
 
-    def failing_on_target(k):
+    def failing_on_target(k, sp):
         if np.any(k.phi == target_phi):
             raise IdentityError("injected failure")
-        return pure_identities(k)
+        return pure_identities(k, sp)
 
     monkeypatch.setattr(sweep, "pure_identities", failing_on_target)
     summary, rows = run_sweep(cfg)

@@ -19,7 +19,7 @@ from duality.interferometer import (
     upper_port_probability,
     validate_instances,
 )
-from duality.measures import hierarchy_report, hierarchy_reports
+from duality.measures import branch_spectra, hierarchy_report, hierarchy_reports
 from duality.sweep import generate_instance
 
 ATOL = 1e-10
@@ -50,7 +50,8 @@ def stacked_reports(copies: list) -> list:
     s = np.array([c.s for c in copies])
     phi = np.array([c.phi for c in copies])
     rho = validate_instances(s, blocks, np.stack([c.rho_d0 for c in copies]), phi)
-    return hierarchy_reports(branch_kernel(blocks, s, rho, phi))
+    k = branch_kernel(blocks, s, rho, phi)
+    return hierarchy_reports(k, branch_spectra(k, False))
 
 
 def assert_same_measures(reports):
