@@ -326,7 +326,11 @@ def from_unitary_pair(u_plus, u_minus) -> WwmBlocks:
 
     Like every block constructor here, it also takes stacks of unitaries.
     """
-    up, um = _unitary_pair(u_plus, u_minus)
+    return pair_blocks(*_unitary_pair(u_plus, u_minus))
+
+
+def pair_blocks(up, um) -> WwmBlocks:
+    """:func:`from_unitary_pair` without its unitarity check."""
     return WwmBlocks(vpp=up, vpm=um, vmp=up, vmm=um)
 
 
@@ -341,7 +345,11 @@ def from_tilted_pair(theta: float, u_plus, u_minus) -> WwmBlocks:
     sqrt(2) cos(pi/4) rounds to 1.0000000000000002.  ``theta`` may be an
     array of one angle per unitary of the stacks.
     """
-    up, um = _unitary_pair(u_plus, u_minus)
+    return tilted_blocks(theta, *_unitary_pair(u_plus, u_minus))
+
+
+def tilted_blocks(theta, up, um) -> WwmBlocks:
+    """:func:`from_tilted_pair` without its unitarity check."""
     theta = np.asarray(theta, dtype=float)
     # math.cos and math.sin, not their numpy ufuncs, whose vectorized loops
     # may round differently: generated instances must replay bit for bit.
@@ -355,7 +363,11 @@ def from_global_unitary(u) -> WwmBlocks:
     a = linalg.as_square(u, "u")
     if a.shape[-1] % 2 != 0:
         raise ValidationError(f"joint operator must have even dimension, got {a.shape[-1]}")
-    a = _require_unitary(a, "joint operator")
+    return global_blocks(_require_unitary(a, "joint operator"))
+
+
+def global_blocks(a) -> WwmBlocks:
+    """:func:`from_global_unitary` of an even-dimensional ``a`` without its unitarity check."""
     n = a.shape[-1] // 2
     s2 = math.sqrt(2.0)
     return WwmBlocks(

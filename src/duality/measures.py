@@ -15,16 +15,14 @@ checks: the pure-preparation identity Q^2 + V^2/(1-P^2) = 1 and its mixing
 bound, and the two-level closed form chi = 1 - 4 D1 D2 P^2 / Xi^2 for the
 stringency ratio chi = D^2/Xi^2.
 
-Each instance-level function evaluates its instance as a batch of one through
-the batched function it wraps (``hierarchy_reports``, ``pure_identities``,
-``mixing_bounds``, ``spectral_decompositions``), which take a
+Each formula is one whole-array expression: the batched functions take a
 :class:`~duality.interferometer.BranchKernel` of any number of instances and
-its :class:`BranchSpectra`, where each eigenproblem is solved once.
-The array work is done on whole stacks; the scalar tail of every formula
-(Xi, the slacks, the identity residuals) runs on Python floats per instance,
-because Python's ``x ** 2`` and complex ``abs`` round differently from
-numpy's vectorized square and complex absolute value, and outputs must stay
-bit-identical.
+its :class:`BranchSpectra`, where each eigenproblem is solved once, and return
+one column per quantity; each instance-level function is its batched function
+on a batch of one.  Columns keep the bits of Python's scalar arithmetic:
+squares are ``np.float_power(x, 2.0)``, which rounds as Python's ``x ** 2``
+(libm ``pow``) does and ``x * x`` may not; moduli are ``np.hypot(re, im)``,
+which rounds as complex ``abs`` does and ``np.abs`` may not.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from .errors import DegenerateBranchError, IdentityError, ValidationError
 from .interferometer import BranchKernel, InterferometerInstance, conditional_states
 from .interferometer import evolve  # noqa: F401  (kept importable from this module)
 from .tolerances import (CONSTRUCTION_ATOL, DEGENERATE_WEIGHT, IDENTITY_ATOL, PURE_S_ATOL,
-                         PURITY_ATOL, VALIDATION_ATOL, XI_ATOL)
+                         PURITY_ATOL, TIE_ATOL, VALIDATION_ATOL, XI_ATOL)
 
 # Every inequality in this package is asserted as slack >= -SLACK_TOL; the
 # slack itself carries eigenvalue round-off, so exact comparisons are never
@@ -48,10 +46,31 @@ from .tolerances import (CONSTRUCTION_ATOL, DEGENERATE_WEIGHT, IDENTITY_ATOL, PU
 SLACK_TOL = 1e-9
 
 
-def _clamped_unit(x: float, name: str) -> float:
-    if not -SLACK_TOL <= x <= 1.0 + SLACK_TOL:
-        raise ValidationError(f"{name} must lie in [0, 1], got {x!r}")
-    return min(max(x, 0.0), 1.0)
+def _square(x):
+    """``x ** 2`` with the rounding of Python's ``x ** 2``."""
+    return np.float_power(x, 2.0)
+
+
+def _modulus(z):
+    """``abs(z)`` with the rounding of Python's complex ``abs``."""
+    return np.hypot(z.real, z.imag)
+
+
+def _float_or_array(a):
+    """A Python float for one value, the array for several."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _in_unit(x) -> np.ndarray:
+    return (x >= -SLACK_TOL) & (x <= 1.0 + SLACK_TOL)
+
+
+def _clamped_unit(x, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    i = linalg.first_failure(_in_unit(x))
+    if i is not None:
+        raise ValidationError(f"{name} must lie in [0, 1], got {float(x[i])!r}")
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus):
@@ -91,15 +110,16 @@ def quality(rho_plus, rho_minus):
     return 0.5 * linalg.trace_norm(rp - rm)
 
 
-def xi(p: float, q: float) -> float:
+def xi(p, q):
     """Composite way-information measure sqrt(Q^2 + P^2 - Q^2 P^2).
 
     Symmetric in its arguments and never below max(p, q, p*q); reaches one as
-    soon as either argument does.
+    soon as either argument does.  Takes numbers, or arrays of them, and
+    then returns one value per entry.
     """
-    p_sq = _clamped_unit(float(p), "p") ** 2
-    q_sq = _clamped_unit(float(q), "q") ** 2
-    return math.sqrt(p_sq + q_sq - p_sq * q_sq)
+    p_sq = _square(_clamped_unit(p, "p"))
+    q_sq = _square(_clamped_unit(q, "q"))
+    return _float_or_array(np.sqrt(p_sq + q_sq - p_sq * q_sq))
 
 
 def r_measure(w_plus, rho_plus, w_minus, rho_minus, p):
@@ -118,38 +138,43 @@ def _r_measure(delta, p):
     if delta.shape[-1] != 2:
         raise ValidationError(f"r_measure is defined for two-level markers only, got n={delta.shape[-1]}")
     tr2 = np.trace(delta @ delta, axis1=-2, axis2=-1).real
-    r = np.sqrt(np.maximum(0.0, 2.0 * tr2 - p * p))
-    return float(r) if r.ndim == 0 else r
+    return _float_or_array(np.sqrt(np.maximum(0.0, 2.0 * tr2 - p * p)))
 
 
-def d_two_level(p: float, r: float) -> float:
-    """Two-level distinguishability max(P, R)."""
-    if not (-SLACK_TOL <= p <= 1.0 + SLACK_TOL and -SLACK_TOL <= r <= 1.0 + SLACK_TOL):
-        raise ValidationError(f"p and r must lie in [0, 1], got {p}, {r}")
-    return max(p, r)
+def d_two_level(p, r):
+    """Two-level distinguishability max(P, R), of numbers or of arrays of them."""
+    p, r = np.asarray(p, dtype=float), np.asarray(r, dtype=float)
+    i = linalg.first_failure(_in_unit(p) & _in_unit(r))
+    if i is not None:
+        raise ValidationError(f"p and r must lie in [0, 1], got {float(p[i])}, {float(r[i])}")
+    return _float_or_array(np.maximum(p, r))
 
 
-def chi_closed_form(d1: float, d2: float, p: float, xi_value: float) -> float:
+def chi_closed_form(d1, d2, p, xi_value):
     """Two-level stringency ratio 1 - 4 d1 d2 p^2 / xi^2.
 
     ``d1`` and ``d2`` are the eigenvalues of the marker's initial state (see
     the stringency notes in the README); the formula applies to polarized
     quantons with state-independent way probabilities, on the branch where
     the distinguishability is not already saturated by the predictability.
+    Takes numbers, or arrays of them, and then returns one value per entry.
     """
-    if d1 < 0.0 or d2 < 0.0:
-        raise ValidationError(f"spectral weights must be non-negative, got {d1}, {d2}")
-    if abs(d1 + d2 - 1.0) > CONSTRUCTION_ATOL:
-        raise ValidationError(f"spectral weights must sum to one, got {d1 + d2!r}")
-    pc = _clamped_unit(float(p), "p")
-    if xi_value <= 0.0:
-        if pc > 0.0:
-            raise ValidationError("xi = 0 with p > 0 is inconsistent (xi dominates p)")
-        return 1.0
-    value = 1.0 - 4.0 * d1 * d2 * pc * pc / (xi_value * xi_value)
-    if not -SLACK_TOL <= value <= 1.0 + SLACK_TOL:
-        raise ValidationError(f"closed-form chi fell outside [0, 1]: {value!r} (inconsistent inputs)")
-    return value
+    d1, d2, xi_value = (np.asarray(a, dtype=float) for a in (d1, d2, xi_value))
+    i = linalg.first_failure((d1 >= 0.0) & (d2 >= 0.0))
+    if i is not None:
+        raise ValidationError(f"spectral weights must be non-negative, got {float(d1[i])}, {float(d2[i])}")
+    i = linalg.first_failure(np.abs(d1 + d2 - 1.0) <= CONSTRUCTION_ATOL)
+    if i is not None:
+        raise ValidationError(f"spectral weights must sum to one, got {float((d1 + d2)[i])!r}")
+    pc = _clamped_unit(p, "p")
+    zero = xi_value <= 0.0
+    if linalg.first_failure(~zero | (pc <= 0.0)) is not None:
+        raise ValidationError("xi = 0 with p > 0 is inconsistent (xi dominates p)")
+    value = np.where(zero, 1.0, 1.0 - 4.0 * d1 * d2 * pc * pc / np.where(zero, 1.0, xi_value * xi_value))
+    i = linalg.first_failure(_in_unit(value))
+    if i is not None:
+        raise ValidationError(f"closed-form chi fell outside [0, 1]: {float(value[i])!r} (inconsistent inputs)")
+    return _float_or_array(value)
 
 
 def state_independent_ways(inst: InterferometerInstance, atol: float = IDENTITY_ATOL) -> bool:
@@ -225,19 +250,19 @@ class DualityReport:
     r: float | None = None
     chi: float | None = None
 
+    @classmethod
+    def of(cls, columns: dict, i=()) -> DualityReport:
+        """The report of instance ``i`` of :func:`hierarchy_reports` columns,
+        ``()`` for the columns of one instance with no leading axis."""
+        table = np.array(list(columns.values()), dtype=float)[(slice(None), *np.index_exp[i])]
+        values = {name: None if math.isnan(value) else value for name, value in zip(columns, table.tolist())}
+        slacks = {name[6:]: values.pop(name) for name in list(values) if name.startswith("slack_")}
+        del values["xi_minus_d"]
+        return cls(slacks={name: value for name, value in slacks.items() if value is not None}, **values)
+
     def to_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "p": self.p,
-            "q": self.q,
-            "d": self.d,
-            "xi": self.xi,
-            "r": self.r,
-            "chi": self.chi,
-            "v_bound_d": self.v_bound_d,
-            "v_bound_xi": self.v_bound_xi,
-            "slacks": dict(self.slacks),
-        }
+        names = ("v", "p", "q", "d", "xi", "r", "chi", "v_bound_d", "v_bound_xi")
+        return {**{name: getattr(self, name) for name in names}, "slacks": dict(self.slacks)}
 
 
 def hierarchy_report(inst: InterferometerInstance) -> DualityReport:
@@ -248,55 +273,64 @@ def hierarchy_report(inst: InterferometerInstance) -> DualityReport:
     ``o1`` (V^2 <= 1 - D^2), and, in the two-level state-independent-way
     regime with a polarized quanton, ``main`` (Xi - D).
     """
-    return hierarchy_reports(inst.kernel, branch_spectra(inst.kernel, False))[0]
+    return DualityReport.of(hierarchy_reports(inst.kernel, branch_spectra(inst.kernel, False)))
 
 
-def _floats(a) -> list:
-    """The entries of an array (or a scalar) as a list of Python numbers."""
-    return np.ravel(a).tolist()
+def hierarchy_reports(k: BranchKernel, sp: BranchSpectra) -> dict:
+    """:func:`hierarchy_report` of every instance of a kernel, as columns
+    with the kernel's leading shape, named as the CSV's: v, p, q, d, xi, r,
+    chi, xi_minus_d, the slacks ``slack_<name>``, v_bound_d and v_bound_xi.
 
-
-def hierarchy_reports(k: BranchKernel, sp: BranchSpectra) -> list[DualityReport]:
-    """:func:`hierarchy_report` of every instance of a kernel, in order.
-
-    V and P are computed on the kernel's stacks; Q, D and the two-level R
-    are read from the instances' :class:`BranchSpectra` ``sp``.
+    NaN marks a measure that does not apply: ``r`` off two-level markers,
+    ``slack_main`` (Xi - D) outside the gated regime, and ``chi`` there and
+    where Xi <= XI_ATOL.  V and P are computed on the kernel's stacks; Q, D
+    and the two-level R are read from the instances' :class:`BranchSpectra`.
     """
-    v = np.hypot(k.c.real, k.c.imag)
+    v = _modulus(k.c)
     p = np.abs(k.w_plus - k.w_minus)
-    columns = [v, p, sp.q, sp.d]
-    if k.n == 2:
-        columns += [_r_measure(sp.delta, p), k.polarized & _state_independent(k)]
-    return [_report(*values) for values in zip(*map(_floats, columns))]
-
-
-def _report(v: float, p: float, q: float, d: float, r: float | None = None,
-            gated: bool = False) -> DualityReport:
-    """The scalar tail of one instance's report, on Python floats."""
+    q, d = sp.q, sp.d
     xi_value = xi(p, q)
-    slacks = {
-        "o2p": (1.0 - p * p) - v * v,
-        "o2q": (1.0 - q * q) - v * v,
-        "o2_nuevita": (1.0 - p * p) * (1.0 - q * q) - v * v,
-        "o1": (1.0 - d * d) - v * v,
+    xi_minus_d, v_sq, d_sq, xi_sq = xi_value - d, v * v, d * d, xi_value * xi_value
+    # The bounds on V^2 from P, Q and D.
+    bound_p, bound_q, bound_d = 1.0 - p * p, 1.0 - q * q, 1.0 - d_sq
+    gated = k.polarized & _state_independent(k) if k.n == 2 else False
+    has_chi = gated & (xi_value > XI_ATOL)
+    return {
+        "v": v, "p": p, "q": q, "d": d, "xi": xi_value,
+        "r": _r_measure(sp.delta, p) if k.n == 2 else np.full(np.shape(p), np.nan),
+        "chi": np.where(has_chi, d_sq / np.where(has_chi, xi_sq, 1.0), np.nan),
+        "xi_minus_d": xi_minus_d,
+        "slack_o2p": bound_p - v_sq,
+        "slack_o2q": bound_q - v_sq,
+        "slack_o2_nuevita": bound_p * bound_q - v_sq,
+        "slack_o1": bound_d - v_sq,
+        "slack_main": np.where(gated, xi_minus_d, np.nan),
+        "v_bound_d": np.sqrt(np.maximum(0.0, bound_d)),
+        "v_bound_xi": np.sqrt(np.maximum(0.0, 1.0 - xi_sq)),
     }
-    chi_value = None
-    if gated:
-        slacks["main"] = xi_value - d
-        if xi_value > XI_ATOL:
-            chi_value = d * d / (xi_value * xi_value)
-    return DualityReport(
-        v=v,
-        p=p,
-        q=q,
-        d=d,
-        xi=xi_value,
-        v_bound_d=math.sqrt(max(0.0, 1.0 - d * d)),
-        v_bound_xi=math.sqrt(max(0.0, 1.0 - xi_value * xi_value)),
-        slacks=slacks,
-        r=r,
-        chi=chi_value,
-    )
+
+
+def deviations(rep: dict, sp: BranchSpectra) -> dict:
+    """The exact relations a sweep gates, as columns beside the
+    :func:`hierarchy_reports` columns ``rep`` (with a leading axis), NaN where
+    one does not apply: |max(P, R) - D| on two-level markers; |V^2 + Xi^2 - 1|
+    and |D - Xi|, zero for a pure marker and a polarized quanton; |chi - its
+    closed form|, P^2/Xi^2 where P > R, else :func:`chi_closed_form` of the
+    rho_d0 spectrum that ``sp`` must hold."""
+    p, r, xi_value, chi = rep["p"], rep["r"], rep["xi"], rep["chi"]
+    closed = np.full(np.shape(chi), np.nan)
+    by_p = ~np.isnan(chi) & (p > r + TIE_ATOL)
+    closed[by_p] = _square(p[by_p]) / _square(xi_value[by_p])
+    by_spectrum = ~np.isnan(chi) & ~by_p
+    if by_spectrum.any():
+        d1, d2 = sp.marker_values[by_spectrum, 0], np.maximum(sp.marker_values[by_spectrum, 1], 0.0)
+        closed[by_spectrum] = chi_closed_form(d1, d2, p[by_spectrum], xi_value[by_spectrum])
+    return {
+        "d_two_level": np.abs(d_two_level(p, r) - rep["d"]) if sp.delta.shape[-1] == 2 else np.full_like(p, np.nan),
+        "pure_saturation_xi": np.abs(_square(rep["v"]) + _square(xi_value) - 1.0),
+        "pure_saturation_d": np.abs(rep["xi_minus_d"]),
+        "chi_closed_dev": np.abs(chi - closed),
+    }
 
 
 def _polarized_branches(k: BranchKernel, sp: BranchSpectra, what: str) -> np.ndarray:
@@ -311,6 +345,12 @@ def _polarized_branches(k: BranchKernel, sp: BranchSpectra, what: str) -> np.nda
     return np.where(k.s >= 0.0, k.c_up, k.c_down)
 
 
+def _branch_sum(sp: BranchSpectra, c_sq) -> np.ndarray:
+    """Q^2 + |C|^2/(1 - P^2) of the populated branch, which the pure identity
+    sets to one and the mixing bound bounds by one."""
+    return _square(sp.q) + c_sq / (1.0 - sp.p * sp.p)
+
+
 def pure_state_identity_check(inst: InterferometerInstance) -> float:
     """Residual of the pure-preparation identity Q^2 + |C|^2/(1 - P^2) = 1.
 
@@ -320,13 +360,13 @@ def pure_state_identity_check(inst: InterferometerInstance) -> float:
     conditional-state overlap is checked against |C|^2 / (4 w+ w-); failures
     of those internal identities raise :class:`IdentityError`.
     """
-    return pure_identities(inst.kernel, branch_spectra(inst.kernel, False))[0]
+    return float(pure_identities(inst.kernel, branch_spectra(inst.kernel, False)))
 
 
-def pure_identities(k: BranchKernel, sp: BranchSpectra) -> list[float]:
+def pure_identities(k: BranchKernel, sp: BranchSpectra) -> np.ndarray:
     """:func:`pure_state_identity_check` of every instance of a kernel and its
     spectra ``sp``; the first instance that fails a check raises for the batch."""
-    contrast = _polarized_branches(k, sp, "pure identity")
+    c_sq = _square(_modulus(_polarized_branches(k, sp, "pure identity")))
     purity = np.trace(k.rho_d0 @ k.rho_d0, axis1=-2, axis2=-1).real
     i = linalg.first_failure(np.abs(purity - 1.0) <= PURITY_ATOL)
     if i is not None:
@@ -346,15 +386,13 @@ def pure_identities(k: BranchKernel, sp: BranchSpectra) -> list[float]:
         raise IdentityError("branch quality disagrees with twice the top eigenvalue")
 
     cross = np.trace(sp.rho_plus @ sp.rho_minus, axis1=-2, axis2=-1).real
-    expected_cross = np.hypot(contrast.real, contrast.imag) ** 2 / (4.0 * k.wp_tr * k.wm_tr)
+    expected_cross = c_sq / (4.0 * k.wp_tr * k.wm_tr)
     i = linalg.first_failure(np.abs(cross - expected_cross) <= IDENTITY_ATOL)
     if i is not None:
         raise IdentityError(
             f"conditional-state overlap {float(cross[i])!r} disagrees with contrast form "
             f"{float(expected_cross[i])!r}")
-
-    return [abs(q ** 2 + abs(c) ** 2 / (1.0 - pp * pp) - 1.0)
-            for q, c, pp in zip(*map(_floats, (sp.q, contrast, sp.p)))]
+    return np.abs(_branch_sum(sp, c_sq) - 1.0)
 
 
 class SpectralComponent(NamedTuple):
@@ -378,12 +416,15 @@ def spectral_components(inst: InterferometerInstance) -> list[SpectralComponent]
     k = inst.kernel
     sp = branch_spectra(k, True)
     _polarized_branches(k, sp, "spectral decomposition of the branch")
-    return spectral_decompositions(k, sp)[0]
+    columns = (a.tolist() for a in spectral_decompositions(k, sp))
+    return [SpectralComponent(*c) for c in zip(*columns) if c[0] > DEGENERATE_WEIGHT]
 
 
-def spectral_decompositions(k: BranchKernel, sp: BranchSpectra) -> list[list[SpectralComponent]]:
+def spectral_decompositions(k: BranchKernel, sp: BranchSpectra) -> SpectralComponent:
     """:func:`spectral_components` of every instance of a polarized kernel,
-    from its spectra ``sp``, built to decompose every rho_d0."""
+    from its spectra ``sp``, built to decompose every rho_d0: each field is
+    an array with one entry per eigenvector of each rho_d0, degenerate
+    weights included."""
     # At |s| = 1 the way operator W+ is half the branch's V+ V+^dagger, and
     # the branch cross operator is V+- V++^dagger or -V-- V-+^dagger.
     cross_op = np.where(k.s[..., None, None] >= 0.0, k.cross_up, -k.cross_down)
@@ -393,18 +434,9 @@ def spectral_decompositions(k: BranchKernel, sp: BranchSpectra) -> list[list[Spe
     cols = sp.marker_vectors.swapaxes(-1, -2)[..., :, :, None]
     contrasts = (rows @ cross_op[..., None, :, :] @ cols)[..., 0, 0]
     ways = (rows @ k.wp_op[..., None, :, :] @ cols)[..., 0, 0].real
-    per_instance = (np.reshape(a, (-1, k.n)).tolist() for a in (sp.marker_values, contrasts, ways))
-    return [
-        [SpectralComponent(
-            weight=weight,
-            contrast=contrast_k,
-            theta_sq=abs(contrast_k) ** 2 / one_minus_p2,
-            w_plus=w_plus_k,
-            w_minus=1.0 - w_plus_k,
-        ) for weight, contrast_k, w_plus_k in zip(weights, contrasts_i, ways_i)
-            if weight > DEGENERATE_WEIGHT]
-        for weights, contrasts_i, ways_i, one_minus_p2 in zip(*per_instance, _floats(1.0 - sp.p * sp.p))
-    ]
+    return SpectralComponent(weight=sp.marker_values, contrast=contrasts,
+                             theta_sq=_square(_modulus(contrasts)) / (1.0 - sp.p * sp.p)[..., None],
+                             w_plus=ways, w_minus=1.0 - ways)
 
 
 class MixingBound(NamedTuple):
@@ -424,20 +456,23 @@ def mixed_state_bound_check(inst: InterferometerInstance) -> MixingBound:
     returned beside the slack.  The slack is non-negative up to round-off for
     every valid instance.
     """
-    return mixing_bounds(inst.kernel, branch_spectra(inst.kernel, True))[0]
+    return MixingBound(*map(float, mixing_bounds(inst.kernel, branch_spectra(inst.kernel, True))))
 
 
-def mixing_bounds(k: BranchKernel, sp: BranchSpectra) -> list[MixingBound]:
+def mixing_bounds(k: BranchKernel, sp: BranchSpectra) -> MixingBound:
     """:func:`mixed_state_bound_check` of every instance of a kernel and its
-    spectra ``sp``; the first instance that fails the recomposition raises for the batch."""
+    spectra ``sp``, as columns; the first instance that fails the
+    recomposition raises for the batch."""
     contrast = _polarized_branches(k, sp, "mixing bound")
-    out = []
-    for q, c, pp, components in zip(_floats(sp.q), _floats(contrast), _floats(sp.p),
-                                    spectral_decompositions(k, sp)):
-        recomposed = sum(comp.weight * comp.contrast for comp in components)
-        residual = abs(recomposed - c)
-        if residual > IDENTITY_ATOL:
-            raise IdentityError(
-                f"spectral recomposition of the contrast factor failed: {recomposed!r} vs {c!r}")
-        out.append(MixingBound(1.0 - (q ** 2 + abs(c) ** 2 / (1.0 - pp * pp)), residual))
-    return out
+    comps = spectral_decompositions(k, sp)
+    # One add per eigenvector, in eigenvector order, as a running sum over
+    # the components with a non-degenerate weight adds them.
+    recomposed = np.zeros_like(contrast)
+    for weight, term in zip(np.moveaxis(comps.weight, -1, 0), np.moveaxis(comps.weight * comps.contrast, -1, 0)):
+        recomposed = recomposed + np.where(weight > DEGENERATE_WEIGHT, term, 0.0)
+    residual = _modulus(recomposed - contrast)
+    i = linalg.first_failure(residual <= IDENTITY_ATOL)
+    if i is not None:
+        raise IdentityError(f"spectral recomposition of the contrast factor failed: "
+                            f"{complex(recomposed[i])!r} vs {complex(contrast[i])!r}")
+    return MixingBound(1.0 - _branch_sum(sp, _square(_modulus(contrast))), residual)

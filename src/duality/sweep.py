@@ -14,10 +14,10 @@ independent, which is the regime where Xi >= D and the two-level closed form
 for chi are theorems; outside it the sweep only records the sign of Xi - D.
 
 The engine walks the plan in index order, a chunk of instances at a time.
-Inside a chunk it groups the instances by marker dimension and generates,
-validates and measures each group as ``(N, n, n)`` stacks; the per-instance
-checks and the summary then run over the chunk in index order, and each row
-is yielded as soon as its chunk is done.
+It generates, validates and measures each marker dimension of a chunk as
+``(N, n, n)`` stacks into the chunk's columns, and runs each check as one
+masked reduction over them; the summary and the rows come out as from a
+sweep done one instance at a time, each row as soon as its chunk is done.
 """
 
 from __future__ import annotations
@@ -28,36 +28,31 @@ import numbers
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateBranchError, DualityError, IdentityError, ValidationError
+from .errors import DegenerateBranchError, IdentityError, ValidationError
 from .interferometer import (
     BranchKernel,
     InterferometerInstance,
     WwmBlocks,
     branch_kernel,
-    from_global_unitary,
-    from_tilted_pair,
-    from_unitary_pair,
+    global_blocks,
     instance_to_dict,
+    pair_blocks,
+    tilted_blocks,
     validate_instances,
 )
 from .measures import (
     SLACK_TOL,
     BranchSpectra,
-    DualityReport,
-    MixingBound,
     branch_spectra,
-    chi_closed_form,
-    d_two_level,
+    deviations,
     hierarchy_reports,
     mixing_bounds,
     pure_identities,
 )
-from .tolerances import TIE_ATOL
 
 WWM_CLASSES = ("pure", "mixed")
 S_CLASSES = ("s_pure", "s_mixed")
@@ -131,12 +126,10 @@ def _draw(seed: int, jobs: list, dim: int) -> tuple:
     Each instance draws from the Philox stream keyed by (seed, stream) in a
     fixed order: inversion and phase, splitter angle (tilted pairs only),
     block unitaries, marker rank, marker state.  The Haar QR, the block
-    constructors' unitarity checks and the marker states then run on stacks,
-    which give the same bits as one instance at a time.  Returns
-    ``(s, blocks, rho_d0, phi)``; the instances are not validated yet.
+    formulas and the marker states then run on stacks, which give the same
+    bits as one instance at a time.  Returns ``(s, blocks, rho_d0, phi)``
+    unchecked: :func:`validate_instances` checks them, unitarity included.
     """
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
     streams = linalg.PhiloxStreams(seed)
     s, phi, thetas, rho_normals = [], [], [], []
     unitary_normals = {"unitary_pair": {}, "general_unitary": {}, STRINGENCY_CLASS: {}}
@@ -150,13 +143,11 @@ def _draw(seed: int, jobs: list, dim: int) -> tuple:
         phi.append(2.0 * math.pi * v)
         if block_class == "general_unitary":
             shape = (2, 2 * dim, 2 * dim)
-        elif block_class in unitary_normals:
+        else:
             if block_class == STRINGENCY_CLASS:
                 # Keep both ways comfortably populated so branches never degenerate.
                 thetas.append(float(gen.uniform(0.05, math.pi / 4.0)))
             shape = (2, 2, dim, dim)
-        else:
-            raise ValidationError(f"unknown block class {block_class!r}")
         if wwm_class == "pure":
             # A rank-one marker draws no rank, so its normals follow the
             # blocks' in the same stream and one call draws both.
@@ -174,11 +165,11 @@ def _draw(seed: int, jobs: list, dim: int) -> tuple:
             continue
         u = linalg.haar_from_normals(np.array(list(normals.values())))
         if block_class == "general_unitary":
-            b = from_global_unitary(u)
+            b = global_blocks(u)
         elif block_class == "unitary_pair":
-            b = from_unitary_pair(u[:, 0], u[:, 1])
+            b = pair_blocks(u[:, 0], u[:, 1])
         else:
-            b = from_tilted_pair(np.array(thetas), u[:, 0], u[:, 1])
+            b = tilted_blocks(np.array(thetas), u[:, 0], u[:, 1])
         built.append((list(normals), b))
     blocks = built[0][1] if len(built) == 1 else WwmBlocks(*(
         _gather([(members, getattr(b, name)) for members, b in built], len(jobs))
@@ -208,9 +199,16 @@ def generate_instance(seed: int, stream: int, dim: int, wwm_class: str,
     """Build one instance from the Philox stream keyed by (seed, stream).
 
     It is the sweep's generator on a batch of one, so it replays the sweep's
-    instance bit for bit.
+    instance bit for bit.  It checks the class names and ``dim``, which
+    ``_draw`` trusts.
     """
-    s, b, rho, phi = _draw(seed, [(stream, block_class, wwm_class, s_class)], dim)
+    if wwm_class not in WWM_CLASSES or s_class not in S_CLASSES:
+        raise ValidationError(f"unknown state class ({wwm_class!r}, {s_class!r})")
+    if block_class not in (*BLOCK_CLASSES, STRINGENCY_CLASS):
+        raise ValidationError(f"unknown block class {block_class!r}")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
+    s, b, rho, phi = _draw(seed, [(stream, block_class, wwm_class, s_class)], int(dim))
     return InterferometerInstance(s=float(s[0]), blocks=WwmBlocks(b.vpp[0], b.vpm[0], b.vmp[0], b.vmm[0]),
                                   rho_d0=rho[0], phi=float(phi[0]))
 
@@ -238,22 +236,6 @@ class CheckStats:
     count: int = 0
     violations: int = 0
     worst: float | None = None
-
-    def update_slack(self, value: float) -> bool:
-        self.count += 1
-        self.worst = value if self.worst is None else min(self.worst, value)
-        ok = value >= -SLACK_TOL
-        if not ok:
-            self.violations += 1
-        return ok
-
-    def update_deviation(self, value: float, tol: float) -> bool:
-        self.count += 1
-        self.worst = value if self.worst is None else max(self.worst, value)
-        ok = value <= tol
-        if not ok:
-            self.violations += 1
-        return ok
 
     def to_dict(self) -> dict:
         return {"count": self.count, "violations": self.violations, "worst": self.worst}
@@ -305,58 +287,33 @@ class SweepSummary:
         }
 
 
-class _Outcome(NamedTuple):
-    """One instance's inputs ``s`` and ``phi`` and its measured values, or
-    the failure that stopped them.
-
-    ``check`` is the pure-identity residual or the mixing bound of a
-    polarized instance; ``spectrum`` the eigenvalues of ``rho_d0``, solved
-    at least where the chi closed form applies.  A stored exception is raised by
-    :func:`_record` at the point where the per-instance checks reach it.
-    """
-
-    s: float
-    phi: float
-    report: DualityReport | DualityError
-    polarized: bool = False
-    check: float | MixingBound | DualityError | None = None
-    spectrum: list | None = None
-
-
-def _evaluate(k: BranchKernel, pure_marker: np.ndarray) -> list[_Outcome]:
-    """Reports and |s| = 1 checks of every instance of a kernel, all read
-    from one :func:`branch_spectra`.
-
-    If any instance fails, a batch of several is evaluated again one
-    instance at a time, and a batch of one keeps its failure in its outcome.
-    """
-    s, phi = k.s.tolist(), k.phi.tolist()
+def _evaluate(k: BranchKernel, pure_marker: np.ndarray, at: np.ndarray, cols: dict, errors: dict) -> None:
+    """Measure every instance of a kernel into the chunk columns ``cols`` at
+    chunk positions ``at``: its report (setting ``measured``), then its
+    |s| = 1 checks.  If any instance fails, a batch of several is evaluated
+    again one instance at a time, and a batch of one records its failure in
+    ``errors`` under its position."""
     try:
         # The mixing bound and the chi closed form read rho_d0's spectrum.
         sp = branch_spectra(k, k.polarized & (~pure_marker | (k.n == 2)))
-    except DegenerateBranchError as exc:
-        return _evaluate_each(k, pure_marker) if len(s) > 1 else [_Outcome(s[0], phi[0], exc)]
-    reports = hierarchy_reports(k, sp)
-    checks = [None] * len(reports)
-    for mask, batch_checks in ((k.polarized & pure_marker, pure_identities),
-                               (k.polarized & ~pure_marker, mixing_bounds)):
-        members = np.flatnonzero(mask)
-        if members.size:
-            try:
+        rep = hierarchy_reports(k, sp)
+        for name, values in (("s", k.s), ("phi", k.phi), ("polarized", k.polarized), ("measured", True),
+                             *rep.items(), *deviations(rep, sp).items()):
+            if name in cols:
+                cols[name][at] = values
+        for members, batch_checks, names in (
+                (k.polarized & pure_marker, pure_identities, ("pure_identity_residual",)),
+                (k.polarized & ~pure_marker, mixing_bounds, ("mixing_bound_slack", "contrast_recomposition"))):
+            if members.any():
                 values = batch_checks(k.take(members), BranchSpectra(*(part[members] for part in sp)))
-            except (DegenerateBranchError, IdentityError) as exc:
-                if len(s) > 1:
-                    return _evaluate_each(k, pure_marker)
-                values = [exc]
-            for i, value in zip(members.tolist(), values):
-                checks[i] = value
-    return [_Outcome(*outcome) for outcome in
-            zip(s, phi, reports, k.polarized.tolist(), checks, sp.marker_values.tolist())]
-
-
-def _evaluate_each(k: BranchKernel, pure_marker: np.ndarray) -> list[_Outcome]:
-    """:func:`_evaluate` one instance at a time, keeping each failure with its instance."""
-    return [outcome for i in range(len(pure_marker)) for outcome in _evaluate(k.take([i]), pure_marker[[i]])]
+                for name, column in zip(names, np.reshape(values, (len(names), -1))):
+                    cols[name][at[members]] = column
+    except (DegenerateBranchError, IdentityError) as exc:
+        if len(at) == 1:
+            errors[int(at[0])] = exc
+            return
+        for i in range(len(at)):
+            _evaluate(k.take([i]), pure_marker[[i]], at[[i]], cols, errors)
 
 
 def _instance_dict(s, blocks: WwmBlocks, rho_d0, phi, i: int) -> dict:
@@ -364,80 +321,86 @@ def _instance_dict(s, blocks: WwmBlocks, rho_d0, phi, i: int) -> dict:
                             blocks.vmp[i], blocks.vmm[i])
 
 
-def _record(outcome: _Outcome, labels: dict, instance, summary: SweepSummary) -> dict:
-    """Run every applicable check on one instance; returns the CSV row.
+def _slack_record(name: str, value: float, labels: dict, instance) -> dict:
+    return {"check": name, "slack": value, "labels": labels, "instance": instance()}
 
-    ``instance()`` gives the instance's JSON object for violation records.
+
+def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
+            summary: SweepSummary) -> Iterator[dict]:
+    """Run every check on a chunk's columns, each as one masked reduction,
+    update ``summary`` as checking one instance at a time in index order
+    would, and yield the rows of the instances that pass every check.
+
+    ``instance[i]()`` is the instance JSON of chunk position ``i``.
     """
-    s, phi, report, polarized, check, spectrum = outcome
-    if isinstance(report, DualityError):
-        raise report
-    row = dict(labels)
-    row.update(s=s, phi=phi, v=report.v, p=report.p, q=report.q, d=report.d, xi=report.xi, r=report.r,
-               chi=report.chi, xi_minus_d=report.xi - report.d)
-    for name in ("o2p", "o2q", "o2_nuevita", "o1"):
-        row[f"slack_{name}"] = report.slacks[name]
-    row["slack_main"] = report.slacks.get("main")
+    def labels(i):
+        return dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[chunk.start + i])))
 
-    def slack(name, value):
-        if not summary.slack_checks[name].update_slack(value):
-            summary.violations.append({
-                "check": name, "slack": value, "threshold": -SLACK_TOL,
-                "labels": labels, "instance": instance(),
-            })
-        if value < summary._worst_slack:
-            summary._worst_slack = value
-            summary._worst_record = lambda: {
-                "check": name, "slack": value, "labels": labels,
-                "instance": instance(),
-            }
+    measured, polarized, pure = cols["measured"], cols["polarized"], cols["pure"]
+    pure_pol, mixed_pol = polarized & pure, polarized & ~pure
+    failed, identity_failed = np.zeros_like(measured), np.zeros_like(measured)
+    failed[list(errors)] = True
+    identity_failed[[i for i, exc in errors.items() if isinstance(exc, IdentityError)]] = True
+    # A failure stops an instance's checks where it is raised.
+    checked = measured & ~failed
+    # Each check in the order one instance runs them: (check, column, where it applies).
+    checks = [(name, f"slack_{name}", measured) for name in ("o2p", "o2q", "o2_nuevita", "o1")] + [
+        ("d_two_level", "d_two_level", measured & ~np.isnan(cols["d_two_level"])),
+        ("pure_saturation_xi", "pure_saturation_xi", measured & pure_pol),
+        ("pure_saturation_d", "pure_saturation_d", measured & pure_pol),
+        ("internal_identity", None, identity_failed),
+        ("pure_identity", "pure_identity_residual", checked & pure_pol),
+        ("mixing_bound", "mixing_bound_slack", checked & mixed_pol),
+        ("contrast_recomposition", "contrast_recomposition", checked & mixed_pol),
+        ("main", "slack_main", checked & ~np.isnan(cols["slack_main"])),
+        ("chi_closed_form", "chi_closed_dev", checked & ~np.isnan(cols["chi"])),
+    ]
+    found = []
+    # Each instance's smallest slack and its check, the first of a tie.
+    lowest, lowest_check = np.full(len(chunk), np.inf), np.empty(len(chunk), dtype=object)
+    for rank, (name, column, applies) in enumerate(checks):
+        at = np.flatnonzero(applies)
+        if column is None:
+            found += [(i, rank, {"check": name, "error": str(errors[i]), "labels": labels(i),
+                                 "instance": instance[i]()}) for i in at.tolist()]
+            continue
+        if not at.size:
+            continue
+        values = cols[column][at]
+        slack = name in SLACK_CHECKS
+        ok = values >= -SLACK_TOL if slack else values <= DEVIATION_CHECKS[name]
+        stats = (summary.slack_checks if slack else summary.deviation_checks)[name]
+        worst = float(values.min() if slack else values.max())
+        stats.count += at.size
+        stats.violations += int(np.count_nonzero(~ok))
+        stats.worst = worst if stats.worst is None else (min if slack else max)(stats.worst, worst)
+        kind, threshold = ("slack", -SLACK_TOL) if slack else ("deviation", DEVIATION_CHECKS[name])
+        found += [(i, rank, {"check": name, kind: value, "threshold": threshold, "labels": labels(i),
+                             "instance": instance[i]()})
+                  for i, value in zip(at[~ok].tolist(), values[~ok].tolist())]
+        if slack:
+            lower = values < lowest[at]
+            lowest[at[lower]], lowest_check[at[lower]] = values[lower], name
+    summary.violations += [record for *_, record in sorted(found, key=lambda f: f[:2])]
+    xi_minus_d = cols["xi_minus_d"][checked]
+    if xi_minus_d.size:
+        low = float(xi_minus_d.min())
+        summary.xi_minus_d_min = low if summary.xi_minus_d_min is None else min(summary.xi_minus_d_min, low)
+    # Outside the proven regime Xi < D is not a violation, only a recorded
+    # counterexample candidate for the Xi >= D question.
+    summary.xi_minus_d_candidates += int(np.count_nonzero(
+        checked & np.isnan(cols["slack_main"]) & (cols["xi_minus_d"] < -SLACK_TOL)))
+    summary.degenerate_count += len(errors) - int(np.count_nonzero(identity_failed))
+    summary.instance_count += int(np.count_nonzero(checked))
 
-    def deviation(name, value):
-        if not summary.deviation_checks[name].update_deviation(value, DEVIATION_CHECKS[name]):
-            summary.violations.append({
-                "check": name, "deviation": value, "threshold": DEVIATION_CHECKS[name],
-                "labels": labels, "instance": instance(),
-            })
-
-    for name in ("o2p", "o2q", "o2_nuevita", "o1"):
-        slack(name, report.slacks[name])
-
-    pure_marker = labels["wwm_class"] == "pure"
-
-    if labels["n"] == 2:
-        deviation("d_two_level", abs(d_two_level(report.p, report.r) - report.d))
-
-    if polarized and pure_marker:
-        deviation("pure_saturation_xi", abs(report.v ** 2 + report.xi ** 2 - 1.0))
-        deviation("pure_saturation_d", abs(report.d - report.xi))
-    if isinstance(check, DualityError):
-        raise check
-    if polarized and pure_marker:
-        row["pure_identity_residual"] = check
-        deviation("pure_identity", check)
-    elif polarized:
-        row["mixing_bound_slack"] = check.slack
-        slack("mixing_bound", check.slack)
-        deviation("contrast_recomposition", check.recomposition)
-
-    summary.xi_minus_d_min = (row["xi_minus_d"] if summary.xi_minus_d_min is None
-                              else min(summary.xi_minus_d_min, row["xi_minus_d"]))
-
-    if "main" in report.slacks:
-        slack("main", report.slacks["main"])
-        if report.chi is not None:
-            if report.p > report.r + TIE_ATOL:
-                closed = report.p ** 2 / report.xi ** 2
-            else:
-                closed = chi_closed_form(spectrum[0], max(spectrum[1], 0.0), report.p, report.xi)
-            row["chi_closed_dev"] = abs(report.chi - closed)
-            deviation("chi_closed_form", row["chi_closed_dev"])
-    elif row["xi_minus_d"] < -SLACK_TOL:
-        # Outside the proven regime this is not a violation, only a recorded
-        # counterexample candidate for the Xi >= D question.
-        summary.xi_minus_d_candidates += 1
-
-    return row
+    cells = [np.where(np.isnan(cols[name]), None, cols[name]).tolist() for name in CSV_COLUMNS[5:]]
+    for i, (row, low, values) in enumerate(zip(checked.tolist(), lowest.tolist(), zip(*cells))):
+        # The worst instance moves row by row, so it can be read mid-sweep.
+        if low < summary._worst_slack:
+            summary._worst_slack = low
+            summary._worst_record = functools.partial(_slack_record, lowest_check[i], low, labels(i), instance[i])
+        if row:
+            yield dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[chunk.start + i], *values)))
 
 
 CSV_COLUMNS = (
@@ -446,6 +409,9 @@ CSV_COLUMNS = (
     "slack_o2p", "slack_o2q", "slack_o2_nuevita", "slack_o1", "slack_main",
     "chi_closed_dev", "pure_identity_residual", "mixing_bound_slack",
 )
+# The float columns of a chunk: the CSV's measured cells and the deviations
+# that only the checks read.
+_MEASURED = CSV_COLUMNS[5:] + ("contrast_recomposition", "d_two_level", "pure_saturation_xi", "pure_saturation_d")
 
 # Instances are generated and measured together until their marker matrices
 # hold this many entries (the sum of n^2): 256 instances at n = 2, 64 at
@@ -474,45 +440,29 @@ def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[dict]:
     """Generate and check every instance of the plan, yielding one CSV row
     per non-degenerate instance in index order.
 
-    ``summary`` is updated in index order as the rows are produced, and its
-    ``runtime_seconds`` is set once the last row is taken.  Checks never
+    ``summary`` takes a chunk's checks before its first row, its worst
+    instance row by row, and ``runtime_seconds`` after the last.  Checks never
     abort the sweep; all violations are collected so a failing instance
     surfaces with full context.
     """
     started = time.perf_counter()
-    plan = sweep_plan(cfg)
-    lanes = [lane for lane in plan for _ in range(cfg.count)]
-    # Instance i belongs to lane i // count; its labels add the index.
-    lane_labels = [{"block_class": block_class, "wwm_class": wwm_class, "s_class": s_class, "n": dim}
-                   for block_class, wwm_class, s_class, dim in plan]
+    lanes = [lane for lane in sweep_plan(cfg) for _ in range(cfg.count)]
     for chunk in _chunks([lane[3] for lane in lanes]):
-        by_dim = {}
+        # Float columns start as NaN, an empty cell; flag columns as False.
+        cols = {name: np.full(len(chunk), np.nan) for name in _MEASURED}
+        cols.update((name, np.zeros(len(chunk), dtype=bool)) for name in ("measured", "polarized"))
+        cols["pure"] = np.array([lanes[i][1] == "pure" for i in chunk])
+        by_dim, errors, instance = {}, {}, {}
         for stream in chunk:
             by_dim.setdefault(lanes[stream][3], []).append(stream)
-        measured = {}
         for dim, streams in by_dim.items():
             s, blocks, rho, phi = _draw(cfg.seed, [(i, *lanes[i][:3]) for i in streams], dim)
             rho = validate_instances(s, blocks, rho, phi)
-            k = branch_kernel(blocks, s, rho, phi)
-            pure_marker = np.array([lanes[i][1] == "pure" for i in streams])
-            for pos, (stream, outcome) in enumerate(zip(streams, _evaluate(k, pure_marker))):
-                measured[stream] = (outcome, functools.partial(_instance_dict, s, blocks, rho, phi, pos))
-        for stream in chunk:
-            labels = {"index": stream, **lane_labels[stream // cfg.count]}
-            outcome, instance = measured.pop(stream)
-            try:
-                row = _record(outcome, labels, instance, summary)
-            except DegenerateBranchError:
-                summary.degenerate_count += 1
-                continue
-            except IdentityError as exc:
-                summary.violations.append({
-                    "check": "internal_identity", "error": str(exc),
-                    "labels": labels, "instance": instance(),
-                })
-                continue
-            summary.instance_count += 1
-            yield row
+            at = np.array(streams) - chunk.start
+            _evaluate(branch_kernel(blocks, s, rho, phi), cols["pure"][at], at, cols, errors)
+            for pos, i in enumerate(at.tolist()):
+                instance[i] = functools.partial(_instance_dict, s, blocks, rho, phi, pos)
+        yield from _record(chunk, lanes, cols, errors, instance, summary)
     summary.runtime_seconds = time.perf_counter() - started
 
 

@@ -365,6 +365,29 @@ def test_generate_instance_rejects_out_of_range_keys(seed, stream, name):
         generate_instance(seed, stream, 2, "pure", "s_pure", "unitary_pair")
 
 
+@pytest.mark.parametrize("dim, wwm_class, s_class, block_class, match", [
+    (2, "bogus", "s_pure", "unitary_pair", "state class"),
+    (2, "pure", "nonsense", "unitary_pair", "state class"),
+    (2, "bogus", "nonsense", "unitary_pair", "state class"),
+    (2, "pure", "s_pure", "bogus", "block class"),
+    (2.5, "pure", "s_pure", "unitary_pair", "dim"),
+    (True, "pure", "s_pure", "unitary_pair", "dim"),
+    ("2", "pure", "s_pure", "unitary_pair", "dim"),
+    (0, "pure", "s_pure", "unitary_pair", "dim"),
+    (-3, "mixed", "s_mixed", "general_unitary", "dim"),
+])
+def test_generate_instance_rejects_bad_labels(dim, wwm_class, s_class, block_class, match):
+    # An unknown marker label used to yield a mixed marker and s_mixed, and a
+    # non-integer dim a TypeError.
+    with pytest.raises(ValidationError, match=match):
+        generate_instance(0, 0, dim, wwm_class, s_class, block_class)
+
+
+def test_generate_instance_accepts_numpy_integer_dims():
+    inst = generate_instance(0, 0, np.int64(3), "mixed", "s_mixed", "tilted_pair")
+    assert inst.to_dict() == generate_instance(0, 0, 3, "mixed", "s_mixed", "tilted_pair").to_dict()
+
+
 def test_sweep_config_accepts_the_full_seed_range():
     for seed in (0, 2 ** 64 - 1, np.uint64(5)):
         cfg = SweepConfig(seed=seed, count=np.int64(1))

@@ -66,6 +66,97 @@ def test_every_row_equals_its_batch_of_one(seed):
         assert bits(row) == bits(row_alone(seed, row)), row["index"]
 
 
+def test_rows_equal_the_python_float_tail():
+    # The report formulas on Python floats, one instance at a time, as the
+    # engine computed them before its columns.  Python's x ** 2 differs from
+    # x * x in about one square in a thousand, so the sweep is large.
+    _, rows = run_sweep(SweepConfig(seed=21, count=150))
+    for row in rows:
+        v, p, q, d, xi = (row[name] for name in ("v", "p", "q", "d", "xi"))
+        p_sq, q_sq = min(max(p, 0.0), 1.0) ** 2, min(max(q, 0.0), 1.0) ** 2
+        expected = {
+            "xi": math.sqrt(p_sq + q_sq - p_sq * q_sq), "xi_minus_d": xi - d,
+            "slack_o2p": (1.0 - p * p) - v * v, "slack_o2q": (1.0 - q * q) - v * v,
+            "slack_o2_nuevita": (1.0 - p * p) * (1.0 - q * q) - v * v, "slack_o1": (1.0 - d * d) - v * v,
+        }
+        if row["slack_main"] is not None:
+            expected["slack_main"] = xi - d
+            expected["chi"] = d * d / (xi * xi) if xi > 1e-12 else None
+        assert {name: repr(row[name]) for name in expected} == {k: repr(x) for k, x in expected.items()}
+
+
+def test_report_bounds_equal_the_python_float_tail():
+    for stream in range(60):
+        rep = hierarchy_report(generate_instance(3, stream, 2 + stream % 7, "mixed", "s_mixed", "general_unitary"))
+        assert repr(rep.v_bound_d) == repr(math.sqrt(max(0.0, 1.0 - rep.d * rep.d)))
+        assert repr(rep.v_bound_xi) == repr(math.sqrt(max(0.0, 1.0 - rep.xi * rep.xi)))
+
+
+def test_summary_equals_a_loop_over_its_rows():
+    # Each check is one masked reduction per chunk; a loop over the rows in
+    # index order, checks in their order, is the reference.
+    cfg = SweepConfig(seed=5, count=12, dims=(2, 3, 4, 8))
+    summary, rows = run_sweep(cfg)
+    assert summary.degenerate_count == 0 and not summary.violations
+    expected, worst = {}, (math.inf, None, None)
+
+    def see(name, value, pick):
+        count, extreme = expected.get(name, (0, None))
+        expected[name] = (count + 1, value if extreme is None else pick(extreme, value))
+
+    for row in rows:
+        polarized, pure = row["s_class"] == "s_pure", row["wwm_class"] == "pure"
+        slacks = [(name, row[f"slack_{name}"]) for name in ("o2p", "o2q", "o2_nuevita", "o1")]
+        if row["n"] == 2:
+            see("d_two_level", abs(max(row["p"], row["r"]) - row["d"]), max)
+        if polarized and pure:
+            see("pure_saturation_xi", abs(row["v"] ** 2 + row["xi"] ** 2 - 1.0), max)
+            see("pure_saturation_d", abs(row["d"] - row["xi"]), max)
+            see("pure_identity", row.get("pure_identity_residual"), max)
+        elif polarized:
+            slacks.append(("mixing_bound", row.get("mixing_bound_slack")))
+        if row["slack_main"] is not None:
+            slacks.append(("main", row["slack_main"]))
+        if row.get("chi_closed_dev") is not None:
+            see("chi_closed_form", row.get("chi_closed_dev"), max)
+        for name, value in slacks:
+            see(name, value, min)
+            if value < worst[0]:
+                worst = (value, name, row["index"])
+    checks = {**summary.slack_checks, **summary.deviation_checks}
+    assert {name: (checks[name].count, repr(checks[name].worst)) for name in expected} == {
+        name: (count, repr(extreme)) for name, (count, extreme) in expected.items()}
+    assert checks["contrast_recomposition"].count == expected["mixing_bound"][0]
+    record = summary.worst_instance
+    assert (record["slack"], record["check"], record["labels"]["index"]) == worst
+    assert summary.xi_minus_d_min == min(row["xi_minus_d"] for row in rows)
+    assert summary.xi_minus_d_candidates == sum(
+        row["slack_main"] is None and row["xi_minus_d"] < -1e-9 for row in rows)
+
+
+def test_violations_come_in_index_then_check_order(monkeypatch):
+    for name in sweep.DEVIATION_CHECKS:
+        monkeypatch.setitem(sweep.DEVIATION_CHECKS, name, -1.0)  # every deviation violates
+    cfg = SweepConfig(seed=6, count=3, dims=(2, 3))
+    summary, rows = run_sweep(cfg)
+    expected = []
+    for row in rows:
+        polarized, pure = row["s_class"] == "s_pure", row["wwm_class"] == "pure"
+        names = ["d_two_level"] if row["n"] == 2 else []
+        if polarized:
+            names += ["pure_saturation_xi", "pure_saturation_d", "pure_identity"] if pure else ["contrast_recomposition"]
+        if row.get("chi_closed_dev") is not None:
+            names.append("chi_closed_form")
+        expected += [(row["index"], name) for name in names]
+    assert [(v["labels"]["index"], v["check"]) for v in summary.violations] == expected
+    first = summary.violations[0]
+    assert first["threshold"] == -1.0 and first["deviation"] >= 0.0
+    labels = first["labels"]
+    inst = generate_instance(cfg.seed, labels["index"], labels["n"], labels["wwm_class"], labels["s_class"],
+                             labels["block_class"])
+    assert first["instance"] == inst.to_dict()
+
+
 def test_rows_stream_chunk_by_chunk():
     cfg = SweepConfig(seed=4, count=100)
     summary = SweepSummary(config=cfg)
@@ -104,6 +195,35 @@ def test_each_group_solves_each_eigenproblem_once(monkeypatch, cfg, solves):
     assert counts["solves"] <= solves
     polarized = sum(cfg.count for lane in sweep_plan(cfg) if lane[2] == "s_pure")
     assert 0 < counts["decomposed"] <= polarized < summary.instance_count
+
+
+def test_generated_instances_are_checked_for_unitarity_once(monkeypatch):
+    # validate_instances checks each group's joint operators; the block
+    # formulas that build them from Haar unitaries check nothing.
+    checked = []
+    is_unitary = linalg.is_unitary
+
+    def counted(m, *args, **kwargs):
+        checked.append(math.prod(np.shape(m)[:-2]))
+        return is_unitary(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "is_unitary", counted)
+    summary, _ = run_sweep(SweepConfig(seed=0, count=4))
+    assert len(checked) == 3  # one chunk, three dimension groups
+    assert sum(checked) == summary.instance_count + summary.degenerate_count == 104
+
+
+def test_numpy_square_and_modulus_round_as_python_does():
+    # The measure columns square with float_power and take moduli with hypot
+    # because these round as Python's x ** 2 and complex abs do; a platform
+    # where they do not fails here instead of silently changing output bits.
+    gen = linalg.rng(20240, 7)
+    x = np.concatenate([gen.random(50_000), gen.standard_normal(50_000) * 10.0 ** gen.integers(-6, 6, 50_000),
+                        [0.0, 1.0, 5e-324, 1e-310]])
+    assert np.float_power(x, 2.0).tobytes() == np.array([v ** 2 for v in x.tolist()]).tobytes()
+    z = x[:-4] + 1j * gen.standard_normal(x.size - 4) * 10.0 ** gen.integers(-6, 6, x.size - 4)
+    z = np.concatenate([z, [0j, 1 + 0j, 1j, 5e-324 + 1e-310j]])
+    assert np.hypot(z.real, z.imag).tobytes() == np.array([abs(v) for v in z.tolist()]).tobytes()
 
 
 def plan_index(cfg, lane_filter):

@@ -130,6 +130,13 @@ def test_from_global_unitary_rejects_bad_input():
         from_global_unitary(np.diag([2.0, 0.5, 1.0, 1.0]))
 
 
+def test_from_tilted_pair_rejects_non_unitary_input():
+    with pytest.raises(ValidationError, match="u_plus"):
+        from_tilted_pair(0.3, 2.0 * I2, I2)
+    with pytest.raises(ValidationError, match=r"u_minus\[1\]"):
+        from_tilted_pair(np.array([0.3, 0.4]), np.stack([I2, I2]), np.stack([I2, 1.5 * I2]))
+
+
 def test_blocks_dimension_mismatch():
     with pytest.raises(ValidationError):
         WwmBlocks(vpp=I2, vpm=np.eye(3), vmp=I2, vmm=I2)

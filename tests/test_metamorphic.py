@@ -19,7 +19,7 @@ from duality.interferometer import (
     upper_port_probability,
     validate_instances,
 )
-from duality.measures import branch_spectra, hierarchy_report, hierarchy_reports
+from duality.measures import DualityReport, branch_spectra, hierarchy_report, hierarchy_reports
 from duality.sweep import generate_instance
 
 ATOL = 1e-10
@@ -51,7 +51,8 @@ def stacked_reports(copies: list) -> list:
     phi = np.array([c.phi for c in copies])
     rho = validate_instances(s, blocks, np.stack([c.rho_d0 for c in copies]), phi)
     k = branch_kernel(blocks, s, rho, phi)
-    return hierarchy_reports(k, branch_spectra(k, False))
+    columns = hierarchy_reports(k, branch_spectra(k, False))
+    return [DualityReport.of(columns, i) for i in range(len(copies))]
 
 
 def assert_same_measures(reports):
