@@ -103,10 +103,7 @@ def distinguishability(w_plus, rho_plus, w_minus, rho_minus):
 
 def quality(rho_plus, rho_minus):
     """Trace distance between the conditional marker states (or stacks of them)."""
-    rp = linalg.require_density(rho_plus, "rho_plus")
-    rm = linalg.require_density(rho_minus, "rho_minus")
-    if rp.shape != rm.shape:
-        raise ValidationError("conditional states must share the same dimension")
+    rp, rm = _validate_conditionals(0.5, rho_plus, 0.5, rho_minus)
     return 0.5 * linalg.trace_norm(rp - rm)
 
 
@@ -251,18 +248,26 @@ class DualityReport:
     chi: float | None = None
 
     @classmethod
-    def of(cls, columns: dict, i=()) -> DualityReport:
-        """The report of instance ``i`` of :func:`hierarchy_reports` columns,
-        ``()`` for the columns of one instance with no leading axis."""
-        table = np.array(list(columns.values()), dtype=float)[(slice(None), *np.index_exp[i])]
-        values = {name: None if math.isnan(value) else value for name, value in zip(columns, table.tolist())}
-        slacks = {name[6:]: values.pop(name) for name in list(values) if name.startswith("slack_")}
-        del values["xi_minus_d"]
-        return cls(slacks={name: value for name, value in slacks.items() if value is not None}, **values)
+    def of(cls, columns: dict) -> DualityReport:
+        """The report of one instance from its :func:`hierarchy_reports` columns."""
+        c = {name: None if math.isnan(x) else x for name, x in zip(columns, map(float, columns.values()))}
+        slacks = {name: c[f"slack_{name}"] for name in ("o2p", "o2q", "o2_nuevita", "o1", "main")
+                  if c[f"slack_{name}"] is not None}
+        return cls(c["v"], c["p"], c["q"], c["d"], c["xi"], c["v_bound_d"], c["v_bound_xi"], slacks, c["r"], c["chi"])
 
     def to_dict(self) -> dict:
-        names = ("v", "p", "q", "d", "xi", "r", "chi", "v_bound_d", "v_bound_xi")
-        return {**{name: getattr(self, name) for name in names}, "slacks": dict(self.slacks)}
+        return {
+            "v": self.v,
+            "p": self.p,
+            "q": self.q,
+            "d": self.d,
+            "xi": self.xi,
+            "r": self.r,
+            "chi": self.chi,
+            "v_bound_d": self.v_bound_d,
+            "v_bound_xi": self.v_bound_xi,
+            "slacks": dict(self.slacks),
+        }
 
 
 def hierarchy_report(inst: InterferometerInstance) -> DualityReport:
@@ -286,9 +291,7 @@ def hierarchy_reports(k: BranchKernel, sp: BranchSpectra) -> dict:
     where Xi <= XI_ATOL.  V and P are computed on the kernel's stacks; Q, D
     and the two-level R are read from the instances' :class:`BranchSpectra`.
     """
-    v = _modulus(k.c)
-    p = np.abs(k.w_plus - k.w_minus)
-    q, d = sp.q, sp.d
+    v, p, q, d = _modulus(k.c), np.abs(k.w_plus - k.w_minus), sp.q, sp.d
     xi_value = xi(p, q)
     xi_minus_d, v_sq, d_sq, xi_sq = xi_value - d, v * v, d * d, xi_value * xi_value
     # The bounds on V^2 from P, Q and D.

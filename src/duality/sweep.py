@@ -102,8 +102,7 @@ class SweepConfig:
             states.append((wwm, s_class))
         if not states:
             raise ValidationError("state_classes must not be empty")
-        object.__setattr__(self, "state_classes",
-                           tuple(sorted(set(states))))
+        object.__setattr__(self, "state_classes", tuple(sorted(set(states))))
         blocks = tuple(sorted(set(self.block_classes), key=BLOCK_CLASSES.index))
         if not blocks:
             raise ValidationError("block_classes must not be empty")
@@ -299,8 +298,7 @@ def _evaluate(k: BranchKernel, pure_marker: np.ndarray, at: np.ndarray, cols: di
         rep = hierarchy_reports(k, sp)
         for name, values in (("s", k.s), ("phi", k.phi), ("polarized", k.polarized), ("measured", True),
                              *rep.items(), *deviations(rep, sp).items()):
-            if name in cols:
-                cols[name][at] = values
+            cols[name][at] = values
         for members, batch_checks, names in (
                 (k.polarized & pure_marker, pure_identities, ("pure_identity_residual",)),
                 (k.polarized & ~pure_marker, mixing_bounds, ("mixing_bound_slack", "contrast_recomposition"))):
@@ -345,7 +343,7 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     checked = measured & ~failed
     # Each check in the order one instance runs them: (check, column, where it applies).
     checks = [(name, f"slack_{name}", measured) for name in ("o2p", "o2q", "o2_nuevita", "o1")] + [
-        ("d_two_level", "d_two_level", measured & ~np.isnan(cols["d_two_level"])),
+        ("d_two_level", "d_two_level", measured & np.array([lanes[i][3] == 2 for i in chunk])),
         ("pure_saturation_xi", "pure_saturation_xi", measured & pure_pol),
         ("pure_saturation_d", "pure_saturation_d", measured & pure_pol),
         ("internal_identity", None, identity_failed),
@@ -409,9 +407,10 @@ CSV_COLUMNS = (
     "slack_o2p", "slack_o2q", "slack_o2_nuevita", "slack_o1", "slack_main",
     "chi_closed_dev", "pure_identity_residual", "mixing_bound_slack",
 )
-# The float columns of a chunk: the CSV's measured cells and the deviations
-# that only the checks read.
-_MEASURED = CSV_COLUMNS[5:] + ("contrast_recomposition", "d_two_level", "pure_saturation_xi", "pure_saturation_d")
+# The float columns of a chunk, one for each column _evaluate writes: the
+# CSV's measured cells, the visibility bounds and the check-only deviations.
+_MEASURED = CSV_COLUMNS[5:] + ("v_bound_d", "v_bound_xi", "contrast_recomposition", "d_two_level",
+                               "pure_saturation_xi", "pure_saturation_d")
 
 # Instances are generated and measured together until their marker matrices
 # hold this many entries (the sum of n^2): 256 instances at n = 2, 64 at

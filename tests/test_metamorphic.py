@@ -52,7 +52,7 @@ def stacked_reports(copies: list) -> list:
     rho = validate_instances(s, blocks, np.stack([c.rho_d0 for c in copies]), phi)
     k = branch_kernel(blocks, s, rho, phi)
     columns = hierarchy_reports(k, branch_spectra(k, False))
-    return [DualityReport.of(columns, i) for i in range(len(copies))]
+    return [DualityReport.of({name: col[i] for name, col in columns.items()}) for i in range(len(copies))]
 
 
 def assert_same_measures(reports):
