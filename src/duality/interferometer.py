@@ -60,6 +60,17 @@ class WwmBlocks:
         for name, m in zip(("vpp", "vpm", "vmp", "vmm"), mats):
             object.__setattr__(self, name, _frozen_array(m))
 
+    @classmethod
+    def adopt(cls, vpp, vpm, vmp, vmm) -> WwmBlocks:
+        """Blocks of arrays that no caller holds, such as a block formula's
+        results: frozen in place rather than copied, and not checked."""
+        blocks = object.__new__(cls)
+        for name, m in zip(("vpp", "vpm", "vmp", "vmm"), (vpp, vpm, vmp, vmm)):
+            m = np.asarray(m, dtype=complex)
+            m.setflags(write=False)
+            object.__setattr__(blocks, name, m)
+        return blocks
+
     @property
     def n(self) -> int:
         return self.vpp.shape[-1]
@@ -326,12 +337,14 @@ def from_unitary_pair(u_plus, u_minus) -> WwmBlocks:
 
     Like every block constructor here, it also takes stacks of unitaries.
     """
-    return pair_blocks(*_unitary_pair(u_plus, u_minus))
+    up, um = _unitary_pair(u_plus, u_minus)
+    return pair_blocks(np.array(up, dtype=complex), np.array(um, dtype=complex))
 
 
 def pair_blocks(up, um) -> WwmBlocks:
-    """:func:`from_unitary_pair` without its unitarity check."""
-    return WwmBlocks(vpp=up, vpm=um, vmp=up, vmm=um)
+    """:func:`from_unitary_pair` without its unitarity check or its copy:
+    the blocks are ``up`` and ``um`` themselves, frozen."""
+    return WwmBlocks.adopt(vpp=up, vpm=um, vmp=up, vmm=um)
 
 
 def from_tilted_pair(theta: float, u_plus, u_minus) -> WwmBlocks:
@@ -355,7 +368,7 @@ def tilted_blocks(theta, up, um) -> WwmBlocks:
     # may round differently: generated instances must replay bit for bit.
     c = np.reshape([math.sqrt(2.0) * math.cos(t) for t in theta.flat], theta.shape)[..., None, None]
     d = np.reshape([math.sqrt(2.0) * math.sin(t) for t in theta.flat], theta.shape)[..., None, None]
-    return WwmBlocks(vpp=c * up, vpm=d * um, vmp=d * up, vmm=c * um)
+    return WwmBlocks.adopt(vpp=c * up, vpm=d * um, vmp=d * up, vmm=c * um)
 
 
 def from_global_unitary(u) -> WwmBlocks:
@@ -370,7 +383,7 @@ def global_blocks(a) -> WwmBlocks:
     """:func:`from_global_unitary` of an even-dimensional ``a`` without its unitarity check."""
     n = a.shape[-1] // 2
     s2 = math.sqrt(2.0)
-    return WwmBlocks(
+    return WwmBlocks.adopt(
         vpp=s2 * a[..., :n, :n],
         vpm=s2 * a[..., :n, n:],
         vmp=-s2 * a[..., n:, :n],

@@ -194,10 +194,14 @@ def haar_from_normals(g: np.ndarray) -> np.ndarray:
     than QR-gauge biased.  Every step acts matrix by matrix, so a stack gives
     the same bits as its members one at a time.
     """
-    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2.0)
+    # In place and freed once spent, since a sweep's peak memory is here.
+    z = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
+    del z
     d = r.diagonal(0, -2, -1)
-    return q * (d / np.abs(d))[..., None, :]
+    q *= (d / np.abs(d))[..., None, :]
+    return q
 
 
 def haar_unitary_from(gen: np.random.Generator, dim: int) -> np.ndarray:

@@ -158,27 +158,31 @@ def _draw(seed: int, jobs: list, dim: int) -> tuple:
             unitary_normals[block_class][pos] = gen.standard_normal(shape)
             rho_normals.append(gen.standard_normal((2, dim, int(gen.integers(2, dim + 1)))))
 
+    by_rank = {}
+    for i, g in enumerate(rho_normals):
+        by_rank.setdefault(g.shape[-1], []).append(i)
+    rho = _gather([(members, linalg.density_from_normals(np.array([rho_normals[i] for i in members])))
+                   for members in by_rank.values()], len(jobs))
+    # The draws are freed once stacked, before the Haar QR: a pure marker's
+    # normals are a view of the draw it shares with its block normals.
+    del rho_normals
     built = []
     for block_class, normals in unitary_normals.items():
         if not normals:
             continue
-        u = linalg.haar_from_normals(np.array(list(normals.values())))
+        members, g = list(normals), np.array(list(normals.values()))
+        normals.clear()
+        u = linalg.haar_from_normals(g)
         if block_class == "general_unitary":
             b = global_blocks(u)
         elif block_class == "unitary_pair":
             b = pair_blocks(u[:, 0], u[:, 1])
         else:
             b = tilted_blocks(np.array(thetas), u[:, 0], u[:, 1])
-        built.append((list(normals), b))
-    blocks = built[0][1] if len(built) == 1 else WwmBlocks(*(
+        built.append((members, b))
+    blocks = built[0][1] if len(built) == 1 else WwmBlocks.adopt(*(
         _gather([(members, getattr(b, name)) for members, b in built], len(jobs))
         for name in ("vpp", "vpm", "vmp", "vmm")))
-
-    by_rank = {}
-    for i, g in enumerate(rho_normals):
-        by_rank.setdefault(g.shape[-1], []).append(i)
-    rho = _gather([(members, linalg.density_from_normals(np.array([rho_normals[i] for i in members])))
-                   for members in by_rank.values()], len(jobs))
     return np.array(s), blocks, rho, np.array(phi)
 
 
@@ -303,9 +307,10 @@ def _evaluate(k: BranchKernel, pure_marker: np.ndarray, at: np.ndarray, cols: di
                 (k.polarized & pure_marker, pure_identities, ("pure_identity_residual",)),
                 (k.polarized & ~pure_marker, mixing_bounds, ("mixing_bound_slack", "contrast_recomposition"))):
             if members.any():
-                values = batch_checks(k.take(members), BranchSpectra(*(part[members] for part in sp)))
+                rows = _rows(members)
+                values = batch_checks(k.take(rows), BranchSpectra(*(part[rows] for part in sp)))
                 for name, column in zip(names, np.reshape(values, (len(names), -1))):
-                    cols[name][at[members]] = column
+                    cols[name][at[rows]] = column
     except (DegenerateBranchError, IdentityError) as exc:
         if len(at) == 1:
             errors[int(at[0])] = exc
@@ -314,13 +319,23 @@ def _evaluate(k: BranchKernel, pure_marker: np.ndarray, at: np.ndarray, cols: di
             _evaluate(k.take([i]), pure_marker[[i]], at[[i]], cols, errors)
 
 
-def _instance_dict(s, blocks: WwmBlocks, rho_d0, phi, i: int) -> dict:
-    return instance_to_dict(s[i], phi[i], rho_d0[i], blocks.vpp[i], blocks.vpm[i],
-                            blocks.vmp[i], blocks.vmm[i])
+def _rows(mask: np.ndarray) -> slice | np.ndarray:
+    """An index of the rows where ``mask`` holds: a slice, which takes
+    views, when they are consecutive (as a lane's instances are), else
+    their positions."""
+    at = np.flatnonzero(mask)
+    return slice(at[0], at[-1] + 1) if at[-1] - at[0] < at.size else at
 
 
-def _slack_record(name: str, value: float, labels: dict, instance) -> dict:
-    return {"check": name, "slack": value, "labels": labels, "instance": instance()}
+def _instance_fields(s, blocks: WwmBlocks, rho_d0, phi, i: int) -> tuple:
+    """The :func:`instance_to_dict` arguments of stack position ``i``, copied
+    out of the stacks so that they do not keep the stacks alive."""
+    return (float(s[i]), float(phi[i]),
+            *(m[i].copy() for m in (rho_d0, blocks.vpp, blocks.vpm, blocks.vmp, blocks.vmm)))
+
+
+def _slack_record(name: str, value: float, labels: dict, fields: tuple) -> dict:
+    return {"check": name, "slack": value, "labels": labels, "instance": instance_to_dict(*fields)}
 
 
 def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
@@ -329,7 +344,8 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     update ``summary`` as checking one instance at a time in index order
     would, and yield the rows of the instances that pass every check.
 
-    ``instance[i]()`` is the instance JSON of chunk position ``i``.
+    ``instance[i]()`` gives the :func:`instance_to_dict` arguments of chunk
+    position ``i``.
     """
     def labels(i):
         return dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[chunk.start + i])))
@@ -360,7 +376,7 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
         at = np.flatnonzero(applies)
         if column is None:
             found += [(i, rank, {"check": name, "error": str(errors[i]), "labels": labels(i),
-                                 "instance": instance[i]()}) for i in at.tolist()]
+                                 "instance": instance_to_dict(*instance[i]())}) for i in at.tolist()]
             continue
         if not at.size:
             continue
@@ -374,7 +390,7 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
         stats.worst = worst if stats.worst is None else (min if slack else max)(stats.worst, worst)
         kind, threshold = ("slack", -SLACK_TOL) if slack else ("deviation", DEVIATION_CHECKS[name])
         found += [(i, rank, {"check": name, kind: value, "threshold": threshold, "labels": labels(i),
-                             "instance": instance[i]()})
+                             "instance": instance_to_dict(*instance[i]())})
                   for i, value in zip(at[~ok].tolist(), values[~ok].tolist())]
         if slack:
             lower = values < lowest[at]
@@ -394,9 +410,10 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     cells = [np.where(np.isnan(cols[name]), None, cols[name]).tolist() for name in CSV_COLUMNS[5:]]
     for i, (row, low, values) in enumerate(zip(checked.tolist(), lowest.tolist(), zip(*cells))):
         # The worst instance moves row by row, so it can be read mid-sweep.
+        # It holds its own fields, not its group's stacks, until it is read.
         if low < summary._worst_slack:
             summary._worst_slack = low
-            summary._worst_record = functools.partial(_slack_record, lowest_check[i], low, labels(i), instance[i])
+            summary._worst_record = functools.partial(_slack_record, lowest_check[i], low, labels(i), instance[i]())
         if row:
             yield dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[chunk.start + i], *values)))
 
@@ -413,13 +430,15 @@ _MEASURED = CSV_COLUMNS[5:] + ("v_bound_d", "v_bound_xi", "contrast_recompositio
                                "pure_saturation_xi", "pure_saturation_d")
 
 # Instances are generated and measured together until their marker matrices
-# hold this many entries (the sum of n^2): 256 instances at n = 2, 64 at
-# n = 4, 16 at n = 8.  The stacks' memory grows with n^2 per instance, while
-# numpy's per-call overhead, which the stacks spread, does not: at a fixed
-# 128 instances the n = 8 stacks raised the peak memory of a sweep by 14%,
-# and at a fixed 32 small-n sweeps ran 1.5x slower.  At this size the peak
-# memory of an n = 8 sweep stays at that of one instance at a time.
-_CHUNK_ENTRIES = 1024
+# hold this many entries (the sum of n^2): 1024 instances at n = 2, 256 at
+# n = 4, 64 at n = 8.  Each chunk pays a fixed numpy and Python cost, about
+# 1.2 ms per marker dimension in it, that a larger chunk spreads over more
+# instances, while its stacks grow with n^2 per instance.  A --dims 8 sweep
+# runs 13 chunks here, 50 at 1024 entries, and took 0.12 s instead of
+# 0.14 s; its traced peak is 1.4 MiB (0.4 MiB at 1024 entries, 2.7 MiB at
+# 8192), because each chunk frees its draws once they are stacked, holds
+# its blocks once, and is freed before the next one starts.
+_CHUNK_ENTRIES = 4096
 
 
 def _chunks(dims: list) -> Iterator[range]:
@@ -435,6 +454,27 @@ def _chunks(dims: list) -> Iterator[range]:
         yield range(start, len(dims))
 
 
+def _measure(seed: int, lanes: list, chunk: range) -> tuple[dict, dict, dict]:
+    """Generate, validate and measure a chunk, one marker dimension at a
+    time: the chunk's columns, its failures and its instances' fields, each
+    by chunk position, as :func:`_record` takes them."""
+    # Float columns start as NaN, an empty cell; flag columns as False.
+    cols = {name: np.full(len(chunk), np.nan) for name in _MEASURED}
+    cols.update((name, np.zeros(len(chunk), dtype=bool)) for name in ("measured", "polarized"))
+    cols["pure"] = np.array([lanes[i][1] == "pure" for i in chunk])
+    by_dim, errors, instance = {}, {}, {}
+    for stream in chunk:
+        by_dim.setdefault(lanes[stream][3], []).append(stream)
+    for dim, streams in by_dim.items():
+        s, blocks, rho, phi = _draw(seed, [(i, *lanes[i][:3]) for i in streams], dim)
+        rho = validate_instances(s, blocks, rho, phi)
+        at = np.array(streams) - chunk.start
+        _evaluate(branch_kernel(blocks, s, rho, phi), cols["pure"][at], at, cols, errors)
+        for pos, i in enumerate(at.tolist()):
+            instance[i] = functools.partial(_instance_fields, s, blocks, rho, phi, pos)
+    return cols, errors, instance
+
+
 def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[dict]:
     """Generate and check every instance of the plan, yielding one CSV row
     per non-degenerate instance in index order.
@@ -447,21 +487,8 @@ def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[dict]:
     started = time.perf_counter()
     lanes = [lane for lane in sweep_plan(cfg) for _ in range(cfg.count)]
     for chunk in _chunks([lane[3] for lane in lanes]):
-        # Float columns start as NaN, an empty cell; flag columns as False.
-        cols = {name: np.full(len(chunk), np.nan) for name in _MEASURED}
-        cols.update((name, np.zeros(len(chunk), dtype=bool)) for name in ("measured", "polarized"))
-        cols["pure"] = np.array([lanes[i][1] == "pure" for i in chunk])
-        by_dim, errors, instance = {}, {}, {}
-        for stream in chunk:
-            by_dim.setdefault(lanes[stream][3], []).append(stream)
-        for dim, streams in by_dim.items():
-            s, blocks, rho, phi = _draw(cfg.seed, [(i, *lanes[i][:3]) for i in streams], dim)
-            rho = validate_instances(s, blocks, rho, phi)
-            at = np.array(streams) - chunk.start
-            _evaluate(branch_kernel(blocks, s, rho, phi), cols["pure"][at], at, cols, errors)
-            for pos, i in enumerate(at.tolist()):
-                instance[i] = functools.partial(_instance_dict, s, blocks, rho, phi, pos)
-        yield from _record(chunk, lanes, cols, errors, instance, summary)
+        # The chunk's stacks live as long as its _record, not into the next chunk.
+        yield from _record(chunk, lanes, *_measure(cfg.seed, lanes, chunk), summary)
     summary.runtime_seconds = time.perf_counter() - started
 
 

@@ -6,6 +6,7 @@ come out exactly as it does alone, through the instance-level functions.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,9 +169,60 @@ def test_rows_stream_chunk_by_chunk():
     rows.close()
 
 
+def sweep_output(cfg) -> tuple:
+    summary, rows = run_sweep(cfg)
+    d = summary.to_dict()
+    del d["runtime_seconds"]
+    return [bits(row) for row in rows], repr(d)
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_outputs_do_not_depend_on_the_chunk_budget(monkeypatch, failing):
+    # Budgets from one instance per chunk to the shipped one; the sweep
+    # spans dims 2, 3 and 8 and the tilted lane, and makes two chunks even
+    # at the largest budget.  With every deviation check failing, the
+    # violations cross chunk boundaries, so their order is pinned too.
+    if failing:
+        for name in sweep.DEVIATION_CHECKS:
+            monkeypatch.setitem(sweep.DEVIATION_CHECKS, name, -1.0)
+    cfg = SweepConfig(seed=9, count=8, dims=(2, 3, 8))
+    assert any(lane[0] == sweep.STRINGENCY_CLASS for lane in sweep_plan(cfg))
+    outputs = {}
+    for entries in (4, 64, 1024, 4096):
+        monkeypatch.setattr(sweep, "_CHUNK_ENTRIES", entries)
+        outputs[entries] = sweep_output(cfg)
+    assert len(list(sweep._chunks([lane[3] for lane in sweep_plan(cfg) for _ in range(cfg.count)]))) == 2
+    rows, summary = outputs[4]
+    assert len(rows) == cfg.count * len(sweep_plan(cfg))
+    assert ("'violation_count': 0," in summary) != failing
+    for entries, output in outputs.items():
+        assert output == (rows, summary), entries
+
+
+def test_chunk_working_set_is_bounded():
+    # The traced peak of a --dims 8 sweep measured 1.41 MiB at 4096-entry
+    # chunks (numpy 2.4, Python 3.11); without freeing each chunk's draws,
+    # stacks and copies it measured 2.38 MiB.
+    cfg = SweepConfig(seed=0, count=100, dims=(8,))
+    for _ in iter_sweep(SweepConfig(seed=1, count=2, dims=(2, 8)), SweepSummary(config=cfg)):
+        pass  # the first sweep of a process also imports numpy.linalg's lazy parts
+    summary = SweepSummary(config=cfg)
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in iter_sweep(cfg, summary))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == 800
+    assert peak < 1.75 * 2 ** 20
+    # What the finished sweep keeps: its summary, whose worst instance holds
+    # copies of its own fields rather than its group's stacks (320 KiB).
+    assert kept < 64 * 2 ** 10
+
+
 @pytest.mark.parametrize("cfg, solves", [
     (SweepConfig(seed=0, count=4), 12),
-    (SweepConfig(seed=0, count=10, dims=(8,)), 20),
+    (SweepConfig(seed=0, count=10, dims=(8,)), 8),  # two chunks, one group each
 ])
 def test_each_group_solves_each_eigenproblem_once(monkeypatch, cfg, solves):
     # Per dimension group of a chunk: the rho_d0 density check, rho+ - rho-
