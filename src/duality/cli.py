@@ -10,7 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 inequality violation, 2 input, I/O or numerical error,
 3 degenerate branch.  Standard error carries diagnostics only; every number
-printed is formatted to 12 significant digits.
+printed is formatted to 12 significant digits.  The JSON that analyze prints
+and verify writes and prints is ``json.dumps(indent=2)`` of the values with
+every float rounded to 12 significant digits, rendered in one pass.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from numpy.linalg import LinAlgError
@@ -38,18 +41,75 @@ from .sweep import (
 )
 
 
-def _round12(obj):
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _fix_float(token: str) -> str:
+    """``float.__repr__`` of the float a ``%.12g`` token reads, in JSON's spelling."""
+    if "e" in token:  # %g writes exponents from 1e12, repr only from 1e16
+        return float.__repr__(float(token))
+    if "." in token:
+        return token
+    return _SPECIAL_FLOATS.get(token) or token + ".0"
+
+
+def _float_tokens(values) -> list:
+    """The JSON tokens of floats rounded to 12 significant digits, formatted in one go."""
+    tokens = (",".join(["%.12g"] * len(values)) % tuple(values)).split(",")
+    return [t if "." in t and "e" not in t else _fix_float(t) for t in tokens]
+
+
+@functools.lru_cache(maxsize=256)
+def _float_template(length: int, width: int | None, level: int) -> str:
+    """The indented text of ``length`` floats, or of ``length`` lists of
+    ``width`` floats, at nesting ``level``, with a ``%s`` for each float."""
+    def block(count, at, item):
+        inner = "\n" + "  " * (at + 1)
+        return "[" + inner + ("," + inner).join([item] * count) + "\n" + "  " * at + "]"
+    return block(length, level, "%s" if width is None else block(width, level + 1, "%s"))
+
+
+def _render(obj, level: int) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+        return _fix_float("%.12g" % obj)
+    inner = "\n" + "  " * (level + 1)
     if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        width = len(obj[0]) if isinstance(obj[0], (list, tuple)) else None
+        rows = obj if width else (obj,)
+        if set(map(type, rows)) <= {list, tuple} and len(set(map(len, rows))) == 1:
+            values = [x for r in rows for x in r]
+            if set(map(type, values)) == {float}:
+                return _float_template(len(obj), width, level) % tuple(_float_tokens(values))
+        items = [_render(v, level + 1) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_key(k)}: {_render(v, level + 1)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(json.dumps(key))  # unrounded, as json.dumps keeps keys
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _json_text(obj) -> str:
-    return json.dumps(_round12(obj), indent=2) + "\n"
+    """``json.dumps(indent=2)`` of ``obj`` with every float first rounded to
+    12 significant digits, plus a newline, rendered in one pass."""
+    return _render(obj, 0) + "\n"
 
 
 def cmd_analyze(args) -> int:

@@ -253,8 +253,8 @@ def instance_to_dict(s, phi, rho_d0, vpp, vpm, vmp, vmm) -> dict:
 
 
 def matrix_to_pairs(m) -> list:
-    a = linalg.as_square(m)
-    return [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+    # A complex array's float view holds each entry's real and imaginary parts, bit for bit.
+    return np.ascontiguousarray(linalg.as_square(m)).view(float).reshape(-1, 2).tolist()
 
 
 def _json_numbers(values, name: str, kind=numbers.Real) -> None:

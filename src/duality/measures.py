@@ -188,11 +188,9 @@ def state_independent_ways(inst: InterferometerInstance, atol: float = IDENTITY_
 
 def _state_independent(k: BranchKernel, atol: float = IDENTITY_ATOL) -> np.ndarray:
     n = k.n
-    ok = True
-    for op in (k.wp_op, k.wm_op):
-        mean = np.trace(op, axis1=-2, axis2=-1).real / n
-        ok = ok & (np.abs(op - mean[..., None, None] * np.eye(n)).max(axis=(-2, -1)) <= atol)
-    return ok
+    ops = np.stack((k.wp_op, k.wm_op))
+    mean = np.trace(ops, axis1=-2, axis2=-1).real / n
+    return (np.abs(ops - mean[..., None, None] * np.eye(n)).max(axis=(-2, -1)) <= atol).all(axis=0)
 
 
 class BranchSpectra(NamedTuple):
@@ -296,7 +294,8 @@ def hierarchy_reports(k: BranchKernel, sp: BranchSpectra) -> dict:
     xi_minus_d, v_sq, d_sq, xi_sq = xi_value - d, v * v, d * d, xi_value * xi_value
     # The bounds on V^2 from P, Q and D.
     bound_p, bound_q, bound_d = 1.0 - p * p, 1.0 - q * q, 1.0 - d_sq
-    gated = k.polarized & _state_independent(k) if k.n == 2 else False
+    # Only a polarized quanton is gated, so a kernel with none skips the test.
+    gated = k.polarized & _state_independent(k) if k.n == 2 and k.polarized.any() else False
     has_chi = gated & (xi_value > XI_ATOL)
     return {
         "v": v, "p": p, "q": q, "d": d, "xi": xi_value,

@@ -26,7 +26,7 @@ import functools
 import math
 import numbers
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -344,11 +344,11 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     update ``summary`` as checking one instance at a time in index order
     would, and yield the rows of the instances that pass every check.
 
-    ``instance[i]()`` gives the :func:`instance_to_dict` arguments of chunk
-    position ``i``.
+    ``lanes[i]`` is the plan lane and ``instance[i]()`` gives the
+    :func:`instance_to_dict` arguments of chunk position ``i``.
     """
     def labels(i):
-        return dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[chunk.start + i])))
+        return dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[i])))
 
     measured, polarized, pure = cols["measured"], cols["polarized"], cols["pure"]
     pure_pol, mixed_pol = polarized & pure, polarized & ~pure
@@ -359,7 +359,7 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     checked = measured & ~failed
     # Each check in the order one instance runs them: (check, column, where it applies).
     checks = [(name, f"slack_{name}", measured) for name in ("o2p", "o2q", "o2_nuevita", "o1")] + [
-        ("d_two_level", "d_two_level", measured & np.array([lanes[i][3] == 2 for i in chunk])),
+        ("d_two_level", "d_two_level", measured & np.array([lane[3] == 2 for lane in lanes])),
         ("pure_saturation_xi", "pure_saturation_xi", measured & pure_pol),
         ("pure_saturation_d", "pure_saturation_d", measured & pure_pol),
         ("internal_identity", None, identity_failed),
@@ -415,7 +415,7 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
             summary._worst_slack = low
             summary._worst_record = functools.partial(_slack_record, lowest_check[i], low, labels(i), instance[i]())
         if row:
-            yield dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[chunk.start + i], *values)))
+            yield dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[i], *values)))
 
 
 CSV_COLUMNS = (
@@ -441,34 +441,36 @@ _MEASURED = CSV_COLUMNS[5:] + ("v_bound_d", "v_bound_xi", "contrast_recompositio
 _CHUNK_ENTRIES = 4096
 
 
-def _chunks(dims: list) -> Iterator[range]:
-    """Consecutive index ranges whose marker dimensions ``dims`` hold at
-    most ``_CHUNK_ENTRIES`` entries (or a single instance)."""
-    start, entries = 0, 0
+def _chunks(dims: Iterable[int]) -> Iterator[range]:
+    """Consecutive index ranges whose marker dimensions, read lazily from
+    ``dims``, hold at most ``_CHUNK_ENTRIES`` entries (or a single instance)."""
+    start, end, entries = 0, 0, 0
     for i, dim in enumerate(dims):
         if entries + dim * dim > _CHUNK_ENTRIES and i > start:
             yield range(start, i)
             start, entries = i, 0
         entries += dim * dim
-    if start < len(dims):
-        yield range(start, len(dims))
+        end = i + 1
+    if start < end:
+        yield range(start, end)
 
 
 def _measure(seed: int, lanes: list, chunk: range) -> tuple[dict, dict, dict]:
-    """Generate, validate and measure a chunk, one marker dimension at a
-    time: the chunk's columns, its failures and its instances' fields, each
-    by chunk position, as :func:`_record` takes them."""
+    """Generate, validate and measure a chunk whose plan lanes are
+    ``lanes``, one marker dimension at a time: the chunk's columns, its
+    failures and its instances' fields, each by chunk position, as
+    :func:`_record` takes them."""
     # Float columns start as NaN, an empty cell; flag columns as False.
     cols = {name: np.full(len(chunk), np.nan) for name in _MEASURED}
     cols.update((name, np.zeros(len(chunk), dtype=bool)) for name in ("measured", "polarized"))
-    cols["pure"] = np.array([lanes[i][1] == "pure" for i in chunk])
+    cols["pure"] = np.array([lane[1] == "pure" for lane in lanes])
     by_dim, errors, instance = {}, {}, {}
-    for stream in chunk:
-        by_dim.setdefault(lanes[stream][3], []).append(stream)
-    for dim, streams in by_dim.items():
-        s, blocks, rho, phi = _draw(seed, [(i, *lanes[i][:3]) for i in streams], dim)
+    for i, lane in enumerate(lanes):
+        by_dim.setdefault(lane[3], []).append(i)
+    for dim, positions in by_dim.items():
+        s, blocks, rho, phi = _draw(seed, [(chunk.start + i, *lanes[i][:3]) for i in positions], dim)
         rho = validate_instances(s, blocks, rho, phi)
-        at = np.array(streams) - chunk.start
+        at = np.array(positions)
         _evaluate(branch_kernel(blocks, s, rho, phi), cols["pure"][at], at, cols, errors)
         for pos, i in enumerate(at.tolist()):
             instance[i] = functools.partial(_instance_fields, s, blocks, rho, phi, pos)
@@ -485,8 +487,10 @@ def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[dict]:
     surfaces with full context.
     """
     started = time.perf_counter()
-    lanes = [lane for lane in sweep_plan(cfg) for _ in range(cfg.count)]
-    for chunk in _chunks([lane[3] for lane in lanes]):
+    plan = sweep_plan(cfg)
+    # Instance i runs lane i // count; only a chunk's own lanes are listed.
+    for chunk in _chunks(lane[3] for lane in plan for _ in range(cfg.count)):
+        lanes = [plan[i // cfg.count] for i in chunk]
         # The chunk's stacks live as long as its _record, not into the next chunk.
         yield from _record(chunk, lanes, *_measure(cfg.seed, lanes, chunk), summary)
     summary.runtime_seconds = time.perf_counter() - started

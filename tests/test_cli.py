@@ -8,15 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from numpy.linalg import LinAlgError
 
-from duality import cli
+from duality import cli, sweep
 from duality.cli import main
 from duality.errors import ValidationError
 from duality.interferometer import (InterferometerInstance, from_global_unitary, from_tilted_pair,
                                    from_unitary_pair, instance_from_dict)
-from duality.measures import SLACK_TOL
+from duality.measures import SLACK_TOL, hierarchy_report
 from duality.sweep import (
     SweepConfig,
     SweepSummary,
@@ -473,8 +474,115 @@ def test_other_sizes_sweep_csv_golden(tmp_path, dims, count, digest):
      "13b746af6a1bd29e60aa247a9f88dd5e705ca79d0658d43be40f5f73e34b24ca"),
 ])
 def test_summary_json_golden(tmp_path, capsys, argv, digest):
-    assert main(["verify", *argv, "--out", str(tmp_path)]) == 0
+    assert summary_digest(tmp_path, capsys, argv, 0) == digest
+
+
+def summary_digest(tmp_path, capsys, argv, code) -> str:
+    """The digest of ``summary.json`` without its runtime line, after a verify
+    run that exits ``code`` and prints the same text."""
+    assert main(["verify", *argv, "--out", str(tmp_path)]) == code
     text = (tmp_path / "summary.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == text
     kept = "".join(line for line in text.splitlines(keepends=True) if '"runtime_seconds"' not in line)
-    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+def fail_every_deviation_check(monkeypatch):
+    for name in sweep.DEVIATION_CHECKS:
+        monkeypatch.setitem(sweep.DEVIATION_CHECKS, name, -1.0)
+
+
+def test_summary_json_golden_with_violations(tmp_path, capsys, monkeypatch):
+    # Every deviation check fails, so the summary holds a record, with its
+    # instance JSON, per violation at n = 2 and n = 8 (digest recorded with
+    # the json module as the encoder).
+    fail_every_deviation_check(monkeypatch)
+    assert summary_digest(tmp_path, capsys, ["--seed", "0", "--count", "1", "--dims", "2,8"], 1) == (
+        "9addade9a8628d448cd746ed6906455fc7a9dca4c3c79200e9c06ae211c58104")
+
+
+# --- JSON output -----------------------------------------------------------------------
+
+def round12(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round12(v) for v in obj]
+    return obj
+
+
+def json_reference(obj) -> str:
+    """What the CLI prints: json.dumps(indent=2) of every float rounded to 12 digits."""
+    return json.dumps(round12(obj), indent=2) + "\n"
+
+
+EDGE_FLOATS = (0.0, -0.0, 1.0, 12.0, math.nan, math.inf, -math.inf, 5e-324, 1e12, 999999999999.5,
+               123456789012345.0, 1.5e15, 1e16, 1e-5, 1e308)
+
+
+def test_json_text_of_edge_floats():
+    values = [*EDGE_FLOATS, *(-x for x in EDGE_FLOATS)]
+    # One shape at several nesting levels, as rows, columns and a matrix.
+    for obj in (*values, values, {"x": values}, [{"y": [values]}], [[x, -x] for x in values],
+                [[x] for x in values], [values, values], tuple(map(tuple, [values] * 3)),
+                [np.float64(x) for x in values], {1: values[:2], 2.5: [], None: {}, False: (), -math.inf: 0}):
+        assert cli._json_text(obj) == json_reference(obj)
+
+
+json_floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+json_scalars = st.none() | st.booleans() | st.integers() | json_floats | st.text()
+
+
+def float_rows(width):
+    row = st.lists(json_floats, min_size=width, max_size=width)
+    return st.lists(row | row.map(tuple), min_size=1, max_size=4)
+
+
+json_trees = st.recursive(
+    json_scalars | st.lists(json_floats, max_size=5) | st.integers(1, 3).flatmap(float_rows),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_json_text_equals_the_json_module(obj):
+    assert cli._json_text(obj) == json_reference(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    np.bool_(True), np.int64(3), [1.0, np.float32(1.0)], 1j, b"bytes", {1, 2}, frozenset(), object(),
+    {(1, 2): 1.0}, {np.int64(1): 1.0}, [1.0, {"a": [{2}]}],
+])
+def test_json_text_rejects_what_the_json_module_rejects(obj):
+    with pytest.raises(TypeError):
+        json_reference(obj)
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
+
+
+@pytest.mark.parametrize("cfg, failing", [
+    # The golden summaries, then summaries with a violation record per failing check.
+    (SweepConfig(seed=0, count=4), False),
+    (SweepConfig(seed=0, count=10, dims=(8,)), False),
+    (SweepConfig(seed=0, count=1, dims=(2, 8)), True),
+    (SweepConfig(seed=9, count=8, dims=(2, 3, 8)), True),
+])
+def test_json_text_of_summaries(monkeypatch, cfg, failing):
+    if failing:
+        fail_every_deviation_check(monkeypatch)
+    summary, _ = run_sweep(cfg)
+    assert (summary.violation_count > 0) == failing
+    data = summary.to_dict()
+    assert cli._json_text(data) == json_reference(data)
+
+
+def test_json_text_of_reports_and_instances():
+    cfg = SweepConfig(seed=0, count=1, dims=tuple(range(2, 9)))
+    for index, (block_class, wwm_class, s_class, dim) in enumerate(sweep_plan(cfg)):
+        inst = generate_instance(0, index, dim, wwm_class, s_class, block_class)
+        for data in (hierarchy_report(inst).to_dict(), inst.to_dict()):
+            assert cli._json_text(data) == json_reference(data)

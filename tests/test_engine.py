@@ -220,6 +220,25 @@ def test_chunk_working_set_is_bounded():
     assert kept < 64 * 2 ** 10
 
 
+
+def test_first_row_does_not_wait_for_the_whole_plan():
+    # Only the first chunk's lanes are listed before its rows: listing all
+    # 2.6 million instances of this plan first traced 43 MiB; the first
+    # chunk (1024 instances at n = 2) traces 1.5 MiB.
+    cfg = SweepConfig(seed=0, count=100_000)
+    for _ in iter_sweep(SweepConfig(seed=1, count=2, dims=(2, 8)), SweepSummary(config=cfg)):
+        pass  # the first sweep of a process also imports numpy.linalg's lazy parts
+    rows = iter_sweep(cfg, SweepSummary(config=cfg))
+    tracemalloc.start()
+    try:
+        first = next(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        rows.close()
+    assert first["index"] == 0
+    assert peak < 4 * 2 ** 20
+
 @pytest.mark.parametrize("cfg, solves", [
     (SweepConfig(seed=0, count=4), 12),
     (SweepConfig(seed=0, count=10, dims=(8,)), 8),  # two chunks, one group each

@@ -20,6 +20,7 @@ from duality.interferometer import (
     from_tilted_pair,
     from_unitary_pair,
     instance_from_dict,
+    matrix_to_pairs,
     predictability,
     reduced_quanton_state,
     upper_port_probability,
@@ -341,6 +342,18 @@ def test_serialization_round_trip():
     assert np.abs(back.rho_d0 - inst.rho_d0).max() == 0.0
     for name in ("vpp", "vpm", "vmp", "vmm"):
         assert np.abs(getattr(back.blocks, name) - getattr(inst.blocks, name)).max() == 0.0
+
+
+def test_matrix_to_pairs_equals_the_entry_by_entry_reference():
+    # Compared by repr, which tells -0.0 from 0.0 and shows every bit of a
+    # float; a transposed view and a stack are not contiguous or not square.
+    rho = random_instance(6, dim=3).rho_d0
+    signed = np.array([[-0.0 + 0.0j, complex(0.0, -0.0)], [complex(-0.0, -0.0), complex(5e-324, -1e308)]])
+    for m in (rho, rho.T, np.stack([rho, rho.conj()]), signed, [[1, 2j], [3, 4]]):
+        a = np.asarray(m, dtype=complex)
+        reference = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+        assert repr(matrix_to_pairs(m)) == repr(reference)
+        assert all(type(x) is float for pair in matrix_to_pairs(m) for x in pair)
 
 
 def test_deserialization_rejects_malformed():

@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duality import linalg
+from duality import linalg, measures
 from duality.errors import DegenerateBranchError, ValidationError
 from duality.interferometer import (
     InterferometerInstance,
+    WwmBlocks,
+    branch_kernel,
     conditional_wwm_states,
     from_global_unitary,
     from_tilted_pair,
@@ -400,6 +403,53 @@ def test_mixing_bound_random_sweep_and_recomposition():
         assert abs(recomposed - branch) <= 1e-10
         assert bound.recomposition == abs(recomposed - branch)
 
+
+def way_operators_proportional_to_identity(k, atol):
+    """The way-operator test one operator at a time, the reference for the stacked one."""
+    ok = True
+    for op in (k.wp_op, k.wm_op):
+        mean = np.trace(op, axis1=-2, axis2=-1).real / k.n
+        ok = ok & (np.abs(op - mean[..., None, None] * np.eye(k.n)).max(axis=(-2, -1)) <= atol)
+    return ok
+
+
+def stacked_kernel(insts):
+    blocks = WwmBlocks(*(np.stack([getattr(i.blocks, name) for i in insts])
+                         for name in ("vpp", "vpm", "vmp", "vmm")))
+    return branch_kernel(blocks, np.array([i.s for i in insts]), np.stack([i.rho_d0 for i in insts]),
+                         np.array([i.phi for i in insts]))
+
+
+def test_way_gate_tests_both_operators_in_one_pass():
+    insts = [generate_instance(18, stream, 2, wwm, s_class, block)
+             for stream, (block, wwm, s_class) in enumerate(itertools.product(
+                 ("unitary_pair", "general_unitary", "tilted_pair"), ("pure", "mixed"), ("s_pure", "s_mixed")))]
+    insts.append(_diagonal_way_counterexample())
+    k = stacked_kernel(insts)
+    # The default tolerance separates the classes; 0 fails them all.
+    assert 0 < np.count_nonzero(way_operators_proportional_to_identity(k, measures.IDENTITY_ATOL)) < len(insts)
+    for atol in (measures.IDENTITY_ATOL, 1e-3, 0.0):
+        expected = way_operators_proportional_to_identity(k, atol)
+        assert measures._state_independent(k, atol).tolist() == expected.tolist()
+        assert [bool(measures._state_independent(i.kernel, atol)) for i in insts] == expected.tolist()
+
+
+def test_unpolarized_two_level_kernel_skips_the_way_gate(monkeypatch):
+    # slack_main and chi apply to a polarized quanton only, so a kernel
+    # without one never needs the way-operator test.
+    insts = [generate_instance(19, stream, 2, "mixed", "s_mixed", "unitary_pair") for stream in range(4)]
+    k = stacked_kernel(insts)
+    assert not k.polarized.any()
+    expected = measures.hierarchy_reports(k, measures.branch_spectra(k, False))
+
+    def fail(*args):
+        raise AssertionError("way gate evaluated")
+
+    monkeypatch.setattr(measures, "_state_independent", fail)
+    got = measures.hierarchy_reports(k, measures.branch_spectra(k, False))
+    assert {name: repr(v.tolist()) for name, v in got.items()} == {
+        name: repr(v.tolist()) for name, v in expected.items()}
+    assert np.isnan(got["slack_main"]).all() and np.isnan(got["chi"]).all()
 
 def test_theta_bounded_on_state_independent_classes():
     # theta_k <= 1 is provable exactly when the way probabilities carry no
