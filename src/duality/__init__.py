@@ -8,7 +8,6 @@ measure Xi, and the hierarchy of inequalities relating them.
 
 from .errors import DegenerateBranchError, DualityError, IdentityError, ValidationError
 from .interferometer import (
-    EvolutionResult,
     InterferometerInstance,
     WwmBlocks,
     assemble_global_unitary,
@@ -18,17 +17,9 @@ from .interferometer import (
     from_tilted_pair,
     from_unitary_pair,
     instance_from_dict,
-    predictability,
     validate_unitarity,
-    visibility,
 )
-from .linalg import (
-    HermitianEigen,
-    haar_random_unitary,
-    hermitian_eigen,
-    random_density,
-    trace_norm,
-)
+from .linalg import HermitianEigen, hermitian_eigen, trace_norm
 from .measures import (
     DualityReport,
     branch_spectra,

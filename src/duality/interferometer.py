@@ -22,14 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateBranchError, ValidationError
-from .linalg import SIGMA_X
 from .tolerances import DEGENERATE_WEIGHT, PURE_S_ATOL, VALIDATION_ATOL
 
 
@@ -79,15 +78,19 @@ class WwmBlocks:
 def validate_instances(s, blocks: WwmBlocks, rho_d0, phi) -> np.ndarray:
     """Check instance fields and return ``rho_d0`` as a complex array.
 
-    ``s`` and ``phi`` are scalars for one instance, or arrays of shape (N,)
-    beside stacked blocks and marker states for N instances.  Every instance
-    needs s in [-1, 1], a finite phi, a density-matrix ``rho_d0`` of the
-    blocks' dimension, and blocks that assemble into a unitary within 1e-10.
+    ``s`` and ``phi`` have the blocks' leading shape: scalars for one
+    instance, arrays of shape (N,) beside N stacked blocks and marker states.
+    Every instance needs s in [-1, 1], a finite phi, a density-matrix
+    ``rho_d0`` of the blocks' dimension, and blocks that assemble into a
+    unitary within 1e-10.
     """
     s, phi = np.asarray(s), np.asarray(phi)
+    lead = blocks.vpp.shape[:-2]
     for name, value in (("inversion s", s), ("phase phi", phi)):
         if value.dtype.kind not in "fiu":
             raise ValidationError(f"{name} must be a real number, got {value!r}")
+        if value.shape != lead:
+            raise ValidationError(f"{name} must have the blocks' leading shape {lead}, got {value.shape}")
     i = linalg.first_failure(np.abs(s) <= 1.0)
     if i is not None:
         raise ValidationError(f"inversion {linalg.label('s', i)} must lie in [-1, 1], got {s[i]}")
@@ -222,23 +225,6 @@ class InterferometerInstance:
         return instance_to_dict(self.s, self.phi, self.rho_d0, b.vpp, b.vpm, b.vmp, b.vmm)
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
-    """Output-port data for one instance.
-
-    ``w_plus``/``w_minus`` are the way probabilities, ``c_up``/``c_down`` the
-    per-branch contrast factors, ``c`` their inversion-weighted combination,
-    and ``bloch_final`` the quanton Bloch vector (x, y, z) after the merger.
-    """
-
-    w_plus: float
-    w_minus: float
-    c_up: complex
-    c_down: complex
-    c: complex
-    bloch_final: np.ndarray = field(repr=False)
-
-
 def instance_to_dict(s, phi, rho_d0, vpp, vpm, vmp, vmm) -> dict:
     """The documented JSON object of one instance's fields, taken as they
     are (validation is the constructor's job)."""
@@ -312,7 +298,7 @@ def assemble_global_unitary(blocks: WwmBlocks) -> np.ndarray:
 def validate_unitarity(blocks: WwmBlocks):
     """Whether the assembled joint operator is unitary within 1e-10: a bool,
     or one per instance for stacked blocks."""
-    return linalg.is_unitary(assemble_global_unitary(blocks), VALIDATION_ATOL)
+    return linalg.is_unitary(assemble_global_unitary(blocks))
 
 
 def _require_unitary(u, name: str) -> np.ndarray:
@@ -397,57 +383,23 @@ def contrast_factors(inst: InterferometerInstance) -> tuple[complex, complex, co
     return complex(k.c_up), complex(k.c_down), complex(k.c)
 
 
-def bloch_vectors(k: BranchKernel) -> np.ndarray:
-    """Quanton Bloch vectors (x, y, z) after the merger: shape (3,) for one
-    instance, (N, 3) for a stack.
+def evolve(inst: InterferometerInstance) -> np.ndarray:
+    """The quanton's Bloch vector (x, y, z) after splitter+marker, phase
+    shifter and merger, read from the instance's kernel.
 
     Construction enforces unitary blocks and a density-matrix rho_d0, so the
-    final joint state (:func:`final_state`) is a density matrix; each
-    instance's probability normalization and Bloch norm are checked.
-    """
-    total = k.w_plus + k.w_minus
-    i = linalg.first_failure(np.abs(total - 1.0) <= VALIDATION_ATOL)
-    if i is not None:
-        raise ValidationError(f"way probabilities do not sum to one: {float(total[i])!r}")
-    zy = -np.exp(-1j * k.phi) * k.c
-    bloch = np.array([k.w_plus - k.w_minus, zy.imag, zy.real]).T
-    if linalg.first_failure(np.sqrt((bloch * bloch).sum(axis=-1)) <= 1.0 + VALIDATION_ATOL) is not None:
-        raise ValidationError("final Bloch vector exceeds unit norm beyond tolerance")
-    return bloch
-
-
-def evolve(inst: InterferometerInstance) -> EvolutionResult:
-    """Run the instance through splitter+marker, phase shifter, and merger.
-
-    The way probabilities, contrast factors, and final Bloch vector
-    (:func:`bloch_vectors`) are read from the instance's kernel.
+    final joint state is a density matrix; the way probabilities' sum and
+    the Bloch norm are checked.
     """
     k = inst.kernel
-    c_up, c_down, c = contrast_factors(inst)
-    return EvolutionResult(
-        w_plus=float(k.w_plus),
-        w_minus=float(k.w_minus),
-        c_up=c_up,
-        c_down=c_down,
-        c=c,
-        bloch_final=bloch_vectors(k),
-    )
-
-
-def final_state(inst: InterferometerInstance) -> np.ndarray:
-    """Final joint 2n x 2n state by the direct matrix route.
-
-    Conjugates the initial product state by the assembled joint operator and
-    then by the quanton optics: the phase shifter exp(-i phi sigma_z / 2)
-    followed by the merger exp(-i pi sigma_y / 4), identity on the marker.
-    It shares no arithmetic with the kernel, so tests use it as an
-    independent oracle for :func:`evolve` and :func:`conditional_wwm_states`.
-    """
-    r = 1.0 / math.sqrt(2.0)
-    optics = np.array([[r, -r], [r, r]]) @ np.diag([np.exp(-0.5j * inst.phi), np.exp(0.5j * inst.phi)])
-    m = np.kron(optics, np.eye(inst.n)) @ assemble_global_unitary(inst.blocks).conj().T
-    rho_q0 = np.diag([(1.0 + inst.s) / 2.0, (1.0 - inst.s) / 2.0])
-    return m @ np.kron(rho_q0, inst.rho_d0) @ m.conj().T
+    total = k.w_plus + k.w_minus
+    if not abs(total - 1.0) <= VALIDATION_ATOL:
+        raise ValidationError(f"way probabilities do not sum to one: {float(total)!r}")
+    zy = -np.exp(-1j * k.phi) * k.c
+    bloch = np.array([k.w_plus - k.w_minus, zy.imag, zy.real])
+    if not np.sqrt((bloch * bloch).sum()) <= 1.0 + VALIDATION_ATOL:
+        raise ValidationError("final Bloch vector exceeds unit norm beyond tolerance")
+    return bloch
 
 
 def conditional_states(k: BranchKernel) -> tuple:
@@ -473,46 +425,3 @@ def conditional_wwm_states(
     (:func:`conditional_states` of the instance's kernel)."""
     w_plus, rho_plus, w_minus, rho_minus = conditional_states(inst.kernel)
     return float(w_plus), rho_plus, float(w_minus), rho_minus
-
-
-def visibility(res: EvolutionResult) -> float:
-    """Fringe visibility, the modulus of the combined contrast factor."""
-    return abs(res.c)
-
-
-def predictability(res: EvolutionResult) -> float:
-    """A-priori which-way knowledge |w+ - w-|."""
-    return abs(res.w_plus - res.w_minus)
-
-
-def upper_port_probability(inst: InterferometerInstance, phi: float) -> float:
-    """Probability of the quanton's upper output state at phase ``phi``.
-
-    Convenience for fringe scans: re-runs the instance at the given phase by
-    the direct route and projects the final state onto (1 + sigma_z)/2 on the
-    quanton factor.
-    """
-    shifted = InterferometerInstance(s=inst.s, blocks=inst.blocks, rho_d0=inst.rho_d0, phi=phi)
-    return float(reduced_quanton_state(shifted)[0, 0].real)
-
-
-def reduced_quanton_state(inst: InterferometerInstance) -> np.ndarray:
-    """Partial trace of the final joint state over the marker."""
-    return np.trace(final_state(inst).reshape(2, inst.n, 2, inst.n), axis1=1, axis2=3)
-
-
-def conditional_states_from_final(inst: InterferometerInstance) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Conditional marker states extracted projectively from the final joint
-    state, used to cross-check :func:`conditional_wwm_states`."""
-    n = inst.n
-    rho_final = final_state(inst)
-    out = []
-    for sign in (+1.0, -1.0):
-        proj = np.kron((np.eye(2) + sign * SIGMA_X) / 2.0, np.eye(n))
-        sub = proj @ rho_final
-        w_rho = np.trace(sub.reshape(2, n, 2, n), axis1=0, axis2=2)
-        w = float(np.trace(w_rho).real)
-        if w < DEGENERATE_WEIGHT:
-            raise DegenerateBranchError(f"degenerate branch in projective extraction: w = {w!r}")
-        out.extend([w, w_rho / w])
-    return tuple(out)

@@ -75,33 +75,37 @@ def label(name: str, index: tuple) -> str:
 def as_square(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex square matrix or stack of them, shape (..., n, n).
 
-    Raises :class:`ValidationError` for any other shape.
+    Raises :class:`ValidationError` for any other shape or for entries that
+    are not numbers.
     """
-    a = np.asarray(m, dtype=complex)
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a numeric matrix: {exc}") from None
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
 
 
-def require_hermitian(m, atol: float = CONSTRUCTION_ATOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_square(m, name)
     dev = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
-    i = first_failure(dev <= atol)
+    i = first_failure(dev <= CONSTRUCTION_ATOL)
     if i is not None:
         raise ValidationError(
-            f"{label(name, i)} is not Hermitian (max deviation {dev[i]:.3e} > {atol:.0e})")
+            f"{label(name, i)} is not Hermitian (max deviation {dev[i]:.3e} > {CONSTRUCTION_ATOL:.0e})")
     return a
 
 
-def is_unitary(m, atol: float = VALIDATION_ATOL):
-    """Whether each matrix is unitary within ``atol``: a bool, or one per matrix of a stack."""
+def is_unitary(m):
+    """Whether each matrix is unitary within ``VALIDATION_ATOL``: a bool, or one per matrix of a stack."""
     a = as_square(m)
-    return np.abs(dagger(a) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1)) <= atol
+    return np.abs(dagger(a) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1)) <= VALIDATION_ATOL
 
 
 def require_density(rho, name: str = "rho") -> np.ndarray:
     """Validate density matrices: Hermitian, trace one, positive semidefinite."""
-    a = require_hermitian(rho, CONSTRUCTION_ATOL, name)
+    a = require_hermitian(rho, name)
     tr = a.trace(0, -2, -1).real
     i = first_failure(np.abs(tr - 1.0) <= CONSTRUCTION_ATOL)
     if i is not None:
@@ -211,11 +215,6 @@ def haar_unitary_from(gen: np.random.Generator, dim: int) -> np.ndarray:
     return haar_from_normals(gen.standard_normal((2, dim, dim)))
 
 
-def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-random ``dim x dim`` unitary, deterministic in ``seed``."""
-    return haar_unitary_from(rng(seed), dim)
-
-
 def density_from_normals(g: np.ndarray) -> np.ndarray:
     """Density matrices G G^dagger / tr(G G^dagger) from standard normal pairs
     ``g`` of shape (..., 2, dim, rank), with G = g[0] + i g[1]."""
@@ -231,8 +230,3 @@ def density_from(gen: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
     return density_from_normals(gen.standard_normal((2, dim, rank)))
-
-
-def random_density(dim: int, rank: int, seed: int) -> np.ndarray:
-    """Random density matrix of the requested rank, deterministic in ``seed``."""
-    return density_from(rng(seed), dim, rank)

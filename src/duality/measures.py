@@ -87,10 +87,6 @@ def _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus):
     return rp, rm
 
 
-def _helstrom(w_plus, rp, w_minus, rm):
-    return np.asarray(w_plus)[..., None, None] * rp - np.asarray(w_minus)[..., None, None] * rm
-
-
 def distinguishability(w_plus, rho_plus, w_minus, rho_minus):
     """Trace norm of w+ rho+ - w- rho-: the best achievable way knowledge.
 
@@ -98,13 +94,13 @@ def distinguishability(w_plus, rho_plus, w_minus, rho_minus):
     way probabilities, and then returns one value per instance.
     """
     rp, rm = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus)
-    return linalg.trace_norm(_helstrom(w_plus, rp, w_minus, rm))
+    return _float_or_array(_conditional_spectra(w_plus, rp, w_minus, rm)[3])
 
 
 def quality(rho_plus, rho_minus):
     """Trace distance between the conditional marker states (or stacks of them)."""
     rp, rm = _validate_conditionals(0.5, rho_plus, 0.5, rho_minus)
-    return 0.5 * linalg.trace_norm(rp - rm)
+    return _float_or_array(_conditional_spectra(0.5, rp, 0.5, rm)[1])
 
 
 def xi(p, q):
@@ -128,7 +124,7 @@ def r_measure(w_plus, rho_plus, w_minus, rho_minus, p):
     Takes stacks as :func:`distinguishability` does.
     """
     rp, rm = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus)
-    return _r_measure(_helstrom(w_plus, rp, w_minus, rm), p)
+    return _r_measure(_conditional_spectra(w_plus, rp, w_minus, rm)[2], p)
 
 
 def _r_measure(delta, p):
@@ -174,7 +170,7 @@ def chi_closed_form(d1, d2, p, xi_value):
     return _float_or_array(value)
 
 
-def state_independent_ways(inst: InterferometerInstance, atol: float = IDENTITY_ATOL) -> bool:
+def state_independent_ways(inst: InterferometerInstance) -> bool:
     """True iff both way operators are proportional to the identity.
 
     This is the regime where the way probabilities carry no marker-state
@@ -183,7 +179,7 @@ def state_independent_ways(inst: InterferometerInstance, atol: float = IDENTITY_
     closed form for chi are enforced; merely requiring the way operators to be
     diagonal is not sufficient (counterexamples exist, see the README).
     """
-    return bool(_state_independent(inst.kernel, atol))
+    return bool(_state_independent(inst.kernel))
 
 
 def _state_independent(k: BranchKernel, atol: float = IDENTITY_ATOL) -> np.ndarray:
@@ -208,6 +204,15 @@ class BranchSpectra(NamedTuple):
     marker_vectors: np.ndarray
 
 
+def _conditional_spectra(w_plus, rho_plus, w_minus, rho_minus) -> tuple:
+    """The eigenvalues of rho+ - rho-, Q, the Helstrom operator
+    w+ rho+ - w- rho- and its trace norm D, the :class:`BranchSpectra`
+    fields ``diff``, ``q``, ``delta`` and ``d``, of given conditional states."""
+    diff = np.linalg.eigvalsh(rho_plus - rho_minus)
+    delta = np.asarray(w_plus)[..., None, None] * rho_plus - np.asarray(w_minus)[..., None, None] * rho_minus
+    return diff, 0.5 * np.abs(diff).sum(axis=-1), delta, np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
+
+
 def branch_spectra(k: BranchKernel, decompose) -> BranchSpectra:
     """Solve each eigenproblem of a kernel's instances once.  rho_d0 is
     decomposed where ``decompose`` holds (a bool, or one per instance), as
@@ -215,13 +220,11 @@ def branch_spectra(k: BranchKernel, decompose) -> BranchSpectra:
     any instance raises :class:`DegenerateBranchError`.
     """
     w_plus, rho_plus, w_minus, rho_minus = conditional_states(k)
-    diff = np.linalg.eigvalsh(rho_plus - rho_minus)
-    delta = _helstrom(w_plus, rho_plus, w_minus, rho_minus)
     values, vectors = np.zeros(k.rho_d0.shape[:-1]), np.zeros(k.rho_d0.shape, dtype=complex)
     if np.any(decompose):
         values[decompose], vectors[decompose] = linalg.hermitian_eigen(k.rho_d0[decompose])
-    return BranchSpectra(rho_plus, rho_minus, np.abs(w_plus - w_minus), diff, 0.5 * np.abs(diff).sum(axis=-1),
-                         delta, np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1), values, vectors)
+    return BranchSpectra(rho_plus, rho_minus, np.abs(w_plus - w_minus),
+                         *_conditional_spectra(w_plus, rho_plus, w_minus, rho_minus), values, vectors)
 
 
 @dataclass(frozen=True)

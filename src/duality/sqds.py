@@ -20,6 +20,7 @@ authoritative.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,9 @@ class SqdsConfig:
 
     def __post_init__(self):
         for name in ("p_d", "v_d0", "p_q", "phi_ent"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValidationError(f"{name} must be a finite real number, got {value!r}")
         if self.p_d < 0.0 or self.v_d0 < 0.0:
             raise ValidationError(f"p_d and v_d0 must be non-negative, got {self.p_d}, {self.v_d0}")
         if self.p_d ** 2 + self.v_d0 ** 2 > 1.0 + CONSTRUCTION_ATOL:

@@ -82,28 +82,36 @@ class SweepConfig:
     block_classes: tuple = BLOCK_CLASSES
 
     def __post_init__(self):
-        for name, low, high in (("seed", 0, 1 << 64), ("count", 1, None)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < low or (high is not None and value >= high)):
-                bounds = f"in [{low}, 2**64)" if high else f">= {low}"
-                raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in self.dims):
+        object.__setattr__(self, "seed", linalg._key_word(self.seed, "seed"))
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) or self.count < 1:
+            raise ValidationError(f"count must be an integer >= 1, got {self.count!r}")
+        object.__setattr__(self, "count", int(self.count))
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            raise ValidationError(f"dims must be a collection of integers, got {self.dims!r}") from None
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
             raise ValidationError(f"dims must be integers, got {self.dims!r}")
-        dims = tuple(sorted(set(int(d) for d in self.dims)))
+        dims = tuple(sorted(set(int(d) for d in dims)))
         if not dims or any(d < 2 or d > 8 for d in dims):
             raise ValidationError(f"dims must be a non-empty subset of 2..8, got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        states = []
-        for wwm, s_class in self.state_classes:
+        try:
+            states = {(wwm, s_class) for wwm, s_class in self.state_classes}
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"state_classes must be (wwm, s) class pairs, got {self.state_classes!r}") from None
+        for wwm, s_class in states:
             if wwm not in WWM_CLASSES or s_class not in S_CLASSES:
                 raise ValidationError(f"unknown state class ({wwm!r}, {s_class!r})")
-            states.append((wwm, s_class))
         if not states:
             raise ValidationError("state_classes must not be empty")
-        object.__setattr__(self, "state_classes", tuple(sorted(set(states))))
-        blocks = tuple(sorted(set(self.block_classes), key=BLOCK_CLASSES.index))
+        object.__setattr__(self, "state_classes", tuple(sorted(states)))
+        try:
+            blocks = tuple(sorted(set(self.block_classes), key=BLOCK_CLASSES.index))
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"block_classes must be names from {BLOCK_CLASSES}, got {self.block_classes!r}") from None
         if not blocks:
             raise ValidationError("block_classes must not be empty")
         object.__setattr__(self, "block_classes", blocks)

@@ -353,6 +353,18 @@ def test_sweep_config_rejects_non_integer_dims(dims):
         SweepConfig(seed=0, count=1, dims=dims)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("block_classes", ("bogus",)), ("block_classes", "unitary_pair"), ("block_classes", 5),
+    ("state_classes", ("pure",)), ("state_classes", "pure"), ("state_classes", (("pure", []),)),
+    ("dims", 5), ("dims", None),
+])
+def test_sweep_config_rejects_malformed_collections(field, value):
+    # Each would otherwise surface as the ValueError or TypeError of the
+    # lookup, unpacking or iteration that meets it.
+    with pytest.raises(ValidationError, match=field):
+        SweepConfig(seed=0, count=1, **{field: value})
+
+
 def test_sweep_config_accepts_numpy_integer_dims():
     assert SweepConfig(seed=0, count=1, dims=(np.int64(3), np.uint8(2))).dims == (2, 3)
 

@@ -4,30 +4,32 @@ import math
 import numpy as np
 import pytest
 
-from duality import linalg
+from oracles import (
+    conditional_states_from_final,
+    final_state,
+    haar_random_unitary,
+    random_density,
+    reduced_quanton_state,
+    upper_port_probability,
+)
+
 from duality.errors import DegenerateBranchError, ValidationError
 from duality.interferometer import (
-    EvolutionResult,
     InterferometerInstance,
     WwmBlocks,
     assemble_global_unitary,
-    conditional_states_from_final,
     conditional_wwm_states,
     contrast_factors,
     evolve,
-    final_state,
     from_global_unitary,
     from_tilted_pair,
     from_unitary_pair,
     instance_from_dict,
     matrix_to_pairs,
-    predictability,
-    reduced_quanton_state,
-    upper_port_probability,
     validate_unitarity,
-    visibility,
 )
 from duality.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, rng
+from duality.measures import hierarchy_report
 from duality.sweep import generate_instance
 
 I2 = np.eye(2, dtype=complex)
@@ -94,14 +96,14 @@ def test_assemble_mixed_blocks_unitary():
 
 @pytest.mark.parametrize("dim", [4, 6])
 def test_global_unitary_round_trip(dim):
-    u = linalg.haar_random_unitary(dim, dim)
+    u = haar_random_unitary(dim, dim)
     blocks = from_global_unitary(u)
     assert np.abs(assemble_global_unitary(blocks) - u).max() <= 1e-12
     assert validate_unitarity(blocks)
 
 
 def test_unitary_pair_round_trip_through_assembly():
-    blocks = from_unitary_pair(linalg.haar_random_unitary(3, 1), linalg.haar_random_unitary(3, 2))
+    blocks = from_unitary_pair(haar_random_unitary(3, 1), haar_random_unitary(3, 2))
     again = from_global_unitary(assemble_global_unitary(blocks))
     for name in ("vpp", "vpm", "vmp", "vmm"):
         assert np.abs(getattr(again, name) - getattr(blocks, name)).max() <= 1e-12
@@ -149,43 +151,42 @@ def test_evolve_identity_blocks_full_inversion():
     inst = InterferometerInstance(
         s=1.0, blocks=from_unitary_pair(I2, I2),
         rho_d0=np.diag([0.6, 0.4]).astype(complex), phi=0.0)
-    res = evolve(inst)
-    assert res.w_plus == pytest.approx(0.5, abs=1e-12)
-    assert res.w_minus == pytest.approx(0.5, abs=1e-12)
-    assert res.c == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    assert visibility(res) == pytest.approx(1.0, abs=1e-12)
-    assert predictability(res) == pytest.approx(0.0, abs=1e-12)
+    k, rep = inst.kernel, hierarchy_report(inst)
+    assert k.w_plus == pytest.approx(0.5, abs=1e-12)
+    assert k.w_minus == pytest.approx(0.5, abs=1e-12)
+    assert k.c == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    assert rep.v == pytest.approx(1.0, abs=1e-12)
+    assert rep.p == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evolve_orthogonal_marker_kills_contrast():
     inst = InterferometerInstance(
         s=0.0, blocks=from_unitary_pair(I2, SIGMA_X), rho_d0=KET0, phi=0.7)
-    res = evolve(inst)
-    assert res.w_plus == pytest.approx(0.5, abs=1e-12)
-    assert res.c_up == pytest.approx(0.0, abs=1e-12)
-    assert visibility(res) == pytest.approx(0.0, abs=1e-12)
+    assert inst.kernel.w_plus == pytest.approx(0.5, abs=1e-12)
+    assert inst.kernel.c_up == pytest.approx(0.0, abs=1e-12)
+    assert hierarchy_report(inst).v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evolve_mixed_quanton_identity_blocks():
     inst = InterferometerInstance(
         s=0.0, blocks=from_unitary_pair(I2, I2),
         rho_d0=np.diag([0.5, 0.5]).astype(complex), phi=1.1)
-    res = evolve(inst)
+    k = inst.kernel
     # branch contrasts are +1 and -1; the balanced mixture erases them
-    assert res.c_up == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    assert res.c_down == pytest.approx(-1.0 + 0.0j, abs=1e-12)
-    assert res.c == pytest.approx(0.0, abs=1e-12)
+    assert k.c_up == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    assert k.c_down == pytest.approx(-1.0 + 0.0j, abs=1e-12)
+    assert k.c == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evolve_structural_postconditions():
     for inst in oracle_instances():
-        res = evolve(inst)
+        bloch = evolve(inst)
         rho = final_state(inst)
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
         assert np.abs(rho - rho.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
-        assert res.w_plus + res.w_minus == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.norm(res.bloch_final) <= 1.0 + 1e-10
+        assert inst.kernel.w_plus + inst.kernel.w_minus == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(bloch) <= 1.0 + 1e-10
 
 
 def test_evolve_matches_term_by_term_expansion():
@@ -195,55 +196,52 @@ def test_evolve_matches_term_by_term_expansion():
 
 def test_way_probabilities_formula_vs_projection():
     for inst in oracle_instances():
-        res = evolve(inst)
         proj = np.kron((I2 + SIGMA_X) / 2.0, np.eye(inst.n))
         w_proj = float(np.trace(proj @ final_state(inst)).real)
-        assert abs(w_proj - res.w_plus) <= 1e-10
+        assert abs(w_proj - inst.kernel.w_plus) <= 1e-10
 
 
 def test_bloch_vector_matches_partial_trace_and_redundant_line():
     for inst in oracle_instances():
-        res = evolve(inst)
+        bloch_final, k = evolve(inst), inst.kernel
         rho_q = reduced_quanton_state(inst)
         bloch = [float(np.trace(rho_q @ sigma).real) for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-        assert np.abs(np.array(bloch) - res.bloch_final).max() <= 1e-10
+        assert np.abs(np.array(bloch) - bloch_final).max() <= 1e-10
         # the redundant z-component line equals the real part of the combined form
         phase = np.exp(-1j * inst.phi)
-        redundant = (-(1.0 + inst.s) / 2.0 * (res.c_up * phase).real
-                     - (1.0 - inst.s) / 2.0 * (res.c_down * phase).real)
-        assert abs(redundant - res.bloch_final[2]) <= 1e-10
+        redundant = (-(1.0 + inst.s) / 2.0 * (k.c_up * phase).real
+                     - (1.0 - inst.s) / 2.0 * (k.c_down * phase).real)
+        assert abs(redundant - bloch_final[2]) <= 1e-10
 
 
 def test_fringe_pattern_amplitude_and_visibility():
     for stream in range(12):
         inst = random_instance(stream, dim=2)
-        res = evolve(inst)
         phis = 2.0 * np.pi * np.arange(20) / 20.0
         probs = np.array([upper_port_probability(inst, p) for p in phis])
         mean = probs.mean()
         amplitude = abs((2.0 / 20.0) * (probs * np.exp(1j * phis)).sum())
         assert mean == pytest.approx(0.5, abs=1e-10)
-        assert amplitude == pytest.approx(abs(res.c) / 2.0, abs=1e-8)
+        assert amplitude == pytest.approx(abs(inst.kernel.c) / 2.0, abs=1e-8)
         fitted_contrast = ((mean + amplitude) - (mean - amplitude)) / ((mean + amplitude) + (mean - amplitude))
-        assert fitted_contrast == pytest.approx(visibility(res), abs=1e-8)
+        assert fitted_contrast == pytest.approx(hierarchy_report(inst).v, abs=1e-8)
 
 
 def test_visibility_predictability_bound():
     for stream in range(200):
-        inst = random_instance(stream)
-        res = evolve(inst)
-        v, p = visibility(res), predictability(res)
-        assert v * v + p * p <= 1.0 + 1e-9
+        rep = hierarchy_report(random_instance(stream))
+        assert rep.v * rep.v + rep.p * rep.p <= 1.0 + 1e-9
 
 
 def test_extreme_predictability_scalar_marker():
-    # one-dimensional marker, splitter fully open: the + way is certain
+    # one-dimensional marker, splitter fully open: the + way is certain, so
+    # the - branch is degenerate and P and V are read from the Bloch vector
     one = np.eye(1, dtype=complex)
     blocks = from_tilted_pair(0.0, one, one)
     inst = InterferometerInstance(s=1.0, blocks=blocks, rho_d0=one, phi=0.0)
-    res = evolve(inst)
-    assert predictability(res) == pytest.approx(1.0, abs=1e-12)
-    assert visibility(res) == pytest.approx(0.0, abs=1e-12)
+    x, y, z = evolve(inst)
+    assert abs(x) == pytest.approx(1.0, abs=1e-12)
+    assert math.hypot(y, z) == pytest.approx(0.0, abs=1e-12)
 
 
 # --- conditional states -----------------------------------------------------------
@@ -258,7 +256,7 @@ def test_conditionals_orthogonal_marker():
 
 
 def test_conditionals_identity_blocks_store_nothing():
-    rho0 = linalg.random_density(3, 2, 8)
+    rho0 = random_density(3, 2, 8)
     inst = InterferometerInstance(s=0.3, blocks=from_unitary_pair(np.eye(3), np.eye(3)), rho_d0=rho0)
     _, rho_plus, _, rho_minus = conditional_wwm_states(inst)
     assert np.abs(rho_plus - rho0).max() <= 1e-12
@@ -333,6 +331,32 @@ def test_instance_rejects_dimension_mismatch():
         InterferometerInstance(s=0.0, blocks=blocks, rho_d0=np.eye(3) / 3.0)
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_instance_rejects_inversion_or_phase_off_the_blocks_leading_shape(stacked):
+    # One instance takes scalars; N stacked blocks take s and phi of shape (N,).
+    blocks, rho, lead = from_unitary_pair(I2, I2), I2 / 2.0, ()
+    if stacked:
+        blocks = WwmBlocks(*(np.stack([m, m]) for m in (blocks.vpp, blocks.vpm, blocks.vmp, blocks.vmm)))
+        rho, lead = np.stack([rho, rho]), (2,)
+    good = {"s": np.full(lead, 0.5), "phi": np.zeros(lead)}
+    assert InterferometerInstance(blocks=blocks, rho_d0=rho, **good).kernel.c.shape == lead
+    for name in ("s", "phi"):
+        for shape in {(2,) if not stacked else (), (3,), (1, *lead)}:
+            fields = {**good, name: np.full(shape, 0.5)}
+            with pytest.raises(ValidationError, match="leading shape"):
+                InterferometerInstance(blocks=blocks, rho_d0=rho, **fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"blocks": ("a", I2, I2, I2)}, {"blocks": (I2, [[1.0, "x"], [0.0, 1.0]], I2, I2)}, {"rho_d0": "x"},
+    {"rho_d0": [[0.5, object()], [0.0, 0.5]]},
+])
+def test_non_numeric_matrices_raise_validation_error(fields):
+    with pytest.raises(ValidationError, match="numeric matrix"):
+        blocks = WwmBlocks(*fields.get("blocks", (I2, I2, I2, I2)))
+        InterferometerInstance(s=0.0, blocks=blocks, rho_d0=fields.get("rho_d0", KET0))
+
+
 def test_serialization_round_trip():
     inst = random_instance(3)
     data = json.loads(json.dumps(inst.to_dict()))
@@ -369,9 +393,10 @@ def test_deserialization_rejects_malformed():
 def test_contrast_factors_match_evolution_result():
     inst = random_instance(9)
     c_up, c_down, c = contrast_factors(inst)
-    res = evolve(inst)
-    assert c_up == res.c_up and c_down == res.c_down and c == res.c
-    assert isinstance(res, EvolutionResult)
+    k = inst.kernel
+    assert c_up == k.c_up and c_down == k.c_down and c == k.c
+    zy = -np.exp(-1j * inst.phi) * c
+    assert np.abs(evolve(inst)[1:] - [zy.imag, zy.real]).max() <= 1e-15
 
 
 def test_kernel_computed_once_and_read_only():

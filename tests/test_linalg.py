@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import haar_random_unitary, random_density
+
 from duality import linalg
 from duality.errors import ValidationError
-from duality.linalg import (
-    SIGMA_X,
-    SIGMA_Z,
-    haar_random_unitary,
-    hermitian_eigen,
-    random_density,
-    rng,
-    trace_norm,
-)
+from duality.linalg import SIGMA_X, SIGMA_Z, hermitian_eigen, rng, trace_norm
 
 I2 = np.eye(2, dtype=complex)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import random_density
 
 from duality import linalg, measures
 from duality.errors import DegenerateBranchError, ValidationError
@@ -50,7 +51,7 @@ def two_level_trace_distance(rho, sigma):
 # --- distinguishability ---------------------------------------------------------
 
 def test_distinguishability_identical_conditionals_reduce_to_p():
-    rho = linalg.random_density(3, 2, 1)
+    rho = random_density(3, 2, 1)
     assert distinguishability(0.8, rho, 0.2, rho) == pytest.approx(0.6, abs=1e-12)
 
 
@@ -121,7 +122,7 @@ def test_xi_rejects_out_of_range():
 # --- r_measure and the two-level distinguishability -----------------------------------
 
 def test_r_measure_information_free():
-    rho = linalg.random_density(2, 1, 3)
+    rho = random_density(2, 1, 3)
     assert r_measure(0.5, rho, 0.5, rho, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -10,13 +10,12 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from oracles import conditional_states_from_final, upper_port_probability
 
 from duality.interferometer import (
     InterferometerInstance,
     WwmBlocks,
     branch_kernel,
-    conditional_states_from_final,
-    upper_port_probability,
     validate_instances,
 )
 from duality.measures import DualityReport, branch_spectra, hierarchy_report, hierarchy_reports

@@ -53,6 +53,19 @@ def test_config_rejects_non_finite_fields():
                 SqdsConfig(**{**good, name: value})
 
 
+@pytest.mark.parametrize("name", ["p_d", "v_d0", "p_q", "phi_ent"])
+@pytest.mark.parametrize("value", ["0.1", None, np.array([0.1]), np.array(0.1), True, np.bool_(False), 0.1j])
+def test_config_rejects_non_numbers_and_bools(name, value):
+    good = dict(p_d=0.0, v_d0=0.2, p_q=0.3, phi_ent=0.4)
+    with pytest.raises(ValidationError, match=f"{name} must be a finite real number"):
+        SqdsConfig(**{**good, name: value})
+
+
+def test_config_accepts_integers_and_numpy_floats():
+    cfg = SqdsConfig(p_d=0, v_d0=np.float64(0.5), p_q=1, phi_ent=np.float32(0.25))
+    assert sqds_visibility(cfg) == 0.0
+
+
 # --- closed forms -----------------------------------------------------------------
 
 def test_quality_examples():
