@@ -26,6 +26,7 @@ from .measures import (
     chi_closed_form,
     d_two_level,
     distinguishability,
+    evaluate,
     hierarchy_report,
     hierarchy_reports,
     mixed_state_bound_check,

@@ -198,7 +198,7 @@ class InterferometerInstance:
     endpoints are the pure-preparation cases used throughout.  ``rho_d0`` is
     the marker's initial density matrix and ``phi`` the phase-shifter angle.
     Construction validates every field, including block unitarity
-    (:func:`validate_instances`).
+    (:func:`validate_instances`); it takes one instance, not a stack.
     """
 
     s: float
@@ -208,6 +208,8 @@ class InterferometerInstance:
 
     def __post_init__(self):
         rho = validate_instances(self.s, self.blocks, self.rho_d0, self.phi)
+        if rho.ndim != 2:
+            raise ValidationError(f"an instance takes one set of (n, n) blocks, got a stack of shape {rho.shape}")
         object.__setattr__(self, "rho_d0", _frozen_array(rho))
 
     @property
@@ -269,6 +271,8 @@ def instance_from_dict(d: dict) -> InterferometerInstance:
     """
     try:
         _json_numbers([d["n"]], "n", numbers.Integral)
+        if d["n"] < 1:
+            raise ValidationError(f"n must be an integer >= 1, got {d['n']!r}")
         for name in ("s", "phi"):
             _json_numbers([d[name]], name)
         n, s, phi = int(d["n"]), float(d["s"]), float(d["phi"])

@@ -22,7 +22,8 @@ one column per quantity; each instance-level function is its batched function
 on a batch of one.  Columns keep the bits of Python's scalar arithmetic:
 squares are ``np.float_power(x, 2.0)``, which rounds as Python's ``x ** 2``
 (libm ``pow``) does and ``x * x`` may not; moduli are ``np.hypot(re, im)``,
-which rounds as complex ``abs`` does and ``np.abs`` may not.
+which rounds as complex ``abs`` does and ``np.abs`` may not.  :func:`evaluate`
+runs the whole chain on a stack, from validation to the |s| = 1 checks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateBranchError, IdentityError, ValidationError
-from .interferometer import BranchKernel, InterferometerInstance, conditional_states
+from .interferometer import (BranchKernel, InterferometerInstance, WwmBlocks, branch_kernel, conditional_states,
+                             validate_instances)
 from .interferometer import evolve  # noqa: F401  (kept importable from this module)
 from .tolerances import (CONSTRUCTION_ATOL, DEGENERATE_WEIGHT, IDENTITY_ATOL, PURE_S_ATOL,
                          PURITY_ATOL, TIE_ATOL, VALIDATION_ATOL, XI_ATOL)
@@ -481,3 +483,54 @@ def mixing_bounds(k: BranchKernel, sp: BranchSpectra) -> MixingBound:
         raise IdentityError(f"spectral recomposition of the contrast factor failed: "
                             f"{complex(recomposed[i])!r} vs {complex(contrast[i])!r}")
     return MixingBound(1.0 - _branch_sum(sp, _square(_modulus(contrast))), residual)
+
+
+# The float columns of evaluate: the report, the deviations and the |s| = 1 checks.
+_MEASURES = ("v", "p", "q", "d", "xi", "r", "chi", "xi_minus_d", "slack_o2p", "slack_o2q", "slack_o2_nuevita",
+             "slack_o1", "slack_main", "v_bound_d", "v_bound_xi", "d_two_level", "pure_saturation_xi",
+             "pure_saturation_d", "chi_closed_dev", "pure_identity_residual", "mixing_bound_slack",
+             "contrast_recomposition")
+
+
+def evaluate(s, blocks: WwmBlocks, rho_d0, phi, pure) -> tuple[dict, dict]:
+    """Validate and measure a stack of N >= 1 instances, as ``duality verify`` does.
+
+    ``s``, ``phi`` and ``pure`` have shape (N,) beside N stacked blocks and marker
+    states; ``pure`` marks rank-one markers, which at |s| = 1 get the pure identity
+    instead of the mixing bound.  Returns one array of N per column (``s``, ``phi``,
+    ``polarized``, ``measured`` and ``_MEASURES``), NaN where a measure does not
+    apply, and ``{position: exception}`` of the instances that fail.
+    """
+    k = branch_kernel(blocks, s, validate_instances(s, blocks, rho_d0, phi), phi)
+    cols, errors = _measured(k, np.asarray(pure, dtype=bool))
+    return {"s": k.s, "phi": k.phi, "polarized": k.polarized, **cols}, errors
+
+
+def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
+    """:func:`evaluate` of a kernel: its report and ``measured``, then its
+    |s| = 1 checks.  If an instance fails, a batch of several is measured again
+    one instance at a time; a batch of one keeps what it measured before."""
+    cols = {}
+    try:
+        # The mixing bound and the chi closed form read rho_d0's spectrum.
+        sp = branch_spectra(k, k.polarized & (~pure | (k.n == 2)))
+        rep = hierarchy_reports(k, sp)
+        cols.update(rep, **deviations(rep, sp), measured=np.ones(len(pure), dtype=bool))
+        for members, batch_checks, names in (
+                (k.polarized & pure, pure_identities, ("pure_identity_residual",)),
+                (k.polarized & ~pure, mixing_bounds, ("mixing_bound_slack", "contrast_recomposition"))):
+            cols.update((name, np.full(len(pure), np.nan)) for name in names)
+            if members.any():
+                # A run of consecutive rows, as a lane's instances are, is a slice, which takes views.
+                at = np.flatnonzero(members)
+                rows = slice(at[0], at[-1] + 1) if at[-1] - at[0] < at.size else at
+                values = batch_checks(k.take(rows), BranchSpectra(*(part[rows] for part in sp)))
+                for name, column in zip(names, np.reshape(values, (len(names), -1))):
+                    cols[name][rows] = column
+        return cols, {}
+    except (DegenerateBranchError, IdentityError) as exc:
+        alone = [(cols, {0: exc})] if len(pure) == 1 else [
+            _measured(k.take([i]), pure[[i]]) for i in range(len(pure))]
+    out = {name: np.array([part[name][0] if name in part else np.nan for part, _ in alone]) for name in _MEASURES}
+    out["measured"] = np.array([part.get("measured", [False])[0] for part, _ in alone])
+    return out, {i: exc for i, (_, failed) in enumerate(alone) for exc in failed.values()}

@@ -14,10 +14,10 @@ independent, which is the regime where Xi >= D and the two-level closed form
 for chi are theorems; outside it the sweep only records the sign of Xi - D.
 
 The engine walks the plan in index order, a chunk of instances at a time.
-It generates, validates and measures each marker dimension of a chunk as
-``(N, n, n)`` stacks into the chunk's columns, and runs each check as one
-masked reduction over them; the summary and the rows come out as from a
-sweep done one instance at a time, each row as soon as its chunk is done.
+Each marker dimension of a chunk is generated as ``(N, n, n)`` stacks and
+measured by :func:`~duality.measures.evaluate` into the chunk's columns, and
+each check is one masked reduction over them; the summary and the rows come
+out as from a sweep done one instance at a time, each row as its chunk ends.
 """
 
 from __future__ import annotations
@@ -32,27 +32,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateBranchError, IdentityError, ValidationError
+from .errors import IdentityError, ValidationError
 from .interferometer import (
-    BranchKernel,
     InterferometerInstance,
     WwmBlocks,
-    branch_kernel,
     global_blocks,
     instance_to_dict,
     pair_blocks,
     tilted_blocks,
-    validate_instances,
 )
-from .measures import (
-    SLACK_TOL,
-    BranchSpectra,
-    branch_spectra,
-    deviations,
-    hierarchy_reports,
-    mixing_bounds,
-    pure_identities,
-)
+from .measures import SLACK_TOL, evaluate
 
 WWM_CLASSES = ("pure", "mixed")
 S_CLASSES = ("s_pure", "s_mixed")
@@ -135,7 +124,7 @@ def _draw(seed: int, jobs: list, dim: int) -> tuple:
     block unitaries, marker rank, marker state.  The Haar QR, the block
     formulas and the marker states then run on stacks, which give the same
     bits as one instance at a time.  Returns ``(s, blocks, rho_d0, phi)``
-    unchecked: :func:`validate_instances` checks them, unitarity included.
+    unchecked: :func:`~duality.measures.evaluate` checks them, unitarity included.
     """
     streams = linalg.PhiloxStreams(seed)
     s, phi, thetas, rho_normals = [], [], [], []
@@ -298,43 +287,6 @@ class SweepSummary:
         }
 
 
-def _evaluate(k: BranchKernel, pure_marker: np.ndarray, at: np.ndarray, cols: dict, errors: dict) -> None:
-    """Measure every instance of a kernel into the chunk columns ``cols`` at
-    chunk positions ``at``: its report (setting ``measured``), then its
-    |s| = 1 checks.  If any instance fails, a batch of several is evaluated
-    again one instance at a time, and a batch of one records its failure in
-    ``errors`` under its position."""
-    try:
-        # The mixing bound and the chi closed form read rho_d0's spectrum.
-        sp = branch_spectra(k, k.polarized & (~pure_marker | (k.n == 2)))
-        rep = hierarchy_reports(k, sp)
-        for name, values in (("s", k.s), ("phi", k.phi), ("polarized", k.polarized), ("measured", True),
-                             *rep.items(), *deviations(rep, sp).items()):
-            cols[name][at] = values
-        for members, batch_checks, names in (
-                (k.polarized & pure_marker, pure_identities, ("pure_identity_residual",)),
-                (k.polarized & ~pure_marker, mixing_bounds, ("mixing_bound_slack", "contrast_recomposition"))):
-            if members.any():
-                rows = _rows(members)
-                values = batch_checks(k.take(rows), BranchSpectra(*(part[rows] for part in sp)))
-                for name, column in zip(names, np.reshape(values, (len(names), -1))):
-                    cols[name][at[rows]] = column
-    except (DegenerateBranchError, IdentityError) as exc:
-        if len(at) == 1:
-            errors[int(at[0])] = exc
-            return
-        for i in range(len(at)):
-            _evaluate(k.take([i]), pure_marker[[i]], at[[i]], cols, errors)
-
-
-def _rows(mask: np.ndarray) -> slice | np.ndarray:
-    """An index of the rows where ``mask`` holds: a slice, which takes
-    views, when they are consecutive (as a lane's instances are), else
-    their positions."""
-    at = np.flatnonzero(mask)
-    return slice(at[0], at[-1] + 1) if at[-1] - at[0] < at.size else at
-
-
 def _instance_fields(s, blocks: WwmBlocks, rho_d0, phi, i: int) -> tuple:
     """The :func:`instance_to_dict` arguments of stack position ``i``, copied
     out of the stacks so that they do not keep the stacks alive."""
@@ -432,10 +384,6 @@ CSV_COLUMNS = (
     "slack_o2p", "slack_o2q", "slack_o2_nuevita", "slack_o1", "slack_main",
     "chi_closed_dev", "pure_identity_residual", "mixing_bound_slack",
 )
-# The float columns of a chunk, one for each column _evaluate writes: the
-# CSV's measured cells, the visibility bounds and the check-only deviations.
-_MEASURED = CSV_COLUMNS[5:] + ("v_bound_d", "v_bound_xi", "contrast_recomposition", "d_two_level",
-                               "pure_saturation_xi", "pure_saturation_d")
 
 # Instances are generated and measured together until their marker matrices
 # hold this many entries (the sum of n^2): 1024 instances at n = 2, 256 at
@@ -464,24 +412,22 @@ def _chunks(dims: Iterable[int]) -> Iterator[range]:
 
 
 def _measure(seed: int, lanes: list, chunk: range) -> tuple[dict, dict, dict]:
-    """Generate, validate and measure a chunk whose plan lanes are
-    ``lanes``, one marker dimension at a time: the chunk's columns, its
-    failures and its instances' fields, each by chunk position, as
-    :func:`_record` takes them."""
-    # Float columns start as NaN, an empty cell; flag columns as False.
-    cols = {name: np.full(len(chunk), np.nan) for name in _MEASURED}
-    cols.update((name, np.zeros(len(chunk), dtype=bool)) for name in ("measured", "polarized"))
-    cols["pure"] = np.array([lane[1] == "pure" for lane in lanes])
-    by_dim, errors, instance = {}, {}, {}
+    """Generate a chunk of plan lanes ``lanes`` and :func:`~duality.measures.evaluate`
+    it, one marker dimension at a time: its columns, its failures and its
+    instances' fields by chunk position, as :func:`_record` takes them."""
+    pure = np.array([lane[1] == "pure" for lane in lanes])
+    by_dim, groups, errors, instance = {}, [], {}, {}
     for i, lane in enumerate(lanes):
         by_dim.setdefault(lane[3], []).append(i)
     for dim, positions in by_dim.items():
         s, blocks, rho, phi = _draw(seed, [(chunk.start + i, *lanes[i][:3]) for i in positions], dim)
-        rho = validate_instances(s, blocks, rho, phi)
-        at = np.array(positions)
-        _evaluate(branch_kernel(blocks, s, rho, phi), cols["pure"][at], at, cols, errors)
-        for pos, i in enumerate(at.tolist()):
+        cols, failed = evaluate(s, blocks, rho, phi, pure[positions])
+        groups.append((np.array(positions), cols))
+        errors.update((positions[i], exc) for i, exc in failed.items())
+        for pos, i in enumerate(positions):
             instance[i] = functools.partial(_instance_fields, s, blocks, rho, phi, pos)
+    cols = {name: _gather([(at, group[name]) for at, group in groups], len(chunk)) for name in groups[0][1]}
+    cols["pure"] = pure
     return cols, errors, instance
 
 

@@ -118,6 +118,18 @@ def test_analyze_invalid_instance_exits_2(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_analyze_rejects_a_dimension_below_one(tmp_path, capsys, n):
+    # n * n [re, im] pairs per matrix, the count a negative n would square to.
+    pairs = [[0.0, 0.0]] * (n * n)
+    data = {"s": 0.0, "phi": 0.0, "n": n, "rho_d0": pairs,
+            "blocks": {name: pairs for name in ("vpp", "vpm", "vmp", "vmm")}}
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: n must be an integer >= 1, got {n}\n"
+
+
 def test_analyze_non_finite_phase_exits_2(tmp_path, capsys):
     data = InterferometerInstance(s=0.0, blocks=from_unitary_pair(I2, I2),
                                   rho_d0=np.diag([0.5, 0.5]).astype(complex)).to_dict()

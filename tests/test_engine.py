@@ -6,16 +6,20 @@ come out exactly as it does alone, through the instance-level functions.
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from duality import linalg, sweep
-from duality.errors import IdentityError
-from duality.interferometer import WwmBlocks, from_global_unitary, from_tilted_pair, from_unitary_pair
+from duality import linalg, measures, sweep
+from duality.errors import DegenerateBranchError, IdentityError, ValidationError
+from duality.interferometer import (InterferometerInstance, WwmBlocks, from_global_unitary, from_tilted_pair,
+                                   from_unitary_pair)
 from duality.measures import (
+    DualityReport,
     chi_closed_form,
+    evaluate,
     hierarchy_report,
     mixed_state_bound_check,
     pure_state_identity_check,
@@ -260,7 +264,7 @@ def test_each_group_solves_each_eigenproblem_once(monkeypatch, cfg, solves):
     eigh = np.linalg.eigh
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counted("solves", getattr(np.linalg, name)))
-    monkeypatch.setattr(sweep, "branch_kernel", counted("groups", sweep.branch_kernel))
+    monkeypatch.setattr(measures, "branch_kernel", counted("groups", measures.branch_kernel))
     summary, _ = run_sweep(cfg)
     assert counts["solves"] <= 4 * counts["groups"]
     assert counts["solves"] <= solves
@@ -336,14 +340,14 @@ def test_internal_identity_failure_is_recorded_with_its_instance(monkeypatch):
     clean_summary, clean = run_sweep(cfg)
     target = plan_index(cfg, lambda block, wwm, s_class, dim: wwm == "pure" and s_class == "s_pure")
     target_phi = next(r["phi"] for r in clean if r["index"] == target)
-    pure_identities = sweep.pure_identities
+    pure_identities = measures.pure_identities
 
     def failing_on_target(k, sp):
         if np.any(k.phi == target_phi):
             raise IdentityError("injected failure")
         return pure_identities(k, sp)
 
-    monkeypatch.setattr(sweep, "pure_identities", failing_on_target)
+    monkeypatch.setattr(measures, "pure_identities", failing_on_target)
     summary, rows = run_sweep(cfg)
     assert [v["check"] for v in summary.violations] == ["internal_identity"]
     assert summary.violations[0]["labels"]["index"] == target
@@ -383,16 +387,105 @@ def draw_one_call_per_quantity(seed: int, jobs: list, dim: int) -> tuple:
     return np.array(s), stacks, np.array(rho), np.array(phi)
 
 
+def every_lane_class(dim: int) -> list:
+    """``_draw`` jobs at marker dimension ``dim``: three instances of every
+    (block, marker, s) class, the tilted lane's included, interleaved so that
+    a group mixes block classes and marker ranks."""
+    classes = itertools.product(("unitary_pair", "general_unitary", "tilted_pair"),
+                                sweep.WWM_CLASSES, sweep.S_CLASSES)
+    return [(7 * stream + dim, *job) for stream, job in enumerate(list(classes) * 3)]
+
+
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_draw_equals_one_call_per_quantity(seed, dim):
-    classes = itertools.product(("unitary_pair", "general_unitary", "tilted_pair"),
-                                sweep.WWM_CLASSES, sweep.S_CLASSES)
-    # Three instances per class, interleaved, so that every group mixes
-    # block classes and marker ranks.
-    jobs = [(7 * stream + dim, *job) for stream, job in enumerate(list(classes) * 3)]
+    jobs = every_lane_class(dim)
     (s, blocks, rho, phi), (s1, blocks1, rho1, phi1) = (
         sweep._draw(seed, jobs, dim), draw_one_call_per_quantity(seed, jobs, dim))
     for name, a, b in [("s", s, s1), ("rho_d0", rho, rho1), ("phi", phi, phi1)] + [
             (name, getattr(blocks, name), getattr(blocks1, name)) for name in ("vpp", "vpm", "vmp", "vmm")]:
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def drawn(seed: int, jobs: list, dim: int) -> tuple:
+    """The fields of generated instances and their pure flags, as ``evaluate`` takes them."""
+    return *sweep._draw(seed, jobs, dim), np.array([job[2] == "pure" for job in jobs])
+
+
+def stack_take(fields: tuple, index) -> tuple:
+    """The ``evaluate`` arguments of the instances at ``index`` of a stack."""
+    s, blocks, rho, phi, pure = fields
+    return (s[index], WwmBlocks(*(getattr(blocks, name)[index] for name in ("vpp", "vpm", "vmp", "vmm"))),
+            rho[index], phi[index], pure[index])
+
+
+def column_bits(cols: dict, index=slice(None)) -> dict:
+    return {name: column[index].tobytes() for name, column in cols.items()}
+
+
+def with_block(fields: tuple, pos: int, replace) -> tuple:
+    """``fields`` with the blocks of instance ``pos`` replaced by ``replace(name, block)``."""
+    s, blocks, rho, phi, pure = fields
+    stacks = {name: np.array(getattr(blocks, name)) for name in ("vpp", "vpm", "vmp", "vmm")}
+    for name, stack in stacks.items():
+        stack[pos] = replace(name, stack[pos])
+    return s, WwmBlocks(**stacks), rho, phi, pure
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_evaluate_gives_each_instance_of_a_stack_its_bits_alone(dim):
+    fields = drawn(13, every_lane_class(dim), dim)
+    cols, errors = evaluate(*fields)
+    assert not errors and cols["measured"].all()
+    assert set(CSV_COLUMNS[5:]) <= cols.keys()
+    for i in range(len(fields[0])):
+        alone, errors = evaluate(*stack_take(fields, [i]))
+        assert not errors and column_bits(alone) == column_bits(cols, [i]), i
+        # Every report field is a column, with the bits of the report route.
+        s, blocks, rho, phi, _ = stack_take(fields, i)
+        inst = InterferometerInstance(s=float(s), blocks=blocks, rho_d0=rho, phi=float(phi))
+        assert DualityReport.of({name: column[i] for name, column in cols.items()}) == hierarchy_report(inst)
+
+
+def test_evaluate_records_a_degenerate_instance_at_its_position():
+    jobs = every_lane_class(2)
+    fields = drawn(4, jobs, 2)
+    # theta = 0 with s = 1 sends no amplitude down the minus way.
+    dead, target = from_tilted_pair(0.0, np.eye(2), np.eye(2)), 5
+    s, blocks, rho, phi, pure = with_block(fields, target, lambda name, block: getattr(dead, name))
+    s = s.copy()
+    s[target] = 1.0
+    cols, errors = evaluate(s, blocks, rho, phi, pure)
+    assert list(errors) == [target] and isinstance(errors[target], DegenerateBranchError)
+    assert not cols["measured"][target]
+    assert all(np.isnan(cols[name][target]) for name in measures._MEASURES)
+    for i in set(range(len(jobs))) - {target}:
+        alone, _ = evaluate(*stack_take(fields, [i]))
+        assert column_bits(alone) == column_bits(cols, [i]), i
+
+
+def test_evaluate_keeps_the_report_of_an_instance_that_fails_an_identity(monkeypatch):
+    jobs = every_lane_class(3)
+    fields = drawn(8, jobs, 3)
+    clean, _ = evaluate(*fields)
+    target = next(i for i, job in enumerate(jobs) if job[2:] == ("pure", "s_pure"))
+    target_phi = fields[3][target]
+    pure_identities = measures.pure_identities
+
+    def failing_on_target(k, sp):
+        if np.any(k.phi == target_phi):
+            raise IdentityError("injected failure")
+        return pure_identities(k, sp)
+
+    monkeypatch.setattr(measures, "pure_identities", failing_on_target)
+    cols, errors = evaluate(*fields)
+    assert list(errors) == [target] and isinstance(errors[target], IdentityError)
+    assert cols["measured"][target] and np.isnan(cols["pure_identity_residual"][target])
+    clean["pure_identity_residual"][target] = np.nan
+    assert column_bits(cols) == column_bits(clean)
+
+
+def test_evaluate_names_the_instance_whose_joint_operator_is_not_unitary():
+    fields = with_block(drawn(2, every_lane_class(4), 4), 7, lambda name, block: block * 1.001)
+    with pytest.raises(ValidationError, match=re.escape("joint operator[7]")):
+        evaluate(*fields)

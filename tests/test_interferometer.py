@@ -26,6 +26,7 @@ from duality.interferometer import (
     from_unitary_pair,
     instance_from_dict,
     matrix_to_pairs,
+    validate_instances,
     validate_unitarity,
 )
 from duality.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, rng
@@ -333,13 +334,19 @@ def test_instance_rejects_dimension_mismatch():
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_instance_rejects_inversion_or_phase_off_the_blocks_leading_shape(stacked):
-    # One instance takes scalars; N stacked blocks take s and phi of shape (N,).
+    # One instance takes scalars.  N stacked blocks take s and phi of shape
+    # (N,) in validate_instances, but an instance holds one set of blocks.
     blocks, rho, lead = from_unitary_pair(I2, I2), I2 / 2.0, ()
     if stacked:
         blocks = WwmBlocks(*(np.stack([m, m]) for m in (blocks.vpp, blocks.vpm, blocks.vmp, blocks.vmm)))
         rho, lead = np.stack([rho, rho]), (2,)
     good = {"s": np.full(lead, 0.5), "phi": np.zeros(lead)}
-    assert InterferometerInstance(blocks=blocks, rho_d0=rho, **good).kernel.c.shape == lead
+    assert validate_instances(blocks=blocks, rho_d0=rho, **good).shape == (*lead, 2, 2)
+    if stacked:
+        with pytest.raises(ValidationError, match=r"one set of \(n, n\) blocks, got a stack of shape \(2, 2, 2\)"):
+            InterferometerInstance(blocks=blocks, rho_d0=rho, **good)
+    else:
+        assert InterferometerInstance(blocks=blocks, rho_d0=rho, **good).kernel.c.shape == ()
     for name in ("s", "phi"):
         for shape in {(2,) if not stacked else (), (3,), (1, *lead)}:
             fields = {**good, name: np.full(shape, 0.5)}
