@@ -84,19 +84,11 @@ def validate_instances(s, blocks: WwmBlocks, rho_d0, phi) -> np.ndarray:
     ``rho_d0`` of the blocks' dimension, and blocks that assemble into a
     unitary within 1e-10.
     """
-    s, phi = np.asarray(s), np.asarray(phi)
     lead = blocks.vpp.shape[:-2]
-    for name, value in (("inversion s", s), ("phase phi", phi)):
-        if value.dtype.kind not in "fiu":
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
-        if value.shape != lead:
-            raise ValidationError(f"{name} must have the blocks' leading shape {lead}, got {value.shape}")
+    s, phi = (_reals(value, name, lead, "the blocks'") for value, name in ((s, "inversion s"), (phi, "phase phi")))
     i = linalg.first_failure(np.abs(s) <= 1.0)
     if i is not None:
         raise ValidationError(f"inversion {linalg.label('s', i)} must lie in [-1, 1], got {s[i]}")
-    i = linalg.first_failure(np.isfinite(phi))
-    if i is not None:
-        raise ValidationError(f"phase {linalg.label('phi', i)} must be finite, got {phi[i]}")
     rho = linalg.require_density(rho_d0, "rho_d0")
     if rho.shape != blocks.vpp.shape:
         raise ValidationError(
@@ -106,6 +98,22 @@ def validate_instances(s, blocks: WwmBlocks, rho_d0, phi) -> np.ndarray:
         raise ValidationError(
             f"assembled {linalg.label('joint operator', i)} is not unitary within {VALIDATION_ATOL:.0e}")
     return rho
+
+
+def _reals(value, name: str, lead: tuple, whose: str) -> np.ndarray:
+    """``value`` as finite real numbers of shape ``lead``, ``whose`` leading shape."""
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:  # a ragged sequence
+        raise ValidationError(f"{name} must be a real number: {exc}") from None
+    if a.dtype.kind not in "fiu":
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if a.shape != lead:
+        raise ValidationError(f"{name} must have {whose} leading shape {lead}, got {a.shape}")
+    i = linalg.first_failure(np.isfinite(a))
+    if i is not None:
+        raise ValidationError(f"{linalg.label(name, i)} must be finite, got {a[i]}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -345,10 +353,11 @@ def from_tilted_pair(theta: float, u_plus, u_minus) -> WwmBlocks:
     polarized quanton, independent of the marker state, so the predictability
     is |cos(2 theta)| by construction.  theta = pi/4 describes the same
     device as :func:`from_unitary_pair`, but not bit for bit: the block scale
-    sqrt(2) cos(pi/4) rounds to 1.0000000000000002.  ``theta`` may be an
-    array of one angle per unitary of the stacks.
+    sqrt(2) cos(pi/4) rounds to 1.0000000000000002.  ``theta`` is a finite
+    real number, or for stacks of unitaries an array of one angle per unitary.
     """
-    return tilted_blocks(theta, *_unitary_pair(u_plus, u_minus))
+    up, um = _unitary_pair(u_plus, u_minus)
+    return tilted_blocks(_reals(theta, "angle theta", up.shape[:-2], "the unitaries'"), up, um)
 
 
 def tilted_blocks(theta, up, um) -> WwmBlocks:

@@ -82,8 +82,8 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
         a = np.asarray(m, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a numeric matrix: {exc}") from None
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValidationError(f"{name} must be a square matrix of size >= 1, got shape {a.shape}")
     return a
 
 
@@ -100,7 +100,8 @@ def require_hermitian(m, name: str = "matrix") -> np.ndarray:
 def is_unitary(m):
     """Whether each matrix is unitary within ``VALIDATION_ATOL``: a bool, or one per matrix of a stack."""
     a = as_square(m)
-    return np.abs(dagger(a) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1)) <= VALIDATION_ATOL
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test, without a warning
+        return np.abs(dagger(a) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1)) <= VALIDATION_ATOL
 
 
 def require_density(rho, name: str = "rho") -> np.ndarray:

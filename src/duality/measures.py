@@ -184,11 +184,11 @@ def state_independent_ways(inst: InterferometerInstance) -> bool:
     return bool(_state_independent(inst.kernel))
 
 
-def _state_independent(k: BranchKernel, atol: float = IDENTITY_ATOL) -> np.ndarray:
+def _state_independent(k: BranchKernel) -> np.ndarray:
     n = k.n
     ops = np.stack((k.wp_op, k.wm_op))
     mean = np.trace(ops, axis1=-2, axis2=-1).real / n
-    return (np.abs(ops - mean[..., None, None] * np.eye(n)).max(axis=(-2, -1)) <= atol).all(axis=0)
+    return (np.abs(ops - mean[..., None, None] * np.eye(n)).max(axis=(-2, -1)) <= IDENTITY_ATOL).all(axis=0)
 
 
 class BranchSpectra(NamedTuple):
@@ -317,13 +317,13 @@ def hierarchy_reports(k: BranchKernel, sp: BranchSpectra) -> dict:
     }
 
 
-def deviations(rep: dict, sp: BranchSpectra) -> dict:
+def deviations(rep: dict, sp: BranchSpectra, pure_polarized: np.ndarray) -> dict:
     """The exact relations a sweep gates, as columns beside the
     :func:`hierarchy_reports` columns ``rep`` (with a leading axis), NaN where
     one does not apply: |max(P, R) - D| on two-level markers; |V^2 + Xi^2 - 1|
-    and |D - Xi|, zero for a pure marker and a polarized quanton; |chi - its
-    closed form|, P^2/Xi^2 where P > R, else :func:`chi_closed_form` of the
-    rho_d0 spectrum that ``sp`` must hold."""
+    and |D - Xi|, zero where ``pure_polarized`` marks a pure marker and a
+    polarized quanton; |chi - its closed form|, P^2/Xi^2 where P > R, else
+    :func:`chi_closed_form` of the rho_d0 spectrum that ``sp`` must hold."""
     p, r, xi_value, chi = rep["p"], rep["r"], rep["xi"], rep["chi"]
     closed = np.full(np.shape(chi), np.nan)
     by_p = ~np.isnan(chi) & (p > r + TIE_ATOL)
@@ -334,8 +334,8 @@ def deviations(rep: dict, sp: BranchSpectra) -> dict:
         closed[by_spectrum] = chi_closed_form(d1, d2, p[by_spectrum], xi_value[by_spectrum])
     return {
         "d_two_level": np.abs(d_two_level(p, r) - rep["d"]) if sp.delta.shape[-1] == 2 else np.full_like(p, np.nan),
-        "pure_saturation_xi": np.abs(_square(rep["v"]) + _square(xi_value) - 1.0),
-        "pure_saturation_d": np.abs(rep["xi_minus_d"]),
+        "pure_saturation_xi": np.where(pure_polarized, np.abs(_square(rep["v"]) + _square(xi_value) - 1.0), np.nan),
+        "pure_saturation_d": np.where(pure_polarized, np.abs(rep["xi_minus_d"]), np.nan),
         "chi_closed_dev": np.abs(chi - closed),
     }
 
@@ -358,6 +358,12 @@ def _branch_sum(sp: BranchSpectra, c_sq) -> np.ndarray:
     return _square(sp.q) + c_sq / (1.0 - sp.p * sp.p)
 
 
+def _purities(rho_d0) -> tuple[np.ndarray, np.ndarray]:
+    """Each Hermitian marker's tr rho^2, its summed squared entry moduli, and whether it is within PURITY_ATOL of 1."""
+    purity = (rho_d0.real ** 2 + rho_d0.imag ** 2).sum(axis=(-2, -1))
+    return purity, np.abs(purity - 1.0) <= PURITY_ATOL
+
+
 def pure_state_identity_check(inst: InterferometerInstance) -> float:
     """Residual of the pure-preparation identity Q^2 + |C|^2/(1 - P^2) = 1.
 
@@ -374,8 +380,8 @@ def pure_identities(k: BranchKernel, sp: BranchSpectra) -> np.ndarray:
     """:func:`pure_state_identity_check` of every instance of a kernel and its
     spectra ``sp``; the first instance that fails a check raises for the batch."""
     c_sq = _square(_modulus(_polarized_branches(k, sp, "pure identity")))
-    purity = np.trace(k.rho_d0 @ k.rho_d0, axis1=-2, axis2=-1).real
-    i = linalg.first_failure(np.abs(purity - 1.0) <= PURITY_ATOL)
+    purity, pure = _purities(k.rho_d0)
+    i = linalg.first_failure(pure)
     if i is not None:
         raise ValidationError(
             f"pure identity requires a pure marker state, purity = {float(purity[i])!r}")
@@ -492,30 +498,34 @@ _MEASURES = ("v", "p", "q", "d", "xi", "r", "chi", "xi_minus_d", "slack_o2p", "s
              "contrast_recomposition")
 
 
-def evaluate(s, blocks: WwmBlocks, rho_d0, phi, pure) -> tuple[dict, dict]:
-    """Validate and measure a stack of N >= 1 instances, as ``duality verify`` does.
+def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
+    """Validate and measure a stack of N instances, as ``duality verify`` does.
 
-    ``s``, ``phi`` and ``pure`` have shape (N,) beside N stacked blocks and marker
-    states; ``pure`` marks rank-one markers, which at |s| = 1 get the pure identity
-    instead of the mixing bound.  Returns one array of N per column (``s``, ``phi``,
-    ``polarized``, ``measured`` and ``_MEASURES``), NaN where a measure does not
-    apply, and ``{position: exception}`` of the instances that fail.
+    ``s`` and ``phi`` have shape (N,) beside N stacked (n, n) blocks and marker
+    states.  At |s| = 1 a marker that :func:`pure_identities` counts as pure gets
+    the pure identity, any other the mixing bound.  Returns one array of N per
+    column (``s``, ``phi``, ``measured`` and ``_MEASURES``), NaN where a measure
+    or check does not apply, and ``{position: exception}`` of the instances that fail.
     """
+    if not isinstance(blocks, WwmBlocks) or blocks.vpp.ndim != 3:
+        got = blocks.vpp.shape if isinstance(blocks, WwmBlocks) else type(blocks).__name__
+        raise ValidationError(f"evaluate takes WwmBlocks stacked as (N, n, n), got {got}; measure one "
+                              "instance through InterferometerInstance and hierarchy_report")
     k = branch_kernel(blocks, s, validate_instances(s, blocks, rho_d0, phi), phi)
-    cols, errors = _measured(k, np.asarray(pure, dtype=bool))
-    return {"s": k.s, "phi": k.phi, "polarized": k.polarized, **cols}, errors
+    cols, errors = _measured(k, _purities(k.rho_d0)[1])
+    return {"s": k.s, "phi": k.phi, **cols}, errors
 
 
 def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
-    """:func:`evaluate` of a kernel: its report and ``measured``, then its
-    |s| = 1 checks.  If an instance fails, a batch of several is measured again
-    one instance at a time; a batch of one keeps what it measured before."""
+    """:func:`evaluate` of a kernel and its pure markers: its report and
+    ``measured``, then its |s| = 1 checks.  If an instance fails, a batch of several
+    is measured again one instance at a time; a batch of one keeps what it had."""
     cols = {}
     try:
         # The mixing bound and the chi closed form read rho_d0's spectrum.
         sp = branch_spectra(k, k.polarized & (~pure | (k.n == 2)))
         rep = hierarchy_reports(k, sp)
-        cols.update(rep, **deviations(rep, sp), measured=np.ones(len(pure), dtype=bool))
+        cols.update(rep, **deviations(rep, sp, k.polarized & pure), measured=np.ones(len(pure), dtype=bool))
         for members, batch_checks, names in (
                 (k.polarized & pure, pure_identities, ("pure_identity_residual",)),
                 (k.polarized & ~pure, mixing_bounds, ("mixing_bound_slack", "contrast_recomposition"))):

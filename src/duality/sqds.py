@@ -30,6 +30,9 @@ from .interferometer import InterferometerInstance, from_tilted_pair
 from .linalg import SIGMA_X, SIGMA_Z
 from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, SQDS_XI_ATOL, TIE_ATOL
 
+FIGURE3_RESOLUTION = 101  # points per side of the fig3 grid
+FIGURE4_SAMPLES = 201  # points on the fig4 curve
+
 
 @dataclass(frozen=True)
 class SqdsConfig:
@@ -190,16 +193,14 @@ def sqds_to_generic(cfg: SqdsConfig) -> InterferometerInstance:
     )
 
 
-def figure3_grid(resolution: int = 101) -> np.ndarray:
+def figure3_grid() -> np.ndarray:
     """Delta over the (|s_D|, P_Q) unit square for a balanced detecton at
     maximal coupling (P_D = 0, sin Phi = 1, so Q = |s_D|).
 
     Returns an array of rows (s_d_norm, p_q, delta), |s_D| as the outer loop.
     """
-    if resolution < 2:
-        raise ValidationError(f"resolution must be >= 2, got {resolution}")
-    values = np.linspace(0.0, 1.0, resolution)
-    rows = np.empty((resolution * resolution, 3))
+    values = np.linspace(0.0, 1.0, FIGURE3_RESOLUTION)
+    rows = np.empty((FIGURE3_RESOLUTION * FIGURE3_RESOLUTION, 3))
     i = 0
     for s in values:
         for p in values:
@@ -209,7 +210,7 @@ def figure3_grid(resolution: int = 101) -> np.ndarray:
     return rows
 
 
-def figure4_curve(samples: int = 201) -> np.ndarray:
+def figure4_curve() -> np.ndarray:
     """Squared visibility bounds versus detecton purity at fixed
     V_D0^2 = P_Q^2 = 0.5 and Phi = pi/2.
 
@@ -218,12 +219,10 @@ def figure4_curve(samples: int = 201) -> np.ndarray:
     (s_d_norm, v_d_sq, v_xi_sq, v_q_sq) where the first two bound columns are
     1 - D_Q^2 and 1 - Xi_Q^2 and the last is the attained V_Q^2.
     """
-    if samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples}")
     v_d0 = math.sqrt(0.5)
     p_q = math.sqrt(0.5)
-    s_values = np.linspace(math.sqrt(0.5), 1.0, samples)
-    rows = np.empty((samples, 4))
+    s_values = np.linspace(math.sqrt(0.5), 1.0, FIGURE4_SAMPLES)
+    rows = np.empty((FIGURE4_SAMPLES, 4))
     for i, s in enumerate(s_values):
         p_d = math.sqrt(max(0.0, s * s - 0.5))
         cfg = SqdsConfig(p_d=p_d, v_d0=v_d0, p_q=p_q, phi_ent=math.pi / 2.0)
@@ -241,13 +240,13 @@ def _write_csv(path, header: str, rows: np.ndarray) -> None:
             fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
 
 
-def write_figure3_csv(path, resolution: int = 101) -> np.ndarray:
-    rows = figure3_grid(resolution)
+def write_figure3_csv(path) -> np.ndarray:
+    rows = figure3_grid()
     _write_csv(path, "s_d_norm,p_q,delta", rows)
     return rows
 
 
-def write_figure4_csv(path, samples: int = 201) -> np.ndarray:
-    rows = figure4_curve(samples)
+def write_figure4_csv(path) -> np.ndarray:
+    rows = figure4_curve()
     _write_csv(path, "s_d_norm,v_d_sq,v_xi_sq,v_q_sq", rows)
     return rows

@@ -202,12 +202,16 @@ def generate_instance(seed: int, stream: int, dim: int, wwm_class: str,
     instance bit for bit.  It checks the class names and ``dim``, which
     ``_draw`` trusts.
     """
+    if not all(isinstance(label, str) for label in (wwm_class, s_class, block_class)):
+        raise ValidationError(f"class labels must be strings, got {(wwm_class, s_class, block_class)!r}")
     if wwm_class not in WWM_CLASSES or s_class not in S_CLASSES:
         raise ValidationError(f"unknown state class ({wwm_class!r}, {s_class!r})")
     if block_class not in (*BLOCK_CLASSES, STRINGENCY_CLASS):
         raise ValidationError(f"unknown block class {block_class!r}")
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
         raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
+    if wwm_class == "mixed" and dim < 2:
+        raise ValidationError(f"a mixed marker needs dim >= 2, got {dim!r}")
     s, b, rho, phi = _draw(seed, [(stream, block_class, wwm_class, s_class)], int(dim))
     return InterferometerInstance(s=float(s[0]), blocks=WwmBlocks(b.vpp[0], b.vpm[0], b.vmp[0], b.vmm[0]),
                                   rho_d0=rho[0], phi=float(phi[0]))
@@ -310,33 +314,26 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     def labels(i):
         return dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[i])))
 
-    measured, polarized, pure = cols["measured"], cols["polarized"], cols["pure"]
-    pure_pol, mixed_pol = polarized & pure, polarized & ~pure
-    failed, identity_failed = np.zeros_like(measured), np.zeros_like(measured)
-    failed[list(errors)] = True
-    identity_failed[[i for i, exc in errors.items() if isinstance(exc, IdentityError)]] = True
-    # A failure stops an instance's checks where it is raised.
-    checked = measured & ~failed
-    # Each check in the order one instance runs them: (check, column, where it applies).
-    checks = [(name, f"slack_{name}", measured) for name in ("o2p", "o2q", "o2_nuevita", "o1")] + [
-        ("d_two_level", "d_two_level", measured & np.array([lane[3] == 2 for lane in lanes])),
-        ("pure_saturation_xi", "pure_saturation_xi", measured & pure_pol),
-        ("pure_saturation_d", "pure_saturation_d", measured & pure_pol),
-        ("internal_identity", None, identity_failed),
-        ("pure_identity", "pure_identity_residual", checked & pure_pol),
-        ("mixing_bound", "mixing_bound_slack", checked & mixed_pol),
-        ("contrast_recomposition", "contrast_recomposition", checked & mixed_pol),
-        ("main", "slack_main", checked & ~np.isnan(cols["slack_main"])),
-        ("chi_closed_form", "chi_closed_dev", checked & ~np.isnan(cols["chi"])),
-    ]
+    positions = np.arange(len(chunk))
+    identity_failed = np.isin(positions, [i for i, exc in errors.items() if isinstance(exc, IdentityError)])
+    checked = cols["measured"] & ~np.isin(positions, list(errors))
+    # Each check in the order one instance runs them, by its column, NaN where it does not apply.
+    checks = [(name, f"slack_{name}") for name in ("o2p", "o2q", "o2_nuevita", "o1")] + [
+        (name, name) for name in ("d_two_level", "pure_saturation_xi", "pure_saturation_d")] + [
+        ("internal_identity", None), ("pure_identity", "pure_identity_residual"),
+        ("mixing_bound", "mixing_bound_slack"), ("contrast_recomposition", "contrast_recomposition"),
+        ("main", "slack_main"), ("chi_closed_form", "chi_closed_dev")]
     found = []
     # Each instance's smallest slack and its check, the first of a tie.
     lowest, lowest_check = np.full(len(chunk), np.inf), np.empty(len(chunk), dtype=object)
-    for rank, (name, column, applies) in enumerate(checks):
-        at = np.flatnonzero(applies)
+    # A failure stops an instance's checks where it is raised.
+    running = cols["measured"]
+    for rank, (name, column) in enumerate(checks):
+        at = np.flatnonzero(identity_failed if column is None else running & ~np.isnan(cols[column]))
         if column is None:
             found += [(i, rank, {"check": name, "error": str(errors[i]), "labels": labels(i),
                                  "instance": instance_to_dict(*instance[i]())}) for i in at.tolist()]
+            running = checked
             continue
         if not at.size:
             continue
@@ -415,19 +412,17 @@ def _measure(seed: int, lanes: list, chunk: range) -> tuple[dict, dict, dict]:
     """Generate a chunk of plan lanes ``lanes`` and :func:`~duality.measures.evaluate`
     it, one marker dimension at a time: its columns, its failures and its
     instances' fields by chunk position, as :func:`_record` takes them."""
-    pure = np.array([lane[1] == "pure" for lane in lanes])
     by_dim, groups, errors, instance = {}, [], {}, {}
     for i, lane in enumerate(lanes):
         by_dim.setdefault(lane[3], []).append(i)
     for dim, positions in by_dim.items():
         s, blocks, rho, phi = _draw(seed, [(chunk.start + i, *lanes[i][:3]) for i in positions], dim)
-        cols, failed = evaluate(s, blocks, rho, phi, pure[positions])
+        cols, failed = evaluate(s, blocks, rho, phi)
         groups.append((np.array(positions), cols))
         errors.update((positions[i], exc) for i, exc in failed.items())
         for pos, i in enumerate(positions):
             instance[i] = functools.partial(_instance_fields, s, blocks, rho, phi, pos)
     cols = {name: _gather([(at, group[name]) for at, group in groups], len(chunk)) for name in groups[0][1]}
-    cols["pure"] = pure
     return cols, errors, instance
 
 

@@ -400,12 +400,23 @@ def test_generate_instance_rejects_out_of_range_keys(seed, stream, name):
     ("2", "pure", "s_pure", "unitary_pair", "dim"),
     (0, "pure", "s_pure", "unitary_pair", "dim"),
     (-3, "mixed", "s_mixed", "general_unitary", "dim"),
+    (2, np.array([]), "s_pure", "unitary_pair", "class labels must be strings"),
+    (1, "mixed", "s_pure", "unitary_pair", "mixed marker needs dim >= 2"),
+    (1, "mixed", "s_mixed", "tilted_pair", "mixed marker needs dim >= 2"),
 ])
 def test_generate_instance_rejects_bad_labels(dim, wwm_class, s_class, block_class, match):
     # An unknown marker label used to yield a mixed marker and s_mixed, and a
     # non-integer dim a TypeError.
     with pytest.raises(ValidationError, match=match):
         generate_instance(0, 0, dim, wwm_class, s_class, block_class)
+
+
+@pytest.mark.parametrize("block_class", ["unitary_pair", "general_unitary", "tilted_pair"])
+def test_generate_instance_draws_a_pure_marker_at_dim_1(block_class):
+    # A mixed marker draws its rank from [2, dim] and needs dim >= 2; a
+    # pure one has rank one at every dim.
+    inst = generate_instance(0, 3, 1, "pure", "s_pure", block_class)
+    assert inst.n == 1 and abs(inst.rho_d0[0, 0] - 1.0) <= 1e-12
 
 
 def test_generate_instance_accepts_numpy_integer_dims():

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duality import linalg, measures, sweep
 from duality.errors import DegenerateBranchError, IdentityError, ValidationError
@@ -33,7 +34,7 @@ from duality.sweep import (
     run_sweep,
     sweep_plan,
 )
-from duality.tolerances import TIE_ATOL
+from duality.tolerances import PURITY_ATOL, TIE_ATOL
 
 
 def row_alone(seed: int, row: dict) -> dict:
@@ -408,15 +409,15 @@ def test_draw_equals_one_call_per_quantity(seed, dim):
 
 
 def drawn(seed: int, jobs: list, dim: int) -> tuple:
-    """The fields of generated instances and their pure flags, as ``evaluate`` takes them."""
-    return *sweep._draw(seed, jobs, dim), np.array([job[2] == "pure" for job in jobs])
+    """The fields of generated instances, as ``evaluate`` takes them."""
+    return sweep._draw(seed, jobs, dim)
 
 
 def stack_take(fields: tuple, index) -> tuple:
     """The ``evaluate`` arguments of the instances at ``index`` of a stack."""
-    s, blocks, rho, phi, pure = fields
+    s, blocks, rho, phi = fields
     return (s[index], WwmBlocks(*(getattr(blocks, name)[index] for name in ("vpp", "vpm", "vmp", "vmm"))),
-            rho[index], phi[index], pure[index])
+            rho[index], phi[index])
 
 
 def column_bits(cols: dict, index=slice(None)) -> dict:
@@ -425,11 +426,11 @@ def column_bits(cols: dict, index=slice(None)) -> dict:
 
 def with_block(fields: tuple, pos: int, replace) -> tuple:
     """``fields`` with the blocks of instance ``pos`` replaced by ``replace(name, block)``."""
-    s, blocks, rho, phi, pure = fields
+    s, blocks, rho, phi = fields
     stacks = {name: np.array(getattr(blocks, name)) for name in ("vpp", "vpm", "vmp", "vmm")}
     for name, stack in stacks.items():
         stack[pos] = replace(name, stack[pos])
-    return s, WwmBlocks(**stacks), rho, phi, pure
+    return s, WwmBlocks(**stacks), rho, phi
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
@@ -442,7 +443,7 @@ def test_evaluate_gives_each_instance_of_a_stack_its_bits_alone(dim):
         alone, errors = evaluate(*stack_take(fields, [i]))
         assert not errors and column_bits(alone) == column_bits(cols, [i]), i
         # Every report field is a column, with the bits of the report route.
-        s, blocks, rho, phi, _ = stack_take(fields, i)
+        s, blocks, rho, phi = stack_take(fields, i)
         inst = InterferometerInstance(s=float(s), blocks=blocks, rho_d0=rho, phi=float(phi))
         assert DualityReport.of({name: column[i] for name, column in cols.items()}) == hierarchy_report(inst)
 
@@ -452,10 +453,10 @@ def test_evaluate_records_a_degenerate_instance_at_its_position():
     fields = drawn(4, jobs, 2)
     # theta = 0 with s = 1 sends no amplitude down the minus way.
     dead, target = from_tilted_pair(0.0, np.eye(2), np.eye(2)), 5
-    s, blocks, rho, phi, pure = with_block(fields, target, lambda name, block: getattr(dead, name))
+    s, blocks, rho, phi = with_block(fields, target, lambda name, block: getattr(dead, name))
     s = s.copy()
     s[target] = 1.0
-    cols, errors = evaluate(s, blocks, rho, phi, pure)
+    cols, errors = evaluate(s, blocks, rho, phi)
     assert list(errors) == [target] and isinstance(errors[target], DegenerateBranchError)
     assert not cols["measured"][target]
     assert all(np.isnan(cols[name][target]) for name in measures._MEASURES)
@@ -489,3 +490,58 @@ def test_evaluate_names_the_instance_whose_joint_operator_is_not_unitary():
     fields = with_block(drawn(2, every_lane_class(4), 4), 7, lambda name, block: block * 1.001)
     with pytest.raises(ValidationError, match=re.escape("joint operator[7]")):
         evaluate(*fields)
+
+
+def lane_rule(jobs: list, dim: int) -> dict:
+    """Where each lane-gated check applies by the lane labels of ``_draw``
+    jobs: the cells of its column that ``evaluate`` must leave non-NaN."""
+    pure = np.array([job[3] == "s_pure" and job[2] == "pure" for job in jobs])
+    mixed = np.array([job[3] == "s_pure" and job[2] == "mixed" for job in jobs])
+    return {"d_two_level": np.full(len(jobs), dim == 2), "pure_saturation_xi": pure, "pure_saturation_d": pure,
+            "pure_identity_residual": pure, "mixing_bound_slack": mixed, "contrast_recomposition": mixed}
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_evaluate_applies_each_check_where_the_lane_rule_does(dim):
+    jobs = every_lane_class(dim)
+    fields = drawn(17, jobs, dim)
+    cols, errors = evaluate(*fields)
+    assert not errors
+    rule = lane_rule(jobs, dim)
+    assert {name: (~np.isnan(cols[name])).tolist() for name in rule} == {
+        name: applies.tolist() for name, applies in rule.items()}
+    assert measures._purities(fields[2])[1].tolist() == [job[2] == "pure" for job in jobs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), dim=st.integers(2, 8))
+def test_the_purity_test_classifies_every_generated_marker_as_its_lane(seed, dim):
+    jobs = every_lane_class(dim)
+    purity, pure = measures._purities(sweep._draw(seed, jobs, dim)[2])
+    assert pure.tolist() == [job[2] == "pure" for job in jobs]
+    # Far from the tolerance on both sides.
+    assert np.all(np.where(pure, np.abs(purity - 1.0) < 1e-14, purity < 1.0 - 100 * PURITY_ATOL))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+@pytest.mark.parametrize("eps, pure", [(1e-11, True), (1e-9, False)])
+def test_a_marker_within_the_purity_tolerance_gets_the_pure_identity(dim, eps, pure):
+    # A rank-2 marker (1 - eps) |a><a| + eps |b><b| has purity 1 - 2 eps + 2 eps^2.
+    gen = linalg.rng(31, dim)
+    basis = linalg.haar_unitary_from(gen, dim)
+    rho = (1.0 - eps) * np.outer(basis[:, 0], basis[:, 0].conj()) + eps * np.outer(basis[:, 1], basis[:, 1].conj())
+    u = linalg.haar_from_normals(gen.standard_normal((2, 2, dim, dim)))
+    cols, errors = evaluate(np.ones(1), from_unitary_pair(u[:1], u[1:]), rho[None], np.zeros(1))
+    assert not errors
+    assert np.isnan(cols["mixing_bound_slack"][0]) == pure == ~np.isnan(cols["pure_identity_residual"][0])
+    if pure:
+        assert cols["pure_identity_residual"][0] <= 1e-10
+    else:
+        assert cols["mixing_bound_slack"][0] >= -measures.SLACK_TOL
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+def test_evaluate_takes_stacks_with_one_leading_axis(lead):
+    eye = np.broadcast_to(np.eye(2), lead + (2, 2))
+    with pytest.raises(ValidationError, match=r"\(N, n, n\).*InterferometerInstance and hierarchy_report"):
+        evaluate(np.ones(lead), from_unitary_pair(eye, eye), eye / 2.0, np.zeros(lead))

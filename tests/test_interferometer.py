@@ -141,6 +141,19 @@ def test_from_tilted_pair_rejects_non_unitary_input():
         from_tilted_pair(np.array([0.3, 0.4]), np.stack([I2, I2]), np.stack([I2, 1.5 * I2]))
 
 
+@pytest.mark.parametrize("theta, stacked, match", [
+    (math.inf, False, "finite"), (math.nan, False, "finite"), ("a", False, "real number"),
+    (True, False, "real number"), (1j, False, "real number"), ([0.1, [0.2]], False, "real number"),
+    (np.zeros(3), True, r"leading shape \(2,\), got \(3,\)"), (0.3, True, "leading shape"),
+    (np.array([0.3, -np.inf]), True, r"angle theta\[1\] must be finite"),
+])
+def test_from_tilted_pair_rejects_a_bad_angle(theta, stacked, match):
+    # Each angle's cosine and sine scale one unitary of the stack.
+    u = np.stack([I2, I2]) if stacked else I2
+    with pytest.raises(ValidationError, match=match):
+        from_tilted_pair(theta, u, u)
+
+
 def test_blocks_dimension_mismatch():
     with pytest.raises(ValidationError):
         WwmBlocks(vpp=I2, vpm=np.eye(3), vmp=I2, vmm=I2)

@@ -68,6 +68,18 @@ def test_validation_rejects_nan_as_non_hermitian():
             linalg.require_density(m)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_validation_rejects_empty_matrices(shape):
+    with pytest.raises(ValidationError, match="size >= 1"):
+        linalg.as_square(np.zeros(shape))
+
+
+def test_unitarity_test_fails_huge_entries_without_a_warning():
+    # Their squares overflow to inf; pytest turns the overflow warning into an error.
+    assert not linalg.is_unitary(np.array([[1e155, 0.0], [0.0, 1.0]]))
+    assert not linalg.is_unitary(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
 # --- hermitian_eigen ----------------------------------------------------------
 
 def test_eigen_sigma_z():

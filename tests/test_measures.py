@@ -427,12 +427,11 @@ def test_way_gate_tests_both_operators_in_one_pass():
                  ("unitary_pair", "general_unitary", "tilted_pair"), ("pure", "mixed"), ("s_pure", "s_mixed")))]
     insts.append(_diagonal_way_counterexample())
     k = stacked_kernel(insts)
-    # The default tolerance separates the classes; 0 fails them all.
-    assert 0 < np.count_nonzero(way_operators_proportional_to_identity(k, measures.IDENTITY_ATOL)) < len(insts)
-    for atol in (measures.IDENTITY_ATOL, 1e-3, 0.0):
-        expected = way_operators_proportional_to_identity(k, atol)
-        assert measures._state_independent(k, atol).tolist() == expected.tolist()
-        assert [bool(measures._state_independent(i.kernel, atol)) for i in insts] == expected.tolist()
+    # The gate's tolerance separates the classes.
+    expected = way_operators_proportional_to_identity(k, measures.IDENTITY_ATOL)
+    assert 0 < np.count_nonzero(expected) < len(insts)
+    assert measures._state_independent(k).tolist() == expected.tolist()
+    assert [bool(measures._state_independent(i.kernel)) for i in insts] == expected.tolist()
 
 
 def test_unpolarized_two_level_kernel_skips_the_way_gate(monkeypatch):

@@ -263,7 +263,7 @@ def test_generic_instances_pass_the_stringency_gate():
 # --- figure data -----------------------------------------------------------------------
 
 def test_figure3_grid_shape_and_maximum():
-    rows = figure3_grid(101)
+    rows = figure3_grid()
     assert rows.shape == (101 * 101, 3)
     best = rows[rows[:, 2].argmax()]
     assert abs(best[2] - 0.25) <= 1e-4
@@ -272,18 +272,13 @@ def test_figure3_grid_shape_and_maximum():
 
 
 def test_figure3_boundary_edges_vanish():
-    rows = figure3_grid(51)
+    rows = figure3_grid()
     on_edge = (np.isin(rows[:, 0], (0.0, 1.0)) | np.isin(rows[:, 1], (0.0, 1.0)))
     assert np.abs(rows[on_edge, 2]).max() <= 1e-10
 
 
-def test_figure3_rejects_tiny_resolution():
-    with pytest.raises(ValidationError):
-        figure3_grid(1)
-
-
 def test_figure4_curves_match_closed_forms():
-    rows = figure4_curve(201)
+    rows = figure4_curve()
     s_sq = rows[:, 0] ** 2
     assert np.abs(rows[:, 2] - 0.25).max() <= 1e-10                 # V_Xi^2 constant
     assert np.abs(rows[:, 1] - (0.75 - 0.5 * s_sq)).max() <= 1e-10  # V_D^2
@@ -293,7 +288,7 @@ def test_figure4_curves_match_closed_forms():
 
 
 def test_figure4_endpoint():
-    rows = figure4_curve(11)
+    rows = figure4_curve()
     assert rows[-1, 0] == pytest.approx(1.0, abs=0)
     assert rows[-1, 1] == pytest.approx(0.25, abs=1e-12)
     assert rows[-1, 2] == pytest.approx(0.25, abs=1e-12)
@@ -301,14 +296,14 @@ def test_figure4_endpoint():
 
 
 def test_csv_writers(tmp_path):
-    write_figure3_csv(tmp_path / "fig3.csv", resolution=11)
-    write_figure4_csv(tmp_path / "fig4.csv", samples=11)
+    write_figure3_csv(tmp_path / "fig3.csv")
+    write_figure4_csv(tmp_path / "fig4.csv")
     fig3 = (tmp_path / "fig3.csv").read_text().splitlines()
     fig4 = (tmp_path / "fig4.csv").read_text().splitlines()
     assert fig3[0] == "s_d_norm,p_q,delta"
     assert fig4[0] == "s_d_norm,v_d_sq,v_xi_sq,v_q_sq"
-    assert len(fig3) == 1 + 11 * 11
-    assert len(fig4) == 1 + 11
+    assert len(fig3) == 1 + 101 * 101
+    assert len(fig4) == 1 + 201
     # 12-significant-digit formatting round-trips through float parsing
     value = float(fig4[-1].split(",")[1])
     assert value == pytest.approx(0.25, abs=1e-10)
