@@ -85,7 +85,7 @@ def validate_instances(s, blocks: WwmBlocks, rho_d0, phi) -> np.ndarray:
     unitary within 1e-10.
     """
     lead = blocks.vpp.shape[:-2]
-    s, phi = (_reals(value, name, lead, "the blocks'") for value, name in ((s, "inversion s"), (phi, "phase phi")))
+    s, phi = linalg.reals(s, "inversion s", lead), linalg.reals(phi, "phase phi", lead)
     i = linalg.first_failure(np.abs(s) <= 1.0)
     if i is not None:
         raise ValidationError(f"inversion {linalg.label('s', i)} must lie in [-1, 1], got {s[i]}")
@@ -98,22 +98,6 @@ def validate_instances(s, blocks: WwmBlocks, rho_d0, phi) -> np.ndarray:
         raise ValidationError(
             f"assembled {linalg.label('joint operator', i)} is not unitary within {VALIDATION_ATOL:.0e}")
     return rho
-
-
-def _reals(value, name: str, lead: tuple, whose: str) -> np.ndarray:
-    """``value`` as finite real numbers of shape ``lead``, ``whose`` leading shape."""
-    try:
-        a = np.asarray(value)
-    except ValueError as exc:  # a ragged sequence
-        raise ValidationError(f"{name} must be a real number: {exc}") from None
-    if a.dtype.kind not in "fiu":
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if a.shape != lead:
-        raise ValidationError(f"{name} must have {whose} leading shape {lead}, got {a.shape}")
-    i = linalg.first_failure(np.isfinite(a))
-    if i is not None:
-        raise ValidationError(f"{linalg.label(name, i)} must be finite, got {a[i]}")
-    return a
 
 
 @dataclass(frozen=True)
@@ -253,14 +237,13 @@ def matrix_to_pairs(m) -> list:
     return np.ascontiguousarray(linalg.as_square(m)).view(float).reshape(-1, 2).tolist()
 
 
-def _json_numbers(values, name: str, kind=numbers.Real) -> None:
-    """Raise :class:`ValidationError` unless every value is a number of
-    ``kind``.  A bool or a numeric string is not, although ``float`` and
-    ``np.asarray`` would convert it.  Each Python type is checked once."""
+def _json_numbers(values, name: str) -> None:
+    """Raise :class:`ValidationError` unless every value is a real number.
+    A bool or a numeric string is not, although ``float`` and ``np.asarray``
+    would convert it.  Each Python type is checked once."""
     for value_type in set(map(type, values)):
-        if value_type is bool or not issubclass(value_type, kind):
-            noun = "integer" if kind is numbers.Integral else "number"
-            raise ValidationError(f"{name}: expected a JSON {noun}, got {value_type.__name__}")
+        if value_type is bool or not issubclass(value_type, numbers.Real):
+            raise ValidationError(f"{name}: expected a JSON number, got {value_type.__name__}")
 
 
 def matrix_from_pairs(pairs, n: int, name: str = "matrix") -> np.ndarray:
@@ -278,12 +261,10 @@ def instance_from_dict(d: dict) -> InterferometerInstance:
     a string is rejected, not converted.
     """
     try:
-        _json_numbers([d["n"]], "n", numbers.Integral)
-        if d["n"] < 1:
-            raise ValidationError(f"n must be an integer >= 1, got {d['n']!r}")
+        n = linalg.integer(d["n"], "n", 1)
         for name in ("s", "phi"):
             _json_numbers([d[name]], name)
-        n, s, phi = int(d["n"]), float(d["s"]), float(d["phi"])
+        s, phi = float(d["s"]), float(d["phi"])
         rho = matrix_from_pairs(d["rho_d0"], n, "rho_d0")
         b = d["blocks"]
         blocks = WwmBlocks(
@@ -357,12 +338,11 @@ def from_tilted_pair(theta: float, u_plus, u_minus) -> WwmBlocks:
     real number, or for stacks of unitaries an array of one angle per unitary.
     """
     up, um = _unitary_pair(u_plus, u_minus)
-    return tilted_blocks(_reals(theta, "angle theta", up.shape[:-2], "the unitaries'"), up, um)
+    return tilted_blocks(linalg.reals(theta, "angle theta", up.shape[:-2]), up, um)
 
 
 def tilted_blocks(theta, up, um) -> WwmBlocks:
-    """:func:`from_tilted_pair` without its unitarity check."""
-    theta = np.asarray(theta, dtype=float)
+    """:func:`from_tilted_pair` without its unitarity check, for an array ``theta`` of floats."""
     # math.cos and math.sin, not their numpy ufuncs, whose vectorized loops
     # may round differently: generated instances must replay bit for bit.
     c = np.reshape([math.sqrt(2.0) * math.cos(t) for t in theta.flat], theta.shape)[..., None, None]

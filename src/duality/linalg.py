@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .tolerances import CONSTRUCTION_ATOL, PIVOT_ATOL, VALIDATION_ATOL
 
-_U64 = (1 << 64) - 1
+MAX_KEY = (1 << 64) - 1
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -89,7 +89,8 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_square(m, name)
-    dev = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test, without a warning
+        dev = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
     i = first_failure(dev <= CONSTRUCTION_ATOL)
     if i is not None:
         raise ValidationError(
@@ -107,7 +108,8 @@ def is_unitary(m):
 def require_density(rho, name: str = "rho") -> np.ndarray:
     """Validate density matrices: Hermitian, trace one, positive semidefinite."""
     a = require_hermitian(rho, name)
-    tr = a.trace(0, -2, -1).real
+    with np.errstate(over="ignore"):  # an overflowing trace is inf, which fails the test
+        tr = a.trace(0, -2, -1).real
     i = first_failure(np.abs(tr - 1.0) <= CONSTRUCTION_ATOL)
     if i is not None:
         raise ValidationError(f"{label(name, i)} must have unit trace, got {float(tr[i])!r}")
@@ -148,15 +150,33 @@ def trace_norm(m):
     return float(norm) if a.ndim == 2 else norm
 
 
-def _key_word(value, name: str) -> int:
-    """``value`` as a Python int, if it is an integer in [0, 2**64) and not a bool."""
-    if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+def integer(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int in [low, high], or >= low when ``high`` is None.
+    A numpy integer passes; a bool or a float does not, though ``int`` would convert it."""
+    if type(value) is not int and not isinstance(value, bool) and isinstance(value, numbers.Integral):
         value = int(value)
-    if not 0 <= value <= _U64:
-        raise ValidationError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    if type(value) is not int or value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
     return value
+
+
+def reals(value, name: str, lead: tuple | None = None) -> np.ndarray:
+    """``value`` as an array of finite floats, of shape ``lead`` if given.  Only a real
+    dtype passes: bools, strings, complex numbers, objects and ragged lists do not."""
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:  # a ragged sequence
+        raise ValidationError(f"{name} must be a real number: {exc}") from None
+    if a.dtype.kind not in "fiu":
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    a = a.astype(float, copy=False)
+    if lead is not None and a.shape != lead:
+        raise ValidationError(f"{name} must have leading shape {lead}, got {a.shape}")
+    i = first_failure(np.isfinite(a))
+    if i is not None:
+        raise ValidationError(f"{label(name, i)} must be finite, got {a[i]}")
+    return a
 
 
 class PhiloxStreams:
@@ -173,7 +193,7 @@ class PhiloxStreams:
     """
 
     def __init__(self, seed: int):
-        self._key = [_key_word(seed, "seed"), 0]
+        self._key = [integer(seed, "seed", 0, MAX_KEY), 0]
         # The state setter copies these values, so one dict serves every stream.
         self._state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": self._key},
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -181,7 +201,7 @@ class PhiloxStreams:
         self._generator = np.random.Generator(self._bit_generator)
 
     def __call__(self, stream: int) -> np.random.Generator:
-        self._key[1] = _key_word(stream, "stream")
+        self._key[1] = integer(stream, "stream", 0, MAX_KEY)
         self._bit_generator.state = self._state
         return self._generator
 
@@ -211,8 +231,7 @@ def haar_from_normals(g: np.ndarray) -> np.ndarray:
 
 def haar_unitary_from(gen: np.random.Generator, dim: int) -> np.ndarray:
     """Draw a Haar-distributed unitary from an existing generator."""
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
+    dim = integer(dim, "dim", 1)
     return haar_from_normals(gen.standard_normal((2, dim, dim)))
 
 
@@ -228,6 +247,5 @@ def density_from_normals(g: np.ndarray) -> np.ndarray:
 
 def density_from(gen: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     """Draw a random rank-``rank`` density matrix from an existing generator."""
-    if not 1 <= rank <= dim:
-        raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
+    rank = integer(rank, "rank", 1, integer(dim, "dim", 1))
     return density_from_normals(gen.standard_normal((2, dim, rank)))

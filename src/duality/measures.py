@@ -67,26 +67,39 @@ def _in_unit(x) -> np.ndarray:
     return (x >= -SLACK_TOL) & (x <= 1.0 + SLACK_TOL)
 
 
-def _clamped_unit(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+def _numbers(lead: tuple = (), **named) -> list:
+    """The ``named`` numbers of one call as :func:`linalg.reals` arrays that broadcast together and with ``lead``."""
+    arrays = [linalg.reals(value, name) for name, value in named.items()]
+    shapes = {shape for shape in (lead, *(a.shape for a in arrays)) if shape}  # () broadcasts with any shape
+    if len(shapes) > 1:  # not for the package's own calls, which pass one shape
+        try:
+            np.broadcast_shapes(*shapes)
+        except ValueError:
+            raise ValidationError(f"{', '.join(named)} must broadcast together, got shapes {sorted(shapes)}") from None
+    return arrays
+
+
+def _clamped_unit(x: np.ndarray, name: str) -> np.ndarray:
     i = linalg.first_failure(_in_unit(x))
     if i is not None:
         raise ValidationError(f"{name} must lie in [0, 1], got {float(x[i])!r}")
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
-def _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus):
-    w_plus, w_minus = np.asarray(w_plus), np.asarray(w_minus)
-    if linalg.first_failure((w_plus >= 0.0) & (w_minus >= 0.0)) is not None:
-        raise ValidationError(f"way probabilities must be non-negative, got {w_plus}, {w_minus}")
-    i = linalg.first_failure(np.abs(w_plus + w_minus - 1.0) <= VALIDATION_ATOL)
-    if i is not None:
-        raise ValidationError(f"way probabilities must sum to one, got {float((w_plus + w_minus)[i])!r}")
+def _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus, **numbers) -> list:
+    """The checked conditional states and way probabilities, then ``numbers``, all as :func:`_numbers`."""
     rp = linalg.require_density(rho_plus, "rho_plus")
     rm = linalg.require_density(rho_minus, "rho_minus")
     if rp.shape != rm.shape:
         raise ValidationError("conditional states must share the same dimension")
-    return rp, rm
+    w_plus, w_minus, *rest = _numbers(rp.shape[:-2], w_plus=w_plus, w_minus=w_minus, **numbers)
+    if linalg.first_failure((w_plus >= 0.0) & (w_minus >= 0.0)) is not None:
+        raise ValidationError(f"way probabilities must be non-negative, got {w_plus}, {w_minus}")
+    with np.errstate(over="ignore"):  # a sum that overflows is inf, which fails the test
+        i = linalg.first_failure(np.abs(w_plus + w_minus - 1.0) <= VALIDATION_ATOL)
+        if i is not None:
+            raise ValidationError(f"way probabilities must sum to one, got {float((w_plus + w_minus)[i])!r}")
+    return [rp, rm, w_plus, w_minus, *rest]
 
 
 def distinguishability(w_plus, rho_plus, w_minus, rho_minus):
@@ -95,13 +108,13 @@ def distinguishability(w_plus, rho_plus, w_minus, rho_minus):
     Takes one pair of conditional states, or stacks of them with arrays of
     way probabilities, and then returns one value per instance.
     """
-    rp, rm = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus)
+    rp, rm, w_plus, w_minus = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus)
     return _float_or_array(_conditional_spectra(w_plus, rp, w_minus, rm)[3])
 
 
 def quality(rho_plus, rho_minus):
     """Trace distance between the conditional marker states (or stacks of them)."""
-    rp, rm = _validate_conditionals(0.5, rho_plus, 0.5, rho_minus)
+    rp, rm, *_ = _validate_conditionals(0.5, rho_plus, 0.5, rho_minus)
     return _float_or_array(_conditional_spectra(0.5, rp, 0.5, rm)[1])
 
 
@@ -112,6 +125,10 @@ def xi(p, q):
     soon as either argument does.  Takes numbers, or arrays of them, and
     then returns one value per entry.
     """
+    return _xi(*_numbers(p=p, q=q))
+
+
+def _xi(p, q):
     p_sq = _square(_clamped_unit(p, "p"))
     q_sq = _square(_clamped_unit(q, "q"))
     return _float_or_array(np.sqrt(p_sq + q_sq - p_sq * q_sq))
@@ -125,8 +142,8 @@ def r_measure(w_plus, rho_plus, w_minus, rho_minus, p):
     only asserted for two-level markers, so other dimensions are rejected.
     Takes stacks as :func:`distinguishability` does.
     """
-    rp, rm = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus)
-    return _r_measure(_conditional_spectra(w_plus, rp, w_minus, rm)[2], p)
+    rp, rm, w_plus, w_minus, p = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus, p=p)
+    return _r_measure(_conditional_spectra(w_plus, rp, w_minus, rm)[2], _clamped_unit(p, "p"))
 
 
 def _r_measure(delta, p):
@@ -138,10 +155,9 @@ def _r_measure(delta, p):
 
 def d_two_level(p, r):
     """Two-level distinguishability max(P, R), of numbers or of arrays of them."""
-    p, r = np.asarray(p, dtype=float), np.asarray(r, dtype=float)
-    i = linalg.first_failure(_in_unit(p) & _in_unit(r))
-    if i is not None:
-        raise ValidationError(f"p and r must lie in [0, 1], got {float(p[i])}, {float(r[i])}")
+    p, r = _numbers(p=p, r=r)
+    if linalg.first_failure(_in_unit(p) & _in_unit(r)) is not None:
+        raise ValidationError(f"p and r must lie in [0, 1], got {p}, {r}")
     return _float_or_array(np.maximum(p, r))
 
 
@@ -154,18 +170,18 @@ def chi_closed_form(d1, d2, p, xi_value):
     the distinguishability is not already saturated by the predictability.
     Takes numbers, or arrays of them, and then returns one value per entry.
     """
-    d1, d2, xi_value = (np.asarray(a, dtype=float) for a in (d1, d2, xi_value))
-    i = linalg.first_failure((d1 >= 0.0) & (d2 >= 0.0))
-    if i is not None:
-        raise ValidationError(f"spectral weights must be non-negative, got {float(d1[i])}, {float(d2[i])}")
-    i = linalg.first_failure(np.abs(d1 + d2 - 1.0) <= CONSTRUCTION_ATOL)
-    if i is not None:
-        raise ValidationError(f"spectral weights must sum to one, got {float((d1 + d2)[i])!r}")
+    d1, d2, p, xi_value = _numbers(d1=d1, d2=d2, p=p, xi_value=xi_value)
+    if linalg.first_failure((d1 >= 0.0) & (d2 >= 0.0)) is not None:
+        raise ValidationError(f"spectral weights must be non-negative, got {d1}, {d2}")
     pc = _clamped_unit(p, "p")
-    zero = xi_value <= 0.0
-    if linalg.first_failure(~zero | (pc <= 0.0)) is not None:
-        raise ValidationError("xi = 0 with p > 0 is inconsistent (xi dominates p)")
-    value = np.where(zero, 1.0, 1.0 - 4.0 * d1 * d2 * pc * pc / np.where(zero, 1.0, xi_value * xi_value))
+    with np.errstate(all="ignore"):  # inf and NaN, from an overflow or 0/0, fail the tests
+        i = linalg.first_failure(np.abs(d1 + d2 - 1.0) <= CONSTRUCTION_ATOL)
+        if i is not None:
+            raise ValidationError(f"spectral weights must sum to one, got {float((d1 + d2)[i])!r}")
+        zero = xi_value <= 0.0
+        if linalg.first_failure(~zero | (pc <= 0.0)) is not None:
+            raise ValidationError("xi = 0 with p > 0 is inconsistent (xi dominates p)")
+        value = np.where(zero, 1.0, 1.0 - 4.0 * d1 * d2 * pc * pc / np.where(zero, 1.0, xi_value * xi_value))
     i = linalg.first_failure(_in_unit(value))
     if i is not None:
         raise ValidationError(f"closed-form chi fell outside [0, 1]: {float(value[i])!r} (inconsistent inputs)")
@@ -295,7 +311,7 @@ def hierarchy_reports(k: BranchKernel, sp: BranchSpectra) -> dict:
     and the two-level R are read from the instances' :class:`BranchSpectra`.
     """
     v, p, q, d = _modulus(k.c), np.abs(k.w_plus - k.w_minus), sp.q, sp.d
-    xi_value = xi(p, q)
+    xi_value = _xi(p, q)
     xi_minus_d, v_sq, d_sq, xi_sq = xi_value - d, v * v, d * d, xi_value * xi_value
     # The bounds on V^2 from P, Q and D.
     bound_p, bound_q, bound_d = 1.0 - p * p, 1.0 - q * q, 1.0 - d_sq

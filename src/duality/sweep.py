@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -47,6 +46,7 @@ WWM_CLASSES = ("pure", "mixed")
 S_CLASSES = ("s_pure", "s_mixed")
 BLOCK_CLASSES = ("unitary_pair", "general_unitary")
 STRINGENCY_CLASS = "tilted_pair"
+MAX_DIM = 8
 
 # Check thresholds (slack checks are ">= -tol", deviation checks "<= tol").
 SLACK_CHECKS = ("o2p", "o2q", "o2_nuevita", "o1", "main", "mixing_bound")
@@ -71,19 +71,14 @@ class SweepConfig:
     block_classes: tuple = BLOCK_CLASSES
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", linalg._key_word(self.seed, "seed"))
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) or self.count < 1:
-            raise ValidationError(f"count must be an integer >= 1, got {self.count!r}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "seed", linalg.integer(self.seed, "seed", 0, linalg.MAX_KEY))
+        object.__setattr__(self, "count", linalg.integer(self.count, "count", 1))
         try:
-            dims = tuple(self.dims)
+            dims = tuple(sorted({linalg.integer(d, "each of dims", 2, MAX_DIM) for d in self.dims}))
         except TypeError:
             raise ValidationError(f"dims must be a collection of integers, got {self.dims!r}") from None
-        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
-            raise ValidationError(f"dims must be integers, got {self.dims!r}")
-        dims = tuple(sorted(set(int(d) for d in dims)))
-        if not dims or any(d < 2 or d > 8 for d in dims):
-            raise ValidationError(f"dims must be a non-empty subset of 2..8, got {self.dims}")
+        if not dims:
+            raise ValidationError(f"dims must be a non-empty subset of 2..{MAX_DIM}, got {self.dims}")
         object.__setattr__(self, "dims", dims)
         try:
             states = {(wwm, s_class) for wwm, s_class in self.state_classes}
@@ -199,8 +194,8 @@ def generate_instance(seed: int, stream: int, dim: int, wwm_class: str,
     """Build one instance from the Philox stream keyed by (seed, stream).
 
     It is the sweep's generator on a batch of one, so it replays the sweep's
-    instance bit for bit.  It checks the class names and ``dim``, which
-    ``_draw`` trusts.
+    instance bit for bit.  It checks the class names and ``dim`` (1 to
+    ``MAX_DIM``), which ``_draw`` trusts.
     """
     if not all(isinstance(label, str) for label in (wwm_class, s_class, block_class)):
         raise ValidationError(f"class labels must be strings, got {(wwm_class, s_class, block_class)!r}")
@@ -208,11 +203,10 @@ def generate_instance(seed: int, stream: int, dim: int, wwm_class: str,
         raise ValidationError(f"unknown state class ({wwm_class!r}, {s_class!r})")
     if block_class not in (*BLOCK_CLASSES, STRINGENCY_CLASS):
         raise ValidationError(f"unknown block class {block_class!r}")
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
-        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
+    dim = linalg.integer(dim, "dim", 1, MAX_DIM)
     if wwm_class == "mixed" and dim < 2:
         raise ValidationError(f"a mixed marker needs dim >= 2, got {dim!r}")
-    s, b, rho, phi = _draw(seed, [(stream, block_class, wwm_class, s_class)], int(dim))
+    s, b, rho, phi = _draw(seed, [(stream, block_class, wwm_class, s_class)], dim)
     return InterferometerInstance(s=float(s[0]), blocks=WwmBlocks(b.vpp[0], b.vpm[0], b.vmp[0], b.vmm[0]),
                                   rho_d0=rho[0], phi=float(phi[0]))
 

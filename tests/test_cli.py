@@ -403,6 +403,11 @@ def test_generate_instance_rejects_out_of_range_keys(seed, stream, name):
     (2, np.array([]), "s_pure", "unitary_pair", "class labels must be strings"),
     (1, "mixed", "s_pure", "unitary_pair", "mixed marker needs dim >= 2"),
     (1, "mixed", "s_mixed", "tilted_pair", "mixed marker needs dim >= 2"),
+    # Above MAX_DIM: 9 generated an instance, 2**40 leaked numpy's "Maximum allowed dimension exceeded".
+    (9, "pure", "s_pure", "unitary_pair", r"dim must be an integer in \[1, 8\]"),
+    (np.int64(9), "mixed", "s_mixed", "general_unitary", "dim"),
+    (2 ** 40, "pure", "s_pure", "unitary_pair", "dim"),
+    (2 ** 64, "pure", "s_pure", "tilted_pair", "dim"),
 ])
 def test_generate_instance_rejects_bad_labels(dim, wwm_class, s_class, block_class, match):
     # An unknown marker label used to yield a mixed marker and s_mixed, and a

@@ -3,18 +3,19 @@ subclasses only, never numpy's or Python's own exceptions.
 
 Each argument is either a well-formed value or junk: a non-number, NaN or
 ±inf, an array of the wrong shape or dtype, a ragged list, or an integer
-out of range.  Marker dimensions stay small, since a large valid one only
-costs memory.
+out of range.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from duality import sweep
-from duality.errors import DualityError
-from duality.interferometer import WwmBlocks, from_global_unitary, from_tilted_pair, from_unitary_pair
-from duality.measures import evaluate
+from duality.errors import DualityError, ValidationError
+from duality.interferometer import (InterferometerInstance, WwmBlocks, from_global_unitary, from_tilted_pair,
+                                    from_unitary_pair, instance_from_dict)
+from duality.measures import chi_closed_form, d_two_level, distinguishability, evaluate, quality, r_measure, xi
 
 NUMBERS = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.complex_numbers())
 ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
@@ -46,8 +47,7 @@ def guarded(call) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.one_of(st.integers(0, 2 ** 64 - 1), JUNK), stream=st.one_of(st.integers(0, 2 ** 64 - 1), JUNK),
-       dim=st.one_of(st.integers(-3, 6), NUMBERS.filter(lambda x: not isinstance(x, int) or x <= 6),
-                     st.text(max_size=2), st.none()),
+       dim=st.one_of(st.integers(-3, sweep.MAX_DIM + 2), NUMBERS, st.text(max_size=2), st.none()),
        wwm=st.one_of(st.sampled_from(sweep.WWM_CLASSES), JUNK),
        s_class=st.one_of(st.sampled_from(sweep.S_CLASSES), JUNK),
        block=st.one_of(st.sampled_from((*sweep.BLOCK_CLASSES, sweep.STRINGENCY_CLASS)), JUNK))
@@ -82,3 +82,53 @@ def test_evaluate_raises_only_duality_errors(data, replaced):
         guarded(lambda: evaluate(**{**args, "blocks": WwmBlocks(*mats)}))
     else:
         guarded(lambda: evaluate(**args))
+
+
+# Numbers in [0, 1] in arrays of small, often mismatched, shapes: past every
+# range check, so only the broadcast check stands between them and numpy.
+UNIT_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3),
+                         elements=st.floats(0.0, 1.0))
+FORMULA_NUMBERS = st.one_of(st.floats(0.0, 1.0), UNIT_ARRAYS, JUNK)
+HALF = np.eye(2) / 2.0
+STATES = st.one_of(st.sampled_from([HALF, np.diag([1.0, 0.0]), np.stack([HALF] * 3)]), MATRICES)
+GOOD_INSTANCE = InterferometerInstance(s=1.0, blocks=from_unitary_pair(np.eye(2), np.eye(2)), rho_d0=HALF).to_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_formula_functions_and_configs_raise_only_duality_errors(data):
+    def number(label):
+        return data.draw(FORMULA_NUMBERS, label=label)
+
+    guarded(lambda: xi(number("p"), number("q")))
+    guarded(lambda: d_two_level(number("p"), number("r")))
+    guarded(lambda: chi_closed_form(number("d1"), number("d2"), number("p"), number("xi_value")))
+    rho_plus, rho_minus = data.draw(STATES, label="rho_plus"), data.draw(STATES, label="rho_minus")
+    guarded(lambda: quality(rho_plus, rho_minus))
+    guarded(lambda: distinguishability(number("w_plus"), rho_plus, number("w_minus"), rho_minus))
+    guarded(lambda: r_measure(number("w_plus"), rho_plus, number("w_minus"), rho_minus, number("p")))
+    config = {name: data.draw(st.one_of(st.just(good), JUNK), label=name) for name, good in
+              (("seed", 0), ("count", 1), ("dims", (2, 3)))}
+    guarded(lambda: sweep.SweepConfig(**config))
+    fields = {name: data.draw(st.one_of(st.just(GOOD_INSTANCE[name]), JUNK), label=name) for name in ("n", "s", "phi")}
+    guarded(lambda: instance_from_dict({**GOOD_INSTANCE, **fields}))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: xi("a", 0.5),
+    lambda: xi(np.zeros(2), np.zeros(3)),
+    lambda: d_two_level(np.zeros(2), np.zeros(3)),
+    lambda: distinguishability("a", HALF, 0.5, HALF),
+    lambda: distinguishability(np.full(2, 0.5), np.stack([HALF] * 3), 0.5, np.stack([HALF] * 3)),
+    lambda: r_measure(0.5, HALF, 0.5, HALF, "x"),
+    lambda: chi_closed_form("a", 0.5, 0.5, 0.5),
+    # Each used to return a number: True as 1.0, and "0.5" as 0.5.
+    lambda: xi(True, 0.5),
+    lambda: xi("0.5", 0.5),
+    lambda: d_two_level(True, 0.2),
+], ids=["xi-string", "xi-shapes", "d_two_level-shapes", "distinguishability-string",
+        "distinguishability-shapes", "r_measure-string", "chi-string", "xi-bool", "xi-numeric-string",
+        "d_two_level-bool"])
+def test_formula_functions_reject_non_numbers_and_mismatched_shapes(call):
+    with pytest.raises(ValidationError):
+        call()
