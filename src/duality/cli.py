@@ -42,6 +42,7 @@ from .sweep import (
 
 
 _SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _fix_float(token: str) -> str:
@@ -73,7 +74,7 @@ def _render(obj, level: int) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
-        return json.dumps(obj)
+        return _LITERALS[obj]
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
@@ -114,7 +115,8 @@ def _json_text(obj) -> str:
 
 def cmd_analyze(args) -> int:
     try:
-        data = json.loads(Path(args.path).read_text(encoding="utf-8"))
+        with open(args.path, encoding="utf-8") as f:
+            data = json.load(f)
     # ValueError covers bytes that are not UTF-8 and malformed JSON;
     # RecursionError, nesting deeper than the decoder can follow.
     except (OSError, ValueError, RecursionError) as exc:

@@ -237,45 +237,51 @@ def matrix_to_pairs(m) -> list:
     return np.ascontiguousarray(linalg.as_square(m)).view(float).reshape(-1, 2).tolist()
 
 
-def _json_numbers(values, name: str) -> None:
-    """Raise :class:`ValidationError` unless every value is a real number.
-    A bool or a numeric string is not, although ``float`` and ``np.asarray``
-    would convert it.  Each Python type is checked once."""
+def _json_numbers(values: list, name: str) -> list:
+    """``values``, after raising :class:`ValidationError` unless each is a real number (each
+    Python type is checked once): a bool or a numeric string is not, though ``float`` converts it."""
     for value_type in set(map(type, values)):
         if value_type is bool or not issubclass(value_type, numbers.Real):
             raise ValidationError(f"{name}: expected a JSON number, got {value_type.__name__}")
+    return values
 
 
-def matrix_from_pairs(pairs, n: int, name: str = "matrix") -> np.ndarray:
-    flat = np.asarray(pairs, dtype=float)
-    if flat.shape != (n * n, 2):
-        raise ValidationError(f"{name} must be a list of {n * n} [re, im] pairs")
-    _json_numbers(itertools.chain.from_iterable(pairs), f"{name} entries")
-    return (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
+def _entries(mats, size: int, name: str) -> list:
+    """The entries of matrices of ``size`` [re, im] pairs each, checked for all at once."""
+    try:
+        pairs = list(itertools.chain.from_iterable(mats))
+        # Each matrix and pair is a JSON array, or a tuple or numpy array from a Python caller.
+        shaped = (set(map(len, mats)) == {size} and set(map(len, pairs)) == {2}
+                  and set(map(type, mats)) | set(map(type, pairs)) <= {list, tuple, np.ndarray})
+    except TypeError:  # a number or a 0-d array where a sequence belongs
+        shaped = False
+    if not shaped:
+        raise ValidationError(f"{name} must be a list of {size} [re, im] pairs")
+    return _json_numbers(list(itertools.chain.from_iterable(pairs)), f"{name} entries")
 
 
 def instance_from_dict(d: dict) -> InterferometerInstance:
     """Deserialize an instance from the documented JSON schema.
 
     ``n`` must be an integer and every other number a JSON number: a bool or
-    a string is rejected, not converted.
+    a string is rejected, not converted.  An error names the first malformed matrix.
     """
     try:
         n = linalg.integer(d["n"], "n", 1)
-        for name in ("s", "phi"):
-            _json_numbers([d[name]], name)
-        s, phi = float(d["s"]), float(d["phi"])
-        rho = matrix_from_pairs(d["rho_d0"], n, "rho_d0")
-        b = d["blocks"]
-        blocks = WwmBlocks(
-            vpp=matrix_from_pairs(b["vpp"], n, "vpp"),
-            vpm=matrix_from_pairs(b["vpm"], n, "vpm"),
-            vmp=matrix_from_pairs(b["vmp"], n, "vmp"),
-            vmm=matrix_from_pairs(b["vmm"], n, "vmm"),
-        )
+        s, phi = (float(_json_numbers([d[name]], name)[0]) for name in ("s", "phi"))
+        mats = (d["rho_d0"], *(d["blocks"][name] for name in ("vpp", "vpm", "vmp", "vmm")))
+        try:
+            values = _entries(mats, n * n, "matrices")
+        except ValidationError:
+            values = [x for m, name in zip(mats, ("rho_d0", "vpp", "vpm", "vmp", "vmm"))
+                      for x in _entries([m], n * n, name)]
+        flat = np.array(values, dtype=float).reshape(5, n, n, 2)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed instance object: {exc}") from exc
-    return InterferometerInstance(s=s, blocks=blocks, rho_d0=rho, phi=phi)
+    # x + 1j*y, not a complex view, which would keep an imaginary -0.0 that x + 1j*y has always made +0.0.
+    with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part, which validation rejects
+        rho, *blocks = flat[..., 0] + 1j * flat[..., 1]
+    return InterferometerInstance(s=s, blocks=WwmBlocks.adopt(*blocks), rho_d0=rho, phi=phi)
 
 
 def assemble_global_unitary(blocks: WwmBlocks) -> np.ndarray:
@@ -291,7 +297,8 @@ def assemble_global_unitary(blocks: WwmBlocks) -> np.ndarray:
 def validate_unitarity(blocks: WwmBlocks):
     """Whether the assembled joint operator is unitary within 1e-10: a bool,
     or one per instance for stacked blocks."""
-    return linalg.is_unitary(assemble_global_unitary(blocks))
+    with np.errstate(invalid="ignore"):  # a block entry of inf or NaN fails the test, without a warning
+        return linalg.is_unitary(assemble_global_unitary(blocks))
 
 
 def _require_unitary(u, name: str) -> np.ndarray:

@@ -173,15 +173,15 @@ def chi_closed_form(d1, d2, p, xi_value):
     d1, d2, p, xi_value = _numbers(d1=d1, d2=d2, p=p, xi_value=xi_value)
     if linalg.first_failure((d1 >= 0.0) & (d2 >= 0.0)) is not None:
         raise ValidationError(f"spectral weights must be non-negative, got {d1}, {d2}")
-    pc = _clamped_unit(p, "p")
+    pc, xc = _clamped_unit(p, "p"), _clamped_unit(xi_value, "xi")
     with np.errstate(all="ignore"):  # inf and NaN, from an overflow or 0/0, fail the tests
         i = linalg.first_failure(np.abs(d1 + d2 - 1.0) <= CONSTRUCTION_ATOL)
         if i is not None:
             raise ValidationError(f"spectral weights must sum to one, got {float((d1 + d2)[i])!r}")
-        zero = xi_value <= 0.0
-        if linalg.first_failure(~zero | (pc <= 0.0)) is not None:
-            raise ValidationError("xi = 0 with p > 0 is inconsistent (xi dominates p)")
-        value = np.where(zero, 1.0, 1.0 - 4.0 * d1 * d2 * pc * pc / np.where(zero, 1.0, xi_value * xi_value))
+        zero = xc <= 0.0
+        if linalg.first_failure((xc >= pc - SLACK_TOL) & (~zero | (pc <= 0.0))) is not None:
+            raise ValidationError("xi below p is inconsistent (Xi^2 = P^2 + Q^2 (1 - P^2) >= P^2)")
+        value = np.where(zero, 1.0, 1.0 - 4.0 * d1 * d2 * pc * pc / np.where(zero, 1.0, xc * xc))
     i = linalg.first_failure(_in_unit(value))
     if i is not None:
         raise ValidationError(f"closed-form chi fell outside [0, 1]: {float(value[i])!r} (inconsistent inputs)")

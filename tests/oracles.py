@@ -4,14 +4,17 @@
 route: Kronecker products, the assembled joint unitary and the quanton
 optics.  The quantities the engine reads from its kernel (way
 probabilities, conditional marker states, the fringe) are extracted from
-it projectively.
+it projectively.  ``matrix_from_pairs`` parses one matrix of the instance
+JSON schema on its own, the reference for the one-pass parse of
+``instance_from_dict``.
 """
 
 import math
+import numbers
 
 import numpy as np
 
-from duality.errors import DegenerateBranchError
+from duality.errors import DegenerateBranchError, ValidationError
 from duality.interferometer import InterferometerInstance, assemble_global_unitary
 from duality.linalg import SIGMA_X, density_from, haar_unitary_from, rng
 from duality.tolerances import DEGENERATE_WEIGHT
@@ -67,3 +70,27 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
 def random_density(dim: int, rank: int, seed: int) -> np.ndarray:
     """Random density matrix of the requested rank, deterministic in ``seed``."""
     return density_from(rng(seed), dim, rank)
+
+
+def matrix_from_pairs(pairs, n: int, name: str) -> np.ndarray:
+    """One matrix of an instance object, checked and converted on its own.
+
+    The matrix and each of its n*n [re, im] pairs must be a list, tuple or
+    numpy array, and every entry a real number other than a bool; the first
+    offending entry names the type in the error.  Conversion is one nested
+    ``np.asarray`` per matrix.
+    """
+    sequences = (list, tuple, np.ndarray)
+    try:
+        shaped = type(pairs) in sequences and len(pairs) == n * n and all(
+            type(pair) in sequences and len(pair) == 2 for pair in pairs)
+    except TypeError:
+        shaped = False
+    if not shaped:
+        raise ValidationError(f"{name} must be a list of {n * n} [re, im] pairs")
+    for x in (x for pair in pairs for x in pair):
+        if type(x) is bool or not isinstance(x, numbers.Real):
+            raise ValidationError(f"{name} entries: expected a JSON number, got {type(x).__name__}")
+    flat = np.asarray(pairs, dtype=float)
+    with np.errstate(invalid="ignore"):  # 1j * inf
+        return (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)

@@ -1,0 +1,34 @@
+"""The analyze outputs the benchmark checks are those this checkout writes.
+
+``benchmarks/workloads.py`` is read from its source, without importing it or
+writing anything next to it.  Its ``prepare`` writes the analyze workload's
+116 instance files into a temporary directory, and the pass's sha256 of the
+concatenated ``analyze`` outputs must equal the digest recorded in
+``benchmarks/references.json``: a changed bit fails every analyze item of a
+benchmark run.
+"""
+
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+
+
+def workloads_module(monkeypatch) -> types.ModuleType:
+    module = types.ModuleType("benchmark_workloads")
+    module.__file__ = str(WORKLOADS)
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # where its dataclasses look up their annotations
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_analyze_outputs_match_the_benchmark_references(tmp_path, monkeypatch, seed):
+    workloads = workloads_module(monkeypatch)
+    reference = workloads.load_references()["analyze"][str(seed)]
+    result = workloads.prepare("analyze", seed, tmp_path).timed.run()
+    assert (result.items, result.failed) == (116, 0)
+    assert result.digest == reference

@@ -85,6 +85,16 @@ def test_analyze_unreadable_json_exits_2(tmp_path, capsys, content):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["empty", "directory", "missing"])
+def test_analyze_unreadable_path_exits_2(tmp_path, capsys, monkeypatch, kind):
+    # The error names the path as given: "" is no file, not the directory ".".
+    monkeypatch.chdir(tmp_path)
+    path = {"empty": "", "directory": str(tmp_path), "missing": str(tmp_path / "missing.json")}[kind]
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read instance file: ") and err.endswith(f"{path!r}\n")
+
+
 @pytest.mark.parametrize("where, value", [
     (("n",), 2.7), (("n",), 2.0), (("n",), "2"), (("n",), True),
     (("s",), "1.0"), (("s",), True), (("s",), None), (("phi",), "0"), (("phi",), False),

@@ -56,6 +56,17 @@ def test_generate_instance_raises_only_duality_errors(seed, stream, dim, wwm, s_
 
 
 @settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), stream=st.integers(0, 2 ** 64 - 1),
+       dim=st.one_of(st.integers(-3, 2 ** 70), st.integers(-3, 2 ** 63 - 1).map(np.int64),
+                     st.integers(0, 2 ** 64 - 1).map(np.uint64), JUNK),
+       wwm=st.sampled_from(sweep.WWM_CLASSES), s_class=st.sampled_from(sweep.S_CLASSES),
+       block=st.sampled_from((*sweep.BLOCK_CLASSES, sweep.STRINGENCY_CLASS)))
+def test_generate_instance_checks_any_dim(seed, stream, dim, wwm, s_class, block):
+    # Every other argument is valid, so each example reaches the dim check.
+    guarded(lambda: sweep.generate_instance(seed, stream, dim, wwm, s_class, block))
+
+
+@settings(max_examples=300, deadline=None)
 @given(theta=st.one_of(st.floats(), JUNK), u_plus=MATRICES, u_minus=MATRICES)
 def test_block_constructors_raise_only_duality_errors(theta, u_plus, u_minus):
     guarded(lambda: from_tilted_pair(theta, u_plus, u_minus))
@@ -132,3 +143,34 @@ def test_formula_functions_and_configs_raise_only_duality_errors(data):
 def test_formula_functions_reject_non_numbers_and_mismatched_shapes(call):
     with pytest.raises(ValidationError):
         call()
+
+
+MATRIX_NAMES = ("rho_d0", "vpp", "vpm", "vmp", "vmm")
+# Junk for one entry, one [re, im] pair or one whole matrix of an instance object.
+ENTRY_JUNK = st.one_of(JUNK, st.sampled_from(["0.5", "1e3", float("nan"), float("inf"), -float("inf"),
+                                              2 ** 1100, -2 ** 1024, np.float64(0.5), np.bool_(False)]),
+                       st.dictionaries(st.text(max_size=2), st.floats(), max_size=2))
+PAIR_JUNK = st.one_of(ENTRY_JUNK, st.lists(st.floats(), max_size=3), st.tuples(st.floats(), st.floats()).map(np.array))
+MATRIX_JUNK = st.one_of(PAIR_JUNK, st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=5),
+                        st.lists(st.lists(st.floats(), max_size=3), min_size=4, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), replaced=st.sets(st.sampled_from(MATRIX_NAMES), min_size=1))
+def test_instance_matrices_raise_only_duality_errors(data, replaced):
+    d = {**GOOD_INSTANCE, "blocks": dict(GOOD_INSTANCE["blocks"])}
+    for name in replaced:
+        target = d if name == "rho_d0" else d["blocks"]
+        pairs = [list(pair) for pair in target[name]]
+        level = data.draw(st.sampled_from(("entry", "pair", "matrix", "array")), label=f"{name} level")
+        i = data.draw(st.integers(0, len(pairs) - 1), label=f"{name} pair")
+        if level == "entry":
+            pairs[i][data.draw(st.integers(0, 1), label=f"{name} part")] = data.draw(ENTRY_JUNK, label=name)
+        elif level == "pair":
+            pairs[i] = data.draw(PAIR_JUNK, label=name)
+        elif level == "matrix":
+            pairs = data.draw(MATRIX_JUNK, label=name)
+        else:  # the matrix as a numpy array, as a Python caller may pass it
+            pairs = np.array(pairs, dtype=data.draw(st.sampled_from([float, complex, object, int, bool]), label=name))
+        target[name] = pairs
+    guarded(lambda: instance_from_dict(d))

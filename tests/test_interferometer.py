@@ -1,18 +1,22 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     conditional_states_from_final,
     final_state,
     haar_random_unitary,
+    matrix_from_pairs,
     random_density,
     reduced_quanton_state,
     upper_port_probability,
 )
 
+from duality import interferometer
 from duality.errors import DegenerateBranchError, ValidationError
 from duality.interferometer import (
     InterferometerInstance,
@@ -398,6 +402,84 @@ def test_matrix_to_pairs_equals_the_entry_by_entry_reference():
         reference = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
         assert repr(matrix_to_pairs(m)) == repr(reference)
         assert all(type(x) is float for pair in matrix_to_pairs(m) for x in pair)
+
+
+MATRIX_NAMES = ("rho_d0", "vpp", "vpm", "vmp", "vmm")
+ENTRIES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+                    st.integers(-2 ** 70, 2 ** 70), st.floats().map(np.float64))
+# One malformed part: an entry, a pair or a whole matrix.
+BAD_ENTRIES = st.one_of(st.booleans(), st.sampled_from(["0.5", None, 1j, [0.5], 2 ** 1100, np.bool_(True)]))
+BAD_PAIRS = st.sampled_from([[0.5], [0.5, 0.0, 0.0], None, "ab", {"a": 0.5, "b": 0.0}, 0.5, np.zeros(()), (0.5,)])
+
+
+@st.composite
+def instance_objects(draw):
+    """Instance objects whose matrices are lists, tuples or numpy arrays of
+    any numbers, with at most one malformed part."""
+    n = draw(st.integers(1, 3))
+    mats = {}
+    for name in MATRIX_NAMES:
+        pairs = draw(st.lists(st.lists(ENTRIES, min_size=2, max_size=2), min_size=n * n, max_size=n * n))
+        mats[name] = draw(st.sampled_from([pairs, tuple(map(tuple, pairs)), np.array(pairs)]))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(MATRIX_NAMES))
+        pairs = [list(pair) for pair in mats[name]]
+        i, level = draw(st.integers(0, n * n - 1)), draw(st.sampled_from(("entry", "pair", "matrix")))
+        if level == "entry":
+            pairs[i][draw(st.integers(0, 1))] = draw(BAD_ENTRIES)
+        elif level == "pair":
+            pairs[i] = draw(BAD_PAIRS)
+        else:
+            pairs = draw(st.sampled_from([pairs[:-1], pairs + pairs[:1], None, 2.0, "x", dict(enumerate(pairs)),
+                                          set(map(tuple, pairs)), np.array(pairs)[None]]))
+        mats[name] = pairs
+    return {"s": 0.0, "phi": 0.0, "n": n, "rho_d0": mats["rho_d0"],
+            "blocks": {name: mats[name] for name in MATRIX_NAMES[1:]}}
+
+
+def parsed(d) -> str:
+    """The repr of the five matrices ``instance_from_dict`` parses from ``d``,
+    taken before the instance's own checks, or its error message."""
+    with mock.patch.object(interferometer, "InterferometerInstance", lambda s, blocks, rho_d0, phi: (rho_d0, blocks)):
+        try:
+            rho, b = instance_from_dict(d)
+        except ValidationError as exc:
+            return str(exc)
+    return repr([m.tolist() for m in (rho, b.vpp, b.vpm, b.vmp, b.vmm)])
+
+
+def parsed_by_reference(d) -> str:
+    """:func:`parsed` with each matrix parsed on its own by the reference."""
+    mats = (d["rho_d0"], *(d["blocks"][name] for name in MATRIX_NAMES[1:]))
+    try:
+        return repr([matrix_from_pairs(m, d["n"], name).tolist() for m, name in zip(mats, MATRIX_NAMES)])
+    except ValidationError as exc:
+        return str(exc)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return f"malformed instance object: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=instance_objects())
+def test_one_pass_parse_equals_the_per_matrix_reference(d):
+    # By repr, which tells -0.0 from 0.0 and shows every bit of a float.
+    assert parsed(d) == parsed_by_reference(d)
+
+
+@pytest.mark.parametrize("name", MATRIX_NAMES)
+def test_parse_errors_name_their_matrix(name):
+    good = random_instance(4, dim=2).to_dict()
+    for where, value, message in (("entry", "0.5", f"{name} entries: expected a JSON number, got str"),
+                                  ("pair", [0.5], f"{name} must be a list of 4 [re, im] pairs")):
+        d = json.loads(json.dumps(good))
+        target = d if name == "rho_d0" else d["blocks"]
+        if where == "entry":
+            target[name][3][1] = value
+        else:
+            target[name][3] = value
+        with pytest.raises(ValidationError) as info:
+            instance_from_dict(d)
+        assert str(info.value) == message
 
 
 def test_deserialization_rejects_malformed():

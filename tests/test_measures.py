@@ -188,6 +188,11 @@ def test_chi_closed_form_rejects_inconsistent():
         chi_closed_form(0.7, 0.7, 0.3, 0.8)
     with pytest.raises(ValidationError):
         chi_closed_form(0.5, 0.5, 0.9, 0.2)  # xi below p
+    # Each used to return a number (0.99, 1.0, 1.0 and 0.4816), although
+    # Xi <= 1 and Xi^2 = P^2 + Q^2 (1 - P^2) >= P^2.
+    for args in ((0.5, 0.5, 0.5, 5.0), (0.5, 0.5, 0.0, -5.0), (0.5, 0.5, 0.0, 1.5), (0.9, 0.1, 0.3, 0.25)):
+        with pytest.raises(ValidationError):
+            chi_closed_form(*args)
 
 
 def test_chi_closed_form_degenerate_zero():
