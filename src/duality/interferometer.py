@@ -238,21 +238,25 @@ def matrix_to_pairs(m) -> list:
 
 
 def _json_numbers(values: list, name: str) -> list:
-    """``values``, after raising :class:`ValidationError` unless each is a real number (each
-    Python type is checked once): a bool or a numeric string is not, though ``float`` converts it."""
-    for value_type in set(map(type, values)):
-        if value_type is bool or not issubclass(value_type, numbers.Real):
-            raise ValidationError(f"{name}: expected a JSON number, got {value_type.__name__}")
-    return values
+    """``values`` as floats, after raising :class:`ValidationError` unless each is a real number
+    (each Python type is checked once, before any conversion): a bool or a numeric string is not,
+    though ``float`` converts it.  The first offending value names its type in the error."""
+    types = set(map(type, values))
+    if types <= {float}:
+        return values
+    bad = {t for t in types if t is bool or not issubclass(t, numbers.Real)}
+    if bad:
+        first = next(x for x in values if type(x) in bad)
+        raise ValidationError(f"{name}: expected a JSON number, got {type(first).__name__}")
+    return list(map(float, values))
 
 
-def _entries(mats, size: int, name: str) -> list:
-    """The entries of matrices of ``size`` [re, im] pairs each, checked for all at once."""
+def _entries(pairs, size: int, name: str) -> list:
+    """The entries of one matrix of ``size`` [re, im] pairs, as floats."""
     try:
-        pairs = list(itertools.chain.from_iterable(mats))
-        # Each matrix and pair is a JSON array, or a tuple or numpy array from a Python caller.
-        shaped = (set(map(len, mats)) == {size} and set(map(len, pairs)) == {2}
-                  and set(map(type, mats)) | set(map(type, pairs)) <= {list, tuple, np.ndarray})
+        # The matrix and each pair are JSON arrays, or tuples or numpy arrays from a Python caller.
+        shaped = (len(pairs) == size and set(map(len, pairs)) == {2}
+                  and {type(pairs), *map(type, pairs)} <= {list, tuple, np.ndarray})
     except TypeError:  # a number or a 0-d array where a sequence belongs
         shaped = False
     if not shaped:
@@ -268,13 +272,10 @@ def instance_from_dict(d: dict) -> InterferometerInstance:
     """
     try:
         n = linalg.integer(d["n"], "n", 1)
-        s, phi = (float(_json_numbers([d[name]], name)[0]) for name in ("s", "phi"))
-        mats = (d["rho_d0"], *(d["blocks"][name] for name in ("vpp", "vpm", "vmp", "vmm")))
-        try:
-            values = _entries(mats, n * n, "matrices")
-        except ValidationError:
-            values = [x for m, name in zip(mats, ("rho_d0", "vpp", "vpm", "vmp", "vmm"))
-                      for x in _entries([m], n * n, name)]
+        s, phi = (_json_numbers([d[name]], name)[0] for name in ("s", "phi"))
+        values = list(itertools.chain.from_iterable(
+            _entries(d["rho_d0"] if name == "rho_d0" else d["blocks"][name], n * n, name)
+            for name in ("rho_d0", "vpp", "vpm", "vmp", "vmm")))
         flat = np.array(values, dtype=float).reshape(5, n, n, 2)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed instance object: {exc}") from exc

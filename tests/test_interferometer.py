@@ -407,7 +407,7 @@ def test_matrix_to_pairs_equals_the_entry_by_entry_reference():
 MATRIX_NAMES = ("rho_d0", "vpp", "vpm", "vmp", "vmm")
 ENTRIES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
                     st.integers(-2 ** 70, 2 ** 70), st.floats().map(np.float64))
-# One malformed part: an entry, a pair or a whole matrix.
+# A malformed part: an entry, a pair or a whole matrix.
 BAD_ENTRIES = st.one_of(st.booleans(), st.sampled_from(["0.5", None, 1j, [0.5], 2 ** 1100, np.bool_(True)]))
 BAD_PAIRS = st.sampled_from([[0.5], [0.5, 0.0, 0.0], None, "ab", {"a": 0.5, "b": 0.0}, 0.5, np.zeros(()), (0.5,)])
 
@@ -415,14 +415,13 @@ BAD_PAIRS = st.sampled_from([[0.5], [0.5, 0.0, 0.0], None, "ab", {"a": 0.5, "b":
 @st.composite
 def instance_objects(draw):
     """Instance objects whose matrices are lists, tuples or numpy arrays of
-    any numbers, with at most one malformed part."""
+    any numbers, with up to two malformed matrices."""
     n = draw(st.integers(1, 3))
     mats = {}
     for name in MATRIX_NAMES:
         pairs = draw(st.lists(st.lists(ENTRIES, min_size=2, max_size=2), min_size=n * n, max_size=n * n))
         mats[name] = draw(st.sampled_from([pairs, tuple(map(tuple, pairs)), np.array(pairs)]))
-    if draw(st.booleans()):
-        name = draw(st.sampled_from(MATRIX_NAMES))
+    for name in draw(st.lists(st.sampled_from(MATRIX_NAMES), max_size=2, unique=True)):
         pairs = [list(pair) for pair in mats[name]]
         i, level = draw(st.integers(0, n * n - 1)), draw(st.sampled_from(("entry", "pair", "matrix")))
         if level == "entry":
@@ -480,6 +479,21 @@ def test_parse_errors_name_their_matrix(name):
         with pytest.raises(ValidationError) as info:
             instance_from_dict(d)
         assert str(info.value) == message
+
+
+def test_parse_errors_name_the_first_malformed_part():
+    good = random_instance(4, dim=2).to_dict()
+    for bad, message in (({"rho_d0": (1, 0, 2 ** 1100), "vpp": (3, 1, "0.5")},
+                          "malformed instance object: int too large to convert to float"),
+                         ({"vpm": (1, 1, True), "vmp": (0, 0, None)}, "vpm entries: expected a JSON number, got bool"),
+                         ({"vmm": (1, 0, "0.5")}, "vmm entries: expected a JSON number, got str"),
+                         ({"vmm": (0, 1, None)}, "vmm entries: expected a JSON number, got NoneType")):
+        d = json.loads(json.dumps(good))
+        for name, (i, j, value) in bad.items():
+            (d if name == "rho_d0" else d["blocks"])[name][i][j] = value
+        if len(bad) == 1:  # a second bad entry, later in the same matrix
+            d["blocks"]["vmm"][3][0] = False
+        assert parsed(d) == parsed_by_reference(d) == message
 
 
 def test_deserialization_rejects_malformed():
