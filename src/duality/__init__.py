@@ -50,6 +50,6 @@ from .sqds import (
     sqds_visibility,
     sqds_xi,
 )
-from .sweep import SweepConfig, SweepSummary, generate_instance, iter_sweep, run_sweep
+from .sweep import SweepChunk, SweepConfig, SweepSummary, generate_instance, iter_sweep, run_sweep
 
 __version__ = "0.1.0"

@@ -264,24 +264,32 @@ def _entries(pairs, size: int, name: str) -> list:
     return _json_numbers(list(itertools.chain.from_iterable(pairs)), f"{name} entries")
 
 
+_MATRICES = ("rho_d0", "vpp", "vpm", "vmp", "vmm")
+
+
 def instance_from_dict(d: dict) -> InterferometerInstance:
     """Deserialize an instance from the documented JSON schema.
 
     ``n`` must be an integer and every other number a JSON number: a bool or
-    a string is rejected, not converted.  An error names the first malformed matrix.
+    a string is rejected, not converted.  Every matrix entry must be finite,
+    which Python's ``json`` does not ensure (it reads ``NaN`` and
+    ``Infinity``).  An error names the first malformed matrix.
     """
     try:
         n = linalg.integer(d["n"], "n", 1)
         s, phi = (_json_numbers([d[name]], name)[0] for name in ("s", "phi"))
         values = list(itertools.chain.from_iterable(
             _entries(d["rho_d0"] if name == "rho_d0" else d["blocks"][name], n * n, name)
-            for name in ("rho_d0", "vpp", "vpm", "vmp", "vmm")))
+            for name in _MATRICES))
         flat = np.array(values, dtype=float).reshape(5, n, n, 2)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed instance object: {exc}") from exc
+    entries = flat.reshape(5, -1)
+    i = linalg.first_failure(np.isfinite(entries))
+    if i is not None:
+        raise ValidationError(f"{_MATRICES[i[0]]} entries must be finite, got {entries[i]}")
     # x + 1j*y, not a complex view, which would keep an imaginary -0.0 that x + 1j*y has always made +0.0.
-    with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part, which validation rejects
-        rho, *blocks = flat[..., 0] + 1j * flat[..., 1]
+    rho, *blocks = flat[..., 0] + 1j * flat[..., 1]
     return InterferometerInstance(s=s, blocks=WwmBlocks.adopt(*blocks), rho_d0=rho, phi=phi)
 
 
@@ -297,9 +305,23 @@ def assemble_global_unitary(blocks: WwmBlocks) -> np.ndarray:
 
 def validate_unitarity(blocks: WwmBlocks):
     """Whether the assembled joint operator is unitary within 1e-10: a bool,
-    or one per instance for stacked blocks."""
-    with np.errstate(invalid="ignore"):  # a block entry of inf or NaN fails the test, without a warning
-        return linalg.is_unitary(assemble_global_unitary(blocks))
+    or one per instance for stacked blocks.
+
+    U^dagger U = I holds for the joint operator U of
+    :func:`assemble_global_unitary` exactly when its n x n blocks satisfy
+    V++^dagger V++ + V-+^dagger V-+ = 2I, V+-^dagger V+- + V--^dagger V-- = 2I
+    and V++^dagger V+- - V-+^dagger V-- = 0, twice U^dagger U - I blockwise.
+    Each is tested within 2e-10, so no 2n x 2n operator is formed.
+    """
+    vpp, vpm, vmp, vmm = blocks.vpp, blocks.vpm, blocks.vmp, blocks.vmm
+    vpp_h, vmp_h = linalg.dagger(vpp), linalg.dagger(vmp)
+    two = 2.0 * np.eye(blocks.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN entries fail the test, without a warning
+        # One identity at a time, so that one stack of products is held at once.
+        dev = np.abs(vpp_h @ vpp + vmp_h @ vmp - two).max(axis=(-2, -1))
+        dev = np.maximum(dev, np.abs(linalg.dagger(vpm) @ vpm + linalg.dagger(vmm) @ vmm - two).max(axis=(-2, -1)))
+        dev = np.maximum(dev, np.abs(vpp_h @ vpm - vmp_h @ vmm).max(axis=(-2, -1)))
+    return dev <= 2.0 * VALIDATION_ATOL
 
 
 def _require_unitary(u, name: str) -> np.ndarray:

@@ -17,16 +17,20 @@ The engine walks the plan in index order, a chunk of instances at a time.
 Each marker dimension of a chunk is generated as ``(N, n, n)`` stacks and
 measured by :func:`~duality.measures.evaluate` into the chunk's columns, and
 each check is one masked reduction over them; the summary and the rows come
-out as from a sweep done one instance at a time, each row as its chunk ends.
+out as from a sweep done one instance at a time.  The sweep yields each
+chunk, columns and all, as it ends (:class:`SweepChunk`), and
+``instances.csv`` is formatted from those columns.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,7 +263,8 @@ class SweepSummary:
         """The smallest slack so far, with its check, labels and instance JSON.
 
         A sweep finds a new smallest slack many times, so the record is
-        built when it is first read, not each time.
+        built when it is first read, not each time.  It advances chunk by
+        chunk, so it can be read mid-sweep.
         """
         if callable(self._worst_record):
             self._worst_record = self._worst_record()
@@ -296,11 +301,35 @@ def _slack_record(name: str, value: float, labels: dict, fields: tuple) -> dict:
     return {"check": name, "slack": value, "labels": labels, "instance": instance_to_dict(*fields)}
 
 
+class SweepChunk(NamedTuple):
+    """One chunk of a sweep, as :func:`iter_sweep` yields it.
+
+    ``indices`` are its instances' plan indices and ``lanes[i]`` the plan
+    lane (block_class, wwm_class, s_class, n) of chunk position ``i``.
+    ``columns`` maps each column of :func:`~duality.measures.evaluate`, the
+    CSV's ``s`` to ``mixing_bound_slack`` among them, to one array over the
+    chunk, NaN where a cell is empty.  ``checked`` marks the instances that
+    passed every check, each of which gets a CSV row.
+    """
+
+    indices: range
+    lanes: list
+    columns: dict
+    checked: np.ndarray
+
+    def rows(self) -> list:
+        """One dict per checked instance, keyed by ``CSV_COLUMNS``, ``None`` where a cell is empty."""
+        cells = [np.where(np.isnan(self.columns[name]), None, self.columns[name]).tolist()
+                 for name in CSV_COLUMNS[5:]]
+        return [dict(zip(CSV_COLUMNS, (self.indices[i], *self.lanes[i], *values)))
+                for i, (row, values) in enumerate(zip(self.checked.tolist(), zip(*cells))) if row]
+
+
 def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
-            summary: SweepSummary) -> Iterator[dict]:
+            summary: SweepSummary) -> SweepChunk:
     """Run every check on a chunk's columns, each as one masked reduction,
-    update ``summary`` as checking one instance at a time in index order
-    would, and yield the rows of the instances that pass every check.
+    and update ``summary`` as checking one instance at a time in index order
+    would.
 
     ``lanes[i]`` is the plan lane and ``instance[i]()`` gives the
     :func:`instance_to_dict` arguments of chunk position ``i``.
@@ -358,15 +387,13 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     summary.degenerate_count += len(errors) - int(np.count_nonzero(identity_failed))
     summary.instance_count += int(np.count_nonzero(checked))
 
-    cells = [np.where(np.isnan(cols[name]), None, cols[name]).tolist() for name in CSV_COLUMNS[5:]]
-    for i, (row, low, values) in enumerate(zip(checked.tolist(), lowest.tolist(), zip(*cells))):
-        # The worst instance moves row by row, so it can be read mid-sweep.
-        # It holds its own fields, not its group's stacks, until it is read.
-        if low < summary._worst_slack:
-            summary._worst_slack = low
-            summary._worst_record = functools.partial(_slack_record, lowest_check[i], low, labels(i), instance[i]())
-        if row:
-            yield dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[i], *values)))
+    # The first smallest slack of the chunk, which holds its own fields, not
+    # its group's stacks, until it is read.
+    i = int(np.argmin(lowest))
+    if lowest[i] < summary._worst_slack:
+        summary._worst_slack = low = float(lowest[i])
+        summary._worst_record = functools.partial(_slack_record, lowest_check[i], low, labels(i), instance[i]())
+    return SweepChunk(chunk, lanes, cols, checked)
 
 
 CSV_COLUMNS = (
@@ -379,7 +406,7 @@ CSV_COLUMNS = (
 # Instances are generated and measured together until their marker matrices
 # hold this many entries (the sum of n^2): 1024 instances at n = 2, 256 at
 # n = 4, 64 at n = 8.  Each chunk pays a fixed numpy and Python cost, about
-# 1.2 ms per marker dimension in it, that a larger chunk spreads over more
+# 0.7 ms per marker dimension in it, that a larger chunk spreads over more
 # instances, while its stacks grow with n^2 per instance.  A --dims 8 sweep
 # runs 13 chunks here, 50 at 1024 entries, and took 0.12 s instead of
 # 0.14 s; its traced peak is 1.4 MiB (0.4 MiB at 1024 entries, 2.7 MiB at
@@ -420,12 +447,12 @@ def _measure(seed: int, lanes: list, chunk: range) -> tuple[dict, dict, dict]:
     return cols, errors, instance
 
 
-def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[dict]:
-    """Generate and check every instance of the plan, yielding one CSV row
-    per non-degenerate instance in index order.
+def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[SweepChunk]:
+    """Generate and check every instance of the plan, yielding one
+    :class:`SweepChunk` per chunk in index order.
 
-    ``summary`` takes a chunk's checks before its first row, its worst
-    instance row by row, and ``runtime_seconds`` after the last.  Checks never
+    ``summary`` takes a chunk's checks and its worst instance before the
+    chunk is yielded, and ``runtime_seconds`` after the last.  Checks never
     abort the sweep; all violations are collected so a failing instance
     surfaces with full context.
     """
@@ -434,39 +461,56 @@ def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[dict]:
     # Instance i runs lane i // count; only a chunk's own lanes are listed.
     for chunk in _chunks(lane[3] for lane in plan for _ in range(cfg.count)):
         lanes = [plan[i // cfg.count] for i in chunk]
-        # The chunk's stacks live as long as its _record, not into the next chunk.
-        yield from _record(chunk, lanes, *_measure(cfg.seed, lanes, chunk), summary)
+        # The chunk's stacks die with _record; only its columns are yielded.
+        yield _record(chunk, lanes, *_measure(cfg.seed, lanes, chunk), summary)
     summary.runtime_seconds = time.perf_counter() - started
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[SweepSummary, list]:
     """Generate and check every instance of the plan.
 
-    Returns the summary plus one row dict per instance (CSV order); see
-    :func:`iter_sweep`, which produces the rows without holding them.
+    Returns the summary plus one row dict per instance (CSV order,
+    :meth:`SweepChunk.rows`); see :func:`iter_sweep`, which yields the
+    chunks without holding them.
     """
     summary = SweepSummary(config=cfg)
-    rows = list(iter_sweep(cfg, summary))
+    rows = [row for chunk in iter_sweep(cfg, summary) for row in chunk.rows()]
     return summary, rows
 
 
-def write_instances_csv(path, rows) -> None:
-    """Write ``instances.csv`` from any iterable of row dicts, one line per row as it arrives.
+def write_instances_csv(path, chunks: Iterable[SweepChunk]) -> None:
+    """Write ``instances.csv`` from the chunks of a sweep, each as it arrives.
 
-    A float cell is written to 12 significant digits, a missing or None one
-    as empty and any other as ``str(value)``.  Each line is one ``%``
-    format, with a template made once per pattern of cell types.
+    A label cell is written as ``str(value)``, a float cell to 12
+    significant digits and a NaN one as empty.  Each run of consecutive rows
+    that share their empty cells is one ``%`` format, written at once, with a
+    row template made once per pattern of empty cells.
     """
     templates = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            values = tuple(map(row.get, CSV_COLUMNS))
-            kinds = tuple(map(type, values))
-            template = templates.get(kinds)
-            if template is None:
-                # "%.0s" prints nothing for its None.
-                template = templates[kinds] = ",".join(
-                    "%.0s" if value is None else "%.12g" if isinstance(value, float) else "%s"
-                    for value in values) + "\n"
-            fh.write(template % values)
+        for chunk in chunks:
+            _write_chunk(fh, chunk, templates)
+            del chunk  # freed before the sweep builds the next chunk
+
+
+def _write_chunk(fh, chunk: SweepChunk, templates: dict) -> None:
+    """Write the rows of one chunk; its Python values are freed on return,
+    before the sweep builds the next chunk."""
+    at = np.flatnonzero(chunk.checked)
+    if not at.size:
+        return
+    index = (at + chunk.indices.start).tolist()
+    lanes = [chunk.lanes[i] for i in at.tolist()]
+    table = np.array([chunk.columns[name] for name in CSV_COLUMNS[5:]])[:, at]
+    empty = np.isnan(table)
+    bounds = [0, *(np.flatnonzero((empty[:, 1:] != empty[:, :-1]).any(axis=0)) + 1).tolist(), at.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        key = empty[:, start].tobytes()
+        template = templates.get(key)
+        if template is None:
+            # "%.0s" prints nothing for its NaN.
+            template = templates[key] = ",".join(
+                ["%s"] * 5 + ["%.0s" if e else "%.12g" for e in empty[:, start].tolist()]) + "\n"
+        cells = zip(index[start:stop], *zip(*lanes[start:stop]), *table[:, start:stop].tolist())
+        fh.write(template * (stop - start) % tuple(itertools.chain.from_iterable(cells)))

@@ -152,6 +152,22 @@ def test_analyze_non_finite_phase_exits_2(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("name", ["rho_d0", "vpp", "vpm", "vmp", "vmm"])
+def test_analyze_rejects_non_finite_matrix_entries(tmp_path, capsys, name, value, text):
+    # Python's json reads NaN, Infinity and -Infinity; each is named where the file is parsed.
+    data = InterferometerInstance(s=0.0, blocks=from_unitary_pair(I2, I2),
+                                  rho_d0=np.diag([0.5, 0.5]).astype(complex)).to_dict()
+    (data["rho_d0"] if name == "rho_d0" else data["blocks"][name])[3][1] = value
+    data["blocks"]["vmm"][0][0] = math.nan  # a later matrix's bad entry is not the one named
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    expected = text if name != "vmm" else "nan"
+    assert capsys.readouterr().err == f"error: {name} entries must be finite, got {expected}\n"
+
+
 def test_analyze_linalg_error_exits_2(tmp_path, capsys, monkeypatch):
     def fail(inst):
         raise LinAlgError("eigenvalues did not converge")
@@ -475,15 +491,20 @@ def test_run_sweep_summary_contents():
     assert data["xi_minus_d_min"] is not None
 
 
-def test_worst_instance_readable_during_and_after_a_sweep():
+def test_worst_instance_readable_during_and_after_a_sweep(monkeypatch):
+    # 16 instances per chunk, so the 60 instances come in four chunks.
+    monkeypatch.setattr(sweep, "_CHUNK_ENTRIES", 64)
     cfg = SweepConfig(seed=3, count=6, dims=(2,))
     summary = SweepSummary(config=cfg)
-    smallest = math.inf
-    for row in iter_sweep(cfg, summary):
-        smallest = min([smallest] + [v for k, v in row.items() if "slack" in k and v is not None])
+    smallest, chunks = math.inf, 0
+    for chunk in iter_sweep(cfg, summary):
+        chunks += 1
+        for row in chunk.rows():
+            smallest = min([smallest] + [v for k, v in row.items() if "slack" in k and v is not None])
         worst = summary.worst_instance
-        assert worst["slack"] == smallest and worst["labels"]["index"] <= row["index"]
+        assert worst["slack"] == smallest and worst["labels"]["index"] <= chunk.indices[-1]
         assert summary.worst_instance == worst
+    assert chunks == 4
     assert summary.to_dict()["worst_instance"] == summary.worst_instance == worst
     labels = worst["labels"]
     inst = generate_instance(3, labels["index"], 2, labels["wwm_class"], labels["s_class"],
@@ -492,9 +513,8 @@ def test_worst_instance_readable_during_and_after_a_sweep():
 
 
 def csv_digest(tmp_path, cfg):
-    _, rows = run_sweep(cfg)
     path = tmp_path / "instances.csv"
-    write_instances_csv(path, rows)
+    write_instances_csv(path, iter_sweep(cfg, SweepSummary(config=cfg)))
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duality import linalg, measures, sweep
+from duality import interferometer, linalg, measures, sweep
 from duality.errors import DegenerateBranchError, IdentityError, ValidationError
 from duality.interferometer import (InterferometerInstance, WwmBlocks, from_global_unitary, from_tilted_pair,
-                                   from_unitary_pair)
+                                   from_unitary_pair, validate_instances)
 from duality.measures import (
     DualityReport,
     chi_closed_form,
@@ -34,7 +34,7 @@ from duality.sweep import (
     run_sweep,
     sweep_plan,
 )
-from duality.tolerances import PURITY_ATOL, TIE_ATOL
+from duality.tolerances import PURITY_ATOL, TIE_ATOL, VALIDATION_ATOL
 
 
 def row_alone(seed: int, row: dict) -> dict:
@@ -166,12 +166,13 @@ def test_violations_come_in_index_then_check_order(monkeypatch):
 def test_rows_stream_chunk_by_chunk():
     cfg = SweepConfig(seed=4, count=100)
     summary = SweepSummary(config=cfg)
-    rows = iter_sweep(cfg, summary)
-    first = next(rows)
-    assert first["index"] == 0
+    chunks = iter_sweep(cfg, summary)
+    first = next(chunks)
+    assert first.rows()[0]["index"] == first.indices.start == 0
     assert 0 < summary.instance_count <= sweep._CHUNK_ENTRIES // 4 < 100 * len(sweep_plan(cfg))
+    assert summary.instance_count == np.count_nonzero(first.checked) == len(first.rows())
     assert summary.runtime_seconds == 0.0
-    rows.close()
+    chunks.close()
 
 
 def sweep_output(cfg) -> tuple:
@@ -206,15 +207,16 @@ def test_outputs_do_not_depend_on_the_chunk_budget(monkeypatch, failing):
 
 def test_chunk_working_set_is_bounded():
     # The traced peak of a --dims 8 sweep measured 1.41 MiB at 4096-entry
-    # chunks (numpy 2.4, Python 3.11); without freeing each chunk's draws,
-    # stacks and copies it measured 2.38 MiB.
+    # chunks (numpy 2.4, Python 3.11), 1.39 MiB with validation at n x n
+    # cost, where the Haar QR holds the peak; without freeing each chunk's
+    # draws, stacks and copies it measured 2.38 MiB.
     cfg = SweepConfig(seed=0, count=100, dims=(8,))
     for _ in iter_sweep(SweepConfig(seed=1, count=2, dims=(2, 8)), SweepSummary(config=cfg)):
         pass  # the first sweep of a process also imports numpy.linalg's lazy parts
     summary = SweepSummary(config=cfg)
     tracemalloc.start()
     try:
-        rows = sum(1 for _ in iter_sweep(cfg, summary))
+        rows = sum(int(np.count_nonzero(chunk.checked)) for chunk in iter_sweep(cfg, summary))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -225,6 +227,25 @@ def test_chunk_working_set_is_bounded():
     assert kept < 64 * 2 ** 10
 
 
+def test_validation_working_set_is_bounded():
+    # The 64 instances of a full n = 8 chunk.  Validating them through the
+    # assembled (64, 16, 16) joint operators and a full eigvalsh traced
+    # 900 KiB (numpy 2.4, Python 3.11); from the n x n block identities and
+    # one Cholesky factorization, 323 KiB.
+    cfg = SweepConfig(seed=3, count=8, dims=(8,))
+    plan = sweep_plan(cfg)
+    jobs = [(i, *plan[i // cfg.count][:3]) for i in range(cfg.count * len(plan))]
+    s, blocks, rho, phi = sweep._draw(cfg.seed, jobs, 8)
+    assert s.shape == (64,)
+    validate_instances(s, blocks, rho, phi)  # numpy.linalg's lazy parts load on first use
+    tracemalloc.start()
+    try:
+        validate_instances(s, blocks, rho, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 2 ** 10
+
 
 def test_first_row_does_not_wait_for_the_whole_plan():
     # Only the first chunk's lanes are listed before its rows: listing all
@@ -233,15 +254,15 @@ def test_first_row_does_not_wait_for_the_whole_plan():
     cfg = SweepConfig(seed=0, count=100_000)
     for _ in iter_sweep(SweepConfig(seed=1, count=2, dims=(2, 8)), SweepSummary(config=cfg)):
         pass  # the first sweep of a process also imports numpy.linalg's lazy parts
-    rows = iter_sweep(cfg, SweepSummary(config=cfg))
+    chunks = iter_sweep(cfg, SweepSummary(config=cfg))
     tracemalloc.start()
     try:
-        first = next(rows)
+        first = next(chunks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        rows.close()
-    assert first["index"] == 0
+        chunks.close()
+    assert first.indices == range(1024) and first.checked[0]
     assert peak < 4 * 2 ** 20
 
 @pytest.mark.parametrize("cfg, solves", [
@@ -249,9 +270,10 @@ def test_first_row_does_not_wait_for_the_whole_plan():
     (SweepConfig(seed=0, count=10, dims=(8,)), 8),  # two chunks, one group each
 ])
 def test_each_group_solves_each_eigenproblem_once(monkeypatch, cfg, solves):
-    # Per dimension group of a chunk: the rho_d0 density check, rho+ - rho-
-    # (Q), the Helstrom operator (D) and at most one decomposition of rho_d0,
-    # which only polarized instances need.
+    # Per dimension group of a chunk: rho+ - rho- (Q), the Helstrom operator
+    # (D) and at most one decomposition of rho_d0, which only polarized
+    # instances need.  The rho_d0 density check is a Cholesky factorization,
+    # which solves no eigenproblem unless it fails.
     counts = {"solves": 0, "groups": 0, "decomposed": 0}
 
     def counted(key, fn):
@@ -267,26 +289,57 @@ def test_each_group_solves_each_eigenproblem_once(monkeypatch, cfg, solves):
         monkeypatch.setattr(np.linalg, name, counted("solves", getattr(np.linalg, name)))
     monkeypatch.setattr(measures, "branch_kernel", counted("groups", measures.branch_kernel))
     summary, _ = run_sweep(cfg)
-    assert counts["solves"] <= 4 * counts["groups"]
+    assert counts["solves"] <= 3 * counts["groups"]
     assert counts["solves"] <= solves
     polarized = sum(cfg.count for lane in sweep_plan(cfg) if lane[2] == "s_pure")
     assert 0 < counts["decomposed"] <= polarized < summary.instance_count
 
 
 def test_generated_instances_are_checked_for_unitarity_once(monkeypatch):
-    # validate_instances checks each group's joint operators; the block
-    # formulas that build them from Haar unitaries check nothing.
-    checked = []
-    is_unitary = linalg.is_unitary
+    # validate_instances checks each group's blocks once, from their block
+    # identities; the block formulas that build them from Haar unitaries
+    # check nothing, and no joint operator goes through linalg.is_unitary.
+    checked, joint = [], []
+    validate_unitarity = interferometer.validate_unitarity
 
-    def counted(m, *args, **kwargs):
-        checked.append(math.prod(np.shape(m)[:-2]))
-        return is_unitary(m, *args, **kwargs)
+    def counted(blocks):
+        checked.append(math.prod(blocks.vpp.shape[:-2]))
+        return validate_unitarity(blocks)
 
-    monkeypatch.setattr(linalg, "is_unitary", counted)
+    monkeypatch.setattr(interferometer, "validate_unitarity", counted)
+    monkeypatch.setattr(linalg, "is_unitary", lambda m: joint.append(m))
     summary, _ = run_sweep(SweepConfig(seed=0, count=4))
     assert len(checked) == 3  # one chunk, three dimension groups
     assert sum(checked) == summary.instance_count + summary.degenerate_count == 104
+    assert not joint
+
+
+def generated_groups(cfg: SweepConfig):
+    """Each marker dimension's instances of a sweep plan, drawn as the sweep
+    draws them: ``(s, blocks, rho_d0, phi)`` stacks, one per dimension."""
+    plan = sweep_plan(cfg)
+    by_dim = {}
+    for i in range(cfg.count * len(plan)):
+        lane = plan[i // cfg.count]
+        by_dim.setdefault(lane[3], []).append((i, *lane[:3]))
+    for dim, jobs in by_dim.items():
+        yield sweep._draw(cfg.seed, jobs, dim)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("count, dims", [(100, (2, 3, 4)), (100, (8,)), (2, tuple(range(2, 9)))],
+                         ids=["default", "dims-8", "analyze"])
+def test_generated_instances_pass_validation_as_before(seed, count, dims):
+    # The shipped default sweep, --dims 8 and the benchmark's analyze files:
+    # every marker passes the Cholesky certificate as it passes the
+    # eigenvalue rule, and every instance's blocks pass their block
+    # identities as its assembled joint operator passes linalg.is_unitary.
+    for s, blocks, rho, phi in generated_groups(SweepConfig(seed=seed, count=count, dims=dims)):
+        assert (np.linalg.eigvalsh(rho).min(axis=-1) >= -VALIDATION_ATOL).all()
+        np.linalg.cholesky(rho + VALIDATION_ATOL * np.eye(rho.shape[-1]))
+        joint = linalg.is_unitary(interferometer.assemble_global_unitary(blocks))
+        assert joint.all() and np.array_equal(interferometer.validate_unitarity(blocks), joint)
+        assert validate_instances(s, blocks, rho, phi) is not None
 
 
 def test_numpy_square_and_modulus_round_as_python_does():

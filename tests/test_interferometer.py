@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from oracles import (
     upper_port_probability,
 )
 
-from duality import interferometer
+from duality import interferometer, linalg
 from duality.errors import DegenerateBranchError, ValidationError
 from duality.interferometer import (
     InterferometerInstance,
@@ -36,6 +37,7 @@ from duality.interferometer import (
 from duality.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, rng
 from duality.measures import hierarchy_report
 from duality.sweep import generate_instance
+from duality.tolerances import VALIDATION_ATOL
 
 I2 = np.eye(2, dtype=complex)
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -129,6 +131,79 @@ def test_validate_unitarity_catches_scaling():
     with pytest.raises(ValidationError):
         InterferometerInstance(s=0.0, blocks=blocks, rho_d0=KET0)
     assert validate_unitarity(WwmBlocks(vpp=I2, vpm=I2, vmp=I2, vmm=I2))
+
+
+BLOCK_NAMES = ("vpp", "vpm", "vmp", "vmm")
+
+
+def joint_is_unitary(blocks):
+    """The reference: the assembled 2n x 2n joint operator through ``linalg.is_unitary``."""
+    return linalg.is_unitary(assemble_global_unitary(blocks))
+
+
+def joint_deviation(blocks):
+    """max |U^dagger U - I| of each assembled joint operator."""
+    u = assemble_global_unitary(blocks)
+    return np.abs(linalg.dagger(u) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+
+
+def unitary_block_stack(dim: int, seed: int):
+    """20 general and 20 unitary-pair instances' blocks of dimension ``dim``."""
+    gen = rng(seed, dim)
+    general = interferometer.global_blocks(linalg.haar_from_normals(gen.standard_normal((20, 2, 2 * dim, 2 * dim))))
+    pair = linalg.haar_from_normals(gen.standard_normal((20, 2, 2, dim, dim)))
+    paired = interferometer.pair_blocks(pair[:, 0], pair[:, 1])
+    return WwmBlocks.adopt(*(np.concatenate([getattr(general, name), getattr(paired, name)])
+                             for name in BLOCK_NAMES))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_unitarity_from_blocks_agrees_with_the_joint_operator_at_the_tolerance(dim, factor):
+    # Each instance's blocks move along a random direction until its joint
+    # operator's deviation is factor x 1e-10; both checks must then agree.
+    blocks = unitary_block_stack(dim, 31)
+    assert joint_is_unitary(blocks).all() and validate_unitarity(blocks).all()
+    gen = rng(32, dim)
+    direction = gen.standard_normal((4, 40, dim, dim)) + 1j * gen.standard_normal((4, 40, dim, dim))
+
+    def moved(eps):
+        return WwmBlocks.adopt(*(getattr(blocks, name) + eps[:, None, None] * g
+                                 for name, g in zip(BLOCK_NAMES, direction)))
+
+    probe = np.full(40, 1e-7)
+    edge = moved(probe * factor * VALIDATION_ATOL / joint_deviation(moved(probe)))
+    assert np.allclose(joint_deviation(edge), factor * VALIDATION_ATOL, rtol=1e-3, atol=0)
+    reference = joint_is_unitary(edge)
+    assert reference.tolist() == [factor < 1] * 40
+    assert np.array_equal(validate_unitarity(edge), reference)
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_unitarity_from_blocks_agrees_with_the_joint_operator_off_unitary(dim):
+    # Swapped, scaled and shuffled blocks of unitary instances, most of them not unitary.
+    blocks = unitary_block_stack(dim, 33)
+    for candidate in (WwmBlocks.adopt(blocks.vpm, blocks.vpp, blocks.vmp, blocks.vmm),
+                      WwmBlocks.adopt(blocks.vpp, blocks.vpm, blocks.vmm, blocks.vmp),
+                      WwmBlocks.adopt(blocks.vpp[::-1], blocks.vpm, blocks.vmp, blocks.vmm),
+                      WwmBlocks.adopt(blocks.vpp * (1.0 + np.logspace(-14, -6, 40))[:, None, None],
+                                      blocks.vpm, blocks.vmp, blocks.vmm)):
+        reference = joint_is_unitary(candidate)
+        assert not reference.all()
+        assert np.array_equal(validate_unitarity(candidate), reference)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e155, 1j * np.inf])
+@pytest.mark.parametrize("name", BLOCK_NAMES)
+def test_unitarity_from_blocks_fails_non_finite_entries_without_a_warning(name, value):
+    stacks = {block: np.stack([I2, SIGMA_X, I2]) for block in BLOCK_NAMES}
+    stacks[name][1, 0, 1] = value
+    blocks = WwmBlocks(**stacks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok = validate_unitarity(blocks)
+    with np.errstate(invalid="ignore"):  # the assembly divides an infinite entry by sqrt(2)
+        assert ok.tolist() == joint_is_unitary(blocks).tolist() == [True, False, True]
 
 
 def test_from_global_unitary_rejects_bad_input():
@@ -448,14 +523,20 @@ def parsed(d) -> str:
 
 
 def parsed_by_reference(d) -> str:
-    """:func:`parsed` with each matrix parsed on its own by the reference."""
+    """:func:`parsed` with each matrix parsed on its own by the reference,
+    then the first matrix with a non-finite entry named."""
     mats = (d["rho_d0"], *(d["blocks"][name] for name in MATRIX_NAMES[1:]))
     try:
-        return repr([matrix_from_pairs(m, d["n"], name).tolist() for m, name in zip(mats, MATRIX_NAMES)])
+        out = [matrix_from_pairs(m, d["n"], name).tolist() for m, name in zip(mats, MATRIX_NAMES)]
     except ValidationError as exc:
         return str(exc)
     except (TypeError, ValueError, OverflowError) as exc:
         return f"malformed instance object: {exc}"
+    for m, name in zip(mats, MATRIX_NAMES):
+        bad = [x for pair in m for x in pair if not math.isfinite(x)]
+        if bad:
+            return f"{name} entries must be finite, got {float(bad[0])}"
+    return repr(out)
 
 
 @settings(max_examples=300, deadline=None)

@@ -74,6 +74,33 @@ def test_validation_rejects_empty_matrices(shape):
         linalg.as_square(np.zeros(shape))
 
 
+def marker_with_min_eigenvalue(low: float, seed: int) -> np.ndarray:
+    """A Hermitian 3x3 matrix of trace one with eigenvalues (1 - low - 0.25, 0.25, low), in a random basis."""
+    u = haar_random_unitary(3, seed)
+    m = u @ np.diag([0.75 - low, 0.25, low]) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def test_density_check_names_the_first_matrix_past_the_psd_tolerance():
+    # -0.9e-10 is inside the 1e-10 tolerance and -1.1e-10 outside it: the
+    # Cholesky factorization of the shifted stack fails, and the eigenvalues
+    # name the member and its minimum eigenvalue.
+    stack = np.stack([marker_with_min_eigenvalue(-0.9e-10, 1), marker_with_min_eigenvalue(-1.1e-10, 2)])
+    assert linalg.require_density(stack[0], "rho_d0") is not None
+    with pytest.raises(ValidationError) as exc:
+        linalg.require_density(stack, "rho_d0")
+    assert str(exc.value) == "rho_d0[1] is not positive semidefinite (min eigenvalue -1.100e-10)"
+
+
+def test_density_check_falls_back_to_the_eigenvalue_rule():
+    # Shifted by 1e-10, this matrix is exactly singular, so its Cholesky
+    # factorization fails; its minimum eigenvalue -1e-10 keeps the rule.
+    m = np.diag([1.0 + 1e-10, -1e-10]).astype(complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(m + 1e-10 * np.eye(2))
+    assert linalg.require_density(np.stack([I2 / 2.0, m]), "rho_d0").shape == (2, 2, 2)
+
+
 def test_unitarity_test_fails_huge_entries_without_a_warning():
     # Their squares overflow to inf; pytest turns the overflow warning into an error.
     assert not linalg.is_unitary(np.array([[1e155, 0.0], [0.0, 1.0]]))
