@@ -163,6 +163,107 @@ def test_violations_come_in_index_then_check_order(monkeypatch):
     assert first["instance"] == inst.to_dict()
 
 
+# --- _record on synthetic columns: cases a seeded sweep never produces ---------------
+
+# The column each gated check reads.
+RECORD_SLACKS = {"o2p": "slack_o2p", "o2q": "slack_o2q", "o2_nuevita": "slack_o2_nuevita", "o1": "slack_o1",
+                 "main": "slack_main", "mixing_bound": "mixing_bound_slack"}
+RECORD_DEVIATIONS = {"pure_identity": "pure_identity_residual", "chi_closed_form": "chi_closed_dev",
+                     "d_two_level": "d_two_level", "contrast_recomposition": "contrast_recomposition",
+                     "pure_saturation_xi": "pure_saturation_xi", "pure_saturation_d": "pure_saturation_d"}
+RECORD_LANE = ("unitary_pair", "pure", "s_pure", 2)
+RECORD_FIELDS = (1.0, 0.0, np.eye(2) / 2, *(np.eye(2, dtype=complex),) * 4)
+
+
+def recorded(size: int, cells: dict, errors=None, measured=None, summary=None, start=0):
+    """``sweep._record`` of a chunk of ``size`` instances at ``start`` whose
+    slacks are 0.5 and deviations 0.0 but for ``cells``, {(check, position): value}."""
+    cols = {column: np.full(size, 0.5) for column in RECORD_SLACKS.values()}
+    cols.update((column, np.zeros(size)) for column in RECORD_DEVIATIONS.values())
+    for (check, i), value in cells.items():
+        cols[{**RECORD_SLACKS, **RECORD_DEVIATIONS}[check]][i] = value
+    cols["xi_minus_d"] = np.full(size, 0.25)
+    cols["measured"] = np.ones(size, dtype=bool) if measured is None else np.array(measured)
+    summary = summary or SweepSummary(config=SweepConfig(seed=0, count=1))
+    instance = {i: lambda: RECORD_FIELDS for i in range(size)}
+    chunk = sweep._record(range(start, start + size), [RECORD_LANE] * size, cols, errors or {}, instance, summary)
+    return summary, chunk
+
+
+def stats(summary) -> dict:
+    checks = {**summary.slack_checks, **summary.deviation_checks}
+    return {name: (c.count, c.violations, c.worst) for name, c in checks.items()}
+
+
+def test_record_keeps_the_first_smallest_slack():
+    # Instance 1 ties mixing_bound (run before main) with main; instance 3
+    # ties it with o2p, the first check run.
+    summary, _ = recorded(4, {("mixing_bound", 1): 0.05, ("main", 1): 0.05, ("o2p", 3): 0.05})
+    worst = summary.worst_instance
+    assert (worst["slack"], worst["check"], worst["labels"]) == (
+        0.05, "mixing_bound", dict(zip(("index", "block_class", "wwm_class", "s_class", "n"), (1, *RECORD_LANE))))
+    assert worst["instance"] == interferometer.instance_to_dict(*RECORD_FIELDS)
+    # A later chunk that only ties keeps the earlier instance.
+    recorded(2, {("o2p", 0): 0.05}, summary=summary, start=4)
+    assert summary.worst_instance["labels"]["index"] == 1
+    recorded(2, {("o1", 1): 0.04}, summary=summary, start=6)
+    assert (summary.worst_instance["check"], summary.worst_instance["labels"]["index"]) == ("o1", 7)
+    assert not summary.violations and summary.instance_count == 8
+
+
+def test_record_gates_at_the_thresholds():
+    above, below = np.nextafter(1e-9, 1.0), np.nextafter(-1e-9, -1.0)
+    summary, chunk = recorded(3, {("d_two_level", 0): 1e-10, ("o1", 0): -1e-9,
+                                  ("pure_identity", 2): above, ("o2q", 2): below})
+    got = stats(summary)
+    assert got["d_two_level"] == (3, 0, 1e-10) and got["o1"] == (3, 0, -1e-9)
+    assert got["pure_identity"] == (3, 1, above) and got["o2q"] == (3, 1, below)
+    assert [(v["labels"]["index"], v["check"]) for v in summary.violations] == [(2, "o2q"), (2, "pure_identity")]
+    slack, deviation = summary.violations
+    assert list(slack) == ["check", "slack", "threshold", "labels", "instance"]
+    assert (slack["slack"], slack["threshold"]) == (below, -1e-9)
+    assert list(deviation) == ["check", "deviation", "threshold", "labels", "instance"]
+    assert (deviation["deviation"], deviation["threshold"]) == (above, 1e-9)
+    # A violation is a check's failure, not an instance's: every instance gets its row.
+    assert chunk.checked.all() and summary.instance_count == 3
+
+
+def test_record_neither_counts_nor_gates_nan_cells():
+    nan = math.nan
+    summary, _ = recorded(3, {("main", 0): nan, ("main", 1): nan, ("main", 2): 0.3,
+                              ("chi_closed_form", 0): nan, ("chi_closed_form", 1): nan,
+                              ("chi_closed_form", 2): nan, ("d_two_level", 1): nan})
+    got = stats(summary)
+    assert got["main"] == (1, 0, 0.3) and got["chi_closed_form"] == (0, 0, None)
+    assert got["d_two_level"] == (2, 0, 0.0) and got["o2p"] == (3, 0, 0.5)
+    assert not summary.violations
+    # Xi - D of an instance outside the main check is a candidate, not a violation.
+    assert summary.xi_minus_d_candidates == 0 and summary.xi_minus_d_min == 0.25
+
+
+def test_record_skips_checks_after_an_identity_error():
+    # Instance 2 fails an internal identity after its first seven checks ran;
+    # instance 3 is degenerate before any; both miss every later check.
+    errors = {2: IdentityError("half-difference spectrum is not symmetric"),
+              3: DegenerateBranchError("no amplitude")}
+    summary, chunk = recorded(4, {("o1", 2): -1.0, ("pure_saturation_d", 2): 1.0, ("pure_identity", 2): 1.0,
+                                  ("main", 2): -1.0, ("mixing_bound", 2): -2.0, ("o2p", 3): -5.0,
+                                  ("chi_closed_form", 3): 1.0}, errors=errors, measured=[True, True, True, False])
+    assert [(v["labels"]["index"], v["check"]) for v in summary.violations] == [
+        (2, "o1"), (2, "pure_saturation_d"), (2, "internal_identity")]
+    failure = summary.violations[-1]
+    assert list(failure) == ["check", "error", "labels", "instance"]
+    assert failure["error"] == "half-difference spectrum is not symmetric"
+    got = stats(summary)
+    assert got["o1"] == (3, 1, -1.0) and got["o2p"] == (3, 0, 0.5) and got["pure_saturation_d"] == (3, 1, 1.0)
+    assert got["pure_identity"] == got["chi_closed_form"] == (2, 0, 0.0)
+    assert got["main"] == got["mixing_bound"] == (2, 0, 0.5)
+    assert chunk.checked.tolist() == [True, True, False, False]
+    assert (summary.instance_count, summary.degenerate_count) == (2, 1)
+    worst = summary.worst_instance
+    assert (worst["slack"], worst["check"], worst["labels"]["index"]) == (-1.0, "o1", 2)
+
+
 def test_rows_stream_chunk_by_chunk():
     cfg = SweepConfig(seed=4, count=100)
     summary = SweepSummary(config=cfg)
