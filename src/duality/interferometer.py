@@ -311,16 +311,16 @@ def validate_unitarity(blocks: WwmBlocks):
     :func:`assemble_global_unitary` exactly when its n x n blocks satisfy
     V++^dagger V++ + V-+^dagger V-+ = 2I, V+-^dagger V+- + V--^dagger V-- = 2I
     and V++^dagger V+- - V-+^dagger V-- = 0, twice U^dagger U - I blockwise.
-    Each is tested within 2e-10, so no 2n x 2n operator is formed.
+    These are L^dagger L = 2I, R^dagger R = 2I and L^dagger R = 0 for the 2n x n
+    L = [V++; -V-+] and R = [V+-; V--], each tested within 2e-10: no 2n x 2n operator is formed.
     """
-    vpp, vpm, vmp, vmm = blocks.vpp, blocks.vpm, blocks.vmp, blocks.vmm
-    vpp_h, vmp_h = linalg.dagger(vpp), linalg.dagger(vmp)
-    two = 2.0 * np.eye(blocks.n)
+    left = np.concatenate((blocks.vpp, -blocks.vmp), axis=-2)
+    right = np.concatenate((blocks.vpm, blocks.vmm), axis=-2)
+    left_h, two = linalg.dagger(left), 2.0 * np.eye(blocks.n)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN entries fail the test, without a warning
-        # One identity at a time, so that one stack of products is held at once.
-        dev = np.abs(vpp_h @ vpp + vmp_h @ vmp - two).max(axis=(-2, -1))
-        dev = np.maximum(dev, np.abs(linalg.dagger(vpm) @ vpm + linalg.dagger(vmm) @ vmm - two).max(axis=(-2, -1)))
-        dev = np.maximum(dev, np.abs(vpp_h @ vpm - vmp_h @ vmm).max(axis=(-2, -1)))
+        dev = np.abs(left_h @ left - two).max(axis=(-2, -1))
+        dev = np.maximum(dev, np.abs(linalg.dagger(right) @ right - two).max(axis=(-2, -1)))
+        dev = np.maximum(dev, np.abs(left_h @ right).max(axis=(-2, -1)))
     return dev <= 2.0 * VALIDATION_ATOL
 
 

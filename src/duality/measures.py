@@ -48,6 +48,37 @@ from .tolerances import (CONSTRUCTION_ATOL, DEGENERATE_WEIGHT, IDENTITY_ATOL, PU
 SLACK_TOL = 1e-9
 
 
+class Check(NamedTuple):
+    """One check of the hierarchy, a row of :data:`CHECKS`."""
+
+    name: str
+    column: str | None  # the evaluate column it reads, NaN where the check does not apply
+    kind: str  # "slack", passed at column >= threshold; "deviation", at column <= threshold; or "error"
+    threshold: float | None
+    listed: int | None  # the place of its key in summary.json's slack_checks or deviation_checks
+    csv: int | None  # the place of its column among the check columns of instances.csv, if written there
+    report: bool  # a slack of the analyze report
+
+
+# Every check a sweep runs, in run order; internal_identity fails where evaluate records an IdentityError.
+CHECKS = (
+    #     name                      column                    kind         threshold   listed  csv   report
+    Check("o2p",                    "slack_o2p",              "slack",     -SLACK_TOL, 0,      0,    True),
+    Check("o2q",                    "slack_o2q",              "slack",     -SLACK_TOL, 1,      1,    True),
+    Check("o2_nuevita",             "slack_o2_nuevita",       "slack",     -SLACK_TOL, 2,      2,    True),
+    Check("o1",                     "slack_o1",               "slack",     -SLACK_TOL, 3,      3,    True),
+    Check("d_two_level",            "d_two_level",            "deviation", 1e-10,      2,      None, False),
+    Check("pure_saturation_xi",     "pure_saturation_xi",     "deviation", 1e-10,      4,      None, False),
+    Check("pure_saturation_d",      "pure_saturation_d",      "deviation", 1e-10,      5,      None, False),
+    Check("internal_identity",      None,                     "error",     None,       None,   None, False),
+    Check("pure_identity",          "pure_identity_residual", "deviation", 1e-9,       0,      6,    False),
+    Check("mixing_bound",           "mixing_bound_slack",     "slack",     -SLACK_TOL, 5,      7,    False),
+    Check("contrast_recomposition", "contrast_recomposition", "deviation", 1e-10,      3,      None, False),
+    Check("main",                   "slack_main",             "slack",     -SLACK_TOL, 4,      4,    True),
+    Check("chi_closed_form",        "chi_closed_dev",         "deviation", 1e-9,       1,      5,    False),
+)
+
+
 def _square(x):
     """``x ** 2`` with the rounding of Python's ``x ** 2``."""
     return np.float_power(x, 2.0)
@@ -270,8 +301,7 @@ class DualityReport:
     def of(cls, columns: dict) -> DualityReport:
         """The report of one instance from its :func:`hierarchy_reports` columns."""
         c = {name: None if math.isnan(x) else x for name, x in zip(columns, map(float, columns.values()))}
-        slacks = {name: c[f"slack_{name}"] for name in ("o2p", "o2q", "o2_nuevita", "o1", "main")
-                  if c[f"slack_{name}"] is not None}
+        slacks = {check.name: c[check.column] for check in CHECKS if check.report and c[check.column] is not None}
         return cls(c["v"], c["p"], c["q"], c["d"], c["xi"], c["v_bound_d"], c["v_bound_xi"], slacks, c["r"], c["chi"])
 
     def to_dict(self) -> dict:
@@ -290,13 +320,8 @@ class DualityReport:
 
 
 def hierarchy_report(inst: InterferometerInstance) -> DualityReport:
-    """Compute every measure and the named inequality slacks for an instance.
-
-    Slack names: ``o2p`` (V^2 <= 1 - P^2), ``o2q`` (V^2 <= 1 - Q^2),
-    ``o2_nuevita`` (V^2 <= (1 - P^2)(1 - Q^2), identically 1 - Xi^2 - V^2),
-    ``o1`` (V^2 <= 1 - D^2), and, in the two-level state-independent-way
-    regime with a polarized quanton, ``main`` (Xi - D).
-    """
+    """Compute every measure and the slacks of the ``report`` rows of
+    :data:`CHECKS` (the README's table of checks gives each relation) for an instance."""
     return DualityReport.of(hierarchy_reports(inst.kernel, branch_spectra(inst.kernel, False)))
 
 
@@ -507,11 +532,9 @@ def mixing_bounds(k: BranchKernel, sp: BranchSpectra) -> MixingBound:
     return MixingBound(1.0 - _branch_sum(sp, _square(_modulus(contrast))), residual)
 
 
-# The float columns of evaluate: the report, the deviations and the |s| = 1 checks.
-_MEASURES = ("v", "p", "q", "d", "xi", "r", "chi", "xi_minus_d", "slack_o2p", "slack_o2q", "slack_o2_nuevita",
-             "slack_o1", "slack_main", "v_bound_d", "v_bound_xi", "d_two_level", "pure_saturation_xi",
-             "pure_saturation_d", "chi_closed_dev", "pure_identity_residual", "mixing_bound_slack",
-             "contrast_recomposition")
+# The float columns of evaluate: the report's measures and those the checks read.
+_MEASURES = ("v", "p", "q", "d", "xi", "r", "chi", "xi_minus_d", "v_bound_d", "v_bound_xi",
+             *(check.column for check in CHECKS if check.column))
 
 
 def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:

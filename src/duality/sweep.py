@@ -16,10 +16,10 @@ for chi are theorems; outside it the sweep only records the sign of Xi - D.
 The engine walks the plan in index order, a chunk of instances at a time.
 Each marker dimension of a chunk is generated as ``(N, n, n)`` stacks and
 measured by :func:`~duality.measures.evaluate` into the chunk's columns, and
-each check is one masked reduction over them; the summary and the rows come
-out as from a sweep done one instance at a time.  The sweep yields each
-chunk, columns and all, as it ends (:class:`SweepChunk`), and
-``instances.csv`` is formatted from those columns.
+the checks of :data:`~duality.measures.CHECKS` run as one stacked pass over
+them; the summary and the rows come out as from a sweep done one instance at
+a time.  The sweep yields each chunk, columns and all, as it ends
+(:class:`SweepChunk`), and ``instances.csv`` is formatted from those columns.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import itertools
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -44,24 +44,13 @@ from .interferometer import (
     pair_blocks,
     tilted_blocks,
 )
-from .measures import SLACK_TOL, evaluate
+from .measures import CHECKS, SLACK_TOL, evaluate
 
 WWM_CLASSES = ("pure", "mixed")
 S_CLASSES = ("s_pure", "s_mixed")
 BLOCK_CLASSES = ("unitary_pair", "general_unitary")
 STRINGENCY_CLASS = "tilted_pair"
 MAX_DIM = 8
-
-# Check thresholds (slack checks are ">= -tol", deviation checks "<= tol").
-SLACK_CHECKS = ("o2p", "o2q", "o2_nuevita", "o1", "main", "mixing_bound")
-DEVIATION_CHECKS = {
-    "pure_identity": 1e-9,
-    "chi_closed_form": 1e-9,
-    "d_two_level": 1e-10,
-    "contrast_recomposition": 1e-10,
-    "pure_saturation_xi": 1e-10,
-    "pure_saturation_d": 1e-10,
-}
 
 
 @dataclass(frozen=True)
@@ -239,8 +228,10 @@ class CheckStats:
     violations: int = 0
     worst: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"count": self.count, "violations": self.violations, "worst": self.worst}
+
+def _check_stats(kind: str) -> dict:
+    """A :class:`CheckStats` per check of ``kind``, in summary.json's key order."""
+    return {c.name: CheckStats() for c in sorted((c for c in CHECKS if c.kind == kind), key=lambda c: c.listed)}
 
 
 @dataclass
@@ -249,9 +240,8 @@ class SweepSummary:
     instance_count: int = 0
     degenerate_count: int = 0
     runtime_seconds: float = 0.0
-    slack_checks: dict = field(default_factory=lambda: {name: CheckStats() for name in SLACK_CHECKS})
-    deviation_checks: dict = field(
-        default_factory=lambda: {name: CheckStats() for name in DEVIATION_CHECKS})
+    slack_checks: dict = field(default_factory=lambda: _check_stats("slack"))
+    deviation_checks: dict = field(default_factory=lambda: _check_stats("deviation"))
     xi_minus_d_min: float | None = None
     xi_minus_d_candidates: int = 0
     violations: list = field(default_factory=list)
@@ -280,8 +270,8 @@ class SweepSummary:
             "instance_count": self.instance_count,
             "degenerate_count": self.degenerate_count,
             "runtime_seconds": self.runtime_seconds,
-            "slack_checks": {k: v.to_dict() for k, v in self.slack_checks.items()},
-            "deviation_checks": {k: v.to_dict() for k, v in self.deviation_checks.items()},
+            "slack_checks": {k: asdict(v) for k, v in self.slack_checks.items()},
+            "deviation_checks": {k: asdict(v) for k, v in self.deviation_checks.items()},
             "xi_minus_d_min": self.xi_minus_d_min,
             "xi_minus_d_candidates": self.xi_minus_d_candidates,
             "violation_count": self.violation_count,
@@ -327,9 +317,9 @@ class SweepChunk(NamedTuple):
 
 def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
             summary: SweepSummary) -> SweepChunk:
-    """Run every check on a chunk's columns, each as one masked reduction,
-    and update ``summary`` as checking one instance at a time in index order
-    would.
+    """Run every check of ``CHECKS`` on a chunk's columns in one stacked
+    pass, and update ``summary`` as checking one instance at a time in index
+    order would.
 
     ``lanes[i]`` is the plan lane and ``instance[i]()`` gives the
     :func:`instance_to_dict` arguments of chunk position ``i``.
@@ -337,45 +327,31 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     def labels(i):
         return dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[i])))
 
-    positions = np.arange(len(chunk))
-    identity_failed = np.isin(positions, [i for i, exc in errors.items() if isinstance(exc, IdentityError)])
-    checked = cols["measured"] & ~np.isin(positions, list(errors))
-    # Each check in the order one instance runs them, by its column, NaN where it does not apply.
-    checks = [(name, f"slack_{name}") for name in ("o2p", "o2q", "o2_nuevita", "o1")] + [
-        (name, name) for name in ("d_two_level", "pure_saturation_xi", "pure_saturation_d")] + [
-        ("internal_identity", None), ("pure_identity", "pure_identity_residual"),
-        ("mixing_bound", "mixing_bound_slack"), ("contrast_recomposition", "contrast_recomposition"),
-        ("main", "slack_main"), ("chi_closed_form", "chi_closed_dev")]
-    found = []
-    # Each instance's smallest slack and its check, the first of a tie.
-    lowest, lowest_check = np.full(len(chunk), np.inf), np.empty(len(chunk), dtype=object)
-    # A failure stops an instance's checks where it is raised.
-    running = cols["measured"]
-    for rank, (name, column) in enumerate(checks):
-        at = np.flatnonzero(identity_failed if column is None else running & ~np.isnan(cols[column]))
-        if column is None:
-            found += [(i, rank, {"check": name, "error": str(errors[i]), "labels": labels(i),
-                                 "instance": instance_to_dict(*instance[i]())}) for i in at.tolist()]
-            running = checked
-            continue
-        if not at.size:
-            continue
-        values = cols[column][at]
-        slack = name in SLACK_CHECKS
-        ok = values >= -SLACK_TOL if slack else values <= DEVIATION_CHECKS[name]
-        stats = (summary.slack_checks if slack else summary.deviation_checks)[name]
-        worst = float(values.min() if slack else values.max())
-        stats.count += at.size
-        stats.violations += int(np.count_nonzero(~ok))
-        stats.worst = worst if stats.worst is None else (min if slack else max)(stats.worst, worst)
-        kind, threshold = ("slack", -SLACK_TOL) if slack else ("deviation", DEVIATION_CHECKS[name])
-        found += [(i, rank, {"check": name, kind: value, "threshold": threshold, "labels": labels(i),
-                             "instance": instance_to_dict(*instance[i]())})
-                  for i, value in zip(at[~ok].tolist(), values[~ok].tolist())]
-        if slack:
-            lower = values < lowest[at]
-            lowest[at[lower]], lowest_check[at[lower]] = values[lower], name
-    summary.violations += [record for *_, record in sorted(found, key=lambda f: f[:2])]
+    identity_failed = [i for i, exc in errors.items() if isinstance(exc, IdentityError)]
+    checked = cols["measured"] & ~np.isin(np.arange(len(chunk)), list(errors))
+    # A row per check in run order, NaN where it does not apply.  A failure
+    # stops an instance's checks where it is raised, so the checks after the
+    # error row skip every failed instance.
+    error = [c.kind for c in CHECKS].index("error")
+    values = np.array([cols[c.column] if c.column else np.full(len(chunk), np.nan) for c in CHECKS])
+    applies = ~np.isnan(values) & np.where(np.arange(len(CHECKS))[:, None] < error, cols["measured"], checked)
+    # Deviations are negated, so that every row passes at >= its bound.
+    sign = np.array([1.0 if c.kind == "slack" else -1.0 for c in CHECKS])
+    signed = np.where(applies, sign[:, None] * values, np.inf)
+    violating = signed < (sign * np.array([c.threshold if c.column else np.inf for c in CHECKS]))[:, None]
+    violating[error, identity_failed] = True
+    stats = {**summary.slack_checks, **summary.deviation_checks}
+    for c, count, failures, worst in zip(CHECKS, applies.sum(axis=1).tolist(), violating.sum(axis=1).tolist(),
+                                          (sign * signed.min(axis=1)).tolist()):
+        if count:
+            st = stats[c.name]
+            st.count, st.violations = st.count + count, st.violations + failures
+            st.worst = worst if st.worst is None else (min if c.kind == "slack" else max)(st.worst, worst)
+    for i, rank in zip(*(a.tolist() for a in np.nonzero(violating.T))):  # by instance, then in run order
+        c = CHECKS[rank]
+        found = {c.kind: float(values[rank, i]), "threshold": c.threshold} if c.column else {"error": str(errors[i])}
+        summary.violations.append({"check": c.name, **found, "labels": labels(i),
+                                   "instance": instance_to_dict(*instance[i]())})
     xi_minus_d = cols["xi_minus_d"][checked]
     if xi_minus_d.size:
         low = float(xi_minus_d.min())
@@ -384,23 +360,22 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     # counterexample candidate for the Xi >= D question.
     summary.xi_minus_d_candidates += int(np.count_nonzero(
         checked & np.isnan(cols["slack_main"]) & (cols["xi_minus_d"] < -SLACK_TOL)))
-    summary.degenerate_count += len(errors) - int(np.count_nonzero(identity_failed))
+    summary.degenerate_count += len(errors) - len(identity_failed)
     summary.instance_count += int(np.count_nonzero(checked))
 
-    # The first smallest slack of the chunk, which holds its own fields, not
-    # its group's stacks, until it is read.
-    i = int(np.argmin(lowest))
-    if lowest[i] < summary._worst_slack:
-        summary._worst_slack = low = float(lowest[i])
-        summary._worst_record = functools.partial(_slack_record, lowest_check[i], low, labels(i), instance[i]())
+    # The chunk's first smallest slack, by instance and then in run order,
+    # which holds its own fields, not its group's stacks, until it is read.
+    i, rank = divmod(int(np.where(sign > 0.0, signed.T, np.inf).argmin()), len(CHECKS))
+    if signed[rank, i] < summary._worst_slack:
+        summary._worst_slack = low = float(signed[rank, i])
+        summary._worst_record = functools.partial(_slack_record, CHECKS[rank].name, low, labels(i), instance[i]())
     return SweepChunk(chunk, lanes, cols, checked)
 
 
 CSV_COLUMNS = (
     "index", "block_class", "wwm_class", "s_class", "n", "s", "phi",
     "v", "p", "q", "d", "xi", "r", "chi", "xi_minus_d",
-    "slack_o2p", "slack_o2q", "slack_o2_nuevita", "slack_o1", "slack_main",
-    "chi_closed_dev", "pure_identity_residual", "mixing_bound_slack",
+    *(c.column for c in sorted((c for c in CHECKS if c.csv is not None), key=lambda c: c.csv)),
 )
 
 # Instances are generated and measured together until their marker matrices

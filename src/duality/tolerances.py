@@ -1,7 +1,7 @@
 """Named tolerances shared by every module of the package.
 
-The inequality slack tolerance ``measures.SLACK_TOL`` and the sweep's
-``sweep.DEVIATION_CHECKS`` thresholds live with the checks they gate.
+The inequality slack tolerance ``measures.SLACK_TOL`` and the thresholds
+of ``measures.CHECKS`` live with the checks they gate.
 """
 
 # Construction-time structural checks are held to 1e-12, while checks on

@@ -558,8 +558,8 @@ def summary_digest(tmp_path, capsys, argv, code) -> str:
 
 
 def fail_every_deviation_check(monkeypatch):
-    for name in sweep.DEVIATION_CHECKS:
-        monkeypatch.setitem(sweep.DEVIATION_CHECKS, name, -1.0)
+    monkeypatch.setattr(sweep, "CHECKS", tuple(
+        check._replace(threshold=-1.0) if check.kind == "deviation" else check for check in sweep.CHECKS))
 
 
 def test_summary_json_golden_with_violations(tmp_path, capsys, monkeypatch):

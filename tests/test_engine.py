@@ -99,7 +99,7 @@ def test_report_bounds_equal_the_python_float_tail():
 
 
 def test_summary_equals_a_loop_over_its_rows():
-    # Each check is one masked reduction per chunk; a loop over the rows in
+    # The checks run as one stacked pass per chunk; a loop over the rows in
     # index order, checks in their order, is the reference.
     cfg = SweepConfig(seed=5, count=12, dims=(2, 3, 4, 8))
     summary, rows = run_sweep(cfg)
@@ -140,9 +140,13 @@ def test_summary_equals_a_loop_over_its_rows():
         row["slack_main"] is None and row["xi_minus_d"] < -1e-9 for row in rows)
 
 
+def fail_every_deviation_check(monkeypatch):
+    monkeypatch.setattr(sweep, "CHECKS", tuple(
+        check._replace(threshold=-1.0) if check.kind == "deviation" else check for check in sweep.CHECKS))
+
+
 def test_violations_come_in_index_then_check_order(monkeypatch):
-    for name in sweep.DEVIATION_CHECKS:
-        monkeypatch.setitem(sweep.DEVIATION_CHECKS, name, -1.0)  # every deviation violates
+    fail_every_deviation_check(monkeypatch)
     cfg = SweepConfig(seed=6, count=3, dims=(2, 3))
     summary, rows = run_sweep(cfg)
     expected = []
@@ -290,8 +294,7 @@ def test_outputs_do_not_depend_on_the_chunk_budget(monkeypatch, failing):
     # at the largest budget.  With every deviation check failing, the
     # violations cross chunk boundaries, so their order is pinned too.
     if failing:
-        for name in sweep.DEVIATION_CHECKS:
-            monkeypatch.setitem(sweep.DEVIATION_CHECKS, name, -1.0)
+        fail_every_deviation_check(monkeypatch)
     cfg = SweepConfig(seed=9, count=8, dims=(2, 3, 8))
     assert any(lane[0] == sweep.STRINGENCY_CLASS for lane in sweep_plan(cfg))
     outputs = {}

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,3 +484,15 @@ def test_per_component_identity_with_own_weights():
                 assert pure_state_identity_check(sub) <= 1e-9
             except DegenerateBranchError:
                 continue
+
+
+def test_readme_tabulates_every_check():
+    # The README's table of checks lists each row of measures.CHECKS in run
+    # order, with its kind and threshold, and a relation and a domain.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Checks\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert all(len(row) == 5 and row[1] and row[4] for row in rows)
+    assert [(name, kind, None if threshold == "-" else float(threshold)) for name, _, kind, threshold, _ in rows] == [
+        (f"`{check.name}`", check.kind, check.threshold) for check in measures.CHECKS]
