@@ -327,19 +327,18 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     def labels(i):
         return dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[i])))
 
-    identity_failed = [i for i, exc in errors.items() if isinstance(exc, IdentityError)]
     checked = cols["measured"] & ~np.isin(np.arange(len(chunk)), list(errors))
-    # A row per check in run order, NaN where it does not apply.  A failure
-    # stops an instance's checks where it is raised, so the checks after the
-    # error row skip every failed instance.
+    # A row per check in run order, NaN where it does not apply, deviations
+    # negated so that every row passes at >= its bound.  A failure stops an
+    # instance's checks where it is raised: those after the error row skip it.
     error = [c.kind for c in CHECKS].index("error")
-    values = np.array([cols[c.column] if c.column else np.full(len(chunk), np.nan) for c in CHECKS])
-    applies = ~np.isnan(values) & np.where(np.arange(len(CHECKS))[:, None] < error, cols["measured"], checked)
-    # Deviations are negated, so that every row passes at >= its bound.
     sign = np.array([1.0 if c.kind == "slack" else -1.0 for c in CHECKS])
-    signed = np.where(applies, sign[:, None] * values, np.inf)
+    signed = np.array([cols[c.column] if c.column else np.full(len(chunk), np.nan) for c in CHECKS])
+    applies = ~np.isnan(signed) & np.where(np.arange(len(CHECKS))[:, None] < error, cols["measured"], checked)
+    signed *= sign[:, None]
+    signed[~applies] = np.inf
     violating = signed < (sign * np.array([c.threshold if c.column else np.inf for c in CHECKS]))[:, None]
-    violating[error, identity_failed] = True
+    violating[error, [i for i, exc in errors.items() if isinstance(exc, IdentityError)]] = True
     stats = {**summary.slack_checks, **summary.deviation_checks}
     for c, count, failures, worst in zip(CHECKS, applies.sum(axis=1).tolist(), violating.sum(axis=1).tolist(),
                                           (sign * signed.min(axis=1)).tolist()):
@@ -348,8 +347,8 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
             st.count, st.violations = st.count + count, st.violations + failures
             st.worst = worst if st.worst is None else (min if c.kind == "slack" else max)(st.worst, worst)
     for i, rank in zip(*(a.tolist() for a in np.nonzero(violating.T))):  # by instance, then in run order
-        c = CHECKS[rank]
-        found = {c.kind: float(values[rank, i]), "threshold": c.threshold} if c.column else {"error": str(errors[i])}
+        c, value = CHECKS[rank], float(sign[rank] * signed[rank, i])
+        found = {c.kind: value, "threshold": c.threshold} if c.column else {"error": str(errors[i])}
         summary.violations.append({"check": c.name, **found, "labels": labels(i),
                                    "instance": instance_to_dict(*instance[i]())})
     xi_minus_d = cols["xi_minus_d"][checked]
@@ -360,12 +359,14 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     # counterexample candidate for the Xi >= D question.
     summary.xi_minus_d_candidates += int(np.count_nonzero(
         checked & np.isnan(cols["slack_main"]) & (cols["xi_minus_d"] < -SLACK_TOL)))
-    summary.degenerate_count += len(errors) - len(identity_failed)
+    summary.degenerate_count += len(errors) - int(np.count_nonzero(violating[error]))
     summary.instance_count += int(np.count_nonzero(checked))
 
     # The chunk's first smallest slack, by instance and then in run order,
     # which holds its own fields, not its group's stacks, until it is read.
-    i, rank = divmod(int(np.where(sign > 0.0, signed.T, np.inf).argmin()), len(CHECKS))
+    signed[sign < 0.0] = np.inf
+    i = int(signed.min(axis=0).argmin())
+    rank = int(signed[:, i].argmin())
     if signed[rank, i] < summary._worst_slack:
         summary._worst_slack = low = float(signed[rank, i])
         summary._worst_record = functools.partial(_slack_record, CHECKS[rank].name, low, labels(i), instance[i]())

@@ -335,7 +335,8 @@ def test_validation_working_set_is_bounded():
     # The 64 instances of a full n = 8 chunk.  Validating them through the
     # assembled (64, 16, 16) joint operators and a full eigvalsh traced
     # 900 KiB (numpy 2.4, Python 3.11); from the n x n block identities and
-    # one Cholesky factorization, 323 KiB.
+    # one Cholesky factorization, 323 KiB; with the identities as three Gram
+    # products of 2n x n block stacks, 579 KiB.
     cfg = SweepConfig(seed=3, count=8, dims=(8,))
     plan = sweep_plan(cfg)
     jobs = [(i, *plan[i // cfg.count][:3]) for i in range(cfg.count * len(plan))]
