@@ -53,6 +53,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def squared(x):
+    """``x ** 2`` with the rounding of Python's ``x ** 2`` (libm ``pow``), which ``x * x`` may not have."""
+    return np.float_power(x, 2.0)
+
+
 def first_failure(ok):
     """Index tuple of the first False entry of the boolean array ``ok``
     (``()`` for a scalar), or None when every entry holds.

@@ -79,11 +79,6 @@ CHECKS = (
 )
 
 
-def _square(x):
-    """``x ** 2`` with the rounding of Python's ``x ** 2``."""
-    return np.float_power(x, 2.0)
-
-
 def _modulus(z):
     """``abs(z)`` with the rounding of Python's complex ``abs``."""
     return np.hypot(z.real, z.imag)
@@ -160,8 +155,8 @@ def xi(p, q):
 
 
 def _xi(p, q):
-    p_sq = _square(_clamped_unit(p, "p"))
-    q_sq = _square(_clamped_unit(q, "q"))
+    p_sq = linalg.squared(_clamped_unit(p, "p"))
+    q_sq = linalg.squared(_clamped_unit(q, "q"))
     return _float_or_array(np.sqrt(p_sq + q_sq - p_sq * q_sq))
 
 
@@ -368,14 +363,15 @@ def deviations(rep: dict, sp: BranchSpectra, pure_polarized: np.ndarray) -> dict
     p, r, xi_value, chi = rep["p"], rep["r"], rep["xi"], rep["chi"]
     closed = np.full(np.shape(chi), np.nan)
     by_p = ~np.isnan(chi) & (p > r + TIE_ATOL)
-    closed[by_p] = _square(p[by_p]) / _square(xi_value[by_p])
+    closed[by_p] = linalg.squared(p[by_p]) / linalg.squared(xi_value[by_p])
     by_spectrum = ~np.isnan(chi) & ~by_p
     if by_spectrum.any():
         d1, d2 = sp.marker_values[by_spectrum, 0], np.maximum(sp.marker_values[by_spectrum, 1], 0.0)
         closed[by_spectrum] = chi_closed_form(d1, d2, p[by_spectrum], xi_value[by_spectrum])
     return {
         "d_two_level": np.abs(d_two_level(p, r) - rep["d"]) if sp.delta.shape[-1] == 2 else np.full_like(p, np.nan),
-        "pure_saturation_xi": np.where(pure_polarized, np.abs(_square(rep["v"]) + _square(xi_value) - 1.0), np.nan),
+        "pure_saturation_xi": np.where(pure_polarized,
+                                       np.abs(linalg.squared(rep["v"]) + linalg.squared(xi_value) - 1.0), np.nan),
         "pure_saturation_d": np.where(pure_polarized, np.abs(rep["xi_minus_d"]), np.nan),
         "chi_closed_dev": np.abs(chi - closed),
     }
@@ -396,7 +392,7 @@ def _polarized_branches(k: BranchKernel, sp: BranchSpectra, what: str) -> np.nda
 def _branch_sum(sp: BranchSpectra, c_sq) -> np.ndarray:
     """Q^2 + |C|^2/(1 - P^2) of the populated branch, which the pure identity
     sets to one and the mixing bound bounds by one."""
-    return _square(sp.q) + c_sq / (1.0 - sp.p * sp.p)
+    return linalg.squared(sp.q) + c_sq / (1.0 - sp.p * sp.p)
 
 
 def _purities(rho_d0) -> tuple[np.ndarray, np.ndarray]:
@@ -420,7 +416,7 @@ def pure_state_identity_check(inst: InterferometerInstance) -> float:
 def pure_identities(k: BranchKernel, sp: BranchSpectra) -> np.ndarray:
     """:func:`pure_state_identity_check` of every instance of a kernel and its
     spectra ``sp``; the first instance that fails a check raises for the batch."""
-    c_sq = _square(_modulus(_polarized_branches(k, sp, "pure identity")))
+    c_sq = linalg.squared(_modulus(_polarized_branches(k, sp, "pure identity")))
     purity, pure = _purities(k.rho_d0)
     i = linalg.first_failure(pure)
     if i is not None:
@@ -489,7 +485,7 @@ def spectral_decompositions(k: BranchKernel, sp: BranchSpectra) -> SpectralCompo
     contrasts = (rows @ cross_op[..., None, :, :] @ cols)[..., 0, 0]
     ways = (rows @ k.wp_op[..., None, :, :] @ cols)[..., 0, 0].real
     return SpectralComponent(weight=sp.marker_values, contrast=contrasts,
-                             theta_sq=_square(_modulus(contrasts)) / (1.0 - sp.p * sp.p)[..., None],
+                             theta_sq=linalg.squared(_modulus(contrasts)) / (1.0 - sp.p * sp.p)[..., None],
                              w_plus=ways, w_minus=1.0 - ways)
 
 
@@ -529,7 +525,7 @@ def mixing_bounds(k: BranchKernel, sp: BranchSpectra) -> MixingBound:
     if i is not None:
         raise IdentityError(f"spectral recomposition of the contrast factor failed: "
                             f"{complex(recomposed[i])!r} vs {complex(contrast[i])!r}")
-    return MixingBound(1.0 - _branch_sum(sp, _square(_modulus(contrast))), residual)
+    return MixingBound(1.0 - _branch_sum(sp, linalg.squared(_modulus(contrast))), residual)
 
 
 # The float columns of evaluate: the report's measures and those the checks read.

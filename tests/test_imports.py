@@ -1,5 +1,6 @@
 """Checks on the package's source: it imports nothing outside the standard
-library and numpy, and integer arguments have one validator."""
+library and numpy, the SQDS closed forms import nothing of the engine's
+measures, and integer arguments have one validator."""
 
 import ast
 import sys
@@ -42,3 +43,15 @@ def test_only_linalg_checks_for_integers():
                     and any(alias.name == "Integral" for alias in node.names)):
                 found.append((name, node.lineno))
     assert found and {name for name, _ in found} == {"linalg.py"}, found
+
+
+def test_sqds_imports_nothing_from_measures():
+    # The closed forms are a route independent of the engine's measures, so
+    # that test_dual_route_agreement_sample compares two routes, not one.
+    imported = set()
+    for node in ast.walk(modules()["sqds.py"]):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {f"{node.module or ''}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert imported and not any("measures" in name.split(".") for name in imported), imported

@@ -16,6 +16,7 @@ from duality.errors import DualityError, ValidationError
 from duality.interferometer import (InterferometerInstance, WwmBlocks, from_global_unitary, from_tilted_pair,
                                     from_unitary_pair, instance_from_dict)
 from duality.measures import chi_closed_form, d_two_level, distinguishability, evaluate, quality, r_measure, xi
+from duality.sqds import SqdsConfig, sqds_report
 
 NUMBERS = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.complex_numbers())
 ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
@@ -123,6 +124,22 @@ def test_formula_functions_and_configs_raise_only_duality_errors(data):
     guarded(lambda: sweep.SweepConfig(**config))
     fields = {name: data.draw(st.one_of(st.just(GOOD_INSTANCE[name]), JUNK), label=name) for name in ("n", "s", "phi")}
     guarded(lambda: instance_from_dict({**GOOD_INSTANCE, **fields}))
+
+
+# A field of an SQDS configuration: often in range, so that whole configs are
+# accepted and reach the report, otherwise any number (10**400 and 2**1100
+# beyond the float range, 1e200 whose square overflows) or junk.
+SQDS_FIELDS = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(np.float64), st.integers(0, 1).map(np.int64),
+                        st.sampled_from([10 ** 400, -2 ** 1100, 1e200, -1e-300]), st.floats(), NUMBERS, JUNK)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.tuples(SQDS_FIELDS, SQDS_FIELDS, SQDS_FIELDS, SQDS_FIELDS))
+def test_sqds_config_and_report_raise_only_duality_errors(fields):
+    def config_and_report():
+        sqds_report(SqdsConfig(*fields))  # on every config that is accepted
+
+    guarded(config_and_report)
 
 
 @pytest.mark.parametrize("call", [

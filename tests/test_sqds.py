@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duality.errors import ValidationError
+from duality import sqds
+from duality.errors import IdentityError, ValidationError
 from duality.linalg import rng
 from duality.measures import hierarchy_report, xi
 from duality.sqds import (
@@ -61,9 +62,32 @@ def test_config_rejects_non_numbers_and_bools(name, value):
         SqdsConfig(**{**good, name: value})
 
 
+@pytest.mark.parametrize("name", ["p_d", "v_d0", "p_q", "phi_ent"])
+def test_config_rejects_integers_beyond_the_float_range(name):
+    good = dict(p_d=0.0, v_d0=0.2, p_q=0.3, phi_ent=0.4)
+    with pytest.raises(ValidationError, match=f"{name} must be a finite real number"):
+        SqdsConfig(**{**good, name: 10 ** 400})
+
+
+@pytest.mark.parametrize("name", ["p_d", "v_d0", "p_q"])
+@pytest.mark.parametrize("value", [1e200, 1.5, -1e-300, -1e200])
+def test_config_range_checks_before_squaring(name, value):
+    # A value whose square overflows is rejected by its range, before the Bloch norm is formed.
+    good = dict(p_d=0.0, v_d0=0.2, p_q=0.3, phi_ent=0.4)
+    with pytest.raises(ValidationError, match=rf"{name} must lie in \[0, 1\]"):
+        SqdsConfig(**{**good, name: value})
+
+
 def test_config_accepts_integers_and_numpy_floats():
     cfg = SqdsConfig(p_d=0, v_d0=np.float64(0.5), p_q=1, phi_ent=np.float32(0.25))
     assert sqds_visibility(cfg) == 0.0
+
+
+def test_config_fields_and_results_are_python_floats():
+    cfg = SqdsConfig(p_d=np.float64(0.5), v_d0=0.5, p_q=np.int64(1), phi_ent=np.float32(0.25))
+    assert [type(getattr(cfg, name)) for name in ("p_d", "v_d0", "p_q", "phi_ent")] == [float] * 4
+    assert (cfg.p_q, cfg.phi_ent) == (1.0, 0.25)
+    assert {type(value) for value in sqds_report(cfg).to_dict().values()} == {float}
 
 
 # --- closed forms -----------------------------------------------------------------
@@ -156,10 +180,13 @@ def test_chi_equals_one_minus_delta_over_xi_sq():
 
 
 def test_chi_degenerate_xi_convention():
-    # xi = 0 forces p_q = 0 for any valid config (xi dominates p_q), so the
-    # inconsistent "xi = 0 with p_q > 0" error is unreachable here; the
-    # no-information limit returns chi = 1 by convention.
-    assert sqds_chi(SqdsConfig(p_d=0.0, v_d0=0.0, p_q=0.0, phi_ent=0.3)) == 1.0
+    # Xi at or below SQDS_XI_ATOL carries no way information, and chi = 1 by
+    # convention there.  Xi >= P_Q, so such a config has P_Q within the same
+    # tolerance of zero, but not necessarily zero: it is valid, not inconsistent.
+    for p_q in (0.0, 1e-16, 5e-16, 1e-15):
+        cfg = SqdsConfig(p_d=0.0, v_d0=0.0, p_q=p_q, phi_ent=0.3)
+        assert sqds_chi(cfg) == 1.0
+        assert sqds_report(cfg).chi == 1.0
 
 
 def test_report_bundles_everything():
@@ -168,7 +195,99 @@ def test_report_bundles_everything():
     assert rep.d_q == max(cfg.p_q, rep.r_q)
     assert 0.0 <= rep.delta <= 0.25 + 1e-12
     data = rep.to_dict()
-    assert set(data) == {"q", "xi_q", "r_q", "d_q", "v_q", "delta", "chi"}
+    assert list(data) == ["q", "xi_q", "r_q", "d_q", "v_q", "delta", "chi"]
+    assert list(data.values()) == [sqds_quality(cfg), sqds_xi(cfg), *sqds_distinguishability(cfg),
+                                   sqds_visibility(cfg), sqds_delta(cfg), sqds_chi(cfg)]
+
+
+# --- a stack against each configuration alone --------------------------------------
+
+# Each public closed form of one configuration, by the name of its array form.
+ALONE = {
+    "s_d_norm": lambda cfg: cfg.s_d_norm,
+    "v_q0": lambda cfg: cfg.v_q0,
+    "q": sqds_quality,
+    "xi_q": sqds_xi,
+    "r_q": lambda cfg: sqds_distinguishability(cfg)[0],
+    "d_q": lambda cfg: sqds_distinguishability(cfg)[1],
+    "v_q": sqds_visibility,
+    "delta": sqds_delta,
+    "chi": sqds_chi,
+}
+GRID = np.linspace(0.0, 1.0, sqds.FIGURE3_RESOLUTION)
+
+
+@st.composite
+def configs(draw):
+    p_d = draw(st.floats(0.0, 1.0))
+    v_d0 = draw(st.floats(0.0, math.sqrt(1.0 - p_d * p_d)))
+    return SqdsConfig(p_d, v_d0, draw(st.floats(0.0, 1.0)), draw(st.floats(-10.0, 10.0)))
+
+
+@st.composite
+def grid_points(draw):
+    # A point of the fig3 grid; on its diagonal P_Q = |s_D| = R_Q, so the two
+    # branches tie there, the corner (0, 0) among them.
+    s = float(GRID[draw(st.integers(0, sqds.FIGURE3_RESOLUTION - 1))])
+    p = draw(st.one_of(st.just(s), st.sampled_from(GRID.tolist())))
+    return SqdsConfig(0.0, s, p, math.pi / 2.0)
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfgs=st.lists(st.one_of(configs(), grid_points(), st.just(SqdsConfig(0.0, 0.0, 0.0, math.pi / 2.0))),
+                     min_size=1, max_size=8))
+def test_stack_closed_forms_equal_each_config_alone(cfgs):
+    stack = sqds._Forms(*(np.array([getattr(cfg, name) for cfg in cfgs])
+                          for name in ("p_d", "v_d0", "p_q", "phi_ent")))
+    for name, alone in ALONE.items():
+        try:
+            values = [alone(cfg) for cfg in cfgs]
+        except IdentityError:  # the stack fails where a member does
+            with pytest.raises(IdentityError):
+                getattr(stack, name)
+            continue
+        assert {type(value) for value in values} == {float}
+        assert bits(getattr(stack, name)) == bits(values), name
+
+
+def test_figure_grids_build_no_config_per_point(monkeypatch):
+    built = []
+    check = SqdsConfig.__post_init__
+    monkeypatch.setattr(SqdsConfig, "__post_init__", lambda cfg: built.append(cfg) or check(cfg))
+    figure3_grid()
+    figure4_curve()
+    assert built == []
+    SqdsConfig(0.0, 0.0, 0.0, 0.0)
+    assert len(built) == 1  # the count sees a construction
+
+
+def test_grid_raises_the_first_tied_disagreement_in_grid_order(monkeypatch):
+    # Wider tolerances make near-diagonal points ties whose branches disagree;
+    # the grid must raise what a loop over its points, |s_D| outermost, raises first.
+    monkeypatch.setattr(sqds, "TIE_ATOL", 0.02)
+    monkeypatch.setattr(sqds, "BRANCH_AGREE_ATOL", 1e-3)
+    with pytest.raises(IdentityError) as alone:
+        for s in GRID:
+            for p in GRID:
+                sqds_delta(SqdsConfig(0.0, float(s), float(p), math.pi / 2.0))
+    with pytest.raises(IdentityError) as grid:
+        figure3_grid()
+    assert str(grid.value) == str(alone.value)
+    assert "0.00039936 vs 0.0015993600000000002" in str(alone.value)  # not the first tie, at the corner
+
+
+def test_figure_points_equal_each_config_alone():
+    rows = figure3_grid()
+    for s, p, delta in rows[::97]:
+        assert bits(delta) == bits(sqds_delta(SqdsConfig(0.0, float(s), float(p), math.pi / 2.0)))
+    for s, v_d_sq, v_xi_sq, v_q_sq in figure4_curve()[::10]:
+        cfg = SqdsConfig(math.sqrt(max(0.0, s ** 2 - 0.5)), math.sqrt(0.5), math.sqrt(0.5), math.pi / 2.0)
+        assert bits([v_d_sq, v_xi_sq, v_q_sq]) == bits(
+            [1.0 - sqds_distinguishability(cfg)[1] ** 2, 1.0 - sqds_xi(cfg) ** 2, sqds_visibility(cfg) ** 2])
 
 
 # --- grids and invariants ------------------------------------------------------------
