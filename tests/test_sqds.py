@@ -55,18 +55,12 @@ def test_config_rejects_non_finite_fields():
 
 
 @pytest.mark.parametrize("name", ["p_d", "v_d0", "p_q", "phi_ent"])
-@pytest.mark.parametrize("value", ["0.1", None, np.array([0.1]), np.array(0.1), True, np.bool_(False), 0.1j])
+@pytest.mark.parametrize("value", ["0.1", None, np.array([0.1]), np.array(0.1), True, np.bool_(False), 0.1j,
+                                   10 ** 400])
 def test_config_rejects_non_numbers_and_bools(name, value):
     good = dict(p_d=0.0, v_d0=0.2, p_q=0.3, phi_ent=0.4)
     with pytest.raises(ValidationError, match=f"{name} must be a finite real number"):
         SqdsConfig(**{**good, name: value})
-
-
-@pytest.mark.parametrize("name", ["p_d", "v_d0", "p_q", "phi_ent"])
-def test_config_rejects_integers_beyond_the_float_range(name):
-    good = dict(p_d=0.0, v_d0=0.2, p_q=0.3, phi_ent=0.4)
-    with pytest.raises(ValidationError, match=f"{name} must be a finite real number"):
-        SqdsConfig(**{**good, name: 10 ** 400})
 
 
 @pytest.mark.parametrize("name", ["p_d", "v_d0", "p_q"])
@@ -79,14 +73,11 @@ def test_config_range_checks_before_squaring(name, value):
 
 
 def test_config_accepts_integers_and_numpy_floats():
-    cfg = SqdsConfig(p_d=0, v_d0=np.float64(0.5), p_q=1, phi_ent=np.float32(0.25))
-    assert sqds_visibility(cfg) == 0.0
-
-
-def test_config_fields_and_results_are_python_floats():
-    cfg = SqdsConfig(p_d=np.float64(0.5), v_d0=0.5, p_q=np.int64(1), phi_ent=np.float32(0.25))
+    # Each field is stored as a Python float, so no numpy type reaches a result.
+    cfg = SqdsConfig(p_d=0, v_d0=np.float64(0.5), p_q=np.int64(1), phi_ent=np.float32(0.25))
     assert [type(getattr(cfg, name)) for name in ("p_d", "v_d0", "p_q", "phi_ent")] == [float] * 4
     assert (cfg.p_q, cfg.phi_ent) == (1.0, 0.25)
+    assert sqds_visibility(cfg) == 0.0
     assert {type(value) for value in sqds_report(cfg).to_dict().values()} == {float}
 
 
