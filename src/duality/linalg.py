@@ -159,9 +159,14 @@ def trace_norm(m):
     """Sum of absolute eigenvalues of a Hermitian matrix (trace-class norm).
 
     A float for one matrix, an array of one norm per matrix for a stack.
+    Raises :class:`ValidationError` for a norm beyond the float range.
     """
     a = require_hermitian(m)
-    norm = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails the test
+        norm = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
+    i = first_failure(np.isfinite(norm))
+    if i is not None:
+        raise ValidationError(f"{label('matrix', i)} has a trace norm beyond the float range")
     return float(norm) if a.ndim == 2 else norm
 
 

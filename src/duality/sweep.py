@@ -24,7 +24,7 @@ a time.  The sweep yields each chunk, columns and all, as it ends
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import math
 import time
@@ -236,6 +236,13 @@ def _check_stats(kind: str) -> dict:
 
 @dataclass
 class SweepSummary:
+    """What a sweep has found so far, updated chunk by chunk, so that it can be read mid-sweep.
+
+    ``worst_instance`` is the first smallest slack, by instance and then in
+    run order, as ``{"check", "slack", "labels", "instance"}``: each chunk
+    that lowers the smallest slack replaces it, one that only ties keeps it.
+    """
+
     config: SweepConfig
     instance_count: int = 0
     degenerate_count: int = 0
@@ -245,20 +252,7 @@ class SweepSummary:
     xi_minus_d_min: float | None = None
     xi_minus_d_candidates: int = 0
     violations: list = field(default_factory=list)
-    _worst_slack: float = math.inf
-    _worst_record: Callable[[], dict] | dict | None = None
-
-    @property
-    def worst_instance(self) -> dict | None:
-        """The smallest slack so far, with its check, labels and instance JSON.
-
-        A sweep finds a new smallest slack many times, so the record is
-        built when it is first read, not each time.  It advances chunk by
-        chunk, so it can be read mid-sweep.
-        """
-        if callable(self._worst_record):
-            self._worst_record = self._worst_record()
-        return self._worst_record
+    worst_instance: dict | None = None
 
     @property
     def violation_count(self) -> int:
@@ -278,17 +272,6 @@ class SweepSummary:
             "violations": self.violations,
             "worst_instance": self.worst_instance,
         }
-
-
-def _instance_fields(s, blocks: WwmBlocks, rho_d0, phi, i: int) -> tuple:
-    """The :func:`instance_to_dict` arguments of stack position ``i``, copied
-    out of the stacks so that they do not keep the stacks alive."""
-    return (float(s[i]), float(phi[i]),
-            *(m[i].copy() for m in (rho_d0, blocks.vpp, blocks.vpm, blocks.vmp, blocks.vmm)))
-
-
-def _slack_record(name: str, value: float, labels: dict, fields: tuple) -> dict:
-    return {"check": name, "slack": value, "labels": labels, "instance": instance_to_dict(*fields)}
 
 
 class SweepChunk(NamedTuple):
@@ -315,14 +298,16 @@ class SweepChunk(NamedTuple):
                 for i, (row, values) in enumerate(zip(self.checked.tolist(), zip(*cells))) if row]
 
 
-def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
+def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: Callable[[int], dict],
             summary: SweepSummary) -> SweepChunk:
     """Run every check of ``CHECKS`` on a chunk's columns in one stacked
     pass, and update ``summary`` as checking one instance at a time in index
     order would.
 
-    ``lanes[i]`` is the plan lane and ``instance[i]()`` gives the
-    :func:`instance_to_dict` arguments of chunk position ``i``.
+    ``lanes[i]`` is the plan lane and ``instance(i)`` the
+    :func:`instance_to_dict` of chunk position ``i``, which the violations
+    and a new smallest slack take; the records hold lists, so no view of the
+    chunk's stacks outlives the call.
     """
     def labels(i):
         return dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[i])))
@@ -350,7 +335,7 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
         c, value = CHECKS[rank], float(sign[rank] * signed[rank, i])
         found = {c.kind: value, "threshold": c.threshold} if c.column else {"error": str(errors[i])}
         summary.violations.append({"check": c.name, **found, "labels": labels(i),
-                                   "instance": instance_to_dict(*instance[i]())})
+                                   "instance": instance(i)})
     xi_minus_d = cols["xi_minus_d"][checked]
     if xi_minus_d.size:
         low = float(xi_minus_d.min())
@@ -362,14 +347,15 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: dict,
     summary.degenerate_count += len(errors) - int(np.count_nonzero(violating[error]))
     summary.instance_count += int(np.count_nonzero(checked))
 
-    # The chunk's first smallest slack, by instance and then in run order,
-    # which holds its own fields, not its group's stacks, until it is read.
+    # The chunk's first smallest slack, by instance and then in run order;
+    # a later chunk that only ties it keeps the earlier record.
     signed[sign < 0.0] = np.inf
     i = int(signed.min(axis=0).argmin())
     rank = int(signed[:, i].argmin())
-    if signed[rank, i] < summary._worst_slack:
-        summary._worst_slack = low = float(signed[rank, i])
-        summary._worst_record = functools.partial(_slack_record, CHECKS[rank].name, low, labels(i), instance[i]())
+    worst = summary.worst_instance
+    if signed[rank, i] < (math.inf if worst is None else worst["slack"]):
+        summary.worst_instance = {"check": CHECKS[rank].name, "slack": float(signed[rank, i]), "labels": labels(i),
+                                  "instance": instance(i)}
     return SweepChunk(chunk, lanes, cols, checked)
 
 
@@ -405,21 +391,28 @@ def _chunks(dims: Iterable[int]) -> Iterator[range]:
         yield range(start, end)
 
 
-def _measure(seed: int, lanes: list, chunk: range) -> tuple[dict, dict, dict]:
+def _measure(seed: int, lanes: list, chunk: range) -> tuple[dict, dict, Callable[[int], dict]]:
     """Generate a chunk of plan lanes ``lanes`` and :func:`~duality.measures.evaluate`
-    it, one marker dimension at a time: its columns, its failures and its
-    instances' fields by chunk position, as :func:`_record` takes them."""
-    by_dim, groups, errors, instance = {}, [], {}, {}
+    it, one marker dimension at a time: its columns, its failures and
+    ``instance(i)``, the :func:`instance_to_dict` of chunk position ``i``, as
+    :func:`_record` takes them."""
+    by_dim, stacks, groups, errors = {}, {}, [], {}
     for i, lane in enumerate(lanes):
         by_dim.setdefault(lane[3], []).append(i)
     for dim, positions in by_dim.items():
-        s, blocks, rho, phi = _draw(seed, [(chunk.start + i, *lanes[i][:3]) for i in positions], dim)
-        cols, failed = evaluate(s, blocks, rho, phi)
+        stacks[dim] = _draw(seed, [(chunk.start + i, *lanes[i][:3]) for i in positions], dim)
+        cols, failed = evaluate(*stacks[dim])
         groups.append((np.array(positions), cols))
         errors.update((positions[i], exc) for i, exc in failed.items())
-        for pos, i in enumerate(positions):
-            instance[i] = functools.partial(_instance_fields, s, blocks, rho, phi, pos)
     cols = {name: _gather([(at, group[name]) for at, group in groups], len(chunk)) for name in groups[0][1]}
+
+    def instance(i: int) -> dict:
+        # A group's positions ascend, so i's place in them is its stack position.
+        dim = lanes[i][3]
+        k = bisect.bisect_left(by_dim[dim], i)
+        s, blocks, rho, phi = stacks[dim]
+        return instance_to_dict(s[k], phi[k], rho[k], blocks.vpp[k], blocks.vpm[k], blocks.vmp[k], blocks.vmm[k])
+
     return cols, errors, instance
 
 

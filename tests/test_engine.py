@@ -147,7 +147,9 @@ def fail_every_deviation_check(monkeypatch):
 
 def test_violations_come_in_index_then_check_order(monkeypatch):
     fail_every_deviation_check(monkeypatch)
-    cfg = SweepConfig(seed=6, count=3, dims=(2, 3))
+    # Four chunks, each of which holds instances of all three dimensions.
+    monkeypatch.setattr(sweep, "_CHUNK_ENTRIES", 512)
+    cfg = SweepConfig(seed=6, count=3, dims=(2, 3, 8))
     summary, rows = run_sweep(cfg)
     expected = []
     for row in rows:
@@ -161,10 +163,12 @@ def test_violations_come_in_index_then_check_order(monkeypatch):
     assert [(v["labels"]["index"], v["check"]) for v in summary.violations] == expected
     first = summary.violations[0]
     assert first["threshold"] == -1.0 and first["deviation"] >= 0.0
-    labels = first["labels"]
-    inst = generate_instance(cfg.seed, labels["index"], labels["n"], labels["wwm_class"], labels["s_class"],
-                             labels["block_class"])
-    assert first["instance"] == inst.to_dict()
+    # Each record's instance is its own, read from its chunk's stacks: the replayed instance, bit for bit.
+    for record in (*summary.violations, summary.worst_instance):
+        labels = record["labels"]
+        inst = generate_instance(cfg.seed, labels["index"], labels["n"], labels["wwm_class"], labels["s_class"],
+                                 labels["block_class"])
+        assert repr(record["instance"]) == repr(inst.to_dict())
 
 
 # --- _record on synthetic columns: cases a seeded sweep never produces ---------------
@@ -189,8 +193,8 @@ def recorded(size: int, cells: dict, errors=None, measured=None, summary=None, s
     cols["xi_minus_d"] = np.full(size, 0.25)
     cols["measured"] = np.ones(size, dtype=bool) if measured is None else np.array(measured)
     summary = summary or SweepSummary(config=SweepConfig(seed=0, count=1))
-    instance = {i: lambda: RECORD_FIELDS for i in range(size)}
-    chunk = sweep._record(range(start, start + size), [RECORD_LANE] * size, cols, errors or {}, instance, summary)
+    chunk = sweep._record(range(start, start + size), [RECORD_LANE] * size, cols, errors or {},
+                          lambda i: interferometer.instance_to_dict(*RECORD_FIELDS), summary)
     return summary, chunk
 
 

@@ -15,6 +15,7 @@ from duality import sweep
 from duality.errors import DualityError, ValidationError
 from duality.interferometer import (InterferometerInstance, WwmBlocks, from_global_unitary, from_tilted_pair,
                                     from_unitary_pair, instance_from_dict)
+from duality.linalg import hermitian_eigen, trace_norm
 from duality.measures import chi_closed_form, d_two_level, distinguishability, evaluate, quality, r_measure, xi
 from duality.sqds import SqdsConfig, sqds_report
 
@@ -37,6 +38,20 @@ def scaled_identities(draw):
 
 
 MATRICES = st.one_of(JUNK, scaled_identities())
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """A Hermitian matrix or stack of them with any finite entries, often huge
+    ones whose spectra or trace norms lie beyond the float range."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=1, min_side=1, max_side=3)) + (draw(st.integers(1, 3)),) * 2
+    entries = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 1e154]))
+    re, im = (draw(hnp.arrays(np.float64, shape, elements=entries)) for _ in range(2))
+    if draw(st.booleans()):  # diagonal, so that its huge entries are its eigenvalues
+        re, im = np.where(np.eye(shape[-1], dtype=bool), re, 0.0), np.zeros(shape)
+    upper = np.triu(re) + 1j * np.triu(im, 1)
+    return upper + np.triu(upper, 1).conj().swapaxes(-1, -2)
 
 
 def guarded(call) -> None:
@@ -73,6 +88,13 @@ def test_block_constructors_raise_only_duality_errors(theta, u_plus, u_minus):
     guarded(lambda: from_tilted_pair(theta, u_plus, u_minus))
     guarded(lambda: from_unitary_pair(u_plus, u_minus))
     guarded(lambda: from_global_unitary(u_plus))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.one_of(MATRICES, hermitian_matrices()))
+def test_spectral_functions_raise_only_duality_errors(m):
+    guarded(lambda: trace_norm(m))
+    guarded(lambda: hermitian_eigen(m))
 
 
 # One generated instance of each pair and tilted-pair class at n = 2: the stack that junk replaces parts of.

@@ -205,6 +205,16 @@ def test_trace_norm_rejects_non_hermitian():
         trace_norm(np.array([[0.0, 2.0], [0.0, 0.0]]))
 
 
+def test_trace_norm_rejects_a_norm_beyond_the_float_range():
+    # Finite eigenvalues whose absolute values sum past the float range: the
+    # sum overflowed to inf with a RuntimeWarning.
+    with pytest.raises(ValidationError, match=r"^matrix has a trace norm beyond the float range$"):
+        trace_norm(np.diag([1e308, 1e308]))
+    with pytest.raises(ValidationError, match=r"^matrix\[1\] has a trace norm"):
+        trace_norm(np.stack([np.eye(2), np.diag([1.7e308, -1.7e308]), np.diag([1e308, 1e308])]))
+    assert trace_norm(np.diag([1e308, -1e307])) == 1.1e308
+
+
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6))
 def test_trace_norm_dominates_trace(seed, dim):

@@ -284,20 +284,19 @@ def test_figure_points_equal_each_config_alone():
 # --- grids and invariants ------------------------------------------------------------
 
 def test_sum_rule_grid():
-    # Q^2 + (V_Q/V_Q0)^2 identity and bound over the detecton parameter box
+    # Q^2 + (V_Q/V_Q0)^2 identity and bound over the detecton parameter box,
+    # as one evaluation of the array forms that each config's values are.
     values = np.linspace(0.0, 1.0, 50)
-    phis = np.linspace(0.0, 2.0 * math.pi, 50)
-    for p_d in values:
-        for v_d0 in values:
-            if p_d * p_d + v_d0 * v_d0 > 1.0:
-                continue
-            for phi in phis:
-                cfg = SqdsConfig(p_d=float(p_d), v_d0=float(v_d0), p_q=0.0, phi_ent=float(phi))
-                q = sqds_quality(cfg)
-                ratio_sq = math.cos(phi) ** 2 + p_d * p_d * math.sin(phi) ** 2
-                rhs = cfg.s_d_norm ** 2 * math.sin(phi) ** 2 + math.cos(phi) ** 2
-                assert abs(q * q + ratio_sq - rhs) <= 1e-10
-                assert q * q + ratio_sq <= 1.0 + 1e-10
+    p_d, v_d0, phi = np.meshgrid(values, values, np.linspace(0.0, 2.0 * math.pi, 50), indexing="ij")
+    inside = p_d * p_d + v_d0 * v_d0 <= 1.0
+    p_d, v_d0, phi = p_d[inside], v_d0[inside], phi[inside]
+    forms = sqds._Forms(p_d, v_d0, 0.0, phi)
+    q_sq = forms.q * forms.q
+    ratio_sq = np.cos(phi) ** 2 + p_d * p_d * np.sin(phi) ** 2
+    rhs = forms.s_d_norm ** 2 * np.sin(phi) ** 2 + np.cos(phi) ** 2
+    assert p_d.size == 96_550  # the points of the loop over the box
+    assert np.abs(q_sq + ratio_sq - rhs).max() <= 1e-10
+    assert (q_sq + ratio_sq).max() <= 1.0 + 1e-10
 
 
 @settings(deadline=None, max_examples=150)
