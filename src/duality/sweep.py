@@ -24,7 +24,6 @@ a time.  The sweep yields each chunk, columns and all, as it ends
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import time
@@ -238,9 +237,9 @@ def _check_stats(kind: str) -> dict:
 class SweepSummary:
     """What a sweep has found so far, updated chunk by chunk, so that it can be read mid-sweep.
 
-    ``worst_instance`` is the first smallest slack, by instance and then in
-    run order, as ``{"check", "slack", "labels", "instance"}``: each chunk
-    that lowers the smallest slack replaces it, one that only ties keeps it.
+    ``worst_instance`` is the first smallest slack, by instance and then in run order, as
+    ``{"check", "slack", "labels", "instance"}``, its JSON built at each read from ``_worst``, which holds
+    copies of the instance's fields: a chunk that lowers the smallest slack replaces it, one that ties keeps it.
     """
 
     config: SweepConfig
@@ -252,7 +251,11 @@ class SweepSummary:
     xi_minus_d_min: float | None = None
     xi_minus_d_candidates: int = 0
     violations: list = field(default_factory=list)
-    worst_instance: dict | None = None
+    _worst: dict | None = None
+
+    @property
+    def worst_instance(self) -> dict | None:
+        return None if self._worst is None else {**self._worst, "instance": instance_to_dict(*self._worst["instance"])}
 
     @property
     def violation_count(self) -> int:
@@ -298,16 +301,16 @@ class SweepChunk(NamedTuple):
                 for i, (row, values) in enumerate(zip(self.checked.tolist(), zip(*cells))) if row]
 
 
-def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: Callable[[int], dict],
+def _record(chunk: range, lanes: list, cols: dict, errors: dict, fields: Callable[[int], tuple],
             summary: SweepSummary) -> SweepChunk:
     """Run every check of ``CHECKS`` on a chunk's columns in one stacked
     pass, and update ``summary`` as checking one instance at a time in index
     order would.
 
-    ``lanes[i]`` is the plan lane and ``instance(i)`` the
-    :func:`instance_to_dict` of chunk position ``i``, which the violations
-    and a new smallest slack take; the records hold lists, so no view of the
-    chunk's stacks outlives the call.
+    ``lanes[i]`` is the plan lane and ``fields(i)`` the
+    :func:`instance_to_dict` arguments of chunk position ``i``, copied out
+    of the stacks: a violation takes their JSON and a new smallest slack the
+    copies, so no view of the chunk's stacks outlives the call.
     """
     def labels(i):
         return dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[i])))
@@ -335,7 +338,7 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: Calla
         c, value = CHECKS[rank], float(sign[rank] * signed[rank, i])
         found = {c.kind: value, "threshold": c.threshold} if c.column else {"error": str(errors[i])}
         summary.violations.append({"check": c.name, **found, "labels": labels(i),
-                                   "instance": instance(i)})
+                                   "instance": instance_to_dict(*fields(i))})
     xi_minus_d = cols["xi_minus_d"][checked]
     if xi_minus_d.size:
         low = float(xi_minus_d.min())
@@ -352,10 +355,9 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, instance: Calla
     signed[sign < 0.0] = np.inf
     i = int(signed.min(axis=0).argmin())
     rank = int(signed[:, i].argmin())
-    worst = summary.worst_instance
-    if signed[rank, i] < (math.inf if worst is None else worst["slack"]):
-        summary.worst_instance = {"check": CHECKS[rank].name, "slack": float(signed[rank, i]), "labels": labels(i),
-                                  "instance": instance(i)}
+    if signed[rank, i] < (math.inf if summary._worst is None else summary._worst["slack"]):
+        summary._worst = {"check": CHECKS[rank].name, "slack": float(signed[rank, i]), "labels": labels(i),
+                          "instance": fields(i)}
     return SweepChunk(chunk, lanes, cols, checked)
 
 
@@ -391,14 +393,15 @@ def _chunks(dims: Iterable[int]) -> Iterator[range]:
         yield range(start, end)
 
 
-def _measure(seed: int, lanes: list, chunk: range) -> tuple[dict, dict, Callable[[int], dict]]:
+def _measure(seed: int, lanes: list, chunk: range) -> tuple[dict, dict, Callable[[int], tuple]]:
     """Generate a chunk of plan lanes ``lanes`` and :func:`~duality.measures.evaluate`
     it, one marker dimension at a time: its columns, its failures and
-    ``instance(i)``, the :func:`instance_to_dict` of chunk position ``i``, as
-    :func:`_record` takes them."""
-    by_dim, stacks, groups, errors = {}, {}, [], {}
-    for i, lane in enumerate(lanes):
-        by_dim.setdefault(lane[3], []).append(i)
+    ``fields(i)``, the :func:`instance_to_dict` arguments of chunk position
+    ``i`` copied out of its group's stacks, as :func:`_record` takes them."""
+    by_dim, place, stacks, groups, errors = {}, [], {}, [], {}
+    for i, lane in enumerate(lanes):  # place[i]: the dimension and stack position of chunk position i
+        place.append((lane[3], len(by_dim.setdefault(lane[3], []))))
+        by_dim[lane[3]].append(i)
     for dim, positions in by_dim.items():
         stacks[dim] = _draw(seed, [(chunk.start + i, *lanes[i][:3]) for i in positions], dim)
         cols, failed = evaluate(*stacks[dim])
@@ -406,14 +409,12 @@ def _measure(seed: int, lanes: list, chunk: range) -> tuple[dict, dict, Callable
         errors.update((positions[i], exc) for i, exc in failed.items())
     cols = {name: _gather([(at, group[name]) for at, group in groups], len(chunk)) for name in groups[0][1]}
 
-    def instance(i: int) -> dict:
-        # A group's positions ascend, so i's place in them is its stack position.
-        dim = lanes[i][3]
-        k = bisect.bisect_left(by_dim[dim], i)
+    def fields(i: int) -> tuple:
+        dim, k = place[i]
         s, blocks, rho, phi = stacks[dim]
-        return instance_to_dict(s[k], phi[k], rho[k], blocks.vpp[k], blocks.vpm[k], blocks.vmp[k], blocks.vmm[k])
+        return (float(s[k]), float(phi[k]), *(m[k].copy() for m in (rho, blocks.vpp, blocks.vpm, blocks.vmp, blocks.vmm)))
 
-    return cols, errors, instance
+    return cols, errors, fields
 
 
 def iter_sweep(cfg: SweepConfig, summary: SweepSummary) -> Iterator[SweepChunk]:

@@ -194,7 +194,7 @@ def recorded(size: int, cells: dict, errors=None, measured=None, summary=None, s
     cols["measured"] = np.ones(size, dtype=bool) if measured is None else np.array(measured)
     summary = summary or SweepSummary(config=SweepConfig(seed=0, count=1))
     chunk = sweep._record(range(start, start + size), [RECORD_LANE] * size, cols, errors or {},
-                          lambda i: interferometer.instance_to_dict(*RECORD_FIELDS), summary)
+                          lambda i: RECORD_FIELDS, summary)
     return summary, chunk
 
 
@@ -331,7 +331,8 @@ def test_chunk_working_set_is_bounded():
     assert rows == 800
     assert peak < 1.75 * 2 ** 20
     # What the finished sweep keeps: its summary, whose worst instance holds
-    # copies of its own fields rather than its group's stacks (320 KiB).
+    # copies of its own fields (5 KiB), not their JSON (40 KiB at n = 8) or
+    # its group's stacks (320 KiB).
     assert kept < 64 * 2 ** 10
 
 
