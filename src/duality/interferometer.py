@@ -410,19 +410,11 @@ def evolve(inst: InterferometerInstance) -> np.ndarray:
     """The quanton's Bloch vector (x, y, z) after splitter+marker, phase
     shifter and merger, read from the instance's kernel.
 
-    Construction enforces unitary blocks and a density-matrix rho_d0, so the
-    final joint state is a density matrix; the way probabilities' sum and
-    the Bloch norm are checked.
+    Construction validated the instance, so the kernel is not checked again.
     """
     k = inst.kernel
-    total = k.w_plus + k.w_minus
-    if not abs(total - 1.0) <= VALIDATION_ATOL:
-        raise ValidationError(f"way probabilities do not sum to one: {float(total)!r}")
     zy = -np.exp(-1j * k.phi) * k.c
-    bloch = np.array([k.w_plus - k.w_minus, zy.imag, zy.real])
-    if not np.sqrt((bloch * bloch).sum()) <= 1.0 + VALIDATION_ATOL:
-        raise ValidationError("final Bloch vector exceeds unit norm beyond tolerance")
-    return bloch
+    return np.array([k.w_plus - k.w_minus, zy.imag, zy.real])
 
 
 def conditional_states(k: BranchKernel) -> tuple:

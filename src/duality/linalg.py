@@ -144,8 +144,17 @@ def hermitian_eigen(m) -> HermitianEigen:
     real and positive, making the output deterministic for non-degenerate
     spectra.  The pivot's modulus is taken with ``np.hypot``, which rounds as
     Python's complex ``abs`` does; ``np.abs`` on complex arrays does not.
+    Raises :class:`ValidationError` for an eigenvalue beyond the float range.
     """
-    a = require_hermitian(m)
+    eigen = _hermitian_eigen(require_hermitian(m))
+    i = first_failure(np.isfinite(eigen.values).all(axis=-1))
+    if i is not None:
+        raise ValidationError(f"{label('matrix', i)} has an eigenvalue beyond the float range")
+    return eigen
+
+
+def _hermitian_eigen(a: np.ndarray) -> HermitianEigen:
+    """:func:`hermitian_eigen` of a validated Hermitian array, unchecked."""
     evals, evecs = np.linalg.eigh(a)
     # eigh returns ascending eigenvalues; reverse to descending.
     evals = np.ascontiguousarray(evals[..., ::-1])

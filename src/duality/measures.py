@@ -19,7 +19,9 @@ Each formula is one whole-array expression: the batched functions take a
 :class:`~duality.interferometer.BranchKernel` of any number of instances and
 its :class:`BranchSpectra`, where each eigenproblem is solved once, and return
 one column per quantity; each instance-level function is its batched function
-on a batch of one.  Columns keep the bits of Python's scalar arithmetic:
+on a batch of one.  Each input is validated once, where it enters
+(``validate_instances``, the public functions of numbers), and nothing derived
+from it is checked again.  Columns keep the bits of Python's scalar arithmetic:
 squares are ``np.float_power(x, 2.0)``, which rounds as Python's ``x ** 2``
 (libm ``pow``) does and ``x * x`` may not; moduli are ``np.hypot(re, im)``,
 which rounds as complex ``abs`` does and ``np.abs`` may not.  :func:`evaluate`
@@ -109,7 +111,7 @@ def _clamped_unit(x: np.ndarray, name: str) -> np.ndarray:
     i = linalg.first_failure(_in_unit(x))
     if i is not None:
         raise ValidationError(f"{name} must lie in [0, 1], got {float(x[i])!r}")
-    return np.minimum(np.maximum(x, 0.0), 1.0)
+    return np.clip(x, 0.0, 1.0)
 
 
 def _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus, **numbers) -> list:
@@ -151,12 +153,12 @@ def xi(p, q):
     soon as either argument does.  Takes numbers, or arrays of them, and
     then returns one value per entry.
     """
-    return _xi(*_numbers(p=p, q=q))
+    p, q = _numbers(p=p, q=q)
+    return _xi(_clamped_unit(p, "p"), _clamped_unit(q, "q"))
 
 
 def _xi(p, q):
-    p_sq = linalg.squared(_clamped_unit(p, "p"))
-    q_sq = linalg.squared(_clamped_unit(q, "q"))
+    p_sq, q_sq = linalg.squared(np.clip(p, 0.0, 1.0)), linalg.squared(np.clip(q, 0.0, 1.0))
     return _float_or_array(np.sqrt(p_sq + q_sq - p_sq * q_sq))
 
 
@@ -204,14 +206,18 @@ def chi_closed_form(d1, d2, p, xi_value):
         i = linalg.first_failure(np.abs(d1 + d2 - 1.0) <= CONSTRUCTION_ATOL)
         if i is not None:
             raise ValidationError(f"spectral weights must sum to one, got {float((d1 + d2)[i])!r}")
-        zero = xc <= 0.0
-        if linalg.first_failure((xc >= pc - SLACK_TOL) & (~zero | (pc <= 0.0))) is not None:
+        if linalg.first_failure((xc >= pc - SLACK_TOL) & ((xc > 0.0) | (pc <= 0.0))) is not None:
             raise ValidationError("xi below p is inconsistent (Xi^2 = P^2 + Q^2 (1 - P^2) >= P^2)")
-        value = np.where(zero, 1.0, 1.0 - 4.0 * d1 * d2 * pc * pc / np.where(zero, 1.0, xc * xc))
+        value = _chi_closed(d1, d2, pc, xc)
     i = linalg.first_failure(_in_unit(value))
     if i is not None:
         raise ValidationError(f"closed-form chi fell outside [0, 1]: {float(value[i])!r} (inconsistent inputs)")
     return _float_or_array(value)
+
+
+def _chi_closed(d1, d2, p, xi_value):
+    zero = xi_value <= 0.0
+    return np.where(zero, 1.0, 1.0 - 4.0 * d1 * d2 * p * p / np.where(zero, 1.0, xi_value * xi_value))
 
 
 def state_independent_ways(inst: InterferometerInstance) -> bool:
@@ -266,7 +272,7 @@ def branch_spectra(k: BranchKernel, decompose) -> BranchSpectra:
     w_plus, rho_plus, w_minus, rho_minus = conditional_states(k)
     values, vectors = np.zeros(k.rho_d0.shape[:-1]), np.zeros(k.rho_d0.shape, dtype=complex)
     if np.any(decompose):
-        values[decompose], vectors[decompose] = linalg.hermitian_eigen(k.rho_d0[decompose])
+        values[decompose], vectors[decompose] = linalg._hermitian_eigen(k.rho_d0[decompose])
     return BranchSpectra(rho_plus, rho_minus, np.abs(w_plus - w_minus),
                          *_conditional_spectra(w_plus, rho_plus, w_minus, rho_minus), values, vectors)
 
@@ -359,7 +365,7 @@ def deviations(rep: dict, sp: BranchSpectra, pure_polarized: np.ndarray) -> dict
     one does not apply: |max(P, R) - D| on two-level markers; |V^2 + Xi^2 - 1|
     and |D - Xi|, zero where ``pure_polarized`` marks a pure marker and a
     polarized quanton; |chi - its closed form|, P^2/Xi^2 where P > R, else
-    :func:`chi_closed_form` of the rho_d0 spectrum that ``sp`` must hold."""
+    the chi closed form of the rho_d0 spectrum that ``sp`` must hold."""
     p, r, xi_value, chi = rep["p"], rep["r"], rep["xi"], rep["chi"]
     closed = np.full(np.shape(chi), np.nan)
     by_p = ~np.isnan(chi) & (p > r + TIE_ATOL)
@@ -367,9 +373,9 @@ def deviations(rep: dict, sp: BranchSpectra, pure_polarized: np.ndarray) -> dict
     by_spectrum = ~np.isnan(chi) & ~by_p
     if by_spectrum.any():
         d1, d2 = sp.marker_values[by_spectrum, 0], np.maximum(sp.marker_values[by_spectrum, 1], 0.0)
-        closed[by_spectrum] = chi_closed_form(d1, d2, p[by_spectrum], xi_value[by_spectrum])
+        closed[by_spectrum] = _chi_closed(d1, d2, p[by_spectrum], xi_value[by_spectrum])
     return {
-        "d_two_level": np.abs(d_two_level(p, r) - rep["d"]) if sp.delta.shape[-1] == 2 else np.full_like(p, np.nan),
+        "d_two_level": np.abs(np.maximum(p, r) - rep["d"]) if sp.delta.shape[-1] == 2 else np.full_like(p, np.nan),
         "pure_saturation_xi": np.where(pure_polarized,
                                        np.abs(linalg.squared(rep["v"]) + linalg.squared(xi_value) - 1.0), np.nan),
         "pure_saturation_d": np.where(pure_polarized, np.abs(rep["xi_minus_d"]), np.nan),
@@ -410,18 +416,16 @@ def pure_state_identity_check(inst: InterferometerInstance) -> float:
     conditional-state overlap is checked against |C|^2 / (4 w+ w-); failures
     of those internal identities raise :class:`IdentityError`.
     """
+    purity, pure = _purities(inst.rho_d0)
+    if not pure:
+        raise ValidationError(f"pure identity requires a pure marker state, purity = {float(purity)!r}")
     return float(pure_identities(inst.kernel, branch_spectra(inst.kernel, False)))
 
 
 def pure_identities(k: BranchKernel, sp: BranchSpectra) -> np.ndarray:
     """:func:`pure_state_identity_check` of every instance of a kernel and its
-    spectra ``sp``; the first instance that fails a check raises for the batch."""
+    spectra ``sp``, whose markers are pure; the first instance that fails a check raises for the batch."""
     c_sq = linalg.squared(_modulus(_polarized_branches(k, sp, "pure identity")))
-    purity, pure = _purities(k.rho_d0)
-    i = linalg.first_failure(pure)
-    if i is not None:
-        raise ValidationError(
-            f"pure identity requires a pure marker state, purity = {float(purity[i])!r}")
 
     # The spectrum of 0.5 (rho+ - rho-), halved exactly from that of rho+ - rho-.
     evals = 0.5 * sp.diff
@@ -537,10 +541,10 @@ def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
     """Validate and measure a stack of N instances, as ``duality verify`` does.
 
     ``s`` and ``phi`` have shape (N,) beside N stacked (n, n) blocks and marker
-    states.  At |s| = 1 a marker that :func:`pure_identities` counts as pure gets
+    states.  At |s| = 1 a marker that :func:`_purities` counts as pure gets
     the pure identity, any other the mixing bound.  Returns one array of N per
-    column (``s``, ``phi``, ``measured`` and ``_MEASURES``), NaN where a measure
-    or check does not apply, and ``{position: exception}`` of the instances that fail.
+    column (``s``, ``phi`` and ``_MEASURES``), NaN where a measure or check does
+    not apply or was not reached, and ``{position: exception}`` of the instances that fail.
     """
     if not isinstance(blocks, WwmBlocks) or blocks.vpp.ndim != 3:
         got = blocks.vpp.shape if isinstance(blocks, WwmBlocks) else type(blocks).__name__
@@ -552,15 +556,15 @@ def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
 
 
 def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
-    """:func:`evaluate` of a kernel and its pure markers: its report and
-    ``measured``, then its |s| = 1 checks.  If an instance fails, a batch of several
+    """:func:`evaluate` of a kernel and its pure markers: its report, then
+    its |s| = 1 checks.  If an instance fails, a batch of several
     is measured again one instance at a time; a batch of one keeps what it had."""
     cols = {}
     try:
         # The mixing bound and the chi closed form read rho_d0's spectrum.
         sp = branch_spectra(k, k.polarized & (~pure | (k.n == 2)))
         rep = hierarchy_reports(k, sp)
-        cols.update(rep, **deviations(rep, sp, k.polarized & pure), measured=np.ones(len(pure), dtype=bool))
+        cols.update(rep, **deviations(rep, sp, k.polarized & pure))
         for members, batch_checks, names in (
                 (k.polarized & pure, pure_identities, ("pure_identity_residual",)),
                 (k.polarized & ~pure, mixing_bounds, ("mixing_bound_slack", "contrast_recomposition"))):
@@ -577,5 +581,4 @@ def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
         alone = [(cols, {0: exc})] if len(pure) == 1 else [
             _measured(k.take([i]), pure[[i]]) for i in range(len(pure))]
     out = {name: np.array([part[name][0] if name in part else np.nan for part, _ in alone]) for name in _MEASURES}
-    out["measured"] = np.array([part.get("measured", [False])[0] for part, _ in alone])
     return out, {i: exc for i, (_, failed) in enumerate(alone) for exc in failed.values()}

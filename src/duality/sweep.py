@@ -315,14 +315,15 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, fields: Callabl
     def labels(i):
         return dict(zip(CSV_COLUMNS, (chunk.start + i, *lanes[i])))
 
-    checked = cols["measured"] & ~np.isin(np.arange(len(chunk)), list(errors))
-    # A row per check in run order, NaN where it does not apply, deviations
-    # negated so that every row passes at >= its bound.  A failure stops an
-    # instance's checks where it is raised: those after the error row skip it.
+    checked = ~np.isin(np.arange(len(chunk)), list(errors))
+    # A row per check in run order, NaN where it does not apply or was not
+    # reached, deviations negated so that every row passes at >= its bound.  A
+    # failure stops an instance's checks where it is raised: those after the error row skip it.
     error = [c.kind for c in CHECKS].index("error")
     sign = np.array([1.0 if c.kind == "slack" else -1.0 for c in CHECKS])
     signed = np.array([cols[c.column] if c.column else np.full(len(chunk), np.nan) for c in CHECKS])
-    applies = ~np.isnan(signed) & np.where(np.arange(len(CHECKS))[:, None] < error, cols["measured"], checked)
+    applies = ~np.isnan(signed)
+    applies[error + 1:] &= checked
     signed *= sign[:, None]
     signed[~applies] = np.inf
     violating = signed < (sign * np.array([c.threshold if c.column else np.inf for c in CHECKS]))[:, None]

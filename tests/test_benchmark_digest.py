@@ -1,11 +1,13 @@
-"""The analyze outputs the benchmark checks are those this checkout writes.
+"""The outputs the benchmark checks are those this checkout writes.
 
 ``benchmarks/workloads.py`` is read from its source, without importing it or
-writing anything next to it.  Its ``prepare`` writes the analyze workload's
-116 instance files into a temporary directory, and the pass's sha256 of the
-concatenated ``analyze`` outputs must equal the digest recorded in
-``benchmarks/references.json``: a changed bit fails every analyze item of a
-benchmark run.
+writing anything next to it.  Its ``prepare`` builds each workload's passes
+in a temporary directory: the analyze workload's 116 instance files, and the
+``duality verify`` calls of the verify workloads' warm-up and timed passes.
+Each pass's sha256 of its output (the concatenated ``analyze`` outputs, or
+``instances.csv``) must equal the digest recorded in
+``benchmarks/references.json``: a changed bit fails every item of that pass
+in a benchmark run.
 """
 
 import sys
@@ -32,3 +34,14 @@ def test_analyze_outputs_match_the_benchmark_references(tmp_path, monkeypatch, s
     result = workloads.prepare("analyze", seed, tmp_path).timed.run()
     assert (result.items, result.failed) == (116, 0)
     assert result.digest == reference
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["verify-default", "verify-n8"])
+def test_verify_outputs_match_the_benchmark_references(tmp_path, monkeypatch, name, seed):
+    workloads = workloads_module(monkeypatch)
+    references = workloads.load_references()
+    for run in workloads.prepare(name, seed, tmp_path):  # the warm-up pass, then the timed one
+        result = run.run()
+        assert (result.items, result.failed) == (run.plan_items, 0), run.label
+        assert result.digest == references[run.label][str(seed)], run.label

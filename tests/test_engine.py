@@ -183,7 +183,7 @@ RECORD_LANE = ("unitary_pair", "pure", "s_pure", 2)
 RECORD_FIELDS = (1.0, 0.0, np.eye(2) / 2, *(np.eye(2, dtype=complex),) * 4)
 
 
-def recorded(size: int, cells: dict, errors=None, measured=None, summary=None, start=0):
+def recorded(size: int, cells: dict, errors=None, summary=None, start=0):
     """``sweep._record`` of a chunk of ``size`` instances at ``start`` whose
     slacks are 0.5 and deviations 0.0 but for ``cells``, {(check, position): value}."""
     cols = {column: np.full(size, 0.5) for column in RECORD_SLACKS.values()}
@@ -191,7 +191,6 @@ def recorded(size: int, cells: dict, errors=None, measured=None, summary=None, s
     for (check, i), value in cells.items():
         cols[{**RECORD_SLACKS, **RECORD_DEVIATIONS}[check]][i] = value
     cols["xi_minus_d"] = np.full(size, 0.25)
-    cols["measured"] = np.ones(size, dtype=bool) if measured is None else np.array(measured)
     summary = summary or SweepSummary(config=SweepConfig(seed=0, count=1))
     chunk = sweep._record(range(start, start + size), [RECORD_LANE] * size, cols, errors or {},
                           lambda i: RECORD_FIELDS, summary)
@@ -251,12 +250,13 @@ def test_record_neither_counts_nor_gates_nan_cells():
 
 def test_record_skips_checks_after_an_identity_error():
     # Instance 2 fails an internal identity after its first seven checks ran;
-    # instance 3 is degenerate before any; both miss every later check.
+    # instance 3 is degenerate before any, so evaluate leaves it NaN in every
+    # column; both miss every later check.
     errors = {2: IdentityError("half-difference spectrum is not symmetric"),
               3: DegenerateBranchError("no amplitude")}
+    unmeasured = {(check, 3): math.nan for check in {**RECORD_SLACKS, **RECORD_DEVIATIONS}}
     summary, chunk = recorded(4, {("o1", 2): -1.0, ("pure_saturation_d", 2): 1.0, ("pure_identity", 2): 1.0,
-                                  ("main", 2): -1.0, ("mixing_bound", 2): -2.0, ("o2p", 3): -5.0,
-                                  ("chi_closed_form", 3): 1.0}, errors=errors, measured=[True, True, True, False])
+                                  ("main", 2): -1.0, ("mixing_bound", 2): -2.0, **unmeasured}, errors=errors)
     assert [(v["labels"]["index"], v["check"]) for v in summary.violations] == [
         (2, "o1"), (2, "pure_saturation_d"), (2, "internal_identity")]
     failure = summary.violations[-1]
@@ -600,7 +600,7 @@ def with_block(fields: tuple, pos: int, replace) -> tuple:
 def test_evaluate_gives_each_instance_of_a_stack_its_bits_alone(dim):
     fields = drawn(13, every_lane_class(dim), dim)
     cols, errors = evaluate(*fields)
-    assert not errors and cols["measured"].all()
+    assert not errors and not np.isnan(cols["v"]).any()
     assert set(CSV_COLUMNS[5:]) <= cols.keys()
     for i in range(len(fields[0])):
         alone, errors = evaluate(*stack_take(fields, [i]))
@@ -621,7 +621,6 @@ def test_evaluate_records_a_degenerate_instance_at_its_position():
     s[target] = 1.0
     cols, errors = evaluate(s, blocks, rho, phi)
     assert list(errors) == [target] and isinstance(errors[target], DegenerateBranchError)
-    assert not cols["measured"][target]
     assert all(np.isnan(cols[name][target]) for name in measures._MEASURES)
     for i in set(range(len(jobs))) - {target}:
         alone, _ = evaluate(*stack_take(fields, [i]))
@@ -644,7 +643,7 @@ def test_evaluate_keeps_the_report_of_an_instance_that_fails_an_identity(monkeyp
     monkeypatch.setattr(measures, "pure_identities", failing_on_target)
     cols, errors = evaluate(*fields)
     assert list(errors) == [target] and isinstance(errors[target], IdentityError)
-    assert cols["measured"][target] and np.isnan(cols["pure_identity_residual"][target])
+    assert not np.isnan(cols["v"][target]) and np.isnan(cols["pure_identity_residual"][target])
     clean["pure_identity_residual"][target] = np.nan
     assert column_bits(cols) == column_bits(clean)
 
@@ -653,6 +652,56 @@ def test_evaluate_names_the_instance_whose_joint_operator_is_not_unitary():
     fields = with_block(drawn(2, every_lane_class(4), 4), 7, lambda name, block: block * 1.001)
     with pytest.raises(ValidationError, match=re.escape("joint operator[7]")):
         evaluate(*fields)
+
+
+def joined(*stacks) -> tuple:
+    """The ``evaluate`` arguments of several stacks, one after another."""
+    s, blocks, rho, phi = zip(*stacks)
+    return (np.concatenate(s), WwmBlocks(*(np.concatenate([getattr(b, name) for b in blocks])
+                                           for name in ("vpp", "vpm", "vmp", "vmm"))),
+            np.concatenate(rho), np.concatenate(phi))
+
+
+def test_evaluate_takes_a_marker_that_the_density_check_accepts_at_its_edge():
+    # rho_d0 has eigenvalues 1 + 1e-11 and -1e-11, which require_density
+    # accepts (min eigenvalue >= -1e-10).  Its chi closed form takes the
+    # weights 1 + 1e-11 and 0, which chi_closed_form would reject (sum
+    # within 1e-12): the chain must not check them again.
+    h = (linalg.SIGMA_X + linalg.SIGMA_Z) / math.sqrt(2.0)
+    up = np.diag([np.exp(0.65j), np.exp(-0.65j)])
+    edge = (np.ones(1), from_tilted_pair([0.75], up[None], up.conj()[None]),
+            (h @ np.diag([1.0 + 1e-11, -1e-11]) @ h)[None], np.zeros(1))
+    clean = drawn(5, [(0, "tilted_pair", "mixed", "s_pure")], 2)
+    alone = [evaluate(*clean), evaluate(*edge)]
+    cols, errors = evaluate(*joined(clean, edge))
+    assert not errors and not any(failed for _, failed in alone)
+    assert cols["chi_closed_dev"][1] < 1e-9
+    for i, (row, _) in enumerate(alone):
+        assert column_bits(row) == column_bits(cols, [i]), i
+
+
+def test_evaluate_checks_each_group_once_where_it_enters(monkeypatch):
+    # validate_instances checks a stack once, its markers through
+    # require_density; nothing after it calls a public validator again.
+    def refused(*args):
+        raise AssertionError("a validated input was checked again")
+
+    for module, name in ((measures, "chi_closed_form"), (measures, "d_two_level"), (linalg, "hermitian_eigen")):
+        monkeypatch.setattr(module, name, refused)
+    hermitian, require_hermitian = [], linalg.require_hermitian
+
+    def counted(m, name="matrix"):
+        hermitian.append(name)
+        return require_hermitian(m, name)
+
+    monkeypatch.setattr(linalg, "require_hermitian", counted)
+    for dim in (2, 3, 4):
+        hermitian.clear()
+        cols, errors = evaluate(*drawn(dim, every_lane_class(dim), dim))
+        assert not errors and hermitian == ["rho_d0"]
+        # The columns that read the refused functions were computed.
+        assert (~np.isnan(cols["mixing_bound_slack"])).any()
+        assert (~np.isnan(cols["d_two_level"])).all() == (~np.isnan(cols["chi_closed_dev"])).any() == (dim == 2)
 
 
 def lane_rule(jobs: list, dim: int) -> dict:

@@ -282,6 +282,21 @@ def test_evolve_structural_postconditions():
         assert np.linalg.norm(bloch) <= 1.0 + 1e-10
 
 
+def test_evolve_takes_an_instance_that_construction_accepts_at_its_edge():
+    # U (I + 0.95e-10 J)^(1/2), J all ones, is 0.95e-10 from unitary in each
+    # entry of U^dagger U, within the 2e-10 of the block identities.  A marker
+    # along the top eigenvector of W+ + W- then has w+ + w- = 1 + 5.7e-10,
+    # beyond the 1e-10 of a re-check of the sum, which evolve must not make.
+    eps = 0.95e-10
+    root = np.eye(16) + (math.sqrt(1.0 + 16.0 * eps) - 1.0) / 16.0 * np.ones((16, 16))
+    blocks = interferometer.global_blocks(linalg.haar_from_normals(rng(1).standard_normal((2, 16, 16))) @ root)
+    top = np.linalg.eigh(blocks.vpp @ linalg.dagger(blocks.vpp) + blocks.vpm @ linalg.dagger(blocks.vpm))[1][:, -1]
+    inst = InterferometerInstance(s=1.0, blocks=blocks, rho_d0=np.outer(top, top.conj()))
+    assert inst.kernel.w_plus + inst.kernel.w_minus > 1.0 + VALIDATION_ATOL
+    bloch = evolve(inst)
+    assert bloch.shape == (3,) and np.isfinite(bloch).all()
+
+
 def test_evolve_matches_term_by_term_expansion():
     for inst in oracle_instances():
         assert np.abs(final_state(inst) - final_state_by_expansion(inst)).max() <= 1e-10

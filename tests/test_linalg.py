@@ -124,6 +124,19 @@ def test_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigen_rejects_a_spectrum_beyond_the_float_range():
+    # Finite entries whose top eigenvalue overflows: eigh returns
+    # [inf, 1.5e291, -7.7e292] and [inf, 0] for them, without an error.
+    spread, overflowing = np.full((3, 3), 1.7e308), np.full((2, 2), 1e308)
+    with pytest.raises(ValidationError, match=r"^matrix has an eigenvalue beyond the float range$"):
+        hermitian_eigen(spread)
+    with pytest.raises(ValidationError, match=r"^matrix has an eigenvalue beyond the float range$"):
+        hermitian_eigen(overflowing)
+    with pytest.raises(ValidationError, match=r"^matrix\[1\] has an eigenvalue"):
+        hermitian_eigen(np.stack([np.eye(2), overflowing]))
+    assert hermitian_eigen(np.diag([1.7e308, -1.7e308])).values.tolist() == [1.7e308, -1.7e308]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_eigen_matches_charpoly_bisection(seed):
     m = random_hermitian(rng(100 + seed), 4)
