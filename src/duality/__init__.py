@@ -36,20 +36,7 @@ from .measures import (
     state_independent_ways,
     xi,
 )
-from .sqds import (
-    SqdsConfig,
-    SqdsReport,
-    figure3_grid,
-    figure4_curve,
-    sqds_chi,
-    sqds_delta,
-    sqds_distinguishability,
-    sqds_quality,
-    sqds_report,
-    sqds_to_generic,
-    sqds_visibility,
-    sqds_xi,
-)
+from .sqds import SqdsForms, figure3_grid, figure4_curve, sqds_instances, write_figure3_csv, write_figure4_csv
 from .sweep import SweepChunk, SweepConfig, SweepSummary, generate_instance, iter_sweep, run_sweep
 
 __version__ = "0.1.0"

@@ -12,82 +12,30 @@ detecton predictability ``p_d`` therefore maps to the z component and the
 initial detecton visibility ``v_d0`` to the transverse Bloch length (reference
 transverse phase zero).  The quanton is pure, with predictability ``p_q``.
 
-Each closed form (Q, Xi, R, D, V, Delta, chi) is written once, as a
-whole-array expression over configurations that broadcast together.  Each
-public ``sqds_*`` function is that expression on a batch of one; the figures
+Each closed form (Q, Xi, R, D, V, Delta, chi) is written once, in
+:class:`SqdsForms`, as a whole-array expression over configurations that
+broadcast together; one configuration is a batch of one.  The figures
 evaluate all their points at once, each with the bits it has alone.
 
-All closed forms here are cross-validated against the generic engine through
-:func:`sqds_to_generic`; where parametrizations could disagree, the engine is
-authoritative.
+:func:`sqds_instances` realizes configurations as a stack of generic
+instances, on which ``measures.evaluate`` cross-validates the closed forms;
+where parametrizations could disagree, the engine is authoritative.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import numbers
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import IdentityError, ValidationError
-from .interferometer import InterferometerInstance, from_tilted_pair
-from .linalg import SIGMA_X, SIGMA_Z, first_failure, squared
+from .interferometer import tilted_blocks
+from .linalg import SIGMA_X, SIGMA_Z, first_failure, label, reals, squared
 from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, SQDS_XI_ATOL, TIE_ATOL
 
 FIGURE3_RESOLUTION = 101  # points per side of the fig3 grid
 FIGURE4_SAMPLES = 201  # points on the fig4 curve
-
-
-@dataclass(frozen=True)
-class SqdsConfig:
-    """Bloch data of the detecton, quanton predictability, entangling phase, each a Python float."""
-
-    p_d: float
-    v_d0: float
-    p_q: float
-    phi_ent: float
-
-    def __post_init__(self):
-        for name in ("p_d", "v_d0", "p_q", "phi_ent"):
-            value = getattr(self, name)
-            try:
-                number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-            except OverflowError:  # an integer beyond the float range
-                number = math.nan
-            if not math.isfinite(number):
-                raise ValidationError(f"{name} must be a finite real number, got {value!r}")
-            if name != "phi_ent" and not 0.0 <= number <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {number}")
-            object.__setattr__(self, name, number)
-        if (norm_sq := self.p_d ** 2 + self.v_d0 ** 2) > 1.0 + CONSTRUCTION_ATOL:
-            raise ValidationError(f"detecton Bloch norm exceeds one: p_d^2 + v_d0^2 = {norm_sq!r}")
-
-    @property
-    def s_d_norm(self) -> float:
-        """Length of the detecton's initial Bloch vector."""
-        return float(_one(self).s_d_norm)
-
-    @property
-    def v_q0(self) -> float:
-        """Initial quanton visibility; the quanton is pure."""
-        return float(_one(self).v_q0)
-
-
-@dataclass(frozen=True)
-class SqdsReport:
-    q: float
-    xi_q: float
-    r_q: float
-    d_q: float
-    v_q: float
-    delta: float
-    chi: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _require_agreement(a, b, checked, message: str) -> None:
@@ -99,16 +47,39 @@ def _require_agreement(a, b, checked, message: str) -> None:
                                            float(np.broadcast_to(b, ok.shape)[i])))
 
 
-class _Forms:
-    """The closed forms on arrays of (p_d, v_d0, p_q, phi_ent) that broadcast together.  Delta and chi
-    check their branches on first use, so a caller meets the errors of only the forms it reads."""
+class SqdsForms:
+    """The closed forms of SQDS configurations (p_d, v_d0, p_q, phi_ent): the detecton's
+    predictability and initial visibility, the quanton's predictability and the entangling phase.
+
+    Each field is a finite real number or an array of them, and the four broadcast together;
+    p_d, v_d0 and p_q lie in [0, 1], and p_d^2 + v_d0^2 <= 1.  The constructor checks this once
+    and raises :class:`ValidationError` naming the first failing element.  Delta and chi check
+    their branches on first use, so a caller meets the errors of only the forms it reads.
+    """
 
     def __init__(self, p_d, v_d0, p_q, phi_ent):
+        fields = {"p_d": p_d, "v_d0": v_d0, "p_q": p_q, "phi_ent": phi_ent}
+        for name, value in fields.items():
+            a = fields[name] = reals(value, name)
+            # In range before the Bloch norm squares it, so that no square overflows.
+            i = None if name == "phi_ent" else first_failure((a >= 0.0) & (a <= 1.0))
+            if i is not None:
+                raise ValidationError(f"{label(name, i)} must lie in [0, 1], got {a[i]}")
+        try:
+            np.broadcast_shapes(*(a.shape for a in fields.values()))
+        except ValueError:
+            raise ValidationError("p_d, v_d0, p_q and phi_ent must broadcast together, got shapes "
+                                  + ", ".join(str(a.shape) for a in fields.values())) from None
+        self.p_d, self.v_d0, self.p_q, self.phi_ent = p_d, v_d0, p_q, phi_ent = fields.values()
+        norm_sq = squared(p_d) + squared(v_d0)
+        i = first_failure(norm_sq <= 1.0 + CONSTRUCTION_ATOL)
+        if i is not None:
+            raise ValidationError(
+                f"detecton Bloch norm exceeds one: {label('p_d^2 + v_d0^2', i)} = {float(norm_sq[i])!r}")
         # math.sin and math.cos: numpy's vectorized loops may round differently from one value alone.
-        sin_phi, cos_phi = (np.reshape([f(t) for t in np.ravel(phi_ent)], np.shape(phi_ent))
-                            for f in (math.sin, math.cos))
-        self.p_q, self.p_sq = p_q, squared(p_q)
-        self.s_d_norm = np.sqrt(squared(p_d) + squared(v_d0))
+        sin_phi, cos_phi = (np.reshape([f(t) for t in phi_ent.flat], phi_ent.shape) for f in (math.sin, math.cos))
+        self.p_sq = squared(p_q)
+        self.s_d_norm = np.sqrt(norm_sq)
         self.impurity = 1.0 - squared(self.s_d_norm)  # 4 D1 D2, D1 and D2 the detecton state's eigenvalues
         self.v_q0 = np.sqrt(np.maximum(0.0, 1.0 - self.p_sq))
         self.q = v_d0 * np.abs(sin_phi)
@@ -126,10 +97,13 @@ class _Forms:
 
     @cached_property
     def delta(self):
+        """Gap between the squared visibility bounds, V_D^2 - V_Xi^2 = Xi_Q^2 - D_Q^2."""
         return self.by_branch(self.coherent, self.p_sq * self.impurity, "")
 
     @cached_property
     def chi(self):
+        """Stringency ratio D_Q^2 / Xi_Q^2: P_Q^2 / Xi_Q^2 where the predictability dominates,
+        otherwise 1 - 4 D1 D2 P_Q^2 / Xi_Q^2; required to equal 1 - Delta / Xi_Q^2."""
         # Xi = 0 (and so P_Q = 0, as Xi >= P_Q) leaves no way information: chi = 1 by convention.
         informed = self.xi_q > SQDS_XI_ATOL
         xi_sq = np.where(informed, squared(self.xi_q), 1.0)
@@ -140,72 +114,23 @@ class _Forms:
         return chi
 
 
-def _one(cfg: SqdsConfig) -> _Forms:
-    """The closed forms of one configuration: a batch of one."""
-    return _Forms(cfg.p_d, cfg.v_d0, cfg.p_q, cfg.phi_ent)
-
-
-def sqds_quality(cfg: SqdsConfig) -> float:
-    """Marker quality Q = v_d0 |sin Phi|."""
-    return float(_one(cfg).q)
-
-
-def sqds_xi(cfg: SqdsConfig) -> float:
-    """Composite measure for the quanton: Xi^2 = P_Q^2 + Q^2 (1 - P_Q^2)."""
-    return float(_one(cfg).xi_q)
-
-
-def sqds_distinguishability(cfg: SqdsConfig) -> tuple[float, float]:
-    """(R_Q, D_Q) with R_Q^2 = P_Q^2 |s_D|^2 + Q^2 (1 - P_Q^2), D_Q = max(P_Q, R_Q)."""
-    forms = _one(cfg)
-    return float(forms.r_q), float(forms.d_q)
-
-
-def sqds_visibility(cfg: SqdsConfig) -> float:
-    """Quanton fringe visibility V_Q = V_Q0 sqrt(cos^2 Phi + P_D^2 sin^2 Phi)."""
-    return float(_one(cfg).v_q)
-
-
-def sqds_delta(cfg: SqdsConfig) -> float:
-    """Gap between the squared visibility bounds, V_D^2 - V_Xi^2.
-
-    Branches on the comparison of P_Q with R_Q; at a tie both branch
-    expressions are evaluated, required to agree within 1e-10, and averaged.
-    """
-    return float(_one(cfg).delta)
-
-
-def sqds_chi(cfg: SqdsConfig) -> float:
-    """Stringency ratio chi = D_Q^2 / Xi_Q^2 via its branch closed forms.
-
-    On the branch where the predictability dominates, chi = P_Q^2 / Xi^2;
-    otherwise chi = 1 - 4 D1 D2 P_Q^2 / Xi^2 with D1 D2 = (1 - |s_D|^2)/4 the
-    product of the detecton state's eigenvalues.  Consistency with
-    1 - Delta/Xi^2 is enforced internally.  Where Xi_Q is zero, chi = 1.
-    """
-    return float(_one(cfg).chi)
-
-
-def sqds_report(cfg: SqdsConfig) -> SqdsReport:
-    forms = _one(cfg)
-    return SqdsReport(*(float(getattr(forms, f.name)) for f in dataclasses.fields(SqdsReport)))
-
-
-def sqds_to_generic(cfg: SqdsConfig) -> InterferometerInstance:
-    """Realize the configuration as a generic two-level-marker instance.
+def sqds_instances(forms: SqdsForms) -> tuple:
+    """The configurations of ``forms`` as the ``(s, blocks, rho_d0, phi)`` stack that
+    ``measures.evaluate`` takes, one two-level-marker instance per element of their
+    broadcast shape, in C order.
 
     The quanton is pure (s = 1); its predictability is realized by the
     splitter mixing angle theta with cos(2 theta) = P_Q.  The coupling is the
     way-controlled pair exp(+- i Phi sigma_z / 2) and the detecton starts with
-    Bloch vector (v_d0, 0, p_d).  The generic engine's (V, P, Q, D) reproduce
-    the closed forms of this module on such instances.
+    Bloch vector (v_d0, 0, p_d).  Nothing is checked here: ``evaluate``
+    validates the stack once.
     """
-    theta = 0.5 * math.acos(cfg.p_q)
-    half = 0.5 * cfg.phi_ent
-    u_plus = np.diag([np.exp(1j * half), np.exp(-1j * half)])
-    u_minus = np.diag([np.exp(-1j * half), np.exp(1j * half)])
-    rho_d0 = 0.5 * (np.eye(2) + cfg.v_d0 * SIGMA_X + cfg.p_d * SIGMA_Z)
-    return InterferometerInstance(s=1.0, blocks=from_tilted_pair(theta, u_plus, u_minus), rho_d0=rho_d0, phi=0.0)
+    p_d, v_d0, p_q, phi_ent = (a.ravel() for a in np.broadcast_arrays(forms.p_d, forms.v_d0, forms.p_q, forms.phi_ent))
+    u_plus = np.zeros((p_q.size, 2, 2), dtype=complex)
+    u_plus[:, 0, 0] = np.exp(0.5j * phi_ent)
+    u_plus[:, 1, 1] = u_plus[:, 0, 0].conj()
+    rho_d0 = 0.5 * (np.eye(2) + v_d0[:, None, None] * SIGMA_X + p_d[:, None, None] * SIGMA_Z)
+    return np.ones(p_q.size), tilted_blocks(0.5 * np.arccos(p_q), u_plus, u_plus.conj()), rho_d0, np.zeros(p_q.size)
 
 
 def figure3_grid() -> np.ndarray:
@@ -216,7 +141,7 @@ def figure3_grid() -> np.ndarray:
     """
     values = np.linspace(0.0, 1.0, FIGURE3_RESOLUTION)
     s, p = np.repeat(values, FIGURE3_RESOLUTION), np.tile(values, FIGURE3_RESOLUTION)
-    return np.column_stack([s, p, _Forms(0.0, s, p, math.pi / 2.0).delta])
+    return np.column_stack([s, p, SqdsForms(0.0, s, p, math.pi / 2.0).delta])
 
 
 def figure4_curve() -> np.ndarray:
@@ -229,7 +154,7 @@ def figure4_curve() -> np.ndarray:
     1 - D_Q^2 and 1 - Xi_Q^2 and the last is the attained V_Q^2.
     """
     s = np.linspace(math.sqrt(0.5), 1.0, FIGURE4_SAMPLES)
-    forms = _Forms(np.sqrt(np.maximum(0.0, squared(s) - 0.5)), math.sqrt(0.5), math.sqrt(0.5), math.pi / 2.0)
+    forms = SqdsForms(np.sqrt(np.maximum(0.0, squared(s) - 0.5)), math.sqrt(0.5), math.sqrt(0.5), math.pi / 2.0)
     return np.column_stack(np.broadcast_arrays(s, 1.0 - squared(forms.d_q), 1.0 - squared(forms.xi_q),
                                                squared(forms.v_q)))
 

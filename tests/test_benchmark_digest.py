@@ -7,7 +7,8 @@ in a temporary directory: the analyze workload's 116 instance files, and the
 Each pass's sha256 of its output (the concatenated ``analyze`` outputs, or
 ``instances.csv``) must equal the digest recorded in
 ``benchmarks/references.json``: a changed bit fails every item of that pass
-in a benchmark run.
+in a benchmark run.  The references pin the build they were recorded with,
+numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64, as well as the engine.
 """
 
 import sys

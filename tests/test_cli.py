@@ -202,7 +202,8 @@ def test_analyze_reports_an_instance_at_the_tolerance_edge(tmp_path, capsys, s):
 
 def test_analyze_output_golden(tmp_path, capsys):
     # One generated instance per lane of every class and dimension, through
-    # the batch-of-one path (digest recorded with numpy 2.4 on x86-64).
+    # the batch-of-one path (digest recorded with
+    # numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64).
     cfg = SweepConfig(seed=0, count=1, dims=tuple(range(2, 9)))
     out = []
     for index, (block_class, wwm_class, s_class, dim) in enumerate(sweep_plan(cfg)):
@@ -327,7 +328,8 @@ def test_verify_unwritable_out_exits_2(tmp_path, capsys):
 # --- figures -------------------------------------------------------------------------
 
 # The figure files are byte-stable: any change to the closed forms' arithmetic
-# or to the CSV formatting shows here (digests recorded with numpy 2.4 on x86-64).
+# or to the CSV formatting shows here (digests recorded with
+# numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64).
 FIG3_DIGEST = "235141e7a889c6e185b3cba827e4d3a2d5e670be2d5b729fb9154be719b8102d"
 FIG4_DIGEST = "ff1edf13dcbce29b59238c67d490e2e2ff1a0aee360416b2075ad0647cec6877"
 
@@ -529,12 +531,13 @@ def csv_digest(tmp_path, cfg):
 
 def test_default_sweep_csv_golden(tmp_path):
     # instances.csv is byte-stable: any change to the engine's arithmetic
-    # shows here (digest recorded with numpy 2.4 on x86-64).
+    # shows here (digest recorded with numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64).
     assert csv_digest(tmp_path, SweepConfig(seed=0, count=4)) == (
         "a9fab8465f28712f9ae30a74a9706edb6737e411865a2f75867efc764d3b50d7")
 
 
 @pytest.mark.parametrize("dims, count, digest", [
+    # Digests recorded with numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64.
     # n = 8: numpy's pairwise summation switches to its unrolled order at
     # eight terms, so stacked and one-at-a-time reductions could part here.
     ((8,), 10, "e66a82cb87cb415e054aeb2ab03b3cbe135fe943f1ce98b53b85135585af8c1f"),
@@ -545,8 +548,9 @@ def test_other_sizes_sweep_csv_golden(tmp_path, dims, count, digest):
 
 
 @pytest.mark.parametrize("argv, digest", [
-    # Recorded with a new Philox per instance and one generator call per
-    # quantity; every line of summary.json but runtime_seconds must keep its bytes.
+    # Recorded with numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64, a new Philox per
+    # instance and one generator call per quantity; every line of summary.json
+    # but runtime_seconds must keep its bytes.
     (["--seed", "0", "--count", "4"],
      "5fdce2062fff48dc19d028ffeb6e13a380f100883714d6096e7e80b56f0769a6"),
     (["--seed", "0", "--dims", "8", "--count", "10"],
@@ -574,7 +578,7 @@ def fail_every_deviation_check(monkeypatch):
 def test_summary_json_golden_with_violations(tmp_path, capsys, monkeypatch):
     # Every deviation check fails, so the summary holds a record, with its
     # instance JSON, per violation at n = 2 and n = 8 (digest recorded with
-    # the json module as the encoder).
+    # numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64, and the json module as the encoder).
     fail_every_deviation_check(monkeypatch)
     assert summary_digest(tmp_path, capsys, ["--seed", "0", "--count", "1", "--dims", "2,8"], 1) == (
         "9addade9a8628d448cd746ed6906455fc7a9dca4c3c79200e9c06ae211c58104")

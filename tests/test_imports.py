@@ -1,8 +1,10 @@
 """Checks on the package's source: it imports nothing outside the standard
 library and numpy, the SQDS closed forms import nothing of the engine's
-measures, and integer arguments have one validator."""
+measures, integer arguments have one validator, and the README lists the
+names the package exports."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -55,3 +57,19 @@ def test_sqds_imports_nothing_from_measures():
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
     assert imported and not any("measures" in name.split(".") for name in imported), imported
+
+
+def test_readme_api_list_matches_the_package_exports():
+    # Each bullet "- `duality.<module>`: `name`, ..." of the README's Python API
+    # section lists exactly the names duality/__init__.py imports from that module,
+    # so a name deleted from the package cannot stay documented, nor a new one undocumented.
+    exported = {}
+    for node in modules()["__init__.py"].body:
+        if isinstance(node, ast.ImportFrom):
+            exported.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {module: re.findall(r"`(\w+)`", names) for module, names in
+              re.findall(r"^- `duality\.(\w+)`: (.*?)(?=\n- |\n\n)", section, re.M | re.S)}
+    assert {module: sorted(names) for module, names in listed.items()} == {
+        module: sorted(names) for module, names in exported.items()}

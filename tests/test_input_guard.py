@@ -17,7 +17,7 @@ from duality.interferometer import (InterferometerInstance, WwmBlocks, from_glob
                                     from_unitary_pair, instance_from_dict)
 from duality.linalg import hermitian_eigen, trace_norm
 from duality.measures import chi_closed_form, d_two_level, distinguishability, evaluate, quality, r_measure, xi
-from duality.sqds import SqdsConfig, sqds_report
+from duality.sqds import SqdsForms
 
 NUMBERS = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.complex_numbers())
 ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
@@ -149,19 +149,25 @@ def test_formula_functions_and_configs_raise_only_duality_errors(data):
 
 
 # A field of an SQDS configuration: often in range, so that whole configs are
-# accepted and reach the report, otherwise any number (10**400 and 2**1100
-# beyond the float range, 1e200 whose square overflows) or junk.
+# accepted and every form is read, otherwise any number (10**400 and 2**1100
+# beyond the float range, 1e200 whose square overflows) or junk.  Arrays in
+# range have shapes that broadcast together or do not; bool arrays are junk.
 SQDS_FIELDS = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(np.float64), st.integers(0, 1).map(np.int64),
+                        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3),
+                                   elements=st.floats(0.0, 1.0)),
+                        hnp.arrays(np.bool_, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3)),
                         st.sampled_from([10 ** 400, -2 ** 1100, 1e200, -1e-300]), st.floats(), NUMBERS, JUNK)
 
 
 @settings(max_examples=300, deadline=None)
 @given(fields=st.tuples(SQDS_FIELDS, SQDS_FIELDS, SQDS_FIELDS, SQDS_FIELDS))
-def test_sqds_config_and_report_raise_only_duality_errors(fields):
-    def config_and_report():
-        sqds_report(SqdsConfig(*fields))  # on every config that is accepted
+def test_sqds_forms_raise_only_duality_errors(fields):
+    def every_form():
+        forms = SqdsForms(*fields)
+        for name in ("s_d_norm", "v_q0", "q", "xi_q", "r_q", "d_q", "v_q", "delta", "chi"):
+            getattr(forms, name)  # on every config that is accepted
 
-    guarded(config_and_report)
+    guarded(every_form)
 
 
 @pytest.mark.parametrize("call", [

@@ -3,14 +3,16 @@
 Each test transforms random instances in a way the physics says cannot
 change V, P, Q or D, or measures a quantity by a route that shares no code
 with the engine, and evaluates the originals and the transformed copies
-together as one stack.
+together as one stack, or as one stack per dimension where the copies
+change it.
 """
 
+import itertools
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from oracles import conditional_states_from_final, upper_port_probability
+from oracles import conditional_states_from_final, random_density, upper_port_probability
 
 from duality.interferometer import (
     InterferometerInstance,
@@ -18,8 +20,8 @@ from duality.interferometer import (
     branch_kernel,
     validate_instances,
 )
-from duality.measures import DualityReport, branch_spectra, hierarchy_report, hierarchy_reports
-from duality.sweep import generate_instance
+from duality.measures import DualityReport, branch_spectra, evaluate, hierarchy_report, hierarchy_reports
+from duality.sweep import BLOCK_CLASSES, S_CLASSES, STRINGENCY_CLASS, WWM_CLASSES, generate_instance
 
 ATOL = 1e-10
 
@@ -129,3 +131,35 @@ def test_d_is_the_helstrom_norm_of_the_final_state(inst):
     w_plus, rho_plus, w_minus, rho_minus = conditional_states_from_final(inst)
     helstrom = np.linalg.svd(w_plus * rho_plus - w_minus * rho_minus, compute_uv=False).sum()
     assert abs(helstrom - hierarchy_report(inst).d) <= ATOL
+
+
+# The largest change of V, P, Q, D or Xi under the ancilla embedding below was
+# 1.4e-15 over its 360 pairs; the bound leaves room for another BLAS build.
+EMBEDDING_ATOL = 1e-14
+
+
+def evaluated(insts: list, blocks: list, rho_d0: list) -> dict:
+    """The evaluate columns of ``insts`` with the given blocks and marker states, as one stack."""
+    cols, errors = evaluate(np.array([inst.s for inst in insts]), WwmBlocks(*map(np.stack, zip(*blocks))),
+                            np.stack(rho_d0), np.array([inst.phi for inst in insts]))
+    assert errors == {}
+    return cols
+
+
+def test_ancilla_embedding_leaves_measures_unchanged():
+    # A marker ancilla that takes no part: blocks V+-+- (x) I_2 and marker rho_d0 (x) sigma,
+    # for sigma of rank 1 and 2, carry each instance from dimension n to 2n, a
+    # different dimension group of the engine.  Seeds 0-4, every class, n = 2, 3, 4.
+    classes = list(itertools.product(WWM_CLASSES, S_CLASSES, (*BLOCK_CLASSES, STRINGENCY_CLASS)))
+    pairs = 0
+    for n in (2, 3, 4):
+        insts = [generate_instance(seed, stream, n, *cls) for seed in range(5) for stream, cls in enumerate(classes)]
+        blocks = [(inst.blocks.vpp, inst.blocks.vpm, inst.blocks.vmp, inst.blocks.vmm) for inst in insts]
+        original = evaluated(insts, blocks, [inst.rho_d0 for inst in insts])
+        for rank in (1, 2):
+            embedded = evaluated(insts, [[np.kron(m, np.eye(2)) for m in b] for b in blocks],
+                                 [np.kron(inst.rho_d0, random_density(2, rank, i)) for i, inst in enumerate(insts)])
+            for name in ("v", "p", "q", "d", "xi"):
+                assert np.abs(embedded[name] - original[name]).max() <= EMBEDDING_ATOL, (n, rank, name)
+            pairs += len(insts)
+    assert pairs == 360
