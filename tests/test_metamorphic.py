@@ -151,7 +151,6 @@ def test_ancilla_embedding_leaves_measures_unchanged():
     # for sigma of rank 1 and 2, carry each instance from dimension n to 2n, a
     # different dimension group of the engine.  Seeds 0-4, every class, n = 2, 3, 4.
     classes = list(itertools.product(WWM_CLASSES, S_CLASSES, (*BLOCK_CLASSES, STRINGENCY_CLASS)))
-    pairs = 0
     for n in (2, 3, 4):
         insts = [generate_instance(seed, stream, n, *cls) for seed in range(5) for stream, cls in enumerate(classes)]
         blocks = [(inst.blocks.vpp, inst.blocks.vpm, inst.blocks.vmp, inst.blocks.vmm) for inst in insts]
@@ -161,5 +160,3 @@ def test_ancilla_embedding_leaves_measures_unchanged():
                                  [np.kron(inst.rho_d0, random_density(2, rank, i)) for i, inst in enumerate(insts)])
             for name in ("v", "p", "q", "d", "xi"):
                 assert np.abs(embedded[name] - original[name]).max() <= EMBEDDING_ATOL, (n, rank, name)
-            pairs += len(insts)
-    assert pairs == 360
