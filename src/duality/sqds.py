@@ -53,14 +53,17 @@ class SqdsForms:
 
     Each field is a finite real number or an array of them, and the four broadcast together;
     p_d, v_d0 and p_q lie in [0, 1], and p_d^2 + v_d0^2 <= 1.  The constructor checks this once
-    and raises :class:`ValidationError` naming the first failing element.  Delta and chi check
+    and raises :class:`ValidationError` naming the first failing element; it keeps each field
+    as a read-only copy.  Delta and chi check
     their branches on first use, so a caller meets the errors of only the forms it reads.
     """
 
     def __init__(self, p_d, v_d0, p_q, phi_ent):
         fields = {"p_d": p_d, "v_d0": v_d0, "p_q": p_q, "phi_ent": phi_ent}
         for name, value in fields.items():
-            a = fields[name] = reals(value, name)
+            # A frozen copy, so that the checks below hold for as long as the forms do.
+            a = fields[name] = np.array(reals(value, name))
+            a.setflags(write=False)
             # In range before the Bloch norm squares it, so that no square overflows.
             i = None if name == "phi_ent" else first_failure((a >= 0.0) & (a <= 1.0))
             if i is not None:

@@ -96,6 +96,17 @@ def test_forms_accept_integers_numpy_floats_and_arrays():
     assert np.broadcast_shapes(*(np.shape(getattr(stack, name)) for name in FORMS)) == stack.chi.shape == (2, 3)
 
 
+def test_forms_keep_read_only_copies_of_their_fields():
+    p_q = np.array([0.2, 0.4])
+    forms = SqdsForms(0.0, 0.5, p_q, 1.0)
+    p_q[0] = 5.0  # the caller's array changes after the check
+    assert forms.p_q.tolist() == [0.2, 0.4]
+    assert np.array_equal(forms.delta, SqdsForms(0.0, 0.5, [0.2, 0.4], 1.0).delta)
+    for name in ("p_d", "v_d0", "p_q", "phi_ent"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(forms, name)[...] = 0.5
+
+
 # --- closed forms -----------------------------------------------------------------
 
 def test_quality_examples():
@@ -112,8 +123,9 @@ def test_xi_examples():
 
 
 def test_distinguishability_pure_detecton_equals_xi():
-    angle, p_q, phi = (np.array([rng(5, stream).uniform(0.0, high) for stream in range(30)]) for high in
-                       (HALF_PI, 1.0, 7.0))
+    # Each stream gives one configuration: its angle, p_q and phi, drawn in that order.
+    gens = [rng(5, stream) for stream in range(30)]
+    angle, p_q, phi = np.array([(g.uniform(0.0, HALF_PI), g.uniform(0.0, 1.0), g.uniform(0.0, 7.0)) for g in gens]).T
     forms = SqdsForms(np.cos(angle), np.sin(angle), p_q, phi)
     assert np.abs(forms.r_q - forms.xi_q).max() <= 1e-12
     assert np.abs(forms.d_q - forms.xi_q).max() <= 1e-12
