@@ -23,8 +23,6 @@ from .linalg import HermitianEigen, hermitian_eigen, trace_norm
 from .measures import (
     DualityReport,
     branch_spectra,
-    chi_closed_form,
-    d_two_level,
     distinguishability,
     evaluate,
     hierarchy_report,
@@ -34,7 +32,6 @@ from .measures import (
     quality,
     r_measure,
     state_independent_ways,
-    xi,
 )
 from .sqds import SqdsForms, figure3_grid, figure4_curve, sqds_instances, write_figure3_csv, write_figure4_csv
 from .sweep import SweepChunk, SweepConfig, SweepSummary, generate_instance, iter_sweep, run_sweep

@@ -191,12 +191,21 @@ def integer(value, name: str, low: int, high: int | None = None) -> int:
 
 
 def reals(value, name: str, lead: tuple | None = None) -> np.ndarray:
-    """``value`` as an array of finite floats, of shape ``lead`` if given.  Only a real
-    dtype passes: bools, strings, complex numbers, objects and ragged lists do not."""
+    """``value`` as an array of finite floats, of shape ``lead`` if given.  A real dtype
+    passes, and so do objects that are all real numbers, such as a ``Fraction`` or an int
+    beyond 64 bits; bools, strings, complex numbers, other objects and ragged lists do not."""
     try:
         a = np.asarray(value)
     except ValueError as exc:  # a ragged sequence
         raise ValidationError(f"{name} must be a real number: {exc}") from None
+    if a.dtype.kind == "O" and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in a.flat):
+        floats = np.empty(a.shape)
+        for i, x in zip(np.ndindex(a.shape), a.flat):
+            try:
+                floats[i] = float(x)
+            except OverflowError:
+                raise ValidationError(f"{label(name, i)} must be finite, got a value beyond the float range") from None
+        a = floats
     if a.dtype.kind not in "fiu":
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     a = a.astype(float, copy=False)

@@ -19,13 +19,17 @@ Each formula is one whole-array expression: the batched functions take a
 :class:`~duality.interferometer.BranchKernel` of any number of instances and
 its :class:`BranchSpectra`, where each eigenproblem is solved once, and return
 one column per quantity; each instance-level function is its batched function
-on a batch of one.  Each input is validated once, where it enters
-(``validate_instances``, the public functions of numbers), and nothing derived
-from it is checked again.  Columns keep the bits of Python's scalar arithmetic:
-squares are ``np.float_power(x, 2.0)``, which rounds as Python's ``x ** 2``
-(libm ``pow``) does and ``x * x`` may not; moduli are ``np.hypot(re, im)``,
-which rounds as complex ``abs`` does and ``np.abs`` may not.  :func:`evaluate`
-runs the whole chain on a stack, from validation to the |s| = 1 checks.
+on a batch of one.  Xi, max(P, R) and the chi closed form have no function of
+numbers of their own: :func:`evaluate` computes them for its ``xi``,
+``d_two_level`` and ``chi_closed_dev`` columns.  Each input is validated once,
+where it enters (``validate_instances``, and ``quality``,
+``distinguishability`` and ``r_measure`` for given conditional states), and
+nothing derived from it is checked again.  Columns keep the bits of Python's
+scalar arithmetic: squares are ``np.float_power(x, 2.0)``, which rounds as
+Python's ``x ** 2`` (libm ``pow``) does and ``x * x`` may not; moduli are
+``np.hypot(re, im)``, which rounds as complex ``abs`` does and ``np.abs`` may
+not.  :func:`evaluate` runs the whole chain on a stack, from validation to the
+|s| = 1 checks.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ from .errors import DegenerateBranchError, IdentityError, ValidationError
 from .interferometer import (BranchKernel, InterferometerInstance, WwmBlocks, branch_kernel, conditional_states,
                              validate_instances)
 from .interferometer import evolve  # noqa: F401  (kept importable from this module)
-from .tolerances import (CONSTRUCTION_ATOL, DEGENERATE_WEIGHT, IDENTITY_ATOL, PURE_S_ATOL,
-                         PURITY_ATOL, TIE_ATOL, VALIDATION_ATOL, XI_ATOL)
+from .tolerances import DEGENERATE_WEIGHT, IDENTITY_ATOL, PURE_S_ATOL, PURITY_ATOL, TIE_ATOL, VALIDATION_ATOL, XI_ATOL
 
 # Every inequality in this package is asserted as slack >= -SLACK_TOL; the
 # slack itself carries eigenvalue round-off, so exact comparisons are never
@@ -146,17 +149,6 @@ def quality(rho_plus, rho_minus):
     return _float_or_array(_conditional_spectra(0.5, rp, 0.5, rm)[1])
 
 
-def xi(p, q):
-    """Composite way-information measure sqrt(Q^2 + P^2 - Q^2 P^2).
-
-    Symmetric in its arguments and never below max(p, q, p*q); reaches one as
-    soon as either argument does.  Takes numbers, or arrays of them, and
-    then returns one value per entry.
-    """
-    p, q = _numbers(p=p, q=q)
-    return _xi(_clamped_unit(p, "p"), _clamped_unit(q, "q"))
-
-
 def _xi(p, q):
     p_sq, q_sq = linalg.squared(np.clip(p, 0.0, 1.0)), linalg.squared(np.clip(q, 0.0, 1.0))
     return _float_or_array(np.sqrt(p_sq + q_sq - p_sq * q_sq))
@@ -171,53 +163,14 @@ def r_measure(w_plus, rho_plus, w_minus, rho_minus, p):
     Takes stacks as :func:`distinguishability` does.
     """
     rp, rm, w_plus, w_minus, p = _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus, p=p)
+    if rp.shape[-1] != 2:
+        raise ValidationError(f"r_measure is defined for two-level markers only, got n={rp.shape[-1]}")
     return _r_measure(_conditional_spectra(w_plus, rp, w_minus, rm)[2], _clamped_unit(p, "p"))
 
 
 def _r_measure(delta, p):
-    if delta.shape[-1] != 2:
-        raise ValidationError(f"r_measure is defined for two-level markers only, got n={delta.shape[-1]}")
     tr2 = np.trace(delta @ delta, axis1=-2, axis2=-1).real
     return _float_or_array(np.sqrt(np.maximum(0.0, 2.0 * tr2 - p * p)))
-
-
-def d_two_level(p, r):
-    """Two-level distinguishability max(P, R), of numbers or of arrays of them."""
-    p, r = _numbers(p=p, r=r)
-    if linalg.first_failure(_in_unit(p) & _in_unit(r)) is not None:
-        raise ValidationError(f"p and r must lie in [0, 1], got {p}, {r}")
-    return _float_or_array(np.maximum(p, r))
-
-
-def chi_closed_form(d1, d2, p, xi_value):
-    """Two-level stringency ratio 1 - 4 d1 d2 p^2 / xi^2.
-
-    ``d1`` and ``d2`` are the eigenvalues of the marker's initial state (see
-    the stringency notes in the README); the formula applies to polarized
-    quantons with state-independent way probabilities, on the branch where
-    the distinguishability is not already saturated by the predictability.
-    Takes numbers, or arrays of them, and then returns one value per entry.
-    """
-    d1, d2, p, xi_value = _numbers(d1=d1, d2=d2, p=p, xi_value=xi_value)
-    if linalg.first_failure((d1 >= 0.0) & (d2 >= 0.0)) is not None:
-        raise ValidationError(f"spectral weights must be non-negative, got {d1}, {d2}")
-    pc, xc = _clamped_unit(p, "p"), _clamped_unit(xi_value, "xi")
-    with np.errstate(all="ignore"):  # inf and NaN, from an overflow or 0/0, fail the tests
-        i = linalg.first_failure(np.abs(d1 + d2 - 1.0) <= CONSTRUCTION_ATOL)
-        if i is not None:
-            raise ValidationError(f"spectral weights must sum to one, got {float((d1 + d2)[i])!r}")
-        if linalg.first_failure((xc >= pc - SLACK_TOL) & ((xc > 0.0) | (pc <= 0.0))) is not None:
-            raise ValidationError("xi below p is inconsistent (Xi^2 = P^2 + Q^2 (1 - P^2) >= P^2)")
-        value = _chi_closed(d1, d2, pc, xc)
-    i = linalg.first_failure(_in_unit(value))
-    if i is not None:
-        raise ValidationError(f"closed-form chi fell outside [0, 1]: {float(value[i])!r} (inconsistent inputs)")
-    return _float_or_array(value)
-
-
-def _chi_closed(d1, d2, p, xi_value):
-    zero = xi_value <= 0.0
-    return np.where(zero, 1.0, 1.0 - 4.0 * d1 * d2 * p * p / np.where(zero, 1.0, xi_value * xi_value))
 
 
 def state_independent_ways(inst: InterferometerInstance) -> bool:
@@ -372,8 +325,10 @@ def deviations(rep: dict, sp: BranchSpectra, pure_polarized: np.ndarray) -> dict
     closed[by_p] = linalg.squared(p[by_p]) / linalg.squared(xi_value[by_p])
     by_spectrum = ~np.isnan(chi) & ~by_p
     if by_spectrum.any():
+        # 1 - 4 D1 D2 P^2/Xi^2, where chi is formed only at Xi > XI_ATOL.
         d1, d2 = sp.marker_values[by_spectrum, 0], np.maximum(sp.marker_values[by_spectrum, 1], 0.0)
-        closed[by_spectrum] = _chi_closed(d1, d2, p[by_spectrum], xi_value[by_spectrum])
+        p_at, xi_at = p[by_spectrum], xi_value[by_spectrum]
+        closed[by_spectrum] = 1.0 - 4.0 * d1 * d2 * p_at * p_at / (xi_at * xi_at)
     return {
         "d_two_level": np.abs(np.maximum(p, r) - rep["d"]) if sp.delta.shape[-1] == 2 else np.full_like(p, np.nan),
         "pure_saturation_xi": np.where(pure_polarized,
@@ -557,8 +512,10 @@ def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
 
 def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
     """:func:`evaluate` of a kernel and its pure markers: its report, then
-    its |s| = 1 checks.  If an instance fails, a batch of several
-    is measured again one instance at a time; a batch of one keeps what it had."""
+    its |s| = 1 checks.  If an instance fails, a batch of several is measured
+    again: each member with a degenerate branch alone and the others as one
+    batch, or, with no such member, one instance at a time.  A batch of one
+    keeps what it had."""
     cols = {}
     try:
         # The mixing bound and the chi closed form read rho_d0's spectrum.
@@ -578,7 +535,18 @@ def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
                     cols[name][rows] = column
         return cols, {}
     except (DegenerateBranchError, IdentityError) as exc:
-        alone = [(cols, {0: exc})] if len(pure) == 1 else [
-            _measured(k.take([i]), pure[[i]]) for i in range(len(pure))]
-    out = {name: np.array([part[name][0] if name in part else np.nan for part, _ in alone]) for name in _MEASURES}
-    return out, {i: exc for i, (_, failed) in enumerate(alone) for exc in failed.values()}
+        if len(pure) == 1:
+            return {name: cols.get(name, np.full(1, np.nan)) for name in _MEASURES}, {0: exc}
+        # The test of conditional_states, which raises for a batch with any degenerate member.
+        sound = (k.wp_tr >= DEGENERATE_WEIGHT) & (k.wm_tr >= DEGENERATE_WEIGHT)
+    if sound.all() or not sound.any():
+        batches = [[i] for i in range(len(pure))]
+    else:
+        batches = [[i] for i in np.flatnonzero(~sound)] + [np.flatnonzero(sound)]
+    out, errors = {name: np.full(len(pure), np.nan) for name in _MEASURES}, {}
+    for at in batches:
+        part, failed = _measured(k.take(at), pure[at])
+        for name in _MEASURES:
+            out[name][at] = part[name]
+        errors.update((int(at[i]), e) for i, e in failed.items())
+    return out, dict(sorted(errors.items()))

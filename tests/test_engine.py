@@ -19,7 +19,6 @@ from duality.interferometer import (InterferometerInstance, WwmBlocks, from_glob
                                    from_unitary_pair, validate_instances)
 from duality.measures import (
     DualityReport,
-    chi_closed_form,
     evaluate,
     hierarchy_report,
     mixed_state_bound_check,
@@ -53,8 +52,9 @@ def row_alone(seed: int, row: dict) -> dict:
         out["mixing_bound_slack"] = mixed_state_bound_check(inst).slack
     if rep.chi is not None:
         values = linalg.hermitian_eigen(inst.rho_d0).values
+        d1, d2 = float(values[0]), max(float(values[1]), 0.0)
         closed = (rep.p ** 2 / rep.xi ** 2 if rep.p > rep.r + TIE_ATOL else
-                  chi_closed_form(float(values[0]), float(max(values[1], 0.0)), rep.p, rep.xi))
+                  1.0 - 4.0 * d1 * d2 * rep.p * rep.p / (rep.xi * rep.xi))
         out["chi_closed_dev"] = abs(rep.chi - closed)
     return out
 
@@ -627,6 +627,40 @@ def test_evaluate_records_a_degenerate_instance_at_its_position():
         assert column_bits(alone) == column_bits(cols, [i]), i
 
 
+def test_evaluate_measures_the_members_beside_a_degenerate_one_as_one_batch(monkeypatch):
+    jobs = every_lane_class(2)
+    fields = drawn(4, jobs, 2)
+    dead, target = from_tilted_pair(0.0, np.eye(2), np.eye(2)), 5
+    s, blocks, rho, phi = with_block(fields, target, lambda name, block: getattr(dead, name))
+    s = s.copy()
+    s[target] = 1.0
+    # The first instance, a pure marker at s = 1, fails its identity in the batch of the others too.
+    first_phi, pure_identities = phi[0], measures.pure_identities
+
+    def failing_on_first(k, sp):
+        if np.any(k.phi == first_phi):
+            raise IdentityError("injected failure")
+        return pure_identities(k, sp)
+
+    monkeypatch.setattr(measures, "pure_identities", failing_on_first)
+    sizes, branch_spectra = [], measures.branch_spectra
+
+    def counted(k, decompose):
+        sizes.append(len(k.s))
+        return branch_spectra(k, decompose)
+
+    monkeypatch.setattr(measures, "branch_spectra", counted)
+    cols, errors = evaluate(s, blocks, rho, phi)
+    # The whole stack, the degenerate member, the others as one batch, then each of those alone.
+    assert sizes == [len(jobs), 1, len(jobs) - 1] + [1] * (len(jobs) - 1)
+    assert list(errors) == [0, target]
+    assert isinstance(errors[0], IdentityError) and isinstance(errors[target], DegenerateBranchError)
+    assert not np.isnan(cols["v"][0]) and np.isnan(cols["pure_identity_residual"][0])
+    for i in set(range(1, len(jobs))) - {target}:
+        alone, _ = evaluate(*stack_take((s, blocks, rho, phi), [i]))
+        assert column_bits(alone) == column_bits(cols, [i]), i
+
+
 def test_evaluate_keeps_the_report_of_an_instance_that_fails_an_identity(monkeypatch):
     jobs = every_lane_class(3)
     fields = drawn(8, jobs, 3)
@@ -665,8 +699,8 @@ def joined(*stacks) -> tuple:
 def test_evaluate_takes_a_marker_that_the_density_check_accepts_at_its_edge():
     # rho_d0 has eigenvalues 1 + 1e-11 and -1e-11, which require_density
     # accepts (min eigenvalue >= -1e-10).  Its chi closed form takes the
-    # weights 1 + 1e-11 and 0, which chi_closed_form would reject (sum
-    # within 1e-12): the chain must not check them again.
+    # weights 1 + 1e-11 and 0, whose sum is off one by more than 1e-12:
+    # the chain must not check them again.
     h = (linalg.SIGMA_X + linalg.SIGMA_Z) / math.sqrt(2.0)
     up = np.diag([np.exp(0.65j), np.exp(-0.65j)])
     edge = (np.ones(1), from_tilted_pair([0.75], up[None], up.conj()[None]),
@@ -686,8 +720,7 @@ def test_evaluate_checks_each_group_once_where_it_enters(monkeypatch):
     def refused(*args):
         raise AssertionError("a validated input was checked again")
 
-    for module, name in ((measures, "chi_closed_form"), (measures, "d_two_level"), (linalg, "hermitian_eigen")):
-        monkeypatch.setattr(module, name, refused)
+    monkeypatch.setattr(linalg, "hermitian_eigen", refused)
     hermitian, require_hermitian = [], linalg.require_hermitian
 
     def counted(m, name="matrix"):
@@ -699,7 +732,7 @@ def test_evaluate_checks_each_group_once_where_it_enters(monkeypatch):
         hermitian.clear()
         cols, errors = evaluate(*drawn(dim, every_lane_class(dim), dim))
         assert not errors and hermitian == ["rho_d0"]
-        # The columns that read the refused functions were computed.
+        # The columns that read rho_d0's spectrum, and the two-level ones, were computed.
         assert (~np.isnan(cols["mixing_bound_slack"])).any()
         assert (~np.isnan(cols["d_two_level"])).all() == (~np.isnan(cols["chi_closed_dev"])).any() == (dim == 2)
 

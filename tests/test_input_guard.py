@@ -16,7 +16,7 @@ from duality.errors import DualityError, ValidationError
 from duality.interferometer import (InterferometerInstance, WwmBlocks, from_global_unitary, from_tilted_pair,
                                     from_unitary_pair, instance_from_dict)
 from duality.linalg import hermitian_eigen, trace_norm
-from duality.measures import chi_closed_form, d_two_level, distinguishability, evaluate, quality, r_measure, xi
+from duality.measures import distinguishability, evaluate, quality, r_measure
 from duality.sqds import SqdsForms
 
 NUMBERS = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.complex_numbers())
@@ -134,9 +134,6 @@ def test_formula_functions_and_configs_raise_only_duality_errors(data):
     def number(label):
         return data.draw(FORMULA_NUMBERS, label=label)
 
-    guarded(lambda: xi(number("p"), number("q")))
-    guarded(lambda: d_two_level(number("p"), number("r")))
-    guarded(lambda: chi_closed_form(number("d1"), number("d2"), number("p"), number("xi_value")))
     rho_plus, rho_minus = data.draw(STATES, label="rho_plus"), data.draw(STATES, label="rho_minus")
     guarded(lambda: quality(rho_plus, rho_minus))
     guarded(lambda: distinguishability(number("w_plus"), rho_plus, number("w_minus"), rho_minus))
@@ -171,20 +168,17 @@ def test_sqds_forms_raise_only_duality_errors(fields):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: xi("a", 0.5),
-    lambda: xi(np.zeros(2), np.zeros(3)),
-    lambda: d_two_level(np.zeros(2), np.zeros(3)),
     lambda: distinguishability("a", HALF, 0.5, HALF),
     lambda: distinguishability(np.full(2, 0.5), np.stack([HALF] * 3), 0.5, np.stack([HALF] * 3)),
     lambda: r_measure(0.5, HALF, 0.5, HALF, "x"),
-    lambda: chi_closed_form("a", 0.5, 0.5, 0.5),
-    # Each used to return a number: True as 1.0, and "0.5" as 0.5.
-    lambda: xi(True, 0.5),
-    lambda: xi("0.5", 0.5),
-    lambda: d_two_level(True, 0.2),
-], ids=["xi-string", "xi-shapes", "d_two_level-shapes", "distinguishability-string",
-        "distinguishability-shapes", "r_measure-string", "chi-string", "xi-bool", "xi-numeric-string",
-        "d_two_level-bool"])
+    lambda: r_measure(0.5, np.stack([HALF] * 3), 0.5, np.stack([HALF] * 3), np.zeros(2)),
+    # A bool is not read as 1.0, nor a numeric string as its number.
+    lambda: distinguishability(True, HALF, 0.5, HALF),
+    lambda: distinguishability(0.5, HALF, "0.5", HALF),
+    lambda: r_measure(0.5, HALF, 0.5, HALF, True),
+    lambda: r_measure(0.5, HALF, 0.5, HALF, "0.5"),
+], ids=["distinguishability-string", "distinguishability-shapes", "r_measure-string", "r_measure-shapes",
+        "distinguishability-bool", "distinguishability-numeric-string", "r_measure-bool", "r_measure-numeric-string"])
 def test_formula_functions_reject_non_numbers_and_mismatched_shapes(call):
     with pytest.raises(ValidationError):
         call()

@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +75,29 @@ def test_validation_rejects_nan_as_non_hermitian():
 def test_validation_rejects_empty_matrices(shape):
     with pytest.raises(ValidationError, match="size >= 1"):
         linalg.as_square(np.zeros(shape))
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0.5, 0.5), (np.int64(3), 3.0), ([0.25, 1], [0.25, 1.0]),
+    # Numbers numpy holds only as objects are converted one by one.
+    (Fraction(1, 2), 0.5), (2 ** 70, 2.0 ** 70), ([Fraction(1, 4), 2 ** 64, 0.5], [0.25, 2.0 ** 64, 0.5]),
+], ids=["float", "numpy-int", "list", "fraction", "int-beyond-64-bits", "object-list"])
+def test_reals_accepts_every_finite_real_number(value, expected):
+    a = linalg.reals(value, "x")
+    assert a.dtype == np.float64 and a.tolist() == expected
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "x must be a real number"), ("0.5", "x must be a real number"), (0.5j, "x must be a real number"),
+    ([0.5, [0.5]], "x must be a real number"), ([True, 2 ** 70], "x must be a real number"),
+    ([Fraction(1, 2), Decimal("0.5")], "x must be a real number"), (np.nan, "x must be finite"),
+    (10 ** 400, "x must be finite, got a value beyond the float range"),
+    ([Fraction(1, 2), Fraction(10 ** 400, 3)], r"x\[1\] must be finite, got a value beyond the float range"),
+], ids=["bool", "numeric-string", "complex", "ragged", "object-with-bool", "object-with-decimal", "nan",
+        "int-beyond-float", "fraction-beyond-float"])
+def test_reals_rejects_what_is_not_a_finite_real_number(value, message):
+    with pytest.raises(ValidationError, match=message):
+        linalg.reals(value, "x")
 
 
 def marker_with_min_eigenvalue(low: float, seed: int) -> np.ndarray:

@@ -22,9 +22,8 @@ from duality.interferometer import (
 from duality.linalg import SIGMA_X, rng
 from duality.measures import (
     DualityReport,
-    chi_closed_form,
-    d_two_level,
     distinguishability,
+    evaluate,
     hierarchy_report,
     mixed_state_bound_check,
     pure_state_identity_check,
@@ -32,8 +31,8 @@ from duality.measures import (
     r_measure,
     spectral_components,
     state_independent_ways,
-    xi,
 )
+from duality.sqds import SqdsForms, sqds_instances
 from duality.sweep import generate_instance
 
 I2 = np.eye(2, dtype=complex)
@@ -87,38 +86,36 @@ def test_quality_zero_vs_plus_matches_closed_form():
 
 
 # --- xi ------------------------------------------------------------------------------
+# Xi has no function of numbers; these test the engine's _xi, which the xi column reads.
 
 def test_xi_edge_values():
-    assert xi(0.0, 0.4) == pytest.approx(0.4, abs=0)
-    assert xi(1.0, 0.3) == pytest.approx(1.0, abs=1e-15)
+    assert measures._xi(0.0, 0.4) == 0.4
+    assert measures._xi(1.0, 0.3) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_xi_frozen_value():
     # 0.7^2 + 0.7^2 - 0.7^4 = 0.7399, cross-checked via 1 - (1 - p^2)(1 - q^2)
-    assert xi(0.7, 0.7) == pytest.approx(math.sqrt(0.7399), abs=1e-15)
-    assert xi(0.7, 0.7) ** 2 == pytest.approx(1.0 - (1.0 - 0.49) ** 2, abs=1e-15)
+    assert measures._xi(0.7, 0.7) == pytest.approx(math.sqrt(0.7399), abs=1e-15)
+    assert measures._xi(0.7, 0.7) ** 2 == pytest.approx(1.0 - (1.0 - 0.49) ** 2, abs=1e-15)
 
 
 @settings(deadline=None, max_examples=100)
 @given(p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0))
 def test_xi_symmetric_and_dominant(p, q):
-    assert xi(p, q) == xi(q, p)
-    assert xi(p, q) >= max(p, q, p * q) - 1e-12
-    assert xi(p, q) <= 1.0 + 1e-15
+    assert measures._xi(p, q) == measures._xi(q, p)
+    assert measures._xi(p, q) >= max(p, q, p * q) - 1e-12
+    assert measures._xi(p, q) <= 1.0 + 1e-15
 
 
 def test_xi_dominance_grid():
-    grid = np.linspace(0.0, 1.0, 101)
-    for p in grid:
-        for q in grid:
-            assert xi(p, q) >= max(p, q, p * q) - 1e-12
+    p, q = np.meshgrid(np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 101))
+    assert (measures._xi(p, q) >= np.maximum(np.maximum(p, q), p * q) - 1e-12).all()
 
 
-def test_xi_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        xi(1.2, 0.0)
-    with pytest.raises(ValidationError):
-        xi(0.5, -0.1)
+def test_xi_clamps_derived_values_into_the_unit_interval():
+    # Derived P and Q may stray past [0, 1] by round-off; _xi clamps them rather than rejecting them.
+    assert measures._xi(1.2, 0.0) == 1.0
+    assert measures._xi(0.5, -0.1) == 0.5
 
 
 # --- r_measure and the two-level distinguishability -----------------------------------
@@ -132,15 +129,25 @@ def test_r_measure_orthogonal():
     assert r_measure(0.5, KET0, 0.5, KET1, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_r_measure_rejects_other_dims():
+def test_r_measure_rejects_other_dims(monkeypatch):
+    def unreached(*args):
+        raise AssertionError("r_measure solved an eigenproblem before it checked n")
+
+    monkeypatch.setattr(measures, "_conditional_spectra", unreached)
     rho = np.eye(3) / 3.0
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="two-level markers only, got n=3"):
         r_measure(0.5, rho, 0.5, rho, 0.0)
 
 
-def test_d_two_level_trivials():
-    assert d_two_level(0.9, 0.3) == 0.9
-    assert d_two_level(0.0, 0.5) == 0.5
+def test_d_two_level_column_where_p_or_r_gives_d():
+    # P = |cos 2 theta| = 0.6 beside identical conditional states (R = 0), and P = 0 beside orthogonal ones (R = 1).
+    blocks = from_tilted_pair(np.array([0.5 * math.acos(0.6), math.pi / 4.0]), np.stack([I2, I2]),
+                              np.stack([I2, SIGMA_X]))
+    cols, errors = evaluate(np.ones(2), blocks, np.stack([I2 / 2.0, KET0]), np.zeros(2))
+    assert not errors
+    for name, expected in (("p", [0.6, 0.0]), ("r", [0.0, 1.0]), ("d", [0.6, 1.0])):
+        assert cols[name] == pytest.approx(expected, abs=1e-12), name
+    assert (cols["d_two_level"] <= 1e-12).all()
 
 
 @pytest.mark.parametrize("block_class", ["unitary_pair", "general_unitary"])
@@ -154,7 +161,7 @@ def test_max_p_r_equals_trace_norm_d(block_class):
         p = abs(w_plus - w_minus)
         d = distinguishability(w_plus, rho_plus, w_minus, rho_minus)
         r = r_measure(w_plus, rho_plus, w_minus, rho_minus, p)
-        assert abs(d_two_level(p, r) - d) <= 1e-10
+        assert abs(max(p, r) - d) <= 1e-10
 
 
 def test_max_p_r_equals_d_also_for_mixed_two_level():
@@ -171,34 +178,42 @@ def test_max_p_r_equals_d_also_for_mixed_two_level():
 
 
 # --- chi closed form ----------------------------------------------------------------
+# The closed form has no function of numbers; these test the engine's chi and chi_closed_dev columns.
 
-def test_chi_closed_form_pure_and_balanced():
-    assert chi_closed_form(1.0, 0.0, 0.6, 0.9) == pytest.approx(1.0, abs=0)
-    assert chi_closed_form(0.4, 0.6, 0.0, 0.7) == pytest.approx(1.0, abs=0)
-
-
-def test_chi_closed_form_frozen_point():
-    p = 1.0 / math.sqrt(2.0)
-    xi_value = math.sqrt(0.75)
-    assert chi_closed_form(0.5, 0.5, p, xi_value) == pytest.approx(1.0 / 3.0, abs=1e-12)
+def test_chi_is_one_for_a_pure_marker_and_for_balanced_ways():
+    # A pure marker (p_d^2 + v_d0^2 = 1) has D = Xi; balanced ways (p_q = 0) have P = 0.
+    cols, errors = evaluate(*sqds_instances(SqdsForms([0.6, 0.3], [0.8, 0.4], [0.5, 0.0], 1.0)))
+    assert not errors
+    assert cols["chi"] == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert (cols["chi_closed_dev"] <= 1e-12).all()
 
 
-def test_chi_closed_form_rejects_inconsistent():
-    with pytest.raises(ValidationError):
-        chi_closed_form(0.5, 0.5, 0.3, 0.0)
-    with pytest.raises(ValidationError):
-        chi_closed_form(0.7, 0.7, 0.3, 0.8)
-    with pytest.raises(ValidationError):
-        chi_closed_form(0.5, 0.5, 0.9, 0.2)  # xi below p
-    # Each used to return a number (0.99, 1.0, 1.0 and 0.4816), although
-    # Xi <= 1 and Xi^2 = P^2 + Q^2 (1 - P^2) >= P^2.
-    for args in ((0.5, 0.5, 0.5, 5.0), (0.5, 0.5, 0.0, -5.0), (0.5, 0.5, 0.0, 1.5), (0.9, 0.1, 0.3, 0.25)):
-        with pytest.raises(ValidationError):
-            chi_closed_form(*args)
+def test_chi_frozen_point():
+    # The fig4 point |s_D|^2 = 0.75, P^2 = 0.5: D1 D2 = 1/16 and Xi^2 = 0.75, so chi = 1 - 0.125/0.75 = 5/6.
+    cols, errors = evaluate(*sqds_instances(SqdsForms(0.5, math.sqrt(0.5), math.sqrt(0.5), math.pi / 2.0)))
+    assert not errors
+    assert cols["xi"] ** 2 == pytest.approx([0.75], abs=1e-12)
+    assert cols["chi"] == pytest.approx([5.0 / 6.0], abs=1e-12)
 
 
-def test_chi_closed_form_degenerate_zero():
-    assert chi_closed_form(0.5, 0.5, 0.0, 0.0) == 1.0
+def test_chi_column_equals_the_spectrum_closed_form_from_consistent_inputs():
+    # Where P <= R, chi = 1 - 4 D1 D2 P^2/Xi^2 with D1, D2 the eigenvalues (1 +- |s_D|)/2 of rho_d0.
+    # The engine's inputs to it are consistent: Xi >= P, D1 + D2 = 1, and chi in [0, 1].
+    gen = rng(22, 0)
+    p_d = gen.uniform(0.0, 1.0, 300)
+    forms = SqdsForms(p_d, gen.uniform(0.0, 1.0, 300) * np.sqrt(1.0 - p_d ** 2), gen.uniform(0.0, 0.999, 300),
+                      gen.uniform(0.0, 2.0 * math.pi, 300))
+    cols, errors = evaluate(*sqds_instances(forms))
+    assert not errors
+    by_spectrum = cols["p"] <= cols["r"]
+    assert by_spectrum.sum() > 50
+    s_d = np.sqrt(forms.p_d ** 2 + forms.v_d0 ** 2)
+    d1, d2, p, xi_value = (1.0 + s_d) / 2.0, (1.0 - s_d) / 2.0, cols["p"], cols["xi"]
+    closed = 1.0 - 4.0 * d1 * d2 * p ** 2 / xi_value ** 2
+    assert np.abs(cols["chi"] - closed)[by_spectrum].max() <= 1e-9
+    assert (cols["xi"] >= cols["p"] - 1e-12).all()
+    assert ((cols["chi"] >= -1e-12) & (cols["chi"] <= 1.0 + 1e-12)).all()
+    assert (cols["chi_closed_dev"] <= 1e-9).all()
 
 
 # --- hierarchy report ------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duality import sqds
+from duality import measures, sqds
 from duality.errors import DegenerateBranchError, IdentityError, ValidationError
 from duality.linalg import rng
 from duality.measures import evaluate
@@ -57,11 +59,16 @@ def test_forms_reject_non_finite_fields():
                 SqdsForms(**{**good, name: value})
             with pytest.raises(ValidationError, match=rf"{name}\[1\] must be finite"):
                 SqdsForms(**{**good, name: [good[name], value]})
+        # An int or a Fraction beyond the float range, which numpy holds as an object.
+        for value in (10 ** 400, Fraction(10 ** 400, 3)):
+            with pytest.raises(ValidationError, match=f"{name} must be finite, got a value beyond the float range"):
+                SqdsForms(**{**good, name: value})
 
 
 @pytest.mark.parametrize("name", ["p_d", "v_d0", "p_q", "phi_ent"])
 @pytest.mark.parametrize("value", ["0.1", None, np.array(["0.1"]), np.array([True, False]), True, np.bool_(False),
-                                   0.1j, np.array([0.1j]), 10 ** 400, [0.1, [0.2]]])
+                                   0.1j, np.array([0.1j]), [0.1, [0.2]], [Fraction(1, 2), True],
+                                   Decimal("0.1")])
 def test_forms_reject_non_numbers_and_bools(name, value):
     good = dict(p_d=0.0, v_d0=0.2, p_q=0.3, phi_ent=0.4)
     with pytest.raises(ValidationError, match=f"{name} must be a real number"):
@@ -89,6 +96,10 @@ def test_forms_accept_integers_numpy_floats_and_arrays():
     forms = SqdsForms(p_d=0, v_d0=np.float64(0.5), p_q=np.int64(1), phi_ent=np.float32(0.25))
     assert (forms.p_q, forms.phi_ent) == (1.0, 0.25)
     assert forms.v_q == 0.0
+    # Numbers numpy holds only as objects: a Fraction, an int beyond 64 bits.
+    objects = SqdsForms(p_d=0, v_d0=0.5, p_q=Fraction(1, 2), phi_ent=[2 ** 70, Fraction(1, 4)])
+    assert objects.p_q == 0.5 and objects.phi_ent.tolist() == [2.0 ** 70, 0.25]
+    assert np.array_equal(objects.q, SqdsForms(0.0, 0.5, 0.5, [2.0 ** 70, 0.25]).q)
     fields = (forms.p_d, forms.v_d0, forms.p_q, forms.phi_ent, *(getattr(forms, name) for name in FORMS))
     assert {(np.asarray(a).dtype, np.shape(a)) for a in fields} == {(np.dtype(float), ())}
     stack = SqdsForms(np.array([0.1]), np.array(0.2), [[0.3], [0.4]], range(3))
@@ -365,13 +376,31 @@ def test_generic_instances_pass_the_stringency_gate():
     assert slack.min() >= -1e-9
 
 
-def test_figure3_grid_through_the_engine():
-    # Every fig3 point off the P_Q = 1 row, through the engine as one stack.
+def test_figure3_grid_through_the_engine(monkeypatch):
+    # The whole fig3 grid, through the engine as one stack.  P_Q = 1 sends the
+    # quanton one way only, so the other way's marker state is undefined: each
+    # point of that row is recorded, and only those points are measured alone.
+    calls, branch_spectra = [], measures.branch_spectra
+
+    def counted(k, decompose):
+        calls.append(len(k.s))
+        return branch_spectra(k, decompose)
+
+    monkeypatch.setattr(measures, "branch_spectra", counted)
     rows = figure3_grid()
+    cols, errors = evaluate(*sqds_instances(SqdsForms(0.0, rows[:, 0], rows[:, 1], math.pi / 2.0)))
+    degenerate = np.flatnonzero(rows[:, 1] == 1.0)
+    assert len(degenerate) == sqds.FIGURE3_RESOLUTION and list(errors) == degenerate.tolist()
+    assert {type(exc) for exc in errors.values()} == {DegenerateBranchError}
+    assert calls == [len(rows)] + [1] * len(degenerate) + [len(rows) - len(degenerate)]
+    assert all(np.isnan(cols[name][degenerate]).all() for name in measures._MEASURES)
     kept = rows[:, 1] < 1.0
     forms = SqdsForms(0.0, rows[kept, 0], rows[kept, 1], math.pi / 2.0)
-    cols = engine(forms)
-    assert len(cols["v"]) == sqds.FIGURE3_RESOLUTION * (sqds.FIGURE3_RESOLUTION - 1)
+    cols = {name: column[kept] for name, column in cols.items()}
+    # The other points have the bits they have as a stack of their own.
+    alone, _ = evaluate(*sqds_instances(forms))
+    assert {name: column.tobytes() for name, column in alone.items()} == {
+        name: column.tobytes() for name, column in cols.items()}
     for name, closed in (("v", forms.v_q), ("p", forms.p_q), ("q", forms.q), ("d", forms.d_q), ("xi", forms.xi_q),
                          ("xi_minus_d", forms.xi_q - forms.d_q)):
         assert np.abs(cols[name] - closed).max() <= 1e-12, name
@@ -380,14 +409,6 @@ def test_figure3_grid_through_the_engine():
     uninformed = cols["xi"] <= XI_ATOL
     assert np.array_equal(np.isnan(cols["chi"]), uninformed) and uninformed.sum() == 1
     assert np.abs(cols["chi"] - forms.chi)[~uninformed].max() <= 1e-12
-
-
-def test_figure3_predictability_one_row_is_degenerate():
-    # P_Q = 1 sends the quanton one way only, so the other way's marker state is undefined.
-    forms = SqdsForms(0.0, GRID, 1.0, math.pi / 2.0)
-    cols, errors = evaluate(*sqds_instances(forms))
-    assert sorted(errors) == list(range(sqds.FIGURE3_RESOLUTION))
-    assert {type(exc) for exc in errors.values()} == {DegenerateBranchError}
 
 
 # --- figure data -----------------------------------------------------------------------
