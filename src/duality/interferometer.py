@@ -421,14 +421,12 @@ def conditional_states(k: BranchKernel) -> tuple:
     """Way probabilities and conditional marker states of every instance of a kernel.
 
     Returns ``(w_plus, rho_plus, w_minus, rho_minus)`` with the conditional
-    states normalized to unit trace.  Raises :class:`DegenerateBranchError`
-    when either way of any instance has (numerically) zero probability,
-    since the conditional state on that branch is undefined.
+    states normalized to unit trace.  Raises :class:`DegenerateBranchError`,
+    marking every instance where either way has (numerically) zero
+    probability, since the conditional state on that branch is undefined.
     """
-    i = linalg.first_failure((k.wp_tr >= DEGENERATE_WEIGHT) & (k.wm_tr >= DEGENERATE_WEIGHT))
-    if i is not None:
-        raise DegenerateBranchError(
-            f"degenerate branch: w+ = {float(k.wp_tr[i])!r}, w- = {float(k.wm_tr[i])!r}")
+    linalg.require_members((k.wp_tr >= DEGENERATE_WEIGHT) & (k.wm_tr >= DEGENERATE_WEIGHT), DegenerateBranchError,
+                           "degenerate branch: w+ = {!r}, w- = {!r}", k.wp_tr, k.wm_tr)
     return (k.wp_tr, k.wp_rho / k.wp_tr[..., None, None],
             k.wm_tr, k.wm_rho / k.wm_tr[..., None, None])
 

@@ -72,6 +72,16 @@ def first_failure(ok):
     return np.unravel_index(int(np.argmin(ok)), np.shape(ok))
 
 
+def require_members(ok, error: type, message: str, *values) -> None:
+    """Raise ``error``, a :class:`~duality.errors.MemberError`, unless every
+    entry of the boolean array ``ok`` holds: its message is ``message``
+    formatted with ``values``, arrays that broadcast to ``ok``, at the first
+    failing entry, and it marks every failing entry (``failing = ~ok``)."""
+    i = first_failure(ok)
+    if i is not None:
+        raise error(message.format(*(np.broadcast_to(v, np.shape(ok))[i].item() for v in values)), failing=~ok)
+
+
 def label(name: str, index: tuple) -> str:
     """``name`` for a single matrix, ``name[i]`` for matrix ``i`` of a stack."""
     return f"{name}[{', '.join(map(str, index))}]" if index else name

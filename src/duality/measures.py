@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateBranchError, IdentityError, ValidationError
+from .errors import DegenerateBranchError, IdentityError, MemberError, ValidationError
 from .interferometer import (BranchKernel, InterferometerInstance, WwmBlocks, branch_kernel, conditional_states,
                              validate_instances)
 from .interferometer import evolve  # noqa: F401  (kept importable from this module)
@@ -94,10 +94,6 @@ def _float_or_array(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def _in_unit(x) -> np.ndarray:
-    return (x >= -SLACK_TOL) & (x <= 1.0 + SLACK_TOL)
-
-
 def _numbers(lead: tuple = (), **named) -> list:
     """The ``named`` numbers of one call as :func:`linalg.reals` arrays that broadcast together and with ``lead``."""
     arrays = [linalg.reals(value, name) for name, value in named.items()]
@@ -111,7 +107,7 @@ def _numbers(lead: tuple = (), **named) -> list:
 
 
 def _clamped_unit(x: np.ndarray, name: str) -> np.ndarray:
-    i = linalg.first_failure(_in_unit(x))
+    i = linalg.first_failure((x >= -SLACK_TOL) & (x <= 1.0 + SLACK_TOL))
     if i is not None:
         raise ValidationError(f"{name} must lie in [0, 1], got {float(x[i])!r}")
     return np.clip(x, 0.0, 1.0)
@@ -219,8 +215,8 @@ def _conditional_spectra(w_plus, rho_plus, w_minus, rho_minus) -> tuple:
 def branch_spectra(k: BranchKernel, decompose) -> BranchSpectra:
     """Solve each eigenproblem of a kernel's instances once.  rho_d0 is
     decomposed where ``decompose`` holds (a bool, or one per instance), as
-    the mixing bound and the chi closed form need.  A degenerate branch in
-    any instance raises :class:`DegenerateBranchError`.
+    the mixing bound and the chi closed form need.  A degenerate branch
+    raises :class:`DegenerateBranchError`, marking each instance with one.
     """
     w_plus, rho_plus, w_minus, rho_minus = conditional_states(k)
     values, vectors = np.zeros(k.rho_d0.shape[:-1]), np.zeros(k.rho_d0.shape, dtype=complex)
@@ -344,9 +340,8 @@ def _polarized_branches(k: BranchKernel, sp: BranchSpectra, what: str) -> np.nda
     i = linalg.first_failure(k.polarized)
     if i is not None:
         raise ValidationError(f"{what} requires |s| = 1, got s = {k.s[i]}")
-    i = linalg.first_failure(sp.p < 1.0 - PURE_S_ATOL)
-    if i is not None:
-        raise DegenerateBranchError(f"predictability {float(sp.p[i])!r} saturates; identity divides by 1 - P^2")
+    linalg.require_members(sp.p < 1.0 - PURE_S_ATOL, DegenerateBranchError,
+                           "predictability {!r} saturates; identity divides by 1 - P^2", sp.p)
     return np.where(k.s >= 0.0, k.c_up, k.c_down)
 
 
@@ -379,28 +374,23 @@ def pure_state_identity_check(inst: InterferometerInstance) -> float:
 
 def pure_identities(k: BranchKernel, sp: BranchSpectra) -> np.ndarray:
     """:func:`pure_state_identity_check` of every instance of a kernel and its
-    spectra ``sp``, whose markers are pure; the first instance that fails a check raises for the batch."""
+    spectra ``sp``, whose markers are pure; a check that fails raises for the batch, marking its failing members."""
     c_sq = linalg.squared(_modulus(_polarized_branches(k, sp, "pure identity")))
 
     # The spectrum of 0.5 (rho+ - rho-), halved exactly from that of rho+ - rho-.
     evals = 0.5 * sp.diff
     lam_max, lam_min = evals[..., -1], evals[..., 0]
-    i = linalg.first_failure(np.abs(lam_max + lam_min) <= IDENTITY_ATOL)
-    if i is not None:
-        raise IdentityError(
-            f"half-difference spectrum is not symmetric: {float(lam_max[i])!r} vs {float(lam_min[i])!r}")
-    if k.n > 2 and linalg.first_failure(np.abs(evals[..., 1:-1]).max(axis=-1) <= IDENTITY_ATOL) is not None:
-        raise IdentityError("half-difference of pure conditionals has rank above two")
-    if linalg.first_failure(np.abs(sp.q - 2.0 * np.abs(lam_max)) <= IDENTITY_ATOL) is not None:
-        raise IdentityError("branch quality disagrees with twice the top eigenvalue")
+    linalg.require_members(np.abs(lam_max + lam_min) <= IDENTITY_ATOL, IdentityError,
+                           "half-difference spectrum is not symmetric: {!r} vs {!r}", lam_max, lam_min)
+    linalg.require_members(np.abs(evals[..., 1:-1]).max(axis=-1, initial=0.0) <= IDENTITY_ATOL, IdentityError,
+                           "half-difference of pure conditionals has rank above two")
+    linalg.require_members(np.abs(sp.q - 2.0 * np.abs(lam_max)) <= IDENTITY_ATOL, IdentityError,
+                           "branch quality disagrees with twice the top eigenvalue")
 
     cross = np.trace(sp.rho_plus @ sp.rho_minus, axis1=-2, axis2=-1).real
     expected_cross = c_sq / (4.0 * k.wp_tr * k.wm_tr)
-    i = linalg.first_failure(np.abs(cross - expected_cross) <= IDENTITY_ATOL)
-    if i is not None:
-        raise IdentityError(
-            f"conditional-state overlap {float(cross[i])!r} disagrees with contrast form "
-            f"{float(expected_cross[i])!r}")
+    linalg.require_members(np.abs(cross - expected_cross) <= IDENTITY_ATOL, IdentityError,
+                           "conditional-state overlap {!r} disagrees with contrast form {!r}", cross, expected_cross)
     return np.abs(_branch_sum(sp, c_sq) - 1.0)
 
 
@@ -470,8 +460,8 @@ def mixed_state_bound_check(inst: InterferometerInstance) -> MixingBound:
 
 def mixing_bounds(k: BranchKernel, sp: BranchSpectra) -> MixingBound:
     """:func:`mixed_state_bound_check` of every instance of a kernel and its
-    spectra ``sp``, as columns; the first instance that fails the
-    recomposition raises for the batch."""
+    spectra ``sp``, as columns; a failed recomposition raises for the
+    batch, marking its failing members."""
     contrast = _polarized_branches(k, sp, "mixing bound")
     comps = spectral_decompositions(k, sp)
     # One add per eigenvector, in eigenvector order, as a running sum over
@@ -480,10 +470,8 @@ def mixing_bounds(k: BranchKernel, sp: BranchSpectra) -> MixingBound:
     for weight, term in zip(np.moveaxis(comps.weight, -1, 0), np.moveaxis(comps.weight * comps.contrast, -1, 0)):
         recomposed = recomposed + np.where(weight > DEGENERATE_WEIGHT, term, 0.0)
     residual = _modulus(recomposed - contrast)
-    i = linalg.first_failure(residual <= IDENTITY_ATOL)
-    if i is not None:
-        raise IdentityError(f"spectral recomposition of the contrast factor failed: "
-                            f"{complex(recomposed[i])!r} vs {complex(contrast[i])!r}")
+    linalg.require_members(residual <= IDENTITY_ATOL, IdentityError,
+                           "spectral recomposition of the contrast factor failed: {!r} vs {!r}", recomposed, contrast)
     return MixingBound(1.0 - _branch_sum(sp, linalg.squared(_modulus(contrast))), residual)
 
 
@@ -512,11 +500,12 @@ def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
 
 def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
     """:func:`evaluate` of a kernel and its pure markers: its report, then
-    its |s| = 1 checks.  If an instance fails, a batch of several is measured
-    again: each member with a degenerate branch alone and the others as one
-    batch, or, with no such member, one instance at a time.  A batch of one
-    keeps what it had."""
-    cols = {}
+    its |s| = 1 checks.  A failing test raises a
+    :class:`~duality.errors.MemberError` that marks the failing members of
+    the batch it tested.  A batch of one keeps what it had; in a batch of
+    several, the marked members are measured alone and the others as one
+    batch, under the same rule."""
+    cols, rows = {}, slice(None)  # rows: the members of the batch under test
     try:
         # The mixing bound and the chi closed form read rho_d0's spectrum.
         sp = branch_spectra(k, k.polarized & (~pure | (k.n == 2)))
@@ -534,15 +523,14 @@ def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
                 for name, column in zip(names, np.reshape(values, (len(names), -1))):
                     cols[name][rows] = column
         return cols, {}
-    except (DegenerateBranchError, IdentityError) as exc:
+    except MemberError as exc:
+        tested = np.arange(len(pure))[rows]
+        if np.shape(exc.failing) != tested.shape or not np.any(exc.failing):
+            raise RuntimeError(f"{type(exc).__name__} marks no member of the batch of {tested.size} it tested") from exc
         if len(pure) == 1:
             return {name: cols.get(name, np.full(1, np.nan)) for name in _MEASURES}, {0: exc}
-        # The test of conditional_states, which raises for a batch with any degenerate member.
-        sound = (k.wp_tr >= DEGENERATE_WEIGHT) & (k.wm_tr >= DEGENERATE_WEIGHT)
-    if sound.all() or not sound.any():
-        batches = [[i] for i in range(len(pure))]
-    else:
-        batches = [[i] for i in np.flatnonzero(~sound)] + [np.flatnonzero(sound)]
+        marked = np.isin(np.arange(len(pure)), tested[exc.failing])
+    batches = [[i] for i in np.flatnonzero(marked)] + ([np.flatnonzero(~marked)] if not marked.all() else [])
     out, errors = {name: np.full(len(pure), np.nan) for name in _MEASURES}, {}
     for at in batches:
         part, failed = _measured(k.take(at), pure[at])

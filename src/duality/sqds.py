@@ -31,20 +31,11 @@ import numpy as np
 
 from .errors import IdentityError, ValidationError
 from .interferometer import tilted_blocks
-from .linalg import SIGMA_X, SIGMA_Z, first_failure, label, reals, squared
+from .linalg import SIGMA_X, SIGMA_Z, first_failure, label, reals, require_members, squared
 from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, SQDS_XI_ATOL, TIE_ATOL
 
 FIGURE3_RESOLUTION = 101  # points per side of the fig3 grid
 FIGURE4_SAMPLES = 201  # points on the fig4 curve
-
-
-def _require_agreement(a, b, checked, message: str) -> None:
-    """Raise IdentityError at the first checked element where ``a`` and ``b`` differ by more than BRANCH_AGREE_ATOL."""
-    ok = ~checked | (np.abs(a - b) <= BRANCH_AGREE_ATOL)
-    i = first_failure(ok)
-    if i is not None:
-        raise IdentityError(message.format(float(np.broadcast_to(a, ok.shape)[i]),
-                                           float(np.broadcast_to(b, ok.shape)[i])))
 
 
 class SqdsForms:
@@ -95,7 +86,8 @@ class SqdsForms:
     def by_branch(self, upper, lower, name: str):
         """``upper`` where P_Q > R_Q, ``lower`` where P_Q < R_Q, and at a tie their mean, if they agree."""
         tied = np.abs(self.p_q - self.r_q) <= TIE_ATOL
-        _require_agreement(upper, lower, tied, name + "branch expressions disagree at the P = R tie: {!r} vs {!r}")
+        require_members(~tied | (np.abs(upper - lower) <= BRANCH_AGREE_ATOL), IdentityError,
+                        name + "branch expressions disagree at the P = R tie: {!r} vs {!r}", upper, lower)
         return np.where(tied, 0.5 * (upper + lower), np.where(self.p_q > self.r_q, upper, lower))
 
     @cached_property
@@ -112,8 +104,9 @@ class SqdsForms:
         xi_sq = np.where(informed, squared(self.xi_q), 1.0)
         chi = self.by_branch(np.where(informed, self.p_sq / xi_sq, 1.0),
                              np.where(informed, 1.0 - self.impurity * self.p_sq / xi_sq, 1.0), "chi ")
-        _require_agreement(chi, 1.0 - self.delta / xi_sq, informed,
-                           "chi branch value {!r} disagrees with 1 - Delta/Xi^2 = {!r}")
+        closed = 1.0 - self.delta / xi_sq
+        require_members(~informed | (np.abs(chi - closed) <= BRANCH_AGREE_ATOL), IdentityError,
+                        "chi branch value {!r} disagrees with 1 - Delta/Xi^2 = {!r}", chi, closed)
         return chi
 
 

@@ -4,6 +4,7 @@ A sweep generates and measures its instances as stacks; every instance must
 come out exactly as it does alone, through the instance-level functions.
 """
 
+import dataclasses
 import itertools
 import math
 import re
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duality import interferometer, linalg, measures, sweep
-from duality.errors import DegenerateBranchError, IdentityError, ValidationError
+from duality.errors import DegenerateBranchError, IdentityError, MemberError, ValidationError
 from duality.interferometer import (InterferometerInstance, WwmBlocks, from_global_unitary, from_tilted_pair,
                                    from_unitary_pair, validate_instances)
 from duality.measures import (
@@ -252,8 +253,9 @@ def test_record_skips_checks_after_an_identity_error():
     # Instance 2 fails an internal identity after its first seven checks ran;
     # instance 3 is degenerate before any, so evaluate leaves it NaN in every
     # column; both miss every later check.
-    errors = {2: IdentityError("half-difference spectrum is not symmetric"),
-              3: DegenerateBranchError("no amplitude")}
+    # Each as evaluate records it: measured alone, its batch of one marked.
+    errors = {2: IdentityError("half-difference spectrum is not symmetric", failing=np.ones(1, bool)),
+              3: DegenerateBranchError("no amplitude", failing=np.ones(1, bool))}
     unmeasured = {(check, 3): math.nan for check in {**RECORD_SLACKS, **RECORD_DEVIATIONS}}
     summary, chunk = recorded(4, {("o1", 2): -1.0, ("pure_saturation_d", 2): 1.0, ("pure_identity", 2): 1.0,
                                   ("main", 2): -1.0, ("mixing_bound", 2): -2.0, **unmeasured}, errors=errors)
@@ -499,19 +501,38 @@ def test_degenerate_instance_is_counted_and_the_rest_unchanged(monkeypatch):
     assert [bits(r) for r in rows] == [bits(r) for r in clean if r["index"] != target]
 
 
+def inject_identity_failure(monkeypatch, phi: float) -> None:
+    """Make ``measures.pure_identities`` raise an IdentityError that marks
+    the members of its batch whose phase is ``phi``, as a real check marks them."""
+    pure_identities = measures.pure_identities
+
+    def failing_at_phi(k, sp):
+        failing = k.phi == phi
+        if failing.any():
+            raise IdentityError("injected failure", failing=failing)
+        return pure_identities(k, sp)
+
+    monkeypatch.setattr(measures, "pure_identities", failing_at_phi)
+
+
+def spectra_sizes(monkeypatch) -> list:
+    """The batch size of every later ``measures.branch_spectra`` call, in call order."""
+    sizes, branch_spectra = [], measures.branch_spectra
+
+    def counted(k, decompose):
+        sizes.append(len(k.s))
+        return branch_spectra(k, decompose)
+
+    monkeypatch.setattr(measures, "branch_spectra", counted)
+    return sizes
+
+
 def test_internal_identity_failure_is_recorded_with_its_instance(monkeypatch):
     cfg = SweepConfig(seed=3, count=3, dims=(2,))
     clean_summary, clean = run_sweep(cfg)
     target = plan_index(cfg, lambda block, wwm, s_class, dim: wwm == "pure" and s_class == "s_pure")
     target_phi = next(r["phi"] for r in clean if r["index"] == target)
-    pure_identities = measures.pure_identities
-
-    def failing_on_target(k, sp):
-        if np.any(k.phi == target_phi):
-            raise IdentityError("injected failure")
-        return pure_identities(k, sp)
-
-    monkeypatch.setattr(measures, "pure_identities", failing_on_target)
+    inject_identity_failure(monkeypatch, target_phi)
     summary, rows = run_sweep(cfg)
     assert [v["check"] for v in summary.violations] == ["internal_identity"]
     assert summary.violations[0]["labels"]["index"] == target
@@ -635,24 +656,12 @@ def test_evaluate_measures_the_members_beside_a_degenerate_one_as_one_batch(monk
     s = s.copy()
     s[target] = 1.0
     # The first instance, a pure marker at s = 1, fails its identity in the batch of the others too.
-    first_phi, pure_identities = phi[0], measures.pure_identities
-
-    def failing_on_first(k, sp):
-        if np.any(k.phi == first_phi):
-            raise IdentityError("injected failure")
-        return pure_identities(k, sp)
-
-    monkeypatch.setattr(measures, "pure_identities", failing_on_first)
-    sizes, branch_spectra = [], measures.branch_spectra
-
-    def counted(k, decompose):
-        sizes.append(len(k.s))
-        return branch_spectra(k, decompose)
-
-    monkeypatch.setattr(measures, "branch_spectra", counted)
+    inject_identity_failure(monkeypatch, phi[0])
+    sizes = spectra_sizes(monkeypatch)
     cols, errors = evaluate(s, blocks, rho, phi)
-    # The whole stack, the degenerate member, the others as one batch, then each of those alone.
-    assert sizes == [len(jobs), 1, len(jobs) - 1] + [1] * (len(jobs) - 1)
+    # The whole stack, the degenerate member alone, the others as one batch;
+    # then the member that batch marks alone and the rest as one batch.
+    assert sizes == [len(jobs), 1, len(jobs) - 1, 1, len(jobs) - 2]
     assert list(errors) == [0, target]
     assert isinstance(errors[0], IdentityError) and isinstance(errors[target], DegenerateBranchError)
     assert not np.isnan(cols["v"][0]) and np.isnan(cols["pure_identity_residual"][0])
@@ -666,20 +675,127 @@ def test_evaluate_keeps_the_report_of_an_instance_that_fails_an_identity(monkeyp
     fields = drawn(8, jobs, 3)
     clean, _ = evaluate(*fields)
     target = next(i for i, job in enumerate(jobs) if job[2:] == ("pure", "s_pure"))
-    target_phi = fields[3][target]
-    pure_identities = measures.pure_identities
-
-    def failing_on_target(k, sp):
-        if np.any(k.phi == target_phi):
-            raise IdentityError("injected failure")
-        return pure_identities(k, sp)
-
-    monkeypatch.setattr(measures, "pure_identities", failing_on_target)
+    inject_identity_failure(monkeypatch, fields[3][target])
     cols, errors = evaluate(*fields)
     assert list(errors) == [target] and isinstance(errors[target], IdentityError)
     assert not np.isnan(cols["v"][target]) and np.isnan(cols["pure_identity_residual"][target])
     clean["pure_identity_residual"][target] = np.nan
     assert column_bits(cols) == column_bits(clean)
+
+
+def test_one_failing_member_of_a_stack_is_measured_alone_beside_one_batch(monkeypatch):
+    classes = list(itertools.product(("unitary_pair", "general_unitary", "tilted_pair"),
+                                     sweep.WWM_CLASSES, sweep.S_CLASSES))
+    jobs = [(stream, *classes[stream % len(classes)]) for stream in range(1024)]
+    fields = drawn(6, jobs, 2)
+    clean, errors = evaluate(*fields)
+    target = next(i for i in range(500, len(jobs)) if jobs[i][2:] == ("pure", "s_pure"))
+    assert not errors and not np.isnan(clean["pure_identity_residual"][target])
+    inject_identity_failure(monkeypatch, fields[3][target])
+    sizes = spectra_sizes(monkeypatch)
+    cols, errors = evaluate(*fields)
+    # The whole stack, the marked member alone, the other 1023 as one batch.
+    assert sizes == [1024, 1, 1023]
+    assert list(errors) == [target] and str(errors[target]) == "injected failure"
+    clean["pure_identity_residual"][target] = np.nan
+    assert column_bits(cols) == column_bits(clean)
+
+
+def test_a_stack_of_degenerate_members_records_each_and_measures_no_empty_batch(monkeypatch):
+    s, blocks, rho, phi = drawn(4, every_lane_class(2)[:3], 2)
+    # theta = 0 with s = 1 sends no amplitude down the minus way.
+    dead = from_tilted_pair(np.zeros(3), np.broadcast_to(np.eye(2), (3, 2, 2)), np.broadcast_to(np.eye(2), (3, 2, 2)))
+    fields = (np.ones(3), dead, rho, phi)
+    sizes = spectra_sizes(monkeypatch)
+    cols, errors = evaluate(*fields)
+    assert sizes == [3, 1, 1, 1]
+    assert all(np.isnan(column).all() for name, column in cols.items() if name in measures._MEASURES)
+    for i in range(3):
+        _, alone = evaluate(*stack_take(fields, [i]))
+        assert (type(errors[i]), str(errors[i])) == (type(alone[0]), str(alone[0])) and "degenerate" in str(alone[0])
+    assert list(errors) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("failing", [None, np.zeros(35, bool), np.True_, np.ones(36, bool)])
+def test_an_error_that_marks_no_member_of_its_batch_fails_loudly(monkeypatch, failing):
+    # A batch of 35: the every_lane_class stack without its first member.
+    fields = stack_take(drawn(4, every_lane_class(2), 2), slice(1, None))
+
+    def unmarked(k, sp):
+        raise IdentityError("unmarked failure", failing=failing)
+
+    monkeypatch.setattr(measures, "mixing_bounds", unmarked)
+    sizes = spectra_sizes(monkeypatch)
+    with pytest.raises(RuntimeError, match="IdentityError marks no member of the batch of 9 it tested"):
+        evaluate(*fields)
+    assert sizes == [35]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_identity_tests_mark_every_polarized_member_that_fails_them(monkeypatch, dim):
+    # Below zero, each identity test of pure_identities and the recomposition
+    # test of mixing_bounds fail for every polarized member: each test must
+    # mark them all at once, and each member must come out as it does alone.
+    jobs = every_lane_class(dim)
+    fields = drawn(13, jobs, dim)
+    monkeypatch.setattr(measures, "IDENTITY_ATOL", -1.0)
+    sizes = spectra_sizes(monkeypatch)
+    cols, errors = evaluate(*fields)
+    pure, mixed = ([i for i, job in enumerate(jobs) if job[2:] == (wwm, "s_pure")] for wwm in ("pure", "mixed"))
+    assert sizes == [len(jobs)] + [1] * len(pure) + [len(jobs) - len(pure)] + [1] * len(mixed) + [
+        len(jobs) - len(pure) - len(mixed)]
+    assert list(errors) == sorted(pure + mixed)
+    assert {str(errors[i]).split(":")[0] for i in pure} == {"half-difference spectrum is not symmetric"}
+    assert {str(errors[i]).split(":")[0] for i in mixed} == {"spectral recomposition of the contrast factor failed"}
+    for i in range(len(jobs)):
+        alone, failed = evaluate(*stack_take(fields, [i]))
+        assert [(type(e), str(e)) for e in failed.values()] == (
+            [(type(errors[i]), str(errors[i]))] if i in errors else [])
+        assert column_bits(alone) == column_bits(cols, [i]), i
+
+
+def polarized_lane(dim: int, wwm: str) -> tuple:
+    """The kernel and spectra of the polarized members with ``wwm`` markers of an every_lane_class stack."""
+    jobs = every_lane_class(dim)
+    s, blocks, rho, phi = drawn(13, jobs, dim)
+    k = interferometer.branch_kernel(blocks, s, validate_instances(s, blocks, rho, phi), phi)
+    k = k.take([i for i, job in enumerate(jobs) if job[2:] == (wwm, "s_pure")])
+    return k, measures.branch_spectra(k, True)
+
+
+# Each raise site of the measurement chain as (test, dim, markers, field,
+# value): ``value(k, sp)`` in that kernel or spectra field fails the test alone.
+RAISE_SITES = {
+    "degenerate": (lambda k, sp: interferometer.conditional_states(k), 2, "pure", "wm_tr", lambda k, sp: 0.0),
+    "saturation": (measures.pure_identities, 2, "pure", "p", lambda k, sp: 1.0),
+    "symmetric": (measures.pure_identities, 2, "pure", "diff", lambda k, sp: sp.diff + [0.0, 1e-6]),
+    "rank": (measures.pure_identities, 3, "pure", "diff", lambda k, sp: sp.diff + [0.0, 1e-6, 0.0]),
+    "quality": (measures.pure_identities, 2, "pure", "q", lambda k, sp: sp.q + 1e-6),
+    "overlap": (measures.pure_identities, 2, "pure", "rho_minus", lambda k, sp: sp.rho_plus),
+    "recomposition": (measures.mixing_bounds, 2, "mixed", "marker_values", lambda k, sp: 2.0 * sp.marker_values),
+}
+
+
+@pytest.mark.parametrize("site", RAISE_SITES)
+def test_each_raise_site_marks_exactly_the_members_that_fail_it(site):
+    test, dim, wwm, field, value = RAISE_SITES[site]
+    k, sp = polarized_lane(dim, wwm)
+    marked = np.isin(np.arange(len(k.s)), [1, 4, 5])
+    old = getattr(sp if field in sp._fields else k, field)
+    new = np.where(marked.reshape((-1,) + (1,) * (old.ndim - 1)), value(k, sp), old)
+    if field in sp._fields:
+        sp = sp._replace(**{field: new})
+    else:
+        k = dataclasses.replace(k, **{field: new})
+    with pytest.raises(MemberError) as batch:
+        test(k, sp)
+    assert isinstance(batch.value, DegenerateBranchError if site in ("degenerate", "saturation") else IdentityError)
+    assert batch.value.failing.tolist() == marked.tolist()
+    first = int(np.argmax(marked))
+    with pytest.raises(MemberError) as alone:
+        test(k.take([first]), measures.BranchSpectra(*(part[[first]] for part in sp)))
+    assert (type(batch.value), str(batch.value)) == (type(alone.value), str(alone.value))
+    assert alone.value.failing.tolist() == [True]
 
 
 def test_evaluate_names_the_instance_whose_joint_operator_is_not_unitary():

@@ -274,6 +274,17 @@ def test_grid_raises_the_first_tied_disagreement_in_grid_order(monkeypatch):
         figure3_grid()
     assert str(grid.value) == str(alone.value)
     assert "0.00039936 vs 0.0015993600000000002" in str(alone.value)  # not the first tie, at the corner
+    # The grid's error marks every point that fails alone, and only those.
+    rows = np.column_stack([np.repeat(GRID, len(GRID)), np.tile(GRID, len(GRID))])
+    marked = grid.value.failing
+    assert marked.shape == (len(rows),) and 1 < np.count_nonzero(marked) < len(rows) // 10
+    for i in np.flatnonzero(marked).tolist() + list(range(0, len(rows), 97)):
+        forms = SqdsForms(0.0, float(rows[i, 0]), float(rows[i, 1]), math.pi / 2.0)
+        if marked[i]:
+            with pytest.raises(IdentityError):
+                forms.delta
+        else:
+            forms.delta
 
 
 def test_figure_points_equal_each_config_alone():
