@@ -259,22 +259,33 @@ def rng(seed: int, stream: int = 0) -> np.random.Generator:
     return PhiloxStreams(seed)(stream)
 
 
-def haar_from_normals(g: np.ndarray) -> np.ndarray:
-    """Haar-distributed unitaries from standard normal pairs ``g`` of shape (..., 2, m, m).
-
-    The Ginibre matrix (g[0] + i g[1]) / sqrt(2) is followed by QR, with the R
-    diagonal phase-normalized so the distribution is exactly Haar rather
-    than QR-gauge biased.  Every step acts matrix by matrix, so a stack gives
-    the same bits as its members one at a time.
-    """
-    # In place and freed once spent, since a sweep's peak memory is here.
+def ginibre_from_normals(g: np.ndarray) -> np.ndarray:
+    """The Ginibre matrices (g[0] + i g[1]) / sqrt(2) of standard normal
+    pairs ``g`` of shape (..., 2, m, m)."""
     z = g[..., 0, :, :] + 1j * g[..., 1, :, :]
     z /= math.sqrt(2.0)
+    return z
+
+
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from Ginibre matrices ``z`` of shape (..., m, m).
+
+    QR is followed by a phase normalization of the R diagonal, so the
+    distribution is exactly Haar rather than QR-gauge biased.  Every step
+    acts matrix by matrix, so a stack gives the same bits as its members one
+    at a time.  A sweep's draw has its peak memory in this QR, so the sweep
+    passes its Ginibre stack alone, the normals it came from already freed.
+    """
     q, r = np.linalg.qr(z)
-    del z
     d = r.diagonal(0, -2, -1)
     q *= (d / np.abs(d))[..., None, :]
     return q
+
+
+def haar_from_normals(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from standard normal pairs ``g`` of shape
+    (..., 2, m, m): :func:`haar_from_ginibre` of their Ginibre matrices."""
+    return haar_from_ginibre(ginibre_from_normals(g))
 
 
 def haar_unitary_from(gen: np.random.Generator, dim: int) -> np.ndarray:

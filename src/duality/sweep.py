@@ -154,9 +154,12 @@ def _draw(seed: int, jobs: list, dim: int) -> tuple:
     for block_class, normals in unitary_normals.items():
         if not normals:
             continue
-        members, g = list(normals), np.array(list(normals.values()))
-        normals.clear()
-        u = linalg.haar_from_normals(g)
+        members = list(normals)
+        # The normals and their stack are call arguments, freed once the
+        # Ginibre stack is built, so they are not alive through the QR (they
+        # traced a fifth more peak memory there at n = 8).  A callee's del of
+        # its parameter would not free them on Python 3.10.
+        u = linalg.haar_from_ginibre(linalg.ginibre_from_normals(np.array([normals.pop(k) for k in members])))
         if block_class == "general_unitary":
             b = global_blocks(u)
         elif block_class == "unitary_pair":
@@ -369,15 +372,17 @@ CSV_COLUMNS = (
 )
 
 # Instances are generated and measured together until their marker matrices
-# hold this many entries (the sum of n^2): 1024 instances at n = 2, 256 at
-# n = 4, 64 at n = 8.  Each chunk pays a fixed numpy and Python cost, about
+# hold this many entries (the sum of n^2): 1280 instances at n = 2, 320 at
+# n = 4, 80 at n = 8.  Each chunk pays a fixed numpy and Python cost, about
 # 0.7 ms per marker dimension in it, that a larger chunk spreads over more
 # instances, while its stacks grow with n^2 per instance.  A --dims 8 sweep
-# runs 13 chunks here, 50 at 1024 entries, and took 0.12 s instead of
-# 0.14 s; its traced peak is 1.4 MiB (0.4 MiB at 1024 entries, 2.7 MiB at
-# 8192), because each chunk frees its draws once they are stacked, holds
-# its blocks once, and is freed before the next one starts.
-_CHUNK_ENTRIES = 4096
+# of count 100 runs 10 chunks here (13 at 4096 entries, 50 at 1024), and
+# --dims 8 --count 10 runs one.  Its traced peak is 1.47 MiB, held by the
+# measurement chain beside the chunk's stacks, because each chunk frees its
+# draws before the Haar QR, holds its blocks once, and is freed before the
+# next one starts.  6144 entries would trace 1.78 MiB, over the 1.75 MiB
+# that test_chunk_working_set_is_bounded allows.
+_CHUNK_ENTRIES = 5120
 
 
 def _chunks(dims: Iterable[int]) -> Iterator[range]:

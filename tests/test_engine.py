@@ -295,16 +295,17 @@ def sweep_output(cfg) -> tuple:
 
 @pytest.mark.parametrize("failing", [False, True])
 def test_outputs_do_not_depend_on_the_chunk_budget(monkeypatch, failing):
-    # Budgets from one instance per chunk to the shipped one; the sweep
-    # spans dims 2, 3 and 8 and the tilted lane, and makes two chunks even
-    # at the largest budget.  With every deviation check failing, the
-    # violations cross chunk boundaries, so their order is pinned too.
+    # Budgets from one instance per chunk to the shipped one, the largest;
+    # the sweep spans dims 2, 3 and 8 and the tilted lane, and its 5616
+    # entries make two chunks even at the shipped budget.  With every
+    # deviation check failing, the violations cross chunk boundaries, so
+    # their order is pinned too.
     if failing:
         fail_every_deviation_check(monkeypatch)
-    cfg = SweepConfig(seed=9, count=8, dims=(2, 3, 8))
+    cfg = SweepConfig(seed=9, count=9, dims=(2, 3, 8))
     assert any(lane[0] == sweep.STRINGENCY_CLASS for lane in sweep_plan(cfg))
     outputs = {}
-    for entries in (4, 64, 1024, 4096):
+    for entries in (4, 64, 1024, 4096, sweep._CHUNK_ENTRIES):
         monkeypatch.setattr(sweep, "_CHUNK_ENTRIES", entries)
         outputs[entries] = sweep_output(cfg)
     assert len(list(sweep._chunks([lane[3] for lane in sweep_plan(cfg) for _ in range(cfg.count)]))) == 2
@@ -315,12 +316,8 @@ def test_outputs_do_not_depend_on_the_chunk_budget(monkeypatch, failing):
         assert output == (rows, summary), entries
 
 
-def test_chunk_working_set_is_bounded():
-    # The traced peak of a --dims 8 sweep measured 1.41 MiB at 4096-entry
-    # chunks (numpy 2.4, Python 3.11), 1.39 MiB with validation at n x n
-    # cost, where the Haar QR holds the peak; without freeing each chunk's
-    # draws, stacks and copies it measured 2.38 MiB.
-    cfg = SweepConfig(seed=0, count=100, dims=(8,))
+def traced_sweep(cfg: SweepConfig) -> tuple:
+    """The rows, the memory kept at the end and the traced peak of a sweep, in bytes."""
     for _ in iter_sweep(SweepConfig(seed=1, count=2, dims=(2, 8)), SweepSummary(config=cfg)):
         pass  # the first sweep of a process also imports numpy.linalg's lazy parts
     summary = SweepSummary(config=cfg)
@@ -330,20 +327,64 @@ def test_chunk_working_set_is_bounded():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return rows, kept, peak
+
+
+def test_chunk_working_set_is_bounded():
+    # The traced peak of a --dims 8 sweep measured 1.47 MiB at 5120-entry
+    # chunks (numpy 2.4, Python 3.11), held by the measurement chain beside
+    # the chunk's stacks.  Before the Haar draw freed its normals ahead of
+    # the QR, the draw held it: 1.39 MiB at 4096 entries, 1.72 MiB at 5120
+    # and 2.06 MiB at 6144 (1.78 MiB after).  Without freeing each chunk's
+    # draws, stacks and copies it measured 2.38 MiB at 4096 entries.
+    rows, kept, peak = traced_sweep(SweepConfig(seed=0, count=100, dims=(8,)))
     assert rows == 800
-    assert peak < 1.75 * 2 ** 20
+    assert peak < 1.75 * 2 ** 20, f"traced peak {peak / 2 ** 20:.3f} MiB"
     # What the finished sweep keeps: its summary, whose worst instance holds
     # copies of its own fields (5 KiB), not their JSON (40 KiB at n = 8) or
     # its group's stacks (320 KiB).
-    assert kept < 64 * 2 ** 10
+    assert kept < 64 * 2 ** 10, f"kept {kept / 2 ** 10:.1f} KiB"
+
+
+@pytest.mark.parametrize("cfg, rows", [
+    (SweepConfig(seed=0, count=100), 2600),
+    (SweepConfig(seed=0, count=100, dims=tuple(range(2, 9))), 5800),
+], ids=["default", "dims-2-to-8"])
+def test_real_traffic_working_set_is_bounded(cfg, rows):
+    # The default sweep traced 1.19 MiB at 5120-entry chunks (1.03 MiB at
+    # 4096), --dims 2,...,8 traced 1.45 MiB (1.36 MiB), numpy 2.4, Python 3.11.
+    got, kept, peak = traced_sweep(cfg)
+    assert got == rows
+    assert peak < 1.75 * 2 ** 20, f"traced peak {peak / 2 ** 20:.3f} MiB"
+    assert kept < 64 * 2 ** 10, f"kept {kept / 2 ** 10:.1f} KiB"
+
+
+def test_haar_draw_frees_its_normals_before_the_qr():
+    # 80 general_unitary instances at n = 8, whose (80, 16, 16) Haar QR holds
+    # the draw's peak: 1.37 MiB traced (numpy 2.4, Python 3.11), against
+    # 1.68 MiB while their stacked normals stayed alive through the QR.
+    cfg = SweepConfig(seed=0, count=20, dims=(8,), block_classes=("general_unitary",))
+    plan = sweep_plan(cfg)
+    jobs = [(i, *plan[i // cfg.count][:3]) for i in range(cfg.count * len(plan))]
+    sweep._draw(cfg.seed, jobs, 8)  # numpy.linalg's lazy parts load on first use
+    tracemalloc.start()
+    try:
+        s, *_ = sweep._draw(cfg.seed, jobs, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.shape == (80,)
+    assert peak < 1.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.3f} MiB"
 
 
 def test_validation_working_set_is_bounded():
-    # The 64 instances of a full n = 8 chunk.  Validating them through the
-    # assembled (64, 16, 16) joint operators and a full eigvalsh traced
-    # 900 KiB (numpy 2.4, Python 3.11); from the n x n block identities and
-    # one Cholesky factorization, 323 KiB; with the identities as three Gram
-    # products of 2n x n block stacks, 579 KiB.
+    # 64 instances at n = 8, a full chunk at 4096 entries.  Validating them
+    # through the assembled (64, 16, 16) joint operators and a full eigvalsh
+    # traced 900 KiB (numpy 2.4, Python 3.11); from the n x n block
+    # identities and one Cholesky factorization, 323 KiB; with the identities
+    # as three Gram products of 2n x n block stacks, 579 KiB.  The 80 of a
+    # full chunk at 5120 entries trace 723 KiB, inside the chunk's bound of
+    # test_chunk_working_set_is_bounded.
     cfg = SweepConfig(seed=3, count=8, dims=(8,))
     plan = sweep_plan(cfg)
     jobs = [(i, *plan[i // cfg.count][:3]) for i in range(cfg.count * len(plan))]
@@ -356,13 +397,13 @@ def test_validation_working_set_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 640 * 2 ** 10
+    assert peak < 640 * 2 ** 10, f"traced peak {peak / 2 ** 10:.1f} KiB"
 
 
 def test_first_row_does_not_wait_for_the_whole_plan():
     # Only the first chunk's lanes are listed before its rows: listing all
     # 2.6 million instances of this plan first traced 43 MiB; the first
-    # chunk (1024 instances at n = 2) traces 1.5 MiB.
+    # chunk (1280 instances at n = 2) traces 1.7 MiB.
     cfg = SweepConfig(seed=0, count=100_000)
     for _ in iter_sweep(SweepConfig(seed=1, count=2, dims=(2, 8)), SweepSummary(config=cfg)):
         pass  # the first sweep of a process also imports numpy.linalg's lazy parts
@@ -374,12 +415,13 @@ def test_first_row_does_not_wait_for_the_whole_plan():
     finally:
         tracemalloc.stop()
         chunks.close()
-    assert first.indices == range(1024) and first.checked[0]
-    assert peak < 4 * 2 ** 20
+    assert first.indices == range(sweep._CHUNK_ENTRIES // 4) and first.checked[0]
+    assert peak < 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.3f} MiB"
+
 
 @pytest.mark.parametrize("cfg, solves", [
     (SweepConfig(seed=0, count=4), 12),
-    (SweepConfig(seed=0, count=10, dims=(8,)), 8),  # two chunks, one group each
+    (SweepConfig(seed=0, count=10, dims=(8,)), 3),  # one chunk, one group
 ])
 def test_each_group_solves_each_eigenproblem_once(monkeypatch, cfg, solves):
     # Per dimension group of a chunk: rho+ - rho- (Q), the Helstrom operator
