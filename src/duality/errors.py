@@ -10,21 +10,11 @@ class ValidationError(DualityError):
     unitarity, density-matrix structure, parameter ranges)."""
 
 
-class MemberError(DualityError):
-    """A test that a batch of instances runs member by member failed.  The
-    message names the first failing member; ``failing`` is a boolean mask,
-    shaped as the tested batch, that marks every failing member."""
-
-    def __init__(self, message: str, failing=None):
-        super().__init__(message)
-        self.failing = failing
+class DegenerateBranchError(DualityError):
+    """A conditional branch has (numerically) zero probability, so quantities that divide
+    by a branch weight are undefined.  ``measures.evaluate`` records it against the instance."""
 
 
-class DegenerateBranchError(MemberError):
-    """A conditional branch has (numerically) zero probability, so quantities
-    that divide by a branch weight are undefined."""
-
-
-class IdentityError(MemberError):
-    """An internal exact identity failed beyond its tolerance.  This indicates
-    either corrupted inputs or a bug, never ordinary round-off."""
+class IdentityError(DualityError):
+    """An internal exact identity failed beyond its tolerance: corrupted inputs or a bug,
+    never ordinary round-off.  ``measures.evaluate`` records it against the instance."""

@@ -417,18 +417,20 @@ def evolve(inst: InterferometerInstance) -> np.ndarray:
     return np.array([k.w_plus - k.w_minus, zy.imag, zy.real])
 
 
-def conditional_states(k: BranchKernel) -> tuple:
+def conditional_states(k: BranchKernel, failed: dict | None = None) -> tuple:
     """Way probabilities and conditional marker states of every instance of a kernel.
 
     Returns ``(w_plus, rho_plus, w_minus, rho_minus)`` with the conditional
-    states normalized to unit trace.  Raises :class:`DegenerateBranchError`,
-    marking every instance where either way has (numerically) zero
-    probability, since the conditional state on that branch is undefined.
+    states normalized to unit trace.  Where either way has (numerically) zero
+    probability, the conditional state on that branch is undefined: a
+    :class:`DegenerateBranchError` is raised, or recorded in ``failed`` and
+    that instance's states divided by 1 rather than its weight, to stay finite.
     """
-    linalg.require_members((k.wp_tr >= DEGENERATE_WEIGHT) & (k.wm_tr >= DEGENERATE_WEIGHT), DegenerateBranchError,
-                           "degenerate branch: w+ = {!r}, w- = {!r}", k.wp_tr, k.wm_tr)
-    return (k.wp_tr, k.wp_rho / k.wp_tr[..., None, None],
-            k.wm_tr, k.wm_rho / k.wm_tr[..., None, None])
+    ok = (k.wp_tr >= DEGENERATE_WEIGHT) & (k.wm_tr >= DEGENERATE_WEIGHT)
+    linalg.require_members(ok, DegenerateBranchError, "degenerate branch: w+ = {!r}, w- = {!r}",
+                           k.wp_tr, k.wm_tr, failed=failed)
+    wp, wm = (k.wp_tr, k.wm_tr) if ok.all() else (np.where(ok, k.wp_tr, 1.0), np.where(ok, k.wm_tr, 1.0))
+    return k.wp_tr, k.wp_rho / wp[..., None, None], k.wm_tr, k.wm_rho / wm[..., None, None]
 
 
 def conditional_wwm_states(

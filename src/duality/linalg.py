@@ -72,14 +72,17 @@ def first_failure(ok):
     return np.unravel_index(int(np.argmin(ok)), np.shape(ok))
 
 
-def require_members(ok, error: type, message: str, *values) -> None:
-    """Raise ``error``, a :class:`~duality.errors.MemberError`, unless every
-    entry of the boolean array ``ok`` holds: its message is ``message``
-    formatted with ``values``, arrays that broadcast to ``ok``, at the first
-    failing entry, and it marks every failing entry (``failing = ~ok``)."""
-    i = first_failure(ok)
-    if i is not None:
-        raise error(message.format(*(np.broadcast_to(v, np.shape(ok))[i].item() for v in values)), failing=~ok)
+def require_members(ok, error: type, message: str, *values, failed: dict | None = None) -> None:
+    """Fail each member of a batch whose entry of the boolean array ``ok`` is False: ``error``, its
+    message ``message`` formatted with ``values``, arrays that broadcast to ``ok``, at that entry.
+    Raise the first, or record each in the dict ``failed``, under its flat position, unless one is there."""
+    if first_failure(ok) is not None:
+        values = [np.broadcast_to(v, np.shape(ok)).ravel() for v in values]
+        for j in np.flatnonzero(~ok).tolist():
+            exc = error(message.format(*(v[j].item() for v in values)))
+            if failed is None:
+                raise exc
+            failed.setdefault(j, exc)
 
 
 def label(name: str, index: tuple) -> str:

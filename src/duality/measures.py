@@ -29,7 +29,7 @@ scalar arithmetic: squares are ``np.float_power(x, 2.0)``, which rounds as
 Python's ``x ** 2`` (libm ``pow``) does and ``x * x`` may not; moduli are
 ``np.hypot(re, im)``, which rounds as complex ``abs`` does and ``np.abs`` may
 not.  :func:`evaluate` runs the whole chain on a stack, from validation to the
-|s| = 1 checks.
+|s| = 1 checks, once: a test that an instance fails is recorded against it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateBranchError, IdentityError, MemberError, ValidationError
+from .errors import DegenerateBranchError, IdentityError, ValidationError
 from .interferometer import (BranchKernel, InterferometerInstance, WwmBlocks, branch_kernel, conditional_states,
                              validate_instances)
 from .interferometer import evolve  # noqa: F401  (kept importable from this module)
@@ -212,13 +212,13 @@ def _conditional_spectra(w_plus, rho_plus, w_minus, rho_minus) -> tuple:
     return diff, 0.5 * np.abs(diff).sum(axis=-1), delta, np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
 
 
-def branch_spectra(k: BranchKernel, decompose) -> BranchSpectra:
+def branch_spectra(k: BranchKernel, decompose, failed: dict | None = None) -> BranchSpectra:
     """Solve each eigenproblem of a kernel's instances once.  rho_d0 is
     decomposed where ``decompose`` holds (a bool, or one per instance), as
     the mixing bound and the chi closed form need.  A degenerate branch
-    raises :class:`DegenerateBranchError`, marking each instance with one.
+    raises :class:`DegenerateBranchError`, or is recorded in ``failed``.
     """
-    w_plus, rho_plus, w_minus, rho_minus = conditional_states(k)
+    w_plus, rho_plus, w_minus, rho_minus = conditional_states(k, failed)
     values, vectors = np.zeros(k.rho_d0.shape[:-1]), np.zeros(k.rho_d0.shape, dtype=complex)
     if np.any(decompose):
         values[decompose], vectors[decompose] = linalg._hermitian_eigen(k.rho_d0[decompose])
@@ -334,15 +334,25 @@ def deviations(rep: dict, sp: BranchSpectra, pure_polarized: np.ndarray) -> dict
     }
 
 
-def _polarized_branches(k: BranchKernel, sp: BranchSpectra, what: str) -> np.ndarray:
-    """The contrast factor C of the branch sign(s) selects at |s| = 1, the
-    only branch populated there, whose P ``sp`` holds, for every instance."""
-    i = linalg.first_failure(k.polarized)
-    if i is not None:
-        raise ValidationError(f"{what} requires |s| = 1, got s = {k.s[i]}")
-    linalg.require_members(sp.p < 1.0 - PURE_S_ATOL, DegenerateBranchError,
-                           "predictability {!r} saturates; identity divides by 1 - P^2", sp.p)
-    return np.where(k.s >= 0.0, k.c_up, k.c_down)
+def _polarized(inst: InterferometerInstance, decompose: bool, what: str) -> tuple:
+    """The kernel and :func:`branch_spectra` of an instance that ``what`` requires to be polarized."""
+    k = inst.kernel
+    sp = branch_spectra(k, decompose)
+    if not k.polarized:
+        raise ValidationError(f"{what} requires |s| = 1, got s = {k.s}")
+    return k, sp
+
+
+def _polarized_branches(k: BranchKernel, sp: BranchSpectra, failed: dict | None) -> tuple:
+    """The contrast factor C of the branch sign(s) selects at |s| = 1, the only branch
+    populated there, for every instance of a polarized kernel, and its spectra ``sp``
+    with NaN for a P that saturates, which fails: a later 1 - P^2 divides nothing by zero."""
+    unsaturated = sp.p < 1.0 - PURE_S_ATOL
+    linalg.require_members(unsaturated, DegenerateBranchError,
+                           "predictability {!r} saturates; identity divides by 1 - P^2", sp.p, failed=failed)
+    if not unsaturated.all():
+        sp = sp._replace(p=np.where(unsaturated, sp.p, np.nan))
+    return np.where(k.s >= 0.0, k.c_up, k.c_down), sp
 
 
 def _branch_sum(sp: BranchSpectra, c_sq) -> np.ndarray:
@@ -369,28 +379,31 @@ def pure_state_identity_check(inst: InterferometerInstance) -> float:
     purity, pure = _purities(inst.rho_d0)
     if not pure:
         raise ValidationError(f"pure identity requires a pure marker state, purity = {float(purity)!r}")
-    return float(pure_identities(inst.kernel, branch_spectra(inst.kernel, False)))
+    return float(pure_identities(*_polarized(inst, False, "pure identity")))
 
 
-def pure_identities(k: BranchKernel, sp: BranchSpectra) -> np.ndarray:
-    """:func:`pure_state_identity_check` of every instance of a kernel and its
-    spectra ``sp``, whose markers are pure; a check that fails raises for the batch, marking its failing members."""
-    c_sq = linalg.squared(_modulus(_polarized_branches(k, sp, "pure identity")))
+def pure_identities(k: BranchKernel, sp: BranchSpectra, failed: dict | None = None) -> np.ndarray:
+    """:func:`pure_state_identity_check` of every instance of a polarized kernel and
+    its spectra ``sp``, whose markers are pure; a test that an instance fails
+    raises, or is recorded in ``failed`` (:func:`linalg.require_members`)."""
+    contrast, sp = _polarized_branches(k, sp, failed)
+    c_sq = linalg.squared(_modulus(contrast))
 
     # The spectrum of 0.5 (rho+ - rho-), halved exactly from that of rho+ - rho-.
     evals = 0.5 * sp.diff
     lam_max, lam_min = evals[..., -1], evals[..., 0]
     linalg.require_members(np.abs(lam_max + lam_min) <= IDENTITY_ATOL, IdentityError,
-                           "half-difference spectrum is not symmetric: {!r} vs {!r}", lam_max, lam_min)
+                           "half-difference spectrum is not symmetric: {!r} vs {!r}", lam_max, lam_min, failed=failed)
     linalg.require_members(np.abs(evals[..., 1:-1]).max(axis=-1, initial=0.0) <= IDENTITY_ATOL, IdentityError,
-                           "half-difference of pure conditionals has rank above two")
+                           "half-difference of pure conditionals has rank above two", failed=failed)
     linalg.require_members(np.abs(sp.q - 2.0 * np.abs(lam_max)) <= IDENTITY_ATOL, IdentityError,
-                           "branch quality disagrees with twice the top eigenvalue")
+                           "branch quality disagrees with twice the top eigenvalue", failed=failed)
 
     cross = np.trace(sp.rho_plus @ sp.rho_minus, axis1=-2, axis2=-1).real
     expected_cross = c_sq / (4.0 * k.wp_tr * k.wm_tr)
     linalg.require_members(np.abs(cross - expected_cross) <= IDENTITY_ATOL, IdentityError,
-                           "conditional-state overlap {!r} disagrees with contrast form {!r}", cross, expected_cross)
+                           "conditional-state overlap {!r} disagrees with contrast form {!r}", cross, expected_cross,
+                           failed=failed)
     return np.abs(_branch_sum(sp, c_sq) - 1.0)
 
 
@@ -412,9 +425,8 @@ class SpectralComponent(NamedTuple):
 
 def spectral_components(inst: InterferometerInstance) -> list[SpectralComponent]:
     """Decompose the marker state spectrally and evaluate each pure component."""
-    k = inst.kernel
-    sp = branch_spectra(k, True)
-    _polarized_branches(k, sp, "spectral decomposition of the branch")
+    k, sp = _polarized(inst, True, "spectral decomposition of the branch")
+    _polarized_branches(k, sp, None)
     columns = (a.tolist() for a in spectral_decompositions(k, sp))
     return [SpectralComponent(*c) for c in zip(*columns) if c[0] > DEGENERATE_WEIGHT]
 
@@ -455,14 +467,14 @@ def mixed_state_bound_check(inst: InterferometerInstance) -> MixingBound:
     returned beside the slack.  The slack is non-negative up to round-off for
     every valid instance.
     """
-    return MixingBound(*map(float, mixing_bounds(inst.kernel, branch_spectra(inst.kernel, True))))
+    return MixingBound(*map(float, mixing_bounds(*_polarized(inst, True, "mixing bound"))))
 
 
-def mixing_bounds(k: BranchKernel, sp: BranchSpectra) -> MixingBound:
-    """:func:`mixed_state_bound_check` of every instance of a kernel and its
-    spectra ``sp``, as columns; a failed recomposition raises for the
-    batch, marking its failing members."""
-    contrast = _polarized_branches(k, sp, "mixing bound")
+def mixing_bounds(k: BranchKernel, sp: BranchSpectra, failed: dict | None = None) -> MixingBound:
+    """:func:`mixed_state_bound_check` of every instance of a polarized kernel
+    and its spectra ``sp``, as columns.  A test that an instance fails
+    raises, or is recorded in ``failed`` (:func:`linalg.require_members`)."""
+    contrast, sp = _polarized_branches(k, sp, failed)
     comps = spectral_decompositions(k, sp)
     # One add per eigenvector, in eigenvector order, as a running sum over
     # the components with a non-degenerate weight adds them.
@@ -470,14 +482,9 @@ def mixing_bounds(k: BranchKernel, sp: BranchSpectra) -> MixingBound:
     for weight, term in zip(np.moveaxis(comps.weight, -1, 0), np.moveaxis(comps.weight * comps.contrast, -1, 0)):
         recomposed = recomposed + np.where(weight > DEGENERATE_WEIGHT, term, 0.0)
     residual = _modulus(recomposed - contrast)
-    linalg.require_members(residual <= IDENTITY_ATOL, IdentityError,
-                           "spectral recomposition of the contrast factor failed: {!r} vs {!r}", recomposed, contrast)
+    linalg.require_members(residual <= IDENTITY_ATOL, IdentityError, "spectral recomposition of the contrast "
+                           "factor failed: {!r} vs {!r}", recomposed, contrast, failed=failed)
     return MixingBound(1.0 - _branch_sum(sp, linalg.squared(_modulus(contrast))), residual)
-
-
-# The float columns of evaluate: the report's measures and those the checks read.
-_MEASURES = ("v", "p", "q", "d", "xi", "r", "chi", "xi_minus_d", "v_bound_d", "v_bound_xi",
-             *(check.column for check in CHECKS if check.column))
 
 
 def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
@@ -486,8 +493,9 @@ def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
     ``s`` and ``phi`` have shape (N,) beside N stacked (n, n) blocks and marker
     states.  At |s| = 1 a marker that :func:`_purities` counts as pure gets
     the pure identity, any other the mixing bound.  Returns one array of N per
-    column (``s``, ``phi`` and ``_MEASURES``), NaN where a measure or check does
-    not apply or was not reached, and ``{position: exception}`` of the instances that fail.
+    column (``s``, ``phi``, the :func:`hierarchy_reports` columns and those the
+    rows of :data:`CHECKS` read), NaN where a measure or check does not
+    apply or was not reached, and ``{position: exception}`` of the instances that fail.
     """
     if not isinstance(blocks, WwmBlocks) or blocks.vpp.ndim != 3:
         got = blocks.vpp.shape if isinstance(blocks, WwmBlocks) else type(blocks).__name__
@@ -499,42 +507,33 @@ def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
 
 
 def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
-    """:func:`evaluate` of a kernel and its pure markers: its report, then
-    its |s| = 1 checks.  A failing test raises a
-    :class:`~duality.errors.MemberError` that marks the failing members of
-    the batch it tested.  A batch of one keeps what it had; in a batch of
-    several, the marked members are measured alone and the others as one
-    batch, under the same rule."""
-    cols, rows = {}, slice(None)  # rows: the members of the batch under test
-    try:
-        # The mixing bound and the chi closed form read rho_d0's spectrum.
-        sp = branch_spectra(k, k.polarized & (~pure | (k.n == 2)))
-        rep = hierarchy_reports(k, sp)
-        cols.update(rep, **deviations(rep, sp, k.polarized & pure))
-        for members, batch_checks, names in (
-                (k.polarized & pure, pure_identities, ("pure_identity_residual",)),
-                (k.polarized & ~pure, mixing_bounds, ("mixing_bound_slack", "contrast_recomposition"))):
-            cols.update((name, np.full(len(pure), np.nan)) for name in names)
-            if members.any():
-                # A run of consecutive rows, as a lane's instances are, is a slice, which takes views.
-                at = np.flatnonzero(members)
-                rows = slice(at[0], at[-1] + 1) if at[-1] - at[0] < at.size else at
-                values = batch_checks(k.take(rows), BranchSpectra(*(part[rows] for part in sp)))
-                for name, column in zip(names, np.reshape(values, (len(names), -1))):
-                    cols[name][rows] = column
-        return cols, {}
-    except MemberError as exc:
-        tested = np.arange(len(pure))[rows]
-        if np.shape(exc.failing) != tested.shape or not np.any(exc.failing):
-            raise RuntimeError(f"{type(exc).__name__} marks no member of the batch of {tested.size} it tested") from exc
-        if len(pure) == 1:
-            return {name: cols.get(name, np.full(1, np.nan)) for name in _MEASURES}, {0: exc}
-        marked = np.isin(np.arange(len(pure)), tested[exc.failing])
-    batches = [[i] for i in np.flatnonzero(marked)] + ([np.flatnonzero(~marked)] if not marked.all() else [])
-    out, errors = {name: np.full(len(pure), np.nan) for name in _MEASURES}, {}
-    for at in batches:
-        part, failed = _measured(k.take(at), pure[at])
-        for name in _MEASURES:
-            out[name][at] = part[name]
-        errors.update((int(at[i]), e) for i, e in failed.items())
-    return out, dict(sorted(errors.items()))
+    """:func:`evaluate` of a kernel and its pure markers, in one pass: its report and
+    deviations, then its |s| = 1 checks on the instances not yet failed.  Each test
+    records the instances that fail it, each keeping its first error: NaN in every
+    column for a degenerate one, in the columns of the test it failed for any other."""
+    failed = {}
+    # The mixing bound and the chi closed form read rho_d0's spectrum.
+    sp = branch_spectra(k, k.polarized & (~pure | (k.n == 2)), failed)
+    degenerate = list(failed)
+    rep = hierarchy_reports(k, sp)
+    cols = {**rep, **deviations(rep, sp, k.polarized & pure)}
+    checked = k.polarized & ~np.isin(np.arange(len(pure)), degenerate) if degenerate else k.polarized
+    for members, batch_checks, names in ((checked & pure, pure_identities, ("pure_identity_residual",)),
+                                         (checked & ~pure, mixing_bounds, ("mixing_bound_slack",
+                                                                           "contrast_recomposition"))):
+        cols.update((name, np.full(len(pure), np.nan)) for name in names)
+        if members.any():
+            # A run of consecutive rows, as a lane's instances are, is a slice, which takes views.
+            at = np.flatnonzero(members)
+            rows = slice(at[0], at[-1] + 1) if at[-1] - at[0] < at.size else at
+            tested = {}
+            values = batch_checks(k.take(rows), BranchSpectra(*(part[rows] for part in sp)), tested)
+            for name, column in zip(names, np.reshape(values, (len(names), -1))):
+                cols[name][rows] = column
+                if tested:
+                    cols[name][at[list(tested)]] = np.nan
+            failed.update((int(at[i]), exc) for i, exc in tested.items())
+    if degenerate:
+        for column in cols.values():
+            column[degenerate] = np.nan
+    return cols, dict(sorted(failed.items()))

@@ -9,13 +9,14 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from duality import interferometer, linalg, measures, sweep
-from duality.errors import DegenerateBranchError, IdentityError, MemberError, ValidationError
+from duality.errors import DegenerateBranchError, IdentityError, ValidationError
 from duality.interferometer import (InterferometerInstance, WwmBlocks, from_global_unitary, from_tilted_pair,
                                    from_unitary_pair, validate_instances)
 from duality.measures import (
@@ -253,9 +254,7 @@ def test_record_skips_checks_after_an_identity_error():
     # Instance 2 fails an internal identity after its first seven checks ran;
     # instance 3 is degenerate before any, so evaluate leaves it NaN in every
     # column; both miss every later check.
-    # Each as evaluate records it: measured alone, its batch of one marked.
-    errors = {2: IdentityError("half-difference spectrum is not symmetric", failing=np.ones(1, bool)),
-              3: DegenerateBranchError("no amplitude", failing=np.ones(1, bool))}
+    errors = {2: IdentityError("half-difference spectrum is not symmetric"), 3: DegenerateBranchError("no amplitude")}
     unmeasured = {(check, 3): math.nan for check in {**RECORD_SLACKS, **RECORD_DEVIATIONS}}
     summary, chunk = recorded(4, {("o1", 2): -1.0, ("pure_saturation_d", 2): 1.0, ("pure_identity", 2): 1.0,
                                   ("main", 2): -1.0, ("mixing_bound", 2): -2.0, **unmeasured}, errors=errors)
@@ -544,29 +543,32 @@ def test_degenerate_instance_is_counted_and_the_rest_unchanged(monkeypatch):
 
 
 def inject_identity_failure(monkeypatch, phi: float) -> None:
-    """Make ``measures.pure_identities`` raise an IdentityError that marks
-    the members of its batch whose phase is ``phi``, as a real check marks them."""
+    """Make ``measures.pure_identities`` fail the members of its batch whose
+    phase is ``phi`` with an IdentityError, through ``linalg.require_members``
+    before its own tests, as a real test fails them."""
     pure_identities = measures.pure_identities
 
-    def failing_at_phi(k, sp):
-        failing = k.phi == phi
-        if failing.any():
-            raise IdentityError("injected failure", failing=failing)
-        return pure_identities(k, sp)
+    def failing_at_phi(k, sp, failed=None):
+        linalg.require_members(k.phi != phi, IdentityError, "injected failure", failed=failed)
+        return pure_identities(k, sp, failed)
 
     monkeypatch.setattr(measures, "pure_identities", failing_at_phi)
 
 
-def spectra_sizes(monkeypatch) -> list:
-    """The batch size of every later ``measures.branch_spectra`` call, in call order."""
-    sizes, branch_spectra = [], measures.branch_spectra
+def chain_calls(monkeypatch) -> dict:
+    """The batch size of every later call of ``measures.branch_spectra``,
+    ``pure_identities`` and ``mixing_bounds``, by name, in call order."""
+    calls = {"branch_spectra": [], "pure_identities": [], "mixing_bounds": []}
 
-    def counted(k, decompose):
-        sizes.append(len(k.s))
-        return branch_spectra(k, decompose)
+    def counted(name, function):
+        def call(k, *args):
+            calls[name].append(len(k.s))
+            return function(k, *args)
+        return call
 
-    monkeypatch.setattr(measures, "branch_spectra", counted)
-    return sizes
+    for name in calls:
+        monkeypatch.setattr(measures, name, counted(name, getattr(measures, name)))
+    return calls
 
 
 def test_internal_identity_failure_is_recorded_with_its_instance(monkeypatch):
@@ -664,7 +666,9 @@ def test_evaluate_gives_each_instance_of_a_stack_its_bits_alone(dim):
     fields = drawn(13, every_lane_class(dim), dim)
     cols, errors = evaluate(*fields)
     assert not errors and not np.isnan(cols["v"]).any()
-    assert set(CSV_COLUMNS[5:]) <= cols.keys()
+    assert set(CSV_COLUMNS[5:]) <= cols.keys() == {"s", "phi", "v", "p", "q", "d", "xi", "r", "chi", "xi_minus_d",
+                                                   "v_bound_d", "v_bound_xi",
+                                                   *(c.column for c in measures.CHECKS if c.column)}
     for i in range(len(fields[0])):
         alone, errors = evaluate(*stack_take(fields, [i]))
         assert not errors and column_bits(alone) == column_bits(cols, [i]), i
@@ -684,7 +688,7 @@ def test_evaluate_records_a_degenerate_instance_at_its_position():
     s[target] = 1.0
     cols, errors = evaluate(s, blocks, rho, phi)
     assert list(errors) == [target] and isinstance(errors[target], DegenerateBranchError)
-    assert all(np.isnan(cols[name][target]) for name in measures._MEASURES)
+    assert all(np.isnan(column[target]) for name, column in cols.items() if name not in ("s", "phi"))
     for i in set(range(len(jobs))) - {target}:
         alone, _ = evaluate(*stack_take(fields, [i]))
         assert column_bits(alone) == column_bits(cols, [i]), i
@@ -699,11 +703,11 @@ def test_evaluate_measures_the_members_beside_a_degenerate_one_as_one_batch(monk
     s[target] = 1.0
     # The first instance, a pure marker at s = 1, fails its identity in the batch of the others too.
     inject_identity_failure(monkeypatch, phi[0])
-    sizes = spectra_sizes(monkeypatch)
+    calls = chain_calls(monkeypatch)
     cols, errors = evaluate(s, blocks, rho, phi)
-    # The whole stack, the degenerate member alone, the others as one batch;
-    # then the member that batch marks alone and the rest as one batch.
-    assert sizes == [len(jobs), 1, len(jobs) - 1, 1, len(jobs) - 2]
+    # One pass over the whole stack, whatever fails.
+    assert calls["branch_spectra"] == [len(jobs)]
+    assert {name: len(sizes) for name, sizes in calls.items()} == dict.fromkeys(calls, 1)
     assert list(errors) == [0, target]
     assert isinstance(errors[0], IdentityError) and isinstance(errors[target], DegenerateBranchError)
     assert not np.isnan(cols["v"][0]) and np.isnan(cols["pure_identity_residual"][0])
@@ -725,7 +729,7 @@ def test_evaluate_keeps_the_report_of_an_instance_that_fails_an_identity(monkeyp
     assert column_bits(cols) == column_bits(clean)
 
 
-def test_one_failing_member_of_a_stack_is_measured_alone_beside_one_batch(monkeypatch):
+def test_one_failing_member_of_a_stack_is_recorded_in_the_one_pass(monkeypatch):
     classes = list(itertools.product(("unitary_pair", "general_unitary", "tilted_pair"),
                                      sweep.WWM_CLASSES, sweep.S_CLASSES))
     jobs = [(stream, *classes[stream % len(classes)]) for stream in range(1024)]
@@ -734,58 +738,44 @@ def test_one_failing_member_of_a_stack_is_measured_alone_beside_one_batch(monkey
     target = next(i for i in range(500, len(jobs)) if jobs[i][2:] == ("pure", "s_pure"))
     assert not errors and not np.isnan(clean["pure_identity_residual"][target])
     inject_identity_failure(monkeypatch, fields[3][target])
-    sizes = spectra_sizes(monkeypatch)
+    calls = chain_calls(monkeypatch)
     cols, errors = evaluate(*fields)
-    # The whole stack, the marked member alone, the other 1023 as one batch.
-    assert sizes == [1024, 1, 1023]
+    # The whole stack once: the failure is recorded, nothing is measured again.
+    assert calls["branch_spectra"] == [1024]
+    assert {name: len(sizes) for name, sizes in calls.items()} == dict.fromkeys(calls, 1)
     assert list(errors) == [target] and str(errors[target]) == "injected failure"
     clean["pure_identity_residual"][target] = np.nan
     assert column_bits(cols) == column_bits(clean)
 
 
-def test_a_stack_of_degenerate_members_records_each_and_measures_no_empty_batch(monkeypatch):
+def test_a_stack_of_degenerate_members_records_each_in_one_pass(monkeypatch):
     s, blocks, rho, phi = drawn(4, every_lane_class(2)[:3], 2)
     # theta = 0 with s = 1 sends no amplitude down the minus way.
     dead = from_tilted_pair(np.zeros(3), np.broadcast_to(np.eye(2), (3, 2, 2)), np.broadcast_to(np.eye(2), (3, 2, 2)))
     fields = (np.ones(3), dead, rho, phi)
-    sizes = spectra_sizes(monkeypatch)
+    calls = chain_calls(monkeypatch)
     cols, errors = evaluate(*fields)
-    assert sizes == [3, 1, 1, 1]
-    assert all(np.isnan(column).all() for name, column in cols.items() if name in measures._MEASURES)
+    # No |s| = 1 check runs: every member failed before them.
+    assert calls == {"branch_spectra": [3], "pure_identities": [], "mixing_bounds": []}
+    assert all(np.isnan(column).all() for name, column in cols.items() if name not in ("s", "phi"))
     for i in range(3):
         _, alone = evaluate(*stack_take(fields, [i]))
         assert (type(errors[i]), str(errors[i])) == (type(alone[0]), str(alone[0])) and "degenerate" in str(alone[0])
     assert list(errors) == [0, 1, 2]
 
 
-@pytest.mark.parametrize("failing", [None, np.zeros(35, bool), np.True_, np.ones(36, bool)])
-def test_an_error_that_marks_no_member_of_its_batch_fails_loudly(monkeypatch, failing):
-    # A batch of 35: the every_lane_class stack without its first member.
-    fields = stack_take(drawn(4, every_lane_class(2), 2), slice(1, None))
-
-    def unmarked(k, sp):
-        raise IdentityError("unmarked failure", failing=failing)
-
-    monkeypatch.setattr(measures, "mixing_bounds", unmarked)
-    sizes = spectra_sizes(monkeypatch)
-    with pytest.raises(RuntimeError, match="IdentityError marks no member of the batch of 9 it tested"):
-        evaluate(*fields)
-    assert sizes == [35]
-
-
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 8])
 def test_the_identity_tests_mark_every_polarized_member_that_fails_them(monkeypatch, dim):
     # Below zero, each identity test of pure_identities and the recomposition
     # test of mixing_bounds fail for every polarized member: each test must
-    # mark them all at once, and each member must come out as it does alone.
+    # record them all in the one pass, and each member must come out as it does alone.
     jobs = every_lane_class(dim)
     fields = drawn(13, jobs, dim)
     monkeypatch.setattr(measures, "IDENTITY_ATOL", -1.0)
-    sizes = spectra_sizes(monkeypatch)
+    calls = chain_calls(monkeypatch)
     cols, errors = evaluate(*fields)
     pure, mixed = ([i for i, job in enumerate(jobs) if job[2:] == (wwm, "s_pure")] for wwm in ("pure", "mixed"))
-    assert sizes == [len(jobs)] + [1] * len(pure) + [len(jobs) - len(pure)] + [1] * len(mixed) + [
-        len(jobs) - len(pure) - len(mixed)]
+    assert calls == {"branch_spectra": [len(jobs)], "pure_identities": [len(pure)], "mixing_bounds": [len(mixed)]}
     assert list(errors) == sorted(pure + mixed)
     assert {str(errors[i]).split(":")[0] for i in pure} == {"half-difference spectrum is not symmetric"}
     assert {str(errors[i]).split(":")[0] for i in mixed} == {"spectral recomposition of the contrast factor failed"}
@@ -808,7 +798,8 @@ def polarized_lane(dim: int, wwm: str) -> tuple:
 # Each raise site of the measurement chain as (test, dim, markers, field,
 # value): ``value(k, sp)`` in that kernel or spectra field fails the test alone.
 RAISE_SITES = {
-    "degenerate": (lambda k, sp: interferometer.conditional_states(k), 2, "pure", "wm_tr", lambda k, sp: 0.0),
+    "degenerate": (lambda k, sp, failed=None: interferometer.conditional_states(k, failed), 2, "pure", "wm_tr",
+                   lambda k, sp: 0.0),
     "saturation": (measures.pure_identities, 2, "pure", "p", lambda k, sp: 1.0),
     "symmetric": (measures.pure_identities, 2, "pure", "diff", lambda k, sp: sp.diff + [0.0, 1e-6]),
     "rank": (measures.pure_identities, 3, "pure", "diff", lambda k, sp: sp.diff + [0.0, 1e-6, 0.0]),
@@ -822,22 +813,32 @@ RAISE_SITES = {
 def test_each_raise_site_marks_exactly_the_members_that_fail_it(site):
     test, dim, wwm, field, value = RAISE_SITES[site]
     k, sp = polarized_lane(dim, wwm)
-    marked = np.isin(np.arange(len(k.s)), [1, 4, 5])
+    marked = [1, 4, 5]
     old = getattr(sp if field in sp._fields else k, field)
-    new = np.where(marked.reshape((-1,) + (1,) * (old.ndim - 1)), value(k, sp), old)
+    new = np.where(np.isin(np.arange(len(k.s)), marked).reshape((-1,) + (1,) * (old.ndim - 1)), value(k, sp), old)
     if field in sp._fields:
         sp = sp._replace(**{field: new})
     else:
         k = dataclasses.replace(k, **{field: new})
-    with pytest.raises(MemberError) as batch:
-        test(k, sp)
-    assert isinstance(batch.value, DegenerateBranchError if site in ("degenerate", "saturation") else IdentityError)
-    assert batch.value.failing.tolist() == marked.tolist()
-    first = int(np.argmax(marked))
-    with pytest.raises(MemberError) as alone:
-        test(k.take([first]), measures.BranchSpectra(*(part[[first]] for part in sp)))
-    assert (type(batch.value), str(batch.value)) == (type(alone.value), str(alone.value))
-    assert alone.value.failing.tolist() == [True]
+
+    def alone(i):
+        with pytest.raises((DegenerateBranchError, IdentityError)) as raised:
+            test(k.take([i]), measures.BranchSpectra(*(part[[i]] for part in sp)))
+        return type(raised.value), str(raised.value)
+
+    expected = DegenerateBranchError if site in ("degenerate", "saturation") else IdentityError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Record mode: exactly the marked members, each with the error it raises alone.
+        failed = {}
+        test(k, sp, failed)
+        assert sorted(failed) == marked
+        assert [(type(failed[i]), str(failed[i])) for i in marked] == [alone(i) for i in marked]
+        assert {type(exc) for exc in failed.values()} == {expected}
+        # Raise mode: the first failing member's error.
+        with pytest.raises(expected) as batch:
+            test(k, sp)
+    assert (type(batch.value), str(batch.value)) == alone(marked[0])
 
 
 def test_evaluate_names_the_instance_whose_joint_operator_is_not_unitary():

@@ -73,3 +73,20 @@ def test_readme_api_list_matches_the_package_exports():
               re.findall(r"^- `duality\.(\w+)`: (.*?)(?=\n- |\n\n)", section, re.M | re.S)}
     assert {module: sorted(names) for module, names in listed.items()} == {
         module: sorted(names) for module, names in exported.items()}
+
+
+def test_only_the_cli_catches_the_package_errors():
+    # Inside the package a failure is raised or recorded where it is found
+    # (linalg.require_members), never caught to take a second route; only the
+    # command line turns the errors of errors.py into exit codes.
+    parsed = modules()
+    errors = {node.name for node in parsed["errors.py"].body if isinstance(node, ast.ClassDef)}
+    assert {"DualityError", "DegenerateBranchError", "IdentityError"} <= errors
+    caught = []
+    for name, tree in parsed.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                caught += [(name, node.lineno, error) for error in sorted(names & errors)]
+    assert caught and {name for name, _, _ in caught} == {"cli.py"}, caught

@@ -375,6 +375,33 @@ def test_pure_identity_rejects_mixed_or_unpolarized():
         pure_state_identity_check(unpolarized)
 
 
+@pytest.mark.parametrize("check, message", [
+    (pure_state_identity_check, "pure identity requires |s| = 1, got s = 0.8843724231016306"),
+    (mixed_state_bound_check, "mixing bound requires |s| = 1, got s = 0.8843724231016306"),
+    (spectral_components, "spectral decomposition of the branch requires |s| = 1, got s = 0.8843724231016306"),
+])
+@pytest.mark.parametrize("dim, wwm, block", [(2, "pure", "unitary_pair"), (3, "mixed", "general_unitary")])
+def test_the_polarized_checks_reject_an_unpolarized_quanton(check, message, dim, wwm, block):
+    inst = generate_instance(19, 1, dim, wwm, "s_mixed", block)
+    if check is pure_state_identity_check and wwm == "mixed":  # the purity test comes first
+        message = "pure identity requires a pure marker state, purity = 0.48582627827136954"
+    with pytest.raises(ValidationError) as raised:
+        check(inst)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("check", [pure_state_identity_check, mixed_state_bound_check, spectral_components])
+def test_the_polarized_checks_test_the_branches_before_the_inversion(check):
+    # The marker |0><0| enters neither way's conditional state, whatever s:
+    # the rows 0 of V++ and V-+ vanish.  So w+ = 0 fails first, at s = 0.5 too.
+    r2 = math.sqrt(2.0)
+    blocks = WwmBlocks(vpp=[[0.0, 0.0], [r2, 0.0]], vpm=[[r2, 0.0], [0.0, 0.0]],
+                       vmp=[[0.0, 0.0], [0.0, r2]], vmm=[[0.0, r2], [0.0, 0.0]])
+    inst = InterferometerInstance(s=0.5, blocks=blocks, rho_d0=KET0)
+    with pytest.raises(DegenerateBranchError, match=re.escape("degenerate branch: w+ = 0.0, w- = ")):
+        check(inst)
+
+
 def test_pure_identity_degenerate_predictability():
     one = np.eye(1, dtype=complex)
     inst = InterferometerInstance(s=1.0, blocks=from_tilted_pair(0.0, one, one), rho_d0=one)
