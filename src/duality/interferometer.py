@@ -429,7 +429,7 @@ def conditional_states(k: BranchKernel, failed: dict | None = None) -> tuple:
     ok = (k.wp_tr >= DEGENERATE_WEIGHT) & (k.wm_tr >= DEGENERATE_WEIGHT)
     linalg.require_members(ok, DegenerateBranchError, "degenerate branch: w+ = {!r}, w- = {!r}",
                            k.wp_tr, k.wm_tr, failed=failed)
-    wp, wm = (k.wp_tr, k.wm_tr) if ok.all() else (np.where(ok, k.wp_tr, 1.0), np.where(ok, k.wm_tr, 1.0))
+    wp, wm = np.where(ok, k.wp_tr, 1.0), np.where(ok, k.wm_tr, 1.0)
     return k.wp_tr, k.wp_rho / wp[..., None, None], k.wm_tr, k.wm_rho / wm[..., None, None]
 
 

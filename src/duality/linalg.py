@@ -76,13 +76,14 @@ def require_members(ok, error: type, message: str, *values, failed: dict | None 
     """Fail each member of a batch whose entry of the boolean array ``ok`` is False: ``error``, its
     message ``message`` formatted with ``values``, arrays that broadcast to ``ok``, at that entry.
     Raise the first, or record each in the dict ``failed``, under its flat position, unless one is there."""
-    if first_failure(ok) is not None:
-        values = [np.broadcast_to(v, np.shape(ok)).ravel() for v in values]
-        for j in np.flatnonzero(~ok).tolist():
-            exc = error(message.format(*(v[j].item() for v in values)))
-            if failed is None:
-                raise exc
-            failed.setdefault(j, exc)
+    i = first_failure(ok)
+    if i is None:
+        return
+    if failed is None:
+        raise error(message.format(*(np.broadcast_to(v, np.shape(ok))[i].item() for v in values)))
+    values = [np.broadcast_to(v, np.shape(ok)).ravel() for v in values]
+    for j in np.flatnonzero(~ok).tolist():
+        failed.setdefault(j, error(message.format(*(v[j].item() for v in values))))
 
 
 def label(name: str, index: tuple) -> str:

@@ -517,7 +517,7 @@ def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
     degenerate = list(failed)
     rep = hierarchy_reports(k, sp)
     cols = {**rep, **deviations(rep, sp, k.polarized & pure)}
-    checked = k.polarized & ~np.isin(np.arange(len(pure)), degenerate) if degenerate else k.polarized
+    checked = k.polarized & ~np.isin(np.arange(len(pure)), degenerate)
     for members, batch_checks, names in ((checked & pure, pure_identities, ("pure_identity_residual",)),
                                          (checked & ~pure, mixing_bounds, ("mixing_bound_slack",
                                                                            "contrast_recomposition"))):
