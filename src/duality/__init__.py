@@ -21,7 +21,6 @@ from .interferometer import (
 )
 from .linalg import HermitianEigen, hermitian_eigen, trace_norm
 from .measures import (
-    DualityReport,
     branch_spectra,
     distinguishability,
     evaluate,

@@ -123,8 +123,7 @@ def cmd_analyze(args) -> int:
         print(f"error: cannot read instance file: {exc}", file=sys.stderr)
         return 2
     inst = instance_from_dict(data)
-    report = hierarchy_report(inst)
-    sys.stdout.write(_json_text(report.to_dict()))
+    sys.stdout.write(_json_text(hierarchy_report(inst)))
     return 0
 
 

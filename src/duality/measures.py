@@ -35,7 +35,6 @@ not.  :func:`evaluate` runs the whole chain on a stack, from validation to the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,25 +61,25 @@ class Check(NamedTuple):
     threshold: float | None
     listed: int | None  # the place of its key in summary.json's slack_checks or deviation_checks
     csv: int | None  # the place of its column among the check columns of instances.csv, if written there
-    report: bool  # a slack of the analyze report
 
 
 # Every check a sweep runs, in run order; internal_identity fails where evaluate records an IdentityError.
+# A slack row whose column hierarchy_reports writes is a slack of the analyze report.
 CHECKS = (
-    #     name                      column                    kind         threshold   listed  csv   report
-    Check("o2p",                    "slack_o2p",              "slack",     -SLACK_TOL, 0,      0,    True),
-    Check("o2q",                    "slack_o2q",              "slack",     -SLACK_TOL, 1,      1,    True),
-    Check("o2_nuevita",             "slack_o2_nuevita",       "slack",     -SLACK_TOL, 2,      2,    True),
-    Check("o1",                     "slack_o1",               "slack",     -SLACK_TOL, 3,      3,    True),
-    Check("d_two_level",            "d_two_level",            "deviation", 1e-10,      2,      None, False),
-    Check("pure_saturation_xi",     "pure_saturation_xi",     "deviation", 1e-10,      4,      None, False),
-    Check("pure_saturation_d",      "pure_saturation_d",      "deviation", 1e-10,      5,      None, False),
-    Check("internal_identity",      None,                     "error",     None,       None,   None, False),
-    Check("pure_identity",          "pure_identity_residual", "deviation", 1e-9,       0,      6,    False),
-    Check("mixing_bound",           "mixing_bound_slack",     "slack",     -SLACK_TOL, 5,      7,    False),
-    Check("contrast_recomposition", "contrast_recomposition", "deviation", 1e-10,      3,      None, False),
-    Check("main",                   "slack_main",             "slack",     -SLACK_TOL, 4,      4,    True),
-    Check("chi_closed_form",        "chi_closed_dev",         "deviation", 1e-9,       1,      5,    False),
+    #     name                      column                    kind         threshold   listed  csv
+    Check("o2p",                    "slack_o2p",              "slack",     -SLACK_TOL, 0,      0),
+    Check("o2q",                    "slack_o2q",              "slack",     -SLACK_TOL, 1,      1),
+    Check("o2_nuevita",             "slack_o2_nuevita",       "slack",     -SLACK_TOL, 2,      2),
+    Check("o1",                     "slack_o1",               "slack",     -SLACK_TOL, 3,      3),
+    Check("d_two_level",            "d_two_level",            "deviation", 1e-10,      2,      None),
+    Check("pure_saturation_xi",     "pure_saturation_xi",     "deviation", 1e-10,      4,      None),
+    Check("pure_saturation_d",      "pure_saturation_d",      "deviation", 1e-10,      5,      None),
+    Check("internal_identity",      None,                     "error",     None,       None,   None),
+    Check("pure_identity",          "pure_identity_residual", "deviation", 1e-9,       0,      6),
+    Check("mixing_bound",           "mixing_bound_slack",     "slack",     -SLACK_TOL, 5,      7),
+    Check("contrast_recomposition", "contrast_recomposition", "deviation", 1e-10,      3,      None),
+    Check("main",                   "slack_main",             "slack",     -SLACK_TOL, 4,      4),
+    Check("chi_closed_form",        "chi_closed_dev",         "deviation", 1e-9,       1,      5),
 )
 
 
@@ -226,59 +225,29 @@ def branch_spectra(k: BranchKernel, decompose, failed: dict | None = None) -> Br
                          *_conditional_spectra(w_plus, rho_plus, w_minus, rho_minus), values, vectors)
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    """All scalar measures and inequality slacks for one instance.
-
-    ``r`` is present only for two-level markers; ``chi`` only for two-level
-    markers with a polarized quanton and state-independent way probabilities.
-    Slacks are "bound minus attained value", so every entry is non-negative
-    up to round-off for the inequalities proven in this regime.
-    """
-
-    v: float
-    p: float
-    q: float
-    d: float
-    xi: float
-    v_bound_d: float
-    v_bound_xi: float
-    slacks: dict = field(default_factory=dict)
-    r: float | None = None
-    chi: float | None = None
-
-    @classmethod
-    def of(cls, columns: dict) -> DualityReport:
-        """The report of one instance from its :func:`hierarchy_reports` columns."""
-        c = {name: None if math.isnan(x) else x for name, x in zip(columns, map(float, columns.values()))}
-        slacks = {check.name: c[check.column] for check in CHECKS if check.report and c[check.column] is not None}
-        return cls(c["v"], c["p"], c["q"], c["d"], c["xi"], c["v_bound_d"], c["v_bound_xi"], slacks, c["r"], c["chi"])
-
-    def to_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "p": self.p,
-            "q": self.q,
-            "d": self.d,
-            "xi": self.xi,
-            "r": self.r,
-            "chi": self.chi,
-            "v_bound_d": self.v_bound_d,
-            "v_bound_xi": self.v_bound_xi,
-            "slacks": dict(self.slacks),
-        }
+def hierarchy_report(inst: InterferometerInstance) -> dict:
+    """The report ``duality analyze`` prints for an instance: every measure and the
+    slacks of the hierarchy (the README's table of checks gives each relation)."""
+    return _report(hierarchy_reports(inst.kernel, branch_spectra(inst.kernel, False)))
 
 
-def hierarchy_report(inst: InterferometerInstance) -> DualityReport:
-    """Compute every measure and the slacks of the ``report`` rows of
-    :data:`CHECKS` (the README's table of checks gives each relation) for an instance."""
-    return DualityReport.of(hierarchy_reports(inst.kernel, branch_spectra(inst.kernel, False)))
+def _report(columns: dict) -> dict:
+    """The JSON-ready report of one instance from its :func:`hierarchy_reports` columns,
+    None for NaN (``r`` off two-level markers, ``chi`` outside the gated regime).  Its
+    slacks, "bound minus attained value", are those of the slack rows of :data:`CHECKS`
+    whose column the columns hold and is not NaN, in that order."""
+    c = {name: None if math.isnan(x) else x for name, x in zip(columns, map(float, columns.values()))}
+    slacks = {check.name: c[check.column] for check in CHECKS
+              if check.kind == "slack" and c.get(check.column) is not None}
+    return {**{key: c[key] for key in ("v", "p", "q", "d", "xi", "r", "chi", "v_bound_d", "v_bound_xi")},
+            "slacks": slacks}
 
 
 def hierarchy_reports(k: BranchKernel, sp: BranchSpectra) -> dict:
-    """:func:`hierarchy_report` of every instance of a kernel, as columns
-    with the kernel's leading shape, named as the CSV's: v, p, q, d, xi, r,
-    chi, xi_minus_d, the slacks ``slack_<name>``, v_bound_d and v_bound_xi.
+    """The measures of :func:`hierarchy_report` for every instance of a kernel,
+    as columns with the kernel's leading shape: v, p, q, d, xi, r, chi,
+    xi_minus_d and the slacks ``slack_<name>``, named as the CSV's, then
+    v_bound_d and v_bound_xi, which only the report reads.
 
     NaN marks a measure that does not apply: ``r`` off two-level markers,
     ``slack_main`` (Xi - D) outside the gated regime, and ``chi`` there and

@@ -667,5 +667,5 @@ def test_json_text_of_reports_and_instances():
     cfg = SweepConfig(seed=0, count=1, dims=tuple(range(2, 9)))
     for index, (block_class, wwm_class, s_class, dim) in enumerate(sweep_plan(cfg)):
         inst = generate_instance(0, index, dim, wwm_class, s_class, block_class)
-        for data in (hierarchy_report(inst).to_dict(), inst.to_dict()):
+        for data in (hierarchy_report(inst), inst.to_dict()):
             assert cli._json_text(data) == json_reference(data)

@@ -20,9 +20,11 @@ from duality.errors import DegenerateBranchError, IdentityError, ValidationError
 from duality.interferometer import (InterferometerInstance, WwmBlocks, from_global_unitary, from_tilted_pair,
                                    from_unitary_pair, validate_instances)
 from duality.measures import (
-    DualityReport,
+    _report,
+    branch_spectra,
     evaluate,
     hierarchy_report,
+    hierarchy_reports,
     mixed_state_bound_check,
     pure_state_identity_check,
 )
@@ -44,20 +46,20 @@ def row_alone(seed: int, row: dict) -> dict:
                              row["s_class"], row["block_class"])
     rep = hierarchy_report(inst)
     out = {name: row[name] for name in CSV_COLUMNS[:5]}
-    out.update(s=inst.s, phi=inst.phi, v=rep.v, p=rep.p, q=rep.q, d=rep.d, xi=rep.xi, r=rep.r,
-               chi=rep.chi, xi_minus_d=rep.xi - rep.d, slack_main=rep.slacks.get("main"))
+    out.update(s=inst.s, phi=inst.phi, v=rep["v"], p=rep["p"], q=rep["q"], d=rep["d"], xi=rep["xi"], r=rep["r"],
+               chi=rep["chi"], xi_minus_d=rep["xi"] - rep["d"], slack_main=rep["slacks"].get("main"))
     for name in ("o2p", "o2q", "o2_nuevita", "o1"):
-        out[f"slack_{name}"] = rep.slacks[name]
+        out[f"slack_{name}"] = rep["slacks"][name]
     if inst.kernel.polarized and row["wwm_class"] == "pure":
         out["pure_identity_residual"] = pure_state_identity_check(inst)
     elif inst.kernel.polarized:
         out["mixing_bound_slack"] = mixed_state_bound_check(inst).slack
-    if rep.chi is not None:
+    if rep["chi"] is not None:
         values = linalg.hermitian_eigen(inst.rho_d0).values
         d1, d2 = float(values[0]), max(float(values[1]), 0.0)
-        closed = (rep.p ** 2 / rep.xi ** 2 if rep.p > rep.r + TIE_ATOL else
-                  1.0 - 4.0 * d1 * d2 * rep.p * rep.p / (rep.xi * rep.xi))
-        out["chi_closed_dev"] = abs(rep.chi - closed)
+        closed = (rep["p"] ** 2 / rep["xi"] ** 2 if rep["p"] > rep["r"] + TIE_ATOL else
+                  1.0 - 4.0 * d1 * d2 * rep["p"] * rep["p"] / (rep["xi"] * rep["xi"]))
+        out["chi_closed_dev"] = abs(rep["chi"] - closed)
     return out
 
 
@@ -96,8 +98,8 @@ def test_rows_equal_the_python_float_tail():
 def test_report_bounds_equal_the_python_float_tail():
     for stream in range(60):
         rep = hierarchy_report(generate_instance(3, stream, 2 + stream % 7, "mixed", "s_mixed", "general_unitary"))
-        assert repr(rep.v_bound_d) == repr(math.sqrt(max(0.0, 1.0 - rep.d * rep.d)))
-        assert repr(rep.v_bound_xi) == repr(math.sqrt(max(0.0, 1.0 - rep.xi * rep.xi)))
+        assert repr(rep["v_bound_d"]) == repr(math.sqrt(max(0.0, 1.0 - rep["d"] * rep["d"])))
+        assert repr(rep["v_bound_xi"]) == repr(math.sqrt(max(0.0, 1.0 - rep["xi"] * rep["xi"])))
 
 
 def test_summary_equals_a_loop_over_its_rows():
@@ -675,7 +677,8 @@ def test_evaluate_gives_each_instance_of_a_stack_its_bits_alone(dim):
         # Every report field is a column, with the bits of the report route.
         s, blocks, rho, phi = stack_take(fields, i)
         inst = InterferometerInstance(s=float(s), blocks=blocks, rho_d0=rho, phi=float(phi))
-        assert DualityReport.of({name: column[i] for name, column in cols.items()}) == hierarchy_report(inst)
+        own = hierarchy_reports(inst.kernel, branch_spectra(inst.kernel, False))
+        assert _report({name: cols[name][i] for name in own}) == hierarchy_report(inst)
 
 
 def test_evaluate_records_a_degenerate_instance_at_its_position():

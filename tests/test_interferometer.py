@@ -248,8 +248,8 @@ def test_evolve_identity_blocks_full_inversion():
     assert k.w_plus == pytest.approx(0.5, abs=1e-12)
     assert k.w_minus == pytest.approx(0.5, abs=1e-12)
     assert k.c == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    assert rep.v == pytest.approx(1.0, abs=1e-12)
-    assert rep.p == pytest.approx(0.0, abs=1e-12)
+    assert rep["v"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["p"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evolve_orthogonal_marker_kills_contrast():
@@ -257,7 +257,7 @@ def test_evolve_orthogonal_marker_kills_contrast():
         s=0.0, blocks=from_unitary_pair(I2, SIGMA_X), rho_d0=KET0, phi=0.7)
     assert inst.kernel.w_plus == pytest.approx(0.5, abs=1e-12)
     assert inst.kernel.c_up == pytest.approx(0.0, abs=1e-12)
-    assert hierarchy_report(inst).v == pytest.approx(0.0, abs=1e-12)
+    assert hierarchy_report(inst)["v"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evolve_mixed_quanton_identity_blocks():
@@ -332,13 +332,13 @@ def test_fringe_pattern_amplitude_and_visibility():
         assert mean == pytest.approx(0.5, abs=1e-10)
         assert amplitude == pytest.approx(abs(inst.kernel.c) / 2.0, abs=1e-8)
         fitted_contrast = ((mean + amplitude) - (mean - amplitude)) / ((mean + amplitude) + (mean - amplitude))
-        assert fitted_contrast == pytest.approx(hierarchy_report(inst).v, abs=1e-8)
+        assert fitted_contrast == pytest.approx(hierarchy_report(inst)["v"], abs=1e-8)
 
 
 def test_visibility_predictability_bound():
     for stream in range(200):
         rep = hierarchy_report(random_instance(stream))
-        assert rep.v * rep.v + rep.p * rep.p <= 1.0 + 1e-9
+        assert rep["v"] * rep["v"] + rep["p"] * rep["p"] <= 1.0 + 1e-9
 
 
 def test_extreme_predictability_scalar_marker():

@@ -21,7 +21,6 @@ from duality.interferometer import (
 )
 from duality.linalg import SIGMA_X, rng
 from duality.measures import (
-    DualityReport,
     distinguishability,
     evaluate,
     hierarchy_report,
@@ -221,23 +220,23 @@ def test_chi_column_equals_the_spectrum_closed_form_from_consistent_inputs():
 def test_report_identity_blocks():
     inst = InterferometerInstance(s=1.0, blocks=from_unitary_pair(I2, I2), rho_d0=KET0)
     rep = hierarchy_report(inst)
-    assert rep.v == pytest.approx(1.0, abs=1e-12)
-    for value in (rep.p, rep.q, rep.d, rep.xi):
+    assert rep["v"] == pytest.approx(1.0, abs=1e-12)
+    for value in (rep["p"], rep["q"], rep["d"], rep["xi"]):
         assert value == pytest.approx(0.0, abs=1e-12)
-    for slack in rep.slacks.values():
+    for slack in rep["slacks"].values():
         assert abs(slack) <= 1e-10
-    assert rep.chi is None  # xi = 0: the stringency ratio is undefined
-    assert "main" in rep.slacks
+    assert rep["chi"] is None  # xi = 0: the stringency ratio is undefined
+    assert "main" in rep["slacks"]
 
 
 def test_report_orthogonal_marker():
     inst = InterferometerInstance(s=0.0, blocks=from_unitary_pair(I2, SIGMA_X), rho_d0=KET0)
     rep = hierarchy_report(inst)
-    assert rep.q == pytest.approx(1.0, abs=1e-12)
-    assert rep.d == pytest.approx(1.0, abs=1e-12)
-    assert rep.xi == pytest.approx(1.0, abs=1e-12)
-    assert rep.v == pytest.approx(0.0, abs=1e-12)
-    assert "main" not in rep.slacks  # quanton is not polarized
+    assert rep["q"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["d"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["xi"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["v"] == pytest.approx(0.0, abs=1e-12)
+    assert "main" not in rep["slacks"]  # quanton is not polarized
 
 
 def test_report_pure_preparation_saturates():
@@ -248,8 +247,8 @@ def test_report_pure_preparation_saturates():
             rep = hierarchy_report(inst)
         except DegenerateBranchError:
             continue
-        assert abs(rep.v ** 2 + rep.xi ** 2 - 1.0) <= 1e-10
-        assert abs(rep.d - rep.xi) <= 1e-10
+        assert abs(rep["v"] ** 2 + rep["xi"] ** 2 - 1.0) <= 1e-10
+        assert abs(rep["d"] - rep["xi"]) <= 1e-10
 
 
 def test_report_slacks_nonnegative_random():
@@ -261,25 +260,42 @@ def test_report_slacks_nonnegative_random():
         except DegenerateBranchError:
             continue
         for name in ("o2p", "o2q", "o2_nuevita", "o1"):
-            assert rep.slacks[name] >= -1e-9
-        for value in (rep.v, rep.p, rep.q, rep.d, rep.xi):
+            assert rep["slacks"][name] >= -1e-9
+        for value in (rep["v"], rep["p"], rep["q"], rep["d"], rep["xi"]):
             assert -1e-9 <= value <= 1.0 + 1e-9
-        assert rep.xi >= max(rep.p, rep.q) - 1e-10
-        assert rep.d >= rep.p - 1e-10
+        assert rep["xi"] >= max(rep["p"], rep["q"]) - 1e-10
+        assert rep["d"] >= rep["p"] - 1e-10
 
 
 def test_report_r_none_for_higher_dims():
     inst = generate_instance(13, 0, 3, "mixed", "s_mixed", "unitary_pair")
     rep = hierarchy_report(inst)
-    assert rep.r is None and rep.chi is None
+    assert rep["r"] is None and rep["chi"] is None
 
 
 def test_report_serializes_flat():
     inst = generate_instance(13, 1, 2, "mixed", "s_mixed", "unitary_pair")
-    data = hierarchy_report(inst).to_dict()
+    data = hierarchy_report(inst)
     assert set(data) == {"v", "p", "q", "d", "xi", "r", "chi", "v_bound_d", "v_bound_xi", "slacks"}
     assert set(data["slacks"]) >= {"o2p", "o2q", "o2_nuevita", "o1"}
-    assert isinstance(DualityReport(**{**data, "slacks": dict(data["slacks"])}), DualityReport)
+
+
+def test_report_slacks_are_the_slack_rows_the_report_columns_hold(monkeypatch):
+    # Gated: two-level, polarized, state-independent ways; its mixed marker also
+    # gets the mixing bound, a slack row whose column only evaluate writes.
+    cases = {("mixed", "s_pure", 2): ["o2p", "o2q", "o2_nuevita", "o1", "main"],
+             ("mixed", "s_mixed", 2): ["o2p", "o2q", "o2_nuevita", "o1"],
+             ("pure", "s_pure", 3): ["o2p", "o2q", "o2_nuevita", "o1"]}
+    insts = {case: generate_instance(5, i, case[2], case[0], case[1], "unitary_pair") for i, case in enumerate(cases)}
+    reports = {case: hierarchy_report(inst) for case, inst in insts.items()}
+    for case, slacks in cases.items():
+        assert list(reports[case]) == ["v", "p", "q", "d", "xi", "r", "chi", "v_bound_d", "v_bound_xi", "slacks"]
+        assert list(reports[case]["slacks"]) == slacks, case
+    # A slack row on a column hierarchy_reports does not write, as a rung row's, changes no report.
+    rung = measures.Check("rung", "rung_slack", "slack", -measures.SLACK_TOL, None, None)
+    monkeypatch.setattr(measures, "CHECKS", (rung, *measures.CHECKS, rung))
+    for case, inst in insts.items():
+        assert hierarchy_report(inst) == reports[case], case
 
 
 def test_balanced_collapse_q_equals_d_equals_xi():
@@ -287,18 +303,18 @@ def test_balanced_collapse_q_equals_d_equals_xi():
     for stream in range(60):
         inst = generate_instance(14, stream, 3, "mixed", "s_mixed", "unitary_pair")
         rep = hierarchy_report(inst)
-        assert rep.p <= 1e-12
-        assert abs(rep.d - rep.q) <= 1e-9
-        assert abs(rep.xi - rep.q) <= 1e-9
+        assert rep["p"] <= 1e-12
+        assert abs(rep["d"] - rep["q"]) <= 1e-9
+        assert abs(rep["xi"] - rep["q"]) <= 1e-9
 
 
 def test_monotone_bound_chain_on_gated_class():
     for stream in range(100):
         inst = generate_instance(15, stream, 2, "mixed", "s_pure", "tilted_pair")
         rep = hierarchy_report(inst)
-        assert "main" in rep.slacks
-        assert rep.v <= rep.v_bound_xi + 1e-9
-        assert rep.v_bound_xi <= rep.v_bound_d + 2e-9
+        assert "main" in rep["slacks"]
+        assert rep["v"] <= rep["v_bound_xi"] + 1e-9
+        assert rep["v_bound_xi"] <= rep["v_bound_d"] + 2e-9
 
 
 # --- stringency gate -----------------------------------------------------------------
@@ -340,8 +356,8 @@ def test_gate_rejects_diagonal_but_unequal_ways():
     assert abs(wp_op[0, 0] - wp_op[1, 1]) > 0.01  # ...but state dependent
     assert not state_independent_ways(inst)
     rep = hierarchy_report(inst)
-    assert "main" not in rep.slacks
-    assert rep.xi - rep.d < -0.05  # the excluded instance really does violate Xi >= D
+    assert "main" not in rep["slacks"]
+    assert rep["xi"] - rep["d"] < -0.05  # the excluded instance really does violate Xi >= D
 
 
 # --- pure-state identity ---------------------------------------------------------------
