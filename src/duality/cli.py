@@ -8,8 +8,8 @@ Subcommands:
 * ``figures``: emit the Delta-surface (fig3) or visibility-bound-curve (fig4)
   CSV data.
 
-Exit codes: 0 success, 1 inequality violation, 2 input, I/O or numerical error,
-3 degenerate branch.  Standard error carries diagnostics only; every number
+Exit codes: 0 success, 1 a failed check of ``measures.CHECKS`` in verify (an inequality, an
+exact relation or an internal identity), 2 input, I/O or numerical error, 3 degenerate branch.  Standard error carries diagnostics only; every number
 printed is formatted to 12 significant digits.  The JSON that analyze prints
 and verify writes and prints is ``json.dumps(indent=2)`` of the values with
 every float rounded to 12 significant digits, rendered in one pass.

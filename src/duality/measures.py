@@ -239,15 +239,15 @@ def _report(columns: dict) -> dict:
     c = {name: None if math.isnan(x) else x for name, x in zip(columns, map(float, columns.values()))}
     slacks = {check.name: c[check.column] for check in CHECKS
               if check.kind == "slack" and c.get(check.column) is not None}
-    return {**{key: c[key] for key in ("v", "p", "q", "d", "xi", "r", "chi", "v_bound_d", "v_bound_xi")},
+    return {**{key: c[key] for key in ("v", "p", "q", "d", "xi", "r", "chi")},
+            **{f"v_bound_{key}": math.sqrt(max(0.0, 1.0 - c[key] * c[key])) for key in ("d", "xi")},
             "slacks": slacks}
 
 
 def hierarchy_reports(k: BranchKernel, sp: BranchSpectra) -> dict:
     """The measures of :func:`hierarchy_report` for every instance of a kernel,
     as columns with the kernel's leading shape: v, p, q, d, xi, r, chi,
-    xi_minus_d and the slacks ``slack_<name>``, named as the CSV's, then
-    v_bound_d and v_bound_xi, which only the report reads.
+    xi_minus_d and the slacks ``slack_<name>``, named as the CSV's.
 
     NaN marks a measure that does not apply: ``r`` off two-level markers,
     ``slack_main`` (Xi - D) outside the gated regime, and ``chi`` there and
@@ -272,8 +272,6 @@ def hierarchy_reports(k: BranchKernel, sp: BranchSpectra) -> dict:
         "slack_o2_nuevita": bound_p * bound_q - v_sq,
         "slack_o1": bound_d - v_sq,
         "slack_main": np.where(gated, xi_minus_d, np.nan),
-        "v_bound_d": np.sqrt(np.maximum(0.0, bound_d)),
-        "v_bound_xi": np.sqrt(np.maximum(0.0, 1.0 - xi_sq)),
     }
 
 
@@ -348,13 +346,14 @@ def pure_state_identity_check(inst: InterferometerInstance) -> float:
     purity, pure = _purities(inst.rho_d0)
     if not pure:
         raise ValidationError(f"pure identity requires a pure marker state, purity = {float(purity)!r}")
-    return float(pure_identities(*_polarized(inst, False, "pure identity")))
+    return float(pure_identities(*_polarized(inst, False, "pure identity"))["pure_identity_residual"])
 
 
-def pure_identities(k: BranchKernel, sp: BranchSpectra, failed: dict | None = None) -> np.ndarray:
+def pure_identities(k: BranchKernel, sp: BranchSpectra, failed: dict | None = None) -> dict:
     """:func:`pure_state_identity_check` of every instance of a polarized kernel and
-    its spectra ``sp``, whose markers are pure; a test that an instance fails
-    raises, or is recorded in ``failed`` (:func:`linalg.require_members`)."""
+    its spectra ``sp``, whose markers are pure, as the column ``pure_identity_residual``;
+    a test that an instance fails raises, or is recorded in ``failed``
+    (:func:`linalg.require_members`)."""
     contrast, sp = _polarized_branches(k, sp, failed)
     c_sq = linalg.squared(_modulus(contrast))
 
@@ -373,7 +372,7 @@ def pure_identities(k: BranchKernel, sp: BranchSpectra, failed: dict | None = No
     linalg.require_members(np.abs(cross - expected_cross) <= IDENTITY_ATOL, IdentityError,
                            "conditional-state overlap {!r} disagrees with contrast form {!r}", cross, expected_cross,
                            failed=failed)
-    return np.abs(_branch_sum(sp, c_sq) - 1.0)
+    return {"pure_identity_residual": np.abs(_branch_sum(sp, c_sq) - 1.0)}
 
 
 class SpectralComponent(NamedTuple):
@@ -396,15 +395,15 @@ def spectral_components(inst: InterferometerInstance) -> list[SpectralComponent]
     """Decompose the marker state spectrally and evaluate each pure component."""
     k, sp = _polarized(inst, True, "spectral decomposition of the branch")
     _polarized_branches(k, sp, None)
-    columns = (a.tolist() for a in spectral_decompositions(k, sp))
+    contrasts, ways = _eigenvector_elements(k, sp, k.wp_op)
+    theta_sq = linalg.squared(_modulus(contrasts)) / (1.0 - sp.p * sp.p)[..., None]
+    columns = (a.tolist() for a in (sp.marker_values, contrasts, theta_sq, ways.real, 1.0 - ways.real))
     return [SpectralComponent(*c) for c in zip(*columns) if c[0] > DEGENERATE_WEIGHT]
 
 
-def spectral_decompositions(k: BranchKernel, sp: BranchSpectra) -> SpectralComponent:
-    """:func:`spectral_components` of every instance of a polarized kernel,
-    from its spectra ``sp``, built to decompose every rho_d0: each field is
-    an array with one entry per eigenvector of each rho_d0, degenerate
-    weights included."""
+def _eigenvector_elements(k: BranchKernel, sp: BranchSpectra, *ops) -> list:
+    """<d_k| op |d_k>, one entry per eigenvector d_k of each rho_d0 of a polarized kernel and its spectra
+    ``sp``, built to decompose every rho_d0: of the branch cross operator (the contrasts C_k), then of ``ops``."""
     # At |s| = 1 the way operator W+ is half the branch's V+ V+^dagger, and
     # the branch cross operator is V+- V++^dagger or -V-- V-+^dagger.
     cross_op = np.where(k.s[..., None, None] >= 0.0, k.cross_up, -k.cross_down)
@@ -412,11 +411,7 @@ def spectral_decompositions(k: BranchKernel, sp: BranchSpectra) -> SpectralCompo
     # exactly the operands of dk.conj() @ op @ dk on one eigenvector.
     rows = np.ascontiguousarray(linalg.dagger(sp.marker_vectors))[..., :, None, :]
     cols = sp.marker_vectors.swapaxes(-1, -2)[..., :, :, None]
-    contrasts = (rows @ cross_op[..., None, :, :] @ cols)[..., 0, 0]
-    ways = (rows @ k.wp_op[..., None, :, :] @ cols)[..., 0, 0].real
-    return SpectralComponent(weight=sp.marker_values, contrast=contrasts,
-                             theta_sq=linalg.squared(_modulus(contrasts)) / (1.0 - sp.p * sp.p)[..., None],
-                             w_plus=ways, w_minus=1.0 - ways)
+    return [(rows @ op[..., None, :, :] @ cols)[..., 0, 0] for op in (cross_op, *ops)]
 
 
 class MixingBound(NamedTuple):
@@ -436,24 +431,26 @@ def mixed_state_bound_check(inst: InterferometerInstance) -> MixingBound:
     returned beside the slack.  The slack is non-negative up to round-off for
     every valid instance.
     """
-    return MixingBound(*map(float, mixing_bounds(*_polarized(inst, True, "mixing bound"))))
+    cols = mixing_bounds(*_polarized(inst, True, "mixing bound"))
+    residual = cols["contrast_recomposition"]
+    linalg.require_members(residual <= IDENTITY_ATOL, IdentityError,
+                           "spectral recomposition of the contrast factor failed: residual {!r}", residual)
+    return MixingBound(float(cols["mixing_bound_slack"]), float(residual))
 
 
-def mixing_bounds(k: BranchKernel, sp: BranchSpectra, failed: dict | None = None) -> MixingBound:
-    """:func:`mixed_state_bound_check` of every instance of a polarized kernel
-    and its spectra ``sp``, as columns.  A test that an instance fails
-    raises, or is recorded in ``failed`` (:func:`linalg.require_members`)."""
+def mixing_bounds(k: BranchKernel, sp: BranchSpectra, failed: dict | None = None) -> dict:
+    """:func:`mixed_state_bound_check` of every instance of a polarized kernel and its spectra ``sp``, as
+    the columns ``mixing_bound_slack`` and ``contrast_recomposition``, each gated by the :data:`CHECKS` row
+    that reads it.  A saturating P raises, or is recorded in ``failed`` (:func:`linalg.require_members`)."""
     contrast, sp = _polarized_branches(k, sp, failed)
-    comps = spectral_decompositions(k, sp)
+    terms = sp.marker_values * _eigenvector_elements(k, sp)[0]
     # One add per eigenvector, in eigenvector order, as a running sum over
     # the components with a non-degenerate weight adds them.
     recomposed = np.zeros_like(contrast)
-    for weight, term in zip(np.moveaxis(comps.weight, -1, 0), np.moveaxis(comps.weight * comps.contrast, -1, 0)):
+    for weight, term in zip(np.moveaxis(sp.marker_values, -1, 0), np.moveaxis(terms, -1, 0)):
         recomposed = recomposed + np.where(weight > DEGENERATE_WEIGHT, term, 0.0)
-    residual = _modulus(recomposed - contrast)
-    linalg.require_members(residual <= IDENTITY_ATOL, IdentityError, "spectral recomposition of the contrast "
-                           "factor failed: {!r} vs {!r}", recomposed, contrast, failed=failed)
-    return MixingBound(1.0 - _branch_sum(sp, linalg.squared(_modulus(contrast))), residual)
+    return {"mixing_bound_slack": 1.0 - _branch_sum(sp, linalg.squared(_modulus(contrast))),
+            "contrast_recomposition": _modulus(recomposed - contrast)}
 
 
 def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
@@ -486,18 +483,17 @@ def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
     degenerate = list(failed)
     rep = hierarchy_reports(k, sp)
     cols = {**rep, **deviations(rep, sp, k.polarized & pure)}
+    # The check columns the chain has not written yet, NaN until a batch check writes its members' cells.
+    cols.update((c.column, np.full(len(pure), np.nan)) for c in CHECKS if c.column and c.column not in cols)
     checked = k.polarized & ~np.isin(np.arange(len(pure)), degenerate)
-    for members, batch_checks, names in ((checked & pure, pure_identities, ("pure_identity_residual",)),
-                                         (checked & ~pure, mixing_bounds, ("mixing_bound_slack",
-                                                                           "contrast_recomposition"))):
-        cols.update((name, np.full(len(pure), np.nan)) for name in names)
+    for members, batch_checks in ((checked & pure, pure_identities), (checked & ~pure, mixing_bounds)):
         if members.any():
             # A run of consecutive rows, as a lane's instances are, is a slice, which takes views.
             at = np.flatnonzero(members)
             rows = slice(at[0], at[-1] + 1) if at[-1] - at[0] < at.size else at
             tested = {}
-            values = batch_checks(k.take(rows), BranchSpectra(*(part[rows] for part in sp)), tested)
-            for name, column in zip(names, np.reshape(values, (len(names), -1))):
+            for name, column in batch_checks(k.take(rows), BranchSpectra(*(part[rows] for part in sp)),
+                                             tested).items():
                 cols[name][rows] = column
                 if tested:
                     cols[name][at[list(tested)]] = np.nan

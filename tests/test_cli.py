@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -229,13 +230,13 @@ def test_verify_small_sweep(tmp_path, capsys):
     code = main(["verify", "--seed", "42", "--count", "5", "--dims", "2,3",
                  "--out", str(out)])
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["violation_count"] == 0
     assert summary["instance_count"] + summary["degenerate_count"] == 5 * len(
         sweep_plan(SweepConfig(seed=42, count=5, dims=(2, 3))))
     printed = json.loads(capsys.readouterr().out)
     assert printed["violation_count"] == 0
-    csv_lines = (out / "instances.csv").read_text().splitlines()
+    csv_lines = (out / "instances.csv").read_text(encoding="utf-8").splitlines()
     assert csv_lines[0].startswith("index,block_class,wwm_class,s_class,n,s,phi,v,p,q,d,xi")
     assert len(csv_lines) == 1 + summary["instance_count"]
 
@@ -253,7 +254,7 @@ def test_verify_class_selectors(tmp_path):
     code = main(["verify", "--seed", "1", "--count", "3", "--dims", "3",
                  "--classes", "pure,s_pure,unitary_pair", "--out", str(out)])
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["config"]["state_classes"] == [["pure", "s_pure"]]
     assert summary["config"]["block_classes"] == ["unitary_pair"]
     # dim 3 only: no stringency lane, no two-level checks
@@ -340,7 +341,7 @@ def test_figures_fig3(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"fig3 written to {out / 'fig3.csv'}\n"
         "max delta = 0.24998319 at s_d_norm = 0.71, p_q = 0.71\n")
-    header = (out / "fig3.csv").read_text().splitlines()[0]
+    header = (out / "fig3.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "s_d_norm,p_q,delta"
     assert hashlib.sha256((out / "fig3.csv").read_bytes()).hexdigest() == FIG3_DIGEST
 
@@ -350,7 +351,7 @@ def test_figures_fig4(tmp_path, capsys):
     assert main(["figures", "--which", "fig4", "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"fig4 written to {out / 'fig4.csv'}\n"
     assert hashlib.sha256((out / "fig4.csv").read_bytes()).hexdigest() == FIG4_DIGEST
-    lines = (out / "fig4.csv").read_text().splitlines()
+    lines = (out / "fig4.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "s_d_norm,v_d_sq,v_xi_sq,v_q_sq"
     assert len(lines) == 1 + 201
     xi_col = np.array([float(line.split(",")[2]) for line in lines[1:]])
@@ -363,15 +364,40 @@ def test_figures_unwritable_out_exits_2(tmp_path):
     assert main(["figures", "--which", "fig4", "--out", str(blocker)]) == 2
 
 
-def test_module_entry_point():
+def in_process(argv: list) -> int:
+    """``cli.main(argv)``, with the exit code of an ``argparse`` exit such as ``--help``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["verify", "--seed", "0", "--count", "1", "--dims", "2"],
+    ["analyze", "instance.json"],
+    ["figures", "--which", "fig4"],
+], ids=lambda argv: argv[0])
+def test_module_entry_point(argv, tmp_path, monkeypatch, capsys):
     # The child imports the package from where this process found it, so the
     # test also runs when only pytest's own path setting points at src.
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "duality", "--help"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert "analyze" in proc.stdout and "verify" in proc.stdout and "figures" in proc.stdout
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "COLUMNS": "100"}  # one help width for the child and this process
+    write_instance(tmp_path, generate_instance(0, 0, 2, "mixed", "s_pure", "general_unitary"))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "duality", *argv],
+                          capture_output=True, text=True, encoding="utf-8", env=env, cwd=tmp_path)
+    # Both runs write the same relative paths, so a printed path is the same too.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "100")
+    code = in_process(argv)
+    # stderr carries only diagnostics, and a clean run has none.
+    assert (proc.returncode, proc.stderr) == (code, "") and code == 0
+
+    def timeless(text):
+        return re.sub(r'"runtime_seconds": [^,]*', '"runtime_seconds": ...', text)
+
+    assert timeless(proc.stdout) == timeless(capsys.readouterr().out) != ""
 
 
 # --- sweep machinery ------------------------------------------------------------------

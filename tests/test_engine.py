@@ -593,6 +593,32 @@ def test_internal_identity_failure_is_recorded_with_its_instance(monkeypatch):
         clean_summary.deviation_checks["pure_identity"].count - 1)
 
 
+def test_the_contrast_recomposition_row_gates_a_recomposition_that_fails(monkeypatch):
+    # A member whose marker eigenvalues enter mixing_bounds doubled recomposes
+    # twice its contrast factor: its own CHECKS row records the deviation.
+    cfg = SweepConfig(seed=3, count=3, dims=(2,))
+    _, clean = run_sweep(cfg)
+    target = plan_index(cfg, lambda block, wwm, s_class, dim: wwm == "mixed" and s_class == "s_pure")
+    row = next(r for r in clean if r["index"] == target)
+    target_phi = row["phi"]
+    mixing_bounds = measures.mixing_bounds
+
+    def doubled_at_phi(k, sp, failed=None):
+        doubled = np.where((k.phi == target_phi)[..., None], 2.0 * sp.marker_values, sp.marker_values)
+        return mixing_bounds(k, sp._replace(marker_values=doubled), failed)
+
+    monkeypatch.setattr(measures, "mixing_bounds", doubled_at_phi)
+    summary, rows = run_sweep(cfg)
+    assert [(v["check"], v["labels"]["index"]) for v in summary.violations] == [("contrast_recomposition", target)]
+    assert summary.violations[0]["deviation"] > 1e-10 and summary.violations[0]["threshold"] == 1e-10
+    assert summary.deviation_checks["contrast_recomposition"].violations == 1 and summary.degenerate_count == 0
+    # The recomposition feeds no column of the CSV.
+    assert [bits(r) for r in rows] == [bits(r) for r in clean]
+    inst = generate_instance(cfg.seed, target, 2, "mixed", "s_pure", row["block_class"])
+    with pytest.raises(IdentityError, match="^spectral recomposition of the contrast factor failed: "):
+        mixed_state_bound_check(inst)
+
+
 def draw_one_call_per_quantity(seed: int, jobs: list, dim: int) -> tuple:
     """Reference for ``_draw``: a new Philox per instance, one generator call
     per quantity, and every instance built alone."""
@@ -668,9 +694,8 @@ def test_evaluate_gives_each_instance_of_a_stack_its_bits_alone(dim):
     fields = drawn(13, every_lane_class(dim), dim)
     cols, errors = evaluate(*fields)
     assert not errors and not np.isnan(cols["v"]).any()
-    assert set(CSV_COLUMNS[5:]) <= cols.keys() == {"s", "phi", "v", "p", "q", "d", "xi", "r", "chi", "xi_minus_d",
-                                                   "v_bound_d", "v_bound_xi",
-                                                   *(c.column for c in measures.CHECKS if c.column)}
+    # Every column is written to instances.csv or read by a row of CHECKS.
+    assert set(cols) == set(CSV_COLUMNS[5:]) | {c.column for c in measures.CHECKS if c.column}
     for i in range(len(fields[0])):
         alone, errors = evaluate(*stack_take(fields, [i]))
         assert not errors and column_bits(alone) == column_bits(cols, [i]), i
@@ -769,19 +794,25 @@ def test_a_stack_of_degenerate_members_records_each_in_one_pass(monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3, 8])
 def test_the_identity_tests_mark_every_polarized_member_that_fails_them(monkeypatch, dim):
-    # Below zero, each identity test of pure_identities and the recomposition
-    # test of mixing_bounds fail for every polarized member: each test must
-    # record them all in the one pass, and each member must come out as it does alone.
+    # Below zero, each identity test of pure_identities fails for every pure
+    # polarized member: each test must record them all in the one pass, and
+    # each member must come out as it does alone.  The recomposition of a mixed
+    # member is gated by its CHECKS row, so only mixed_state_bound_check raises on it.
     jobs = every_lane_class(dim)
     fields = drawn(13, jobs, dim)
     monkeypatch.setattr(measures, "IDENTITY_ATOL", -1.0)
+    pure, mixed = ([i for i, job in enumerate(jobs) if job[2:] == (wwm, "s_pure")] for wwm in ("pure", "mixed"))
+    for i in mixed:
+        s, blocks, rho, phi = stack_take(fields, i)
+        inst = InterferometerInstance(s=float(s), blocks=blocks, rho_d0=rho, phi=float(phi))
+        with pytest.raises(IdentityError, match="^spectral recomposition of the contrast factor failed: "):
+            mixed_state_bound_check(inst)
     calls = chain_calls(monkeypatch)
     cols, errors = evaluate(*fields)
-    pure, mixed = ([i for i, job in enumerate(jobs) if job[2:] == (wwm, "s_pure")] for wwm in ("pure", "mixed"))
     assert calls == {"branch_spectra": [len(jobs)], "pure_identities": [len(pure)], "mixing_bounds": [len(mixed)]}
-    assert list(errors) == sorted(pure + mixed)
+    assert list(errors) == pure
     assert {str(errors[i]).split(":")[0] for i in pure} == {"half-difference spectrum is not symmetric"}
-    assert {str(errors[i]).split(":")[0] for i in mixed} == {"spectral recomposition of the contrast factor failed"}
+    assert not np.isnan(cols["contrast_recomposition"][mixed]).any()
     for i in range(len(jobs)):
         alone, failed = evaluate(*stack_take(fields, [i]))
         assert [(type(e), str(e)) for e in failed.values()] == (
@@ -808,7 +839,6 @@ RAISE_SITES = {
     "rank": (measures.pure_identities, 3, "pure", "diff", lambda k, sp: sp.diff + [0.0, 1e-6, 0.0]),
     "quality": (measures.pure_identities, 2, "pure", "q", lambda k, sp: sp.q + 1e-6),
     "overlap": (measures.pure_identities, 2, "pure", "rho_minus", lambda k, sp: sp.rho_plus),
-    "recomposition": (measures.mixing_bounds, 2, "mixed", "marker_values", lambda k, sp: 2.0 * sp.marker_values),
 }
 
 

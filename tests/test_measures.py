@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import random_density
+from oracles import conditional_states_from_final, random_density
 
 from duality import linalg, measures
 from duality.errors import DegenerateBranchError, ValidationError
@@ -32,7 +32,7 @@ from duality.measures import (
     state_independent_ways,
 )
 from duality.sqds import SqdsForms, sqds_instances
-from duality.sweep import generate_instance
+from duality.sweep import BLOCK_CLASSES, S_CLASSES, STRINGENCY_CLASS, WWM_CLASSES, generate_instance
 
 I2 = np.eye(2, dtype=complex)
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -315,6 +315,44 @@ def test_monotone_bound_chain_on_gated_class():
         assert "main" in rep["slacks"]
         assert rep["v"] <= rep["v_bound_xi"] + 1e-9
         assert rep["v_bound_xi"] <= rep["v_bound_d"] + 2e-9
+
+
+# D <= P + (1 - P) Q by the triangle inequality on w- (rho+ - rho-) + P rho+ (for
+# w+ >= w-), so Xi - D >= sqrt(P^2 + Q^2 - P^2 Q^2) - P - (1 - P) Q, whose minimum
+# over the unit square, at P = Q = (sqrt 3 - 1)/2, is (5 - 3 sqrt 3)/2.
+XI_MINUS_D_FLOOR = (5.0 - 3.0 * math.sqrt(3.0)) / 2.0
+
+
+def test_d_has_a_ceiling_and_xi_minus_d_a_floor_on_every_generated_class():
+    lanes = itertools.product(range(3), range(3), (*BLOCK_CLASSES, STRINGENCY_CLASS), WWM_CLASSES, S_CLASSES,
+                              range(1, 9))
+    for seed, stream, block, wwm, s_class, dim in lanes:
+        if wwm == "mixed" and dim < 2:
+            continue
+        inst = generate_instance(seed, stream, dim, wwm, s_class, block)
+        try:
+            w_plus, rho_plus, w_minus, rho_minus = conditional_states_from_final(inst)
+        except DegenerateBranchError:
+            continue
+        p = abs(w_plus - w_minus)
+        q = 0.5 * np.abs(np.linalg.eigvalsh(rho_plus - rho_minus)).sum()
+        d = np.abs(np.linalg.eigvalsh(w_plus * rho_plus - w_minus * rho_minus)).sum()
+        xi = math.sqrt(p * p + q * q - p * p * q * q)
+        lane = (seed, stream, block, wwm, s_class, dim)
+        assert d <= p + (1.0 - p) * q + 1e-12, lane
+        assert xi - d >= XI_MINUS_D_FLOOR - 1e-12, lane
+        if block == "unitary_pair":
+            # The equality family: balanced ways, so P = 0 and Xi = Q = D.
+            assert max(p, abs(xi - q), abs(xi - d)) <= 1e-12, lane
+
+
+def test_the_xi_minus_d_floor_is_attained():
+    p = q = (math.sqrt(3.0) - 1.0) / 2.0
+    rho_plus, rho_minus = KET0, np.diag([1.0 - q, q]).astype(complex)
+    d = distinguishability((1.0 + p) / 2.0, rho_plus, (1.0 - p) / 2.0, rho_minus)
+    assert quality(rho_plus, rho_minus) == pytest.approx(q, abs=1e-15)
+    assert d == pytest.approx(p + (1.0 - p) * q, abs=1e-15)
+    assert math.sqrt(p * p + q * q - p * p * q * q) - d == pytest.approx(XI_MINUS_D_FLOOR, abs=1e-15)
 
 
 # --- stringency gate -----------------------------------------------------------------

@@ -449,8 +449,8 @@ def test_figure4_endpoint():
 def test_csv_writers(tmp_path):
     write_figure3_csv(tmp_path / "fig3.csv")
     write_figure4_csv(tmp_path / "fig4.csv")
-    fig3 = (tmp_path / "fig3.csv").read_text().splitlines()
-    fig4 = (tmp_path / "fig4.csv").read_text().splitlines()
+    fig3 = (tmp_path / "fig3.csv").read_text(encoding="utf-8").splitlines()
+    fig4 = (tmp_path / "fig4.csv").read_text(encoding="utf-8").splitlines()
     assert fig3[0] == "s_d_norm,p_q,delta"
     assert fig4[0] == "s_d_norm,v_d_sq,v_xi_sq,v_q_sq"
     assert len(fig3) == 1 + 101 * 101
