@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
     text = _json_text(summary.to_dict())
     (out / "summary.json").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    return 1 if summary.violation_count else 0
+    return 1 if summary.violations else 0
 
 
 def cmd_figures(args) -> int:

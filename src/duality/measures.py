@@ -44,7 +44,8 @@ from .errors import DegenerateBranchError, IdentityError, ValidationError
 from .interferometer import (BranchKernel, InterferometerInstance, WwmBlocks, branch_kernel, conditional_states,
                              validate_instances)
 from .interferometer import evolve  # noqa: F401  (kept importable from this module)
-from .tolerances import DEGENERATE_WEIGHT, IDENTITY_ATOL, PURE_S_ATOL, PURITY_ATOL, TIE_ATOL, VALIDATION_ATOL, XI_ATOL
+from .tolerances import (DEGENERATE_WEIGHT, IDENTITY_ATOL, PURE_S_ATOL, PURITY_ATOL, STATE_INDEPENDENT_ATOL, TIE_ATOL,
+                         VALIDATION_ATOL, XI_ATOL)
 
 # Every inequality in this package is asserted as slack >= -SLACK_TOL; the
 # slack itself carries eigenvalue round-off, so exact comparisons are never
@@ -77,7 +78,7 @@ CHECKS = (
     Check("internal_identity",      None,                     "error",     None,       None,   None),
     Check("pure_identity",          "pure_identity_residual", "deviation", 1e-9,       0,      6),
     Check("mixing_bound",           "mixing_bound_slack",     "slack",     -SLACK_TOL, 5,      7),
-    Check("contrast_recomposition", "contrast_recomposition", "deviation", 1e-10,      3,      None),
+    Check("contrast_recomposition", "contrast_recomposition", "deviation", IDENTITY_ATOL, 3,    None),
     Check("main",                   "slack_main",             "slack",     -SLACK_TOL, 4,      4),
     Check("chi_closed_form",        "chi_closed_dev",         "deviation", 1e-9,       1,      5),
 )
@@ -184,7 +185,7 @@ def _state_independent(k: BranchKernel) -> np.ndarray:
     n = k.n
     ops = np.stack((k.wp_op, k.wm_op))
     mean = np.trace(ops, axis1=-2, axis2=-1).real / n
-    return (np.abs(ops - mean[..., None, None] * np.eye(n)).max(axis=(-2, -1)) <= IDENTITY_ATOL).all(axis=0)
+    return (np.abs(ops - mean[..., None, None] * np.eye(n)).max(axis=(-2, -1)) <= STATE_INDEPENDENT_ATOL).all(axis=0)
 
 
 class BranchSpectra(NamedTuple):
@@ -375,30 +376,25 @@ def pure_identities(k: BranchKernel, sp: BranchSpectra, failed: dict | None = No
     return {"pure_identity_residual": np.abs(_branch_sum(sp, c_sq) - 1.0)}
 
 
-class SpectralComponent(NamedTuple):
-    """Per-eigenvector contribution of a mixed marker state.
+def spectral_components(inst: InterferometerInstance) -> dict:
+    """Decompose the marker state spectrally and evaluate each pure component.
 
-    ``theta_sq`` uses the full-instance predictability in its denominator,
-    matching the mixing-bound derivation.  It is guaranteed to stay within
+    Returns one list per column, an entry per eigenvector of rho_d0 whose
+    weight is above ``DEGENERATE_WEIGHT``: its ``weight``, its branch
+    ``contrast`` C_k, ``theta_sq`` and its way probabilities ``w_plus`` and
+    ``w_minus``.  ``theta_sq`` is |C_k|^2/(1 - P^2) with the full instance's
+    predictability P, as the mixing-bound derivation has it.  It stays within
     [0, 1] when the way probabilities are state independent, but NOT for
     arbitrary valid instances, so it is reported rather than enforced.
     """
-
-    weight: float
-    contrast: complex
-    theta_sq: float
-    w_plus: float
-    w_minus: float
-
-
-def spectral_components(inst: InterferometerInstance) -> list[SpectralComponent]:
-    """Decompose the marker state spectrally and evaluate each pure component."""
     k, sp = _polarized(inst, True, "spectral decomposition of the branch")
     _polarized_branches(k, sp, None)
     contrasts, ways = _eigenvector_elements(k, sp, k.wp_op)
     theta_sq = linalg.squared(_modulus(contrasts)) / (1.0 - sp.p * sp.p)[..., None]
-    columns = (a.tolist() for a in (sp.marker_values, contrasts, theta_sq, ways.real, 1.0 - ways.real))
-    return [SpectralComponent(*c) for c in zip(*columns) if c[0] > DEGENERATE_WEIGHT]
+    kept = sp.marker_values > DEGENERATE_WEIGHT
+    return {name: column[kept].tolist() for name, column in (
+        ("weight", sp.marker_values), ("contrast", contrasts), ("theta_sq", theta_sq), ("w_plus", ways.real),
+        ("w_minus", 1.0 - ways.real))}
 
 
 def _eigenvector_elements(k: BranchKernel, sp: BranchSpectra, *ops) -> list:
@@ -414,28 +410,21 @@ def _eigenvector_elements(k: BranchKernel, sp: BranchSpectra, *ops) -> list:
     return [(rows @ op[..., None, :, :] @ cols)[..., 0, 0] for op in (cross_op, *ops)]
 
 
-class MixingBound(NamedTuple):
-    """Slack of the mixing bound and the residual of the spectral
-    recomposition C = sum_k D_k C_k of the branch contrast factor."""
-
-    slack: float
-    recomposition: float
-
-
-def mixed_state_bound_check(inst: InterferometerInstance) -> MixingBound:
-    """Slack of the mixing bound Q^2 + |C|^2/(1 - P^2) <= 1 for |s| = 1.
+def mixed_state_bound_check(inst: InterferometerInstance) -> dict:
+    """The mixing bound Q^2 + |C|^2/(1 - P^2) <= 1 for |s| = 1, as the floats
+    ``mixing_bound_slack`` and ``contrast_recomposition`` that :data:`CHECKS` reads.
 
     The marker state may be mixed.  The branch contrast factor is verified to
-    recompose from its spectral components (C = sum_k D_k C_k within 1e-10);
-    a failure there raises :class:`IdentityError`, and the residual is
-    returned beside the slack.  The slack is non-negative up to round-off for
-    every valid instance.
+    recompose from its spectral components (C = sum_k D_k C_k within
+    ``IDENTITY_ATOL``); a failure there raises :class:`IdentityError`, and
+    the residual is returned beside the slack.  The slack is non-negative up
+    to round-off for every valid instance.
     """
     cols = mixing_bounds(*_polarized(inst, True, "mixing bound"))
     residual = cols["contrast_recomposition"]
     linalg.require_members(residual <= IDENTITY_ATOL, IdentityError,
                            "spectral recomposition of the contrast factor failed: residual {!r}", residual)
-    return MixingBound(float(cols["mixing_bound_slack"]), float(residual))
+    return {name: float(column) for name, column in cols.items()}
 
 
 def mixing_bounds(k: BranchKernel, sp: BranchSpectra, failed: dict | None = None) -> dict:
@@ -475,8 +464,9 @@ def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
 def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
     """:func:`evaluate` of a kernel and its pure markers, in one pass: its report and
     deviations, then its |s| = 1 checks on the instances not yet failed.  Each test
-    records the instances that fail it, each keeping its first error: NaN in every
-    column for a degenerate one, in the columns of the test it failed for any other."""
+    records the instances that fail it, each keeping its first error.  A failed
+    instance is NaN in every column of the :data:`CHECKS` rows after ``internal_identity``,
+    and a degenerate one in every column: a check applies where its column is not NaN."""
     failed = {}
     # The mixing bound and the chi closed form read rho_d0's spectrum.
     sp = branch_spectra(k, k.polarized & (~pure | (k.n == 2)), failed)
@@ -495,10 +485,9 @@ def _measured(k: BranchKernel, pure: np.ndarray) -> tuple[dict, dict]:
             for name, column in batch_checks(k.take(rows), BranchSpectra(*(part[rows] for part in sp)),
                                              tested).items():
                 cols[name][rows] = column
-                if tested:
-                    cols[name][at[list(tested)]] = np.nan
             failed.update((int(at[i]), exc) for i, exc in tested.items())
-    if degenerate:
-        for column in cols.values():
-            column[degenerate] = np.nan
+    if failed:
+        stopped = {c.column for c in CHECKS[[c.kind for c in CHECKS].index("error") + 1:]}
+        for name, column in cols.items():
+            column[list(failed) if name in stopped else degenerate] = np.nan
     return cols, dict(sorted(failed.items()))

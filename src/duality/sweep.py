@@ -28,7 +28,7 @@ import itertools
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -224,16 +224,10 @@ def sweep_plan(cfg: SweepConfig) -> list:
     return plan
 
 
-@dataclass
-class CheckStats:
-    count: int = 0
-    violations: int = 0
-    worst: float | None = None
-
-
 def _check_stats(kind: str) -> dict:
-    """A :class:`CheckStats` per check of ``kind``, in summary.json's key order."""
-    return {c.name: CheckStats() for c in sorted((c for c in CHECKS if c.kind == kind), key=lambda c: c.listed)}
+    """``{"count", "violations", "worst"}`` per check of ``kind``, in summary.json's key order."""
+    return {c.name: {"count": 0, "violations": 0, "worst": None}
+            for c in sorted((c for c in CHECKS if c.kind == kind), key=lambda c: c.listed)}
 
 
 @dataclass
@@ -260,21 +254,17 @@ class SweepSummary:
     def worst_instance(self) -> dict | None:
         return None if self._worst is None else {**self._worst, "instance": instance_to_dict(*self._worst["instance"])}
 
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
             "instance_count": self.instance_count,
             "degenerate_count": self.degenerate_count,
             "runtime_seconds": self.runtime_seconds,
-            "slack_checks": {k: asdict(v) for k, v in self.slack_checks.items()},
-            "deviation_checks": {k: asdict(v) for k, v in self.deviation_checks.items()},
+            "slack_checks": {name: dict(st) for name, st in self.slack_checks.items()},
+            "deviation_checks": {name: dict(st) for name, st in self.deviation_checks.items()},
             "xi_minus_d_min": self.xi_minus_d_min,
             "xi_minus_d_candidates": self.xi_minus_d_candidates,
-            "violation_count": self.violation_count,
+            "violation_count": len(self.violations),
             "violations": self.violations,
             "worst_instance": self.worst_instance,
         }
@@ -320,13 +310,12 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, fields: Callabl
 
     checked = ~np.isin(np.arange(len(chunk)), list(errors))
     # A row per check in run order, NaN where it does not apply or was not
-    # reached, deviations negated so that every row passes at >= its bound.  A
-    # failure stops an instance's checks where it is raised: those after the error row skip it.
+    # reached (evaluate writes NaN in the checks after a failure), deviations
+    # negated so that every row passes at >= its bound.
     error = [c.kind for c in CHECKS].index("error")
     sign = np.array([1.0 if c.kind == "slack" else -1.0 for c in CHECKS])
     signed = np.array([cols[c.column] if c.column else np.full(len(chunk), np.nan) for c in CHECKS])
     applies = ~np.isnan(signed)
-    applies[error + 1:] &= checked
     signed *= sign[:, None]
     signed[~applies] = np.inf
     violating = signed < (sign * np.array([c.threshold if c.column else np.inf for c in CHECKS]))[:, None]
@@ -336,8 +325,9 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, fields: Callabl
                                           (sign * signed.min(axis=1)).tolist()):
         if count:
             st = stats[c.name]
-            st.count, st.violations = st.count + count, st.violations + failures
-            st.worst = worst if st.worst is None else (min if c.kind == "slack" else max)(st.worst, worst)
+            st["count"] += count
+            st["violations"] += failures
+            st["worst"] = worst if st["worst"] is None else (min if c.kind == "slack" else max)(st["worst"], worst)
     for i, rank in zip(*(a.tolist() for a in np.nonzero(violating.T))):  # by instance, then in run order
         c, value = CHECKS[rank], float(sign[rank] * signed[rank, i])
         found = {c.kind: value, "threshold": c.threshold} if c.column else {"error": str(errors[i])}

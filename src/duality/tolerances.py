@@ -23,6 +23,10 @@ SQDS_XI_ATOL = 1e-15
 # Exact internal identities (pure-state spectrum, spectral recomposition).
 IDENTITY_ATOL = 1e-10
 
+# A way operator within this of a multiple of the identity counts as one:
+# the regime test (state-independent ways) of the main and chi checks.
+STATE_INDEPENDENT_ATOL = 1e-10
+
 # |s| must be exactly polarized (to construction tolerance) for the
 # pure-branch identities to apply.
 PURE_S_ATOL = 1e-12

@@ -6,9 +6,12 @@ optics.  The quantities the engine reads from its kernel (way
 probabilities, conditional marker states, the fringe) are extracted from
 it projectively.  ``matrix_from_pairs`` parses one matrix of the instance
 JSON schema on its own, the reference for the one-pass parse of
-``instance_from_dict``.
+``instance_from_dict``.  ``decimal_report`` computes the report of a
+two-level instance from its stored numbers in 45-digit decimal arithmetic,
+with no numpy at all.
 """
 
+import decimal
 import math
 import numbers
 
@@ -94,3 +97,80 @@ def matrix_from_pairs(pairs, n: int, name: str) -> np.ndarray:
     flat = np.asarray(pairs, dtype=float)
     with np.errstate(invalid="ignore"):  # 1j * inf
         return (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
+
+
+def _cmul(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _matmul(a: list, b: list) -> list:
+    """The product of two 2x2 matrices of (re, im) pairs."""
+    return [[tuple(sum(parts) for parts in zip(*(_cmul(a[i][k], b[k][j]) for k in range(2))))
+             for j in range(2)] for i in range(2)]
+
+
+def _dagger(a: list) -> list:
+    return [[(a[j][i][0], -a[j][i][1]) for j in range(2)] for i in range(2)]
+
+
+def _combine(x, a: list, y, b: list) -> list:
+    """x a + y b for real x and y."""
+    return [[(x * a[i][j][0] + y * b[i][j][0], x * a[i][j][1] + y * b[i][j][1]) for j in range(2)]
+            for i in range(2)]
+
+
+def _eigenvalues(m: list) -> tuple:
+    """The two eigenvalues of a Hermitian 2x2 matrix, (t -+ r)/2 with t its trace and
+    r = sqrt((m00 - m11)^2 + 4 |m01|^2)."""
+    t, gap = m[0][0][0] + m[1][1][0], m[0][0][0] - m[1][1][0]
+    r = (gap * gap + 4 * (m[0][1][0] * m[0][1][0] + m[0][1][1] * m[0][1][1])).sqrt()
+    return (t - r) / 2, (t + r) / 2
+
+
+def decimal_report(inst: InterferometerInstance) -> dict:
+    """V, P, Q, D, Xi and the slacks o2p, o2q, o2_nuevita and o1 of a two-level
+    instance, as 45-digit decimals computed from its stored floats, each
+    converted exactly.
+
+    The route is the kernel's formulas written out: w+- rho+- = sum V^dagger
+    rho_d0 V over the blocks of each way, weighted (1 +- s)/4, w+- their
+    traces and C = (1 + s)/2 tr(rho_d0 V+- V++^dagger) - (1 - s)/2
+    tr(rho_d0 V-- V-+^dagger).  Q and D are read from the closed-form
+    eigenvalues of rho+ - rho- and of w+ rho+ - w- rho-.
+    """
+    if inst.n != 2:
+        raise ValueError(f"decimal_report takes two-level markers, got n = {inst.n}")
+    d = inst.to_dict()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 45
+        D = decimal.Decimal
+
+        def matrix(pairs):
+            return [[(D(re), D(im)) for re, im in pairs[2 * i:2 * i + 2]] for i in range(2)]
+
+        rho = matrix(d["rho_d0"])
+        vpp, vpm, vmp, vmm = (matrix(d["blocks"][name]) for name in ("vpp", "vpm", "vmp", "vmm"))
+        s = D(d["s"])
+        up, down = (1 + s) / 4, (1 - s) / 4
+
+        def branch(v_up, v_down):
+            return _combine(up, _matmul(_dagger(v_up), _matmul(rho, v_up)),
+                            down, _matmul(_dagger(v_down), _matmul(rho, v_down)))
+
+        def trace(m):
+            return m[0][0][0] + m[1][1][0], m[0][0][1] + m[1][1][1]
+
+        wp_rho, wm_rho = branch(vpp, vmp), branch(vpm, vmm)
+        w_plus, w_minus = trace(wp_rho)[0], trace(wm_rho)[0]
+        c_up = trace(_matmul(rho, _matmul(vpm, _dagger(vpp))))
+        c_down = trace(_matmul(rho, _matmul(vmm, _dagger(vmp))))
+        c = tuple((1 + s) / 2 * x - (1 - s) / 2 * y for x, y in zip(c_up, c_down))
+        v = (c[0] * c[0] + c[1] * c[1]).sqrt()
+        p = abs(w_plus - w_minus)
+        q = sum(map(abs, _eigenvalues(_combine(1 / w_plus, wp_rho, -1 / w_minus, wm_rho)))) / 2
+        dist = sum(map(abs, _eigenvalues(_combine(1, wp_rho, -1, wm_rho))))
+        xi = (q * q + p * p - q * q * p * p).sqrt()
+        v_sq, bound_p, bound_q = v * v, 1 - p * p, 1 - q * q
+        return {"v": v, "p": p, "q": q, "d": dist, "xi": xi,
+                "o2p": bound_p - v_sq, "o2q": bound_q - v_sq, "o2_nuevita": bound_p * bound_q - v_sq,
+                "o1": 1 - dist * dist - v_sq}

@@ -440,6 +440,13 @@ def test_sweep_config_rejects_malformed_collections(field, value):
         SweepConfig(seed=0, count=1, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["state_classes", "block_classes"])
+def test_sweep_config_rejects_an_empty_class_list(field):
+    with pytest.raises(ValidationError) as raised:
+        SweepConfig(seed=0, count=1, **{field: ()})
+    assert str(raised.value) == f"{field} must not be empty"
+
+
 def test_sweep_config_accepts_numpy_integer_dims():
     assert SweepConfig(seed=0, count=1, dims=(np.int64(3), np.uint8(2))).dims == (2, 3)
 
@@ -516,12 +523,12 @@ def test_sweep_plan_includes_stringency_lane_only_with_dim_2():
 
 def test_run_sweep_summary_contents():
     summary, rows = run_sweep(SweepConfig(seed=3, count=6, dims=(2,)))
-    assert summary.violation_count == 0
+    assert len(summary.violations) == 0
     assert summary.instance_count == len(rows)
-    assert summary.slack_checks["o2p"].count == summary.instance_count
-    assert summary.slack_checks["main"].count > 0
-    assert summary.deviation_checks["d_two_level"].count == summary.instance_count
-    assert summary.deviation_checks["chi_closed_form"].worst <= 1e-9
+    assert summary.slack_checks["o2p"]["count"] == summary.instance_count
+    assert summary.slack_checks["main"]["count"] > 0
+    assert summary.deviation_checks["d_two_level"]["count"] == summary.instance_count
+    assert summary.deviation_checks["chi_closed_form"]["worst"] <= 1e-9
     assert summary.worst_instance is not None
     data = summary.to_dict()
     assert json.dumps(data)  # serializable
@@ -684,7 +691,7 @@ def test_json_text_of_summaries(monkeypatch, cfg, failing):
     if failing:
         fail_every_deviation_check(monkeypatch)
     summary, _ = run_sweep(cfg)
-    assert (summary.violation_count > 0) == failing
+    assert (len(summary.violations) > 0) == failing
     data = summary.to_dict()
     assert cli._json_text(data) == json_reference(data)
 

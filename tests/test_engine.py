@@ -36,6 +36,7 @@ from duality.sweep import (
     iter_sweep,
     run_sweep,
     sweep_plan,
+    write_instances_csv,
 )
 from duality.tolerances import PURITY_ATOL, TIE_ATOL, VALIDATION_ATOL
 
@@ -53,7 +54,7 @@ def row_alone(seed: int, row: dict) -> dict:
     if inst.kernel.polarized and row["wwm_class"] == "pure":
         out["pure_identity_residual"] = pure_state_identity_check(inst)
     elif inst.kernel.polarized:
-        out["mixing_bound_slack"] = mixed_state_bound_check(inst).slack
+        out["mixing_bound_slack"] = mixed_state_bound_check(inst)["mixing_bound_slack"]
     if rep["chi"] is not None:
         values = linalg.hermitian_eigen(inst.rho_d0).values
         d1, d2 = float(values[0]), max(float(values[1]), 0.0)
@@ -134,9 +135,9 @@ def test_summary_equals_a_loop_over_its_rows():
             if value < worst[0]:
                 worst = (value, name, row["index"])
     checks = {**summary.slack_checks, **summary.deviation_checks}
-    assert {name: (checks[name].count, repr(checks[name].worst)) for name in expected} == {
+    assert {name: (checks[name]["count"], repr(checks[name]["worst"])) for name in expected} == {
         name: (count, repr(extreme)) for name, (count, extreme) in expected.items()}
-    assert checks["contrast_recomposition"].count == expected["mixing_bound"][0]
+    assert checks["contrast_recomposition"]["count"] == expected["mixing_bound"][0]
     record = summary.worst_instance
     assert (record["slack"], record["check"], record["labels"]["index"]) == worst
     assert summary.xi_minus_d_min == min(row["xi_minus_d"] for row in rows)
@@ -177,6 +178,10 @@ def test_violations_come_in_index_then_check_order(monkeypatch):
 
 # --- _record on synthetic columns: cases a seeded sweep never produces ---------------
 
+# The columns of the CHECKS rows after internal_identity: evaluate writes NaN
+# in them for every instance that fails, and _record then skips it there.
+STOPPED = ("pure_identity_residual", "mixing_bound_slack", "contrast_recomposition", "slack_main", "chi_closed_dev")
+
 # The column each gated check reads.
 RECORD_SLACKS = {"o2p": "slack_o2p", "o2q": "slack_o2q", "o2_nuevita": "slack_o2_nuevita", "o1": "slack_o1",
                  "main": "slack_main", "mixing_bound": "mixing_bound_slack"}
@@ -203,7 +208,7 @@ def recorded(size: int, cells: dict, errors=None, summary=None, start=0):
 
 def stats(summary) -> dict:
     checks = {**summary.slack_checks, **summary.deviation_checks}
-    return {name: (c.count, c.violations, c.worst) for name, c in checks.items()}
+    return {name: (c["count"], c["violations"], c["worst"]) for name, c in checks.items()}
 
 
 def test_record_keeps_the_first_smallest_slack():
@@ -253,13 +258,14 @@ def test_record_neither_counts_nor_gates_nan_cells():
 
 
 def test_record_skips_checks_after_an_identity_error():
-    # Instance 2 fails an internal identity after its first seven checks ran;
-    # instance 3 is degenerate before any, so evaluate leaves it NaN in every
-    # column; both miss every later check.
+    # Instance 2 fails an internal identity after its first seven checks ran,
+    # so evaluate leaves it NaN in the columns of every later check; instance
+    # 3 is degenerate before any, so evaluate leaves it NaN in every column.
     errors = {2: IdentityError("half-difference spectrum is not symmetric"), 3: DegenerateBranchError("no amplitude")}
     unmeasured = {(check, 3): math.nan for check in {**RECORD_SLACKS, **RECORD_DEVIATIONS}}
-    summary, chunk = recorded(4, {("o1", 2): -1.0, ("pure_saturation_d", 2): 1.0, ("pure_identity", 2): 1.0,
-                                  ("main", 2): -1.0, ("mixing_bound", 2): -2.0, **unmeasured}, errors=errors)
+    stopped = {(check.name, 2): math.nan for check in measures.CHECKS if check.column in STOPPED}
+    summary, chunk = recorded(4, {("o1", 2): -1.0, ("pure_saturation_d", 2): 1.0, **stopped, **unmeasured},
+                              errors=errors)
     assert [(v["labels"]["index"], v["check"]) for v in summary.violations] == [
         (2, "o1"), (2, "pure_saturation_d"), (2, "internal_identity")]
     failure = summary.violations[-1]
@@ -285,6 +291,17 @@ def test_rows_stream_chunk_by_chunk():
     assert summary.instance_count == np.count_nonzero(first.checked) == len(first.rows())
     assert summary.runtime_seconds == 0.0
     chunks.close()
+
+
+def test_a_chunk_without_a_checked_instance_writes_no_row(tmp_path):
+    cfg = SweepConfig(seed=4, count=2, dims=(2,))
+    chunks = list(iter_sweep(cfg, SweepSummary(config=cfg)))
+    assert len(chunks) == 1 and chunks[0].checked.all()
+    empty = chunks[0]._replace(checked=np.zeros_like(chunks[0].checked))
+    for name, written in (("empty", [empty]), ("one", chunks), ("both", [empty, *chunks])):
+        write_instances_csv(tmp_path / f"{name}.csv", written)
+    assert (tmp_path / "empty.csv").read_bytes() == (",".join(CSV_COLUMNS) + "\n").encode()
+    assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 def sweep_output(cfg) -> tuple:
@@ -540,7 +557,7 @@ def test_degenerate_instance_is_counted_and_the_rest_unchanged(monkeypatch):
     monkeypatch.setattr(sweep, "_draw", draw_with_a_dead_way)
     summary, rows = run_sweep(cfg)
     assert summary.degenerate_count == 1
-    assert summary.slack_checks["o2p"].count == summary.instance_count == len(clean) - 1
+    assert summary.slack_checks["o2p"]["count"] == summary.instance_count == len(clean) - 1
     assert [bits(r) for r in rows] == [bits(r) for r in clean if r["index"] != target]
 
 
@@ -586,11 +603,11 @@ def test_internal_identity_failure_is_recorded_with_its_instance(monkeypatch):
     assert [bits(r) for r in rows] == [bits(r) for r in clean if r["index"] != target]
     # As for one instance at a time, the checks that precede the identity
     # check count the failing instance, the identity check does not.
-    assert summary.slack_checks["o2p"].count == len(clean)
-    assert summary.deviation_checks["pure_saturation_d"].count == (
-        clean_summary.deviation_checks["pure_saturation_d"].count)
-    assert summary.deviation_checks["pure_identity"].count == (
-        clean_summary.deviation_checks["pure_identity"].count - 1)
+    assert summary.slack_checks["o2p"]["count"] == len(clean)
+    assert summary.deviation_checks["pure_saturation_d"]["count"] == (
+        clean_summary.deviation_checks["pure_saturation_d"]["count"])
+    assert summary.deviation_checks["pure_identity"]["count"] == (
+        clean_summary.deviation_checks["pure_identity"]["count"] - 1)
 
 
 def test_the_contrast_recomposition_row_gates_a_recomposition_that_fails(monkeypatch):
@@ -611,7 +628,7 @@ def test_the_contrast_recomposition_row_gates_a_recomposition_that_fails(monkeyp
     summary, rows = run_sweep(cfg)
     assert [(v["check"], v["labels"]["index"]) for v in summary.violations] == [("contrast_recomposition", target)]
     assert summary.violations[0]["deviation"] > 1e-10 and summary.violations[0]["threshold"] == 1e-10
-    assert summary.deviation_checks["contrast_recomposition"].violations == 1 and summary.degenerate_count == 0
+    assert summary.deviation_checks["contrast_recomposition"]["violations"] == 1 and summary.degenerate_count == 0
     # The recomposition feeds no column of the CSV.
     assert [bits(r) for r in rows] == [bits(r) for r in clean]
     inst = generate_instance(cfg.seed, target, 2, "mixed", "s_pure", row["block_class"])
@@ -753,7 +770,8 @@ def test_evaluate_keeps_the_report_of_an_instance_that_fails_an_identity(monkeyp
     cols, errors = evaluate(*fields)
     assert list(errors) == [target] and isinstance(errors[target], IdentityError)
     assert not np.isnan(cols["v"][target]) and np.isnan(cols["pure_identity_residual"][target])
-    clean["pure_identity_residual"][target] = np.nan
+    for name in STOPPED:
+        clean[name][target] = np.nan
     assert column_bits(cols) == column_bits(clean)
 
 
@@ -772,8 +790,53 @@ def test_one_failing_member_of_a_stack_is_recorded_in_the_one_pass(monkeypatch):
     assert calls["branch_spectra"] == [1024]
     assert {name: len(sizes) for name, sizes in calls.items()} == dict.fromkeys(calls, 1)
     assert list(errors) == [target] and str(errors[target]) == "injected failure"
-    clean["pure_identity_residual"][target] = np.nan
+    assert not np.isnan(clean["slack_main"][target])  # a tilted-pair member, in the gated regime
+    for name in STOPPED:
+        clean[name][target] = np.nan
     assert column_bits(cols) == column_bits(clean)
+
+
+def inject_saturation(monkeypatch, phi: float) -> None:
+    """Make ``measures.mixing_bounds`` see P = 1 for the members of its batch
+    whose phase is ``phi``, which its own saturation test then records."""
+    mixing_bounds = measures.mixing_bounds
+
+    def saturating_at_phi(k, sp, failed=None):
+        return mixing_bounds(k, sp._replace(p=np.where(k.phi == phi, 1.0, sp.p)), failed)
+
+    monkeypatch.setattr(measures, "mixing_bounds", saturating_at_phi)
+
+
+def test_evaluate_empties_every_later_check_of_a_failed_member(monkeypatch):
+    # A tilted-pair member that fails an identity test and one whose P
+    # saturates keep the columns of the checks before internal_identity and
+    # are NaN in those of every check after it, main and chi_closed_form too.
+    jobs = every_lane_class(2)
+    fields = drawn(13, jobs, 2)
+    clean, _ = evaluate(*fields)
+    pure, mixed = (next(i for i, job in enumerate(jobs) if job[1:] == ("tilted_pair", wwm, "s_pure"))
+                   for wwm in ("pure", "mixed"))
+    inject_identity_failure(monkeypatch, fields[3][pure])
+    inject_saturation(monkeypatch, fields[3][mixed])
+    cols, errors = evaluate(*fields)
+    assert list(errors) == sorted((pure, mixed))
+    assert isinstance(errors[pure], IdentityError) and str(errors[pure]) == "injected failure"
+    assert isinstance(errors[mixed], DegenerateBranchError) and "saturates" in str(errors[mixed])
+    names = [check.name for check in measures.CHECKS]
+    earlier = [check.column for check in measures.CHECKS[:names.index("internal_identity")]]
+    assert STOPPED == tuple(check.column for check in measures.CHECKS[names.index("internal_identity") + 1:])
+    rule, kept = lane_rule(jobs, 2), [name for name in cols if name not in STOPPED]
+    for i in (pure, mixed):
+        assert not np.isnan([clean[name][i] for name in ("slack_main", "chi_closed_dev")]).any()
+        assert np.isnan([cols[name][i] for name in STOPPED]).all()
+        assert [np.isfinite(cols[name][i]) for name in earlier] == [rule[name][i] if name in rule else True
+                                                                    for name in earlier]
+        assert [cols[name][i].tobytes() for name in kept] == [clean[name][i].tobytes() for name in kept]
+        alone, failed = evaluate(*stack_take(fields, [i]))
+        assert [(type(e), str(e)) for e in failed.values()] == [(type(errors[i]), str(errors[i]))]
+        assert column_bits(alone) == column_bits(cols, [i]), i
+    others = [i for i in range(len(jobs)) if i not in (pure, mixed)]
+    assert column_bits(cols, others) == column_bits(clean, others)
 
 
 def test_a_stack_of_degenerate_members_records_each_in_one_pass(monkeypatch):
@@ -798,6 +861,8 @@ def test_the_identity_tests_mark_every_polarized_member_that_fails_them(monkeypa
     # polarized member: each test must record them all in the one pass, and
     # each member must come out as it does alone.  The recomposition of a mixed
     # member is gated by its CHECKS row, so only mixed_state_bound_check raises on it.
+    # The regime test of main and chi_closed_form has a tolerance of its own, so
+    # the mixed members in the regime keep slack_main; the failed members lose it.
     jobs = every_lane_class(dim)
     fields = drawn(13, jobs, dim)
     monkeypatch.setattr(measures, "IDENTITY_ATOL", -1.0)
@@ -813,6 +878,10 @@ def test_the_identity_tests_mark_every_polarized_member_that_fails_them(monkeypa
     assert list(errors) == pure
     assert {str(errors[i]).split(":")[0] for i in pure} == {"half-difference spectrum is not symmetric"}
     assert not np.isnan(cols["contrast_recomposition"][mixed]).any()
+    assert np.isnan([cols[name][pure] for name in STOPPED]).all()
+    if dim == 2:
+        gated = [i for i in mixed if jobs[i][1] in ("unitary_pair", "tilted_pair")]
+        assert gated and not np.isnan(cols["slack_main"][gated]).any()
     for i in range(len(jobs)):
         alone, failed = evaluate(*stack_take(fields, [i]))
         assert [(type(e), str(e)) for e in failed.values()] == (

@@ -184,6 +184,19 @@ def test_formula_functions_reject_non_numbers_and_mismatched_shapes(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: from_unitary_pair(np.eye(2), np.eye(3)), "u_plus and u_minus must share the same dimension"),
+    (lambda: from_tilted_pair(0.3, np.eye(3), np.eye(2)), "u_plus and u_minus must share the same dimension"),
+    (lambda: r_measure(0.5, HALF, 0.5, HALF, 1.5), "p must lie in [0, 1], got 1.5"),
+    (lambda: r_measure(0.5, HALF, 0.5, HALF, -0.1), "p must lie in [0, 1], got -0.1"),
+    (lambda: distinguishability(-0.5, HALF, 1.5, HALF), "way probabilities must be non-negative, got -0.5, 1.5"),
+], ids=["unitary-pair-shapes", "tilted-pair-shapes", "p-above-one", "p-below-zero", "negative-way"])
+def test_out_of_range_arguments_are_named_in_the_error(call, message):
+    with pytest.raises(ValidationError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 MATRIX_NAMES = ("rho_d0", "vpp", "vpm", "vmp", "vmm")
 # Junk for one entry, one [re, im] pair or one whole matrix of an instance object.
 ENTRY_JUNK = st.one_of(JUNK, st.sampled_from(["0.5", "1e3", float("nan"), float("inf"), -float("inf"),

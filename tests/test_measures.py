@@ -1,12 +1,14 @@
+import decimal
 import itertools
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import conditional_states_from_final, random_density
+from oracles import conditional_states_from_final, decimal_report, random_density
 
 from duality import linalg, measures
 from duality.errors import DegenerateBranchError, ValidationError
@@ -33,6 +35,7 @@ from duality.measures import (
 )
 from duality.sqds import SqdsForms, sqds_instances
 from duality.sweep import BLOCK_CLASSES, S_CLASSES, STRINGENCY_CLASS, WWM_CLASSES, generate_instance
+from duality.tolerances import STATE_INDEPENDENT_ATOL
 
 I2 = np.eye(2, dtype=complex)
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -355,6 +358,22 @@ def test_the_xi_minus_d_floor_is_attained():
     assert math.sqrt(p * p + q * q - p * p * q * q) - d == pytest.approx(XI_MINUS_D_FLOOR, abs=1e-15)
 
 
+def test_two_level_reports_lie_within_eight_epsilons_of_a_decimal_oracle():
+    # Every class at n = 2, from the stored numbers of each instance: the
+    # report's rounding is the engine's alone, a few machine epsilons.
+    tol = decimal.Decimal(8 * sys.float_info.epsilon)
+    lanes = itertools.product(range(3), range(25), (*BLOCK_CLASSES, STRINGENCY_CLASS), WWM_CLASSES, S_CLASSES)
+    for seed, stream, block, wwm, s_class in lanes:
+        inst = generate_instance(seed, stream, 2, wwm, s_class, block)
+        rep = hierarchy_report(inst)
+        got = {**{name: rep[name] for name in ("v", "p", "q", "d", "xi")},
+               **{name: rep["slacks"][name] for name in ("o2p", "o2q", "o2_nuevita", "o1")}}
+        exact = decimal_report(inst)
+        assert list(got) == list(exact)
+        off = {name: abs(decimal.Decimal(got[name]) - exact[name]) for name in exact}
+        assert max(off.values()) <= tol, (seed, stream, block, wwm, s_class, off)
+
+
 # --- stringency gate -----------------------------------------------------------------
 
 def _diagonal_way_counterexample() -> InterferometerInstance:
@@ -469,7 +488,7 @@ def test_mixing_bound_reduces_to_pure_identity():
     for stream in range(50):
         inst = generate_instance(20, stream, 3, "pure", "s_pure", "general_unitary")
         try:
-            slack = mixed_state_bound_check(inst).slack
+            slack = mixed_state_bound_check(inst)["mixing_bound_slack"]
         except DegenerateBranchError:
             continue
         assert abs(slack) <= 1e-9
@@ -481,13 +500,11 @@ def test_mixing_bound_maximally_mixed_marker():
     # and the bound is maximally slack.
     inst = InterferometerInstance(s=1.0, blocks=from_unitary_pair(I2, SIGMA_X),
                                   rho_d0=np.eye(2, dtype=complex) / 2.0)
-    assert mixed_state_bound_check(inst).slack == pytest.approx(1.0, abs=1e-12)
-    for comp in spectral_components(inst):
-        sub = InterferometerInstance(s=1.0, blocks=inst.blocks,
-                                     rho_d0=np.outer(
-                                         *(2 * [np.linalg.eigh(inst.rho_d0)[1][:, 0]])).astype(complex))
-        assert abs(comp.contrast) <= 1e-12
-        assert comp.theta_sq <= 1e-12
+    assert mixed_state_bound_check(inst)["mixing_bound_slack"] == pytest.approx(1.0, abs=1e-12)
+    comps = spectral_components(inst)
+    assert len(comps["weight"]) == 2
+    assert max(map(abs, comps["contrast"])) <= 1e-12
+    assert max(comps["theta_sq"]) <= 1e-12
 
 
 def test_mixing_bound_random_sweep_and_recomposition():
@@ -499,13 +516,14 @@ def test_mixing_bound_random_sweep_and_recomposition():
             bound = mixed_state_bound_check(inst)
         except DegenerateBranchError:
             continue
-        assert bound.slack >= -1e-9
+        assert list(bound) == ["mixing_bound_slack", "contrast_recomposition"]
+        assert bound["mixing_bound_slack"] >= -1e-9
         comps = spectral_components(inst)
-        recomposed = sum(c.weight * c.contrast for c in comps)
+        recomposed = sum(w * c for w, c in zip(comps["weight"], comps["contrast"]))
         c_up, c_down, _ = contrast_factors(inst)
         branch = c_up if inst.s >= 0 else c_down
         assert abs(recomposed - branch) <= 1e-10
-        assert bound.recomposition == abs(recomposed - branch)
+        assert bound["contrast_recomposition"] == abs(recomposed - branch)
 
 
 def way_operators_proportional_to_identity(k, atol):
@@ -531,7 +549,7 @@ def test_way_gate_tests_both_operators_in_one_pass():
     insts.append(_diagonal_way_counterexample())
     k = stacked_kernel(insts)
     # The gate's tolerance separates the classes.
-    expected = way_operators_proportional_to_identity(k, measures.IDENTITY_ATOL)
+    expected = way_operators_proportional_to_identity(k, STATE_INDEPENDENT_ATOL)
     assert 0 < np.count_nonzero(expected) < len(insts)
     assert measures._state_independent(k).tolist() == expected.tolist()
     assert [bool(measures._state_independent(i.kernel)) for i in insts] == expected.tolist()
@@ -560,8 +578,8 @@ def test_theta_bounded_on_state_independent_classes():
     for block_class in ("unitary_pair", "tilted_pair"):
         for stream in range(100):
             inst = generate_instance(22, stream, 2 + stream % 2, "mixed", "s_pure", block_class)
-            for comp in spectral_components(inst):
-                assert -1e-12 <= comp.theta_sq <= 1.0 + 1e-9
+            for theta_sq in spectral_components(inst)["theta_sq"]:
+                assert -1e-12 <= theta_sq <= 1.0 + 1e-9
 
 
 def test_per_component_identity_with_own_weights():
