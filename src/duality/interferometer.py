@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateBranchError, ValidationError
-from .tolerances import DEGENERATE_WEIGHT, PURE_S_ATOL, VALIDATION_ATOL
+from .tolerances import DEGENERATE_WEIGHT, VALIDATION_ATOL
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -116,7 +115,7 @@ class BranchKernel:
     ``wp_op``/``wm_op``, and ``wp_tr``/``wm_tr``, the traces of the
     unnormalized conditional marker states ``wp_rho``/``wm_rho`` =
     sum V^dagger rho_d0 V.  ``cross_up``/``cross_down`` are V+- V++^dagger and
-    V-- V-+^dagger; ``polarized`` is |s| = 1 within ``PURE_S_ATOL``.
+    V-- V-+^dagger; ``polarized`` is |s| = 1, exactly.
     """
 
     s: np.ndarray
@@ -178,7 +177,7 @@ def branch_kernel(b: WwmBlocks, s, rho_d0, phi) -> BranchKernel:
         wp_op, wm_op, trace(rho_d0 @ wp_op).real, trace(rho_d0 @ wm_op).real,
         wp_rho, wm_rho, trace(wp_rho).real, trace(wm_rho).real,
         cross_up, cross_down, c_up, c_down, (1.0 + s) / 2.0 * c_up + (1.0 - s) / 2.0 * c_down,
-        np.abs(np.abs(s) - 1.0) <= PURE_S_ATOL))
+        np.abs(s) == 1.0))
 
 
 @dataclass(frozen=True)
@@ -237,22 +236,8 @@ def matrix_to_pairs(m) -> list:
     return np.ascontiguousarray(linalg.as_square(m)).view(float).reshape(-1, 2).tolist()
 
 
-def _json_numbers(values: list, name: str) -> list:
-    """``values`` as floats, after raising :class:`ValidationError` unless each is a real number
-    (each Python type is checked once, before any conversion): a bool or a numeric string is not,
-    though ``float`` converts it.  The first offending value names its type in the error."""
-    types = set(map(type, values))
-    if types <= {float}:
-        return values
-    bad = {t for t in types if t is bool or not issubclass(t, numbers.Real)}
-    if bad:
-        first = next(x for x in values if type(x) in bad)
-        raise ValidationError(f"{name}: expected a JSON number, got {type(first).__name__}")
-    return list(map(float, values))
-
-
-def _entries(pairs, size: int, name: str) -> list:
-    """The entries of one matrix of ``size`` [re, im] pairs, as floats."""
+def _entries(pairs, size: int, name: str) -> np.ndarray:
+    """The entries of one matrix of ``size`` [re, im] pairs, as :func:`linalg.reals` floats."""
     try:
         # The matrix and each pair are JSON arrays, or tuples or numpy arrays from a Python caller.
         shaped = (len(pairs) == size and set(map(len, pairs)) == {2}
@@ -261,7 +246,7 @@ def _entries(pairs, size: int, name: str) -> list:
         shaped = False
     if not shaped:
         raise ValidationError(f"{name} must be a list of {size} [re, im] pairs")
-    return _json_numbers(list(itertools.chain.from_iterable(pairs)), f"{name} entries")
+    return linalg.reals(list(itertools.chain.from_iterable(pairs)), f"{name} entries")
 
 
 _MATRICES = ("rho_d0", "vpp", "vpm", "vmp", "vmm")
@@ -273,21 +258,17 @@ def instance_from_dict(d: dict) -> InterferometerInstance:
     ``n`` must be an integer and every other number a JSON number: a bool or
     a string is rejected, not converted.  Every matrix entry must be finite,
     which Python's ``json`` does not ensure (it reads ``NaN`` and
-    ``Infinity``).  An error names the first malformed matrix.
+    ``Infinity``).  The matrices are checked in order, each in full, so an
+    error names the first malformed matrix; ``s`` and ``phi`` are checked
+    with the instance, by :func:`validate_instances`.
     """
     try:
         n = linalg.integer(d["n"], "n", 1)
-        s, phi = (_json_numbers([d[name]], name)[0] for name in ("s", "phi"))
-        values = list(itertools.chain.from_iterable(
-            _entries(d["rho_d0"] if name == "rho_d0" else d["blocks"][name], n * n, name)
-            for name in _MATRICES))
-        flat = np.array(values, dtype=float).reshape(5, n, n, 2)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        s, phi = d["s"], d["phi"]
+        flat = np.concatenate([_entries(d["rho_d0"] if name == "rho_d0" else d["blocks"][name], n * n, name)
+                               for name in _MATRICES]).reshape(5, n, n, 2)
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed instance object: {exc}") from exc
-    entries = flat.reshape(5, -1)
-    i = linalg.first_failure(np.isfinite(entries))
-    if i is not None:
-        raise ValidationError(f"{_MATRICES[i[0]]} entries must be finite, got {entries[i]}")
     # x + 1j*y, not a complex view, which would keep an imaginary -0.0 that x + 1j*y has always made +0.0.
     rho, *blocks = flat[..., 0] + 1j * flat[..., 1]
     return InterferometerInstance(s=s, blocks=WwmBlocks.adopt(*blocks), rho_d0=rho, phi=phi)

@@ -44,8 +44,8 @@ from .errors import DegenerateBranchError, IdentityError, ValidationError
 from .interferometer import (BranchKernel, InterferometerInstance, WwmBlocks, branch_kernel, conditional_states,
                              validate_instances)
 from .interferometer import evolve  # noqa: F401  (kept importable from this module)
-from .tolerances import (DEGENERATE_WEIGHT, IDENTITY_ATOL, PURE_S_ATOL, PURITY_ATOL, STATE_INDEPENDENT_ATOL, TIE_ATOL,
-                         VALIDATION_ATOL, XI_ATOL)
+from .tolerances import (DEGENERATE_WEIGHT, IDENTITY_ATOL, PURITY_ATOL, SATURATION_ATOL, STATE_INDEPENDENT_ATOL,
+                         TIE_ATOL, VALIDATION_ATOL, XI_ATOL)
 
 # Every inequality in this package is asserted as slack >= -SLACK_TOL; the
 # slack itself carries eigenvalue round-off, so exact comparisons are never
@@ -60,12 +60,13 @@ class Check(NamedTuple):
     column: str | None  # the evaluate column it reads, NaN where the check does not apply
     kind: str  # "slack", passed at column >= threshold; "deviation", at column <= threshold; or "error"
     threshold: float | None
-    listed: int | None  # the place of its key in summary.json's slack_checks or deviation_checks
+    listed: int | None  # the place of its key in summary.json's slack_checks or deviation_checks, if listed
     csv: int | None  # the place of its column among the check columns of instances.csv, if written there
 
 
 # Every check a sweep runs, in run order; internal_identity fails where evaluate records an IdentityError.
-# A slack row whose column hierarchy_reports writes is a slack of the analyze report.
+# A slack row whose column hierarchy_reports writes is a slack of the analyze report.  An unlisted slack
+# row (listed None) is gated like any other, and is in no default output but a violation.
 CHECKS = (
     #     name                      column                    kind         threshold   listed  csv
     Check("o2p",                    "slack_o2p",              "slack",     -SLACK_TOL, 0,      0),
@@ -75,6 +76,7 @@ CHECKS = (
     Check("d_two_level",            "d_two_level",            "deviation", 1e-10,      2,      None),
     Check("pure_saturation_xi",     "pure_saturation_xi",     "deviation", 1e-10,      4,      None),
     Check("pure_saturation_d",      "pure_saturation_d",      "deviation", 1e-10,      5,      None),
+    Check("d_ceiling",              "d_ceiling_slack",        "slack",     -SLACK_TOL, None,   None),
     Check("internal_identity",      None,                     "error",     None,       None,   None),
     Check("pure_identity",          "pure_identity_residual", "deviation", 1e-9,       0,      6),
     Check("mixing_bound",           "mixing_bound_slack",     "slack",     -SLACK_TOL, 5,      7),
@@ -94,18 +96,6 @@ def _float_or_array(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def _numbers(lead: tuple = (), **named) -> list:
-    """The ``named`` numbers of one call as :func:`linalg.reals` arrays that broadcast together and with ``lead``."""
-    arrays = [linalg.reals(value, name) for name, value in named.items()]
-    shapes = {shape for shape in (lead, *(a.shape for a in arrays)) if shape}  # () broadcasts with any shape
-    if len(shapes) > 1:  # not for the package's own calls, which pass one shape
-        try:
-            np.broadcast_shapes(*shapes)
-        except ValueError:
-            raise ValidationError(f"{', '.join(named)} must broadcast together, got shapes {sorted(shapes)}") from None
-    return arrays
-
-
 def _clamped_unit(x: np.ndarray, name: str) -> np.ndarray:
     i = linalg.first_failure((x >= -SLACK_TOL) & (x <= 1.0 + SLACK_TOL))
     if i is not None:
@@ -114,12 +104,12 @@ def _clamped_unit(x: np.ndarray, name: str) -> np.ndarray:
 
 
 def _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus, **numbers) -> list:
-    """The checked conditional states and way probabilities, then ``numbers``, all as :func:`_numbers`."""
+    """The checked conditional states and way probabilities, then ``numbers``, all as :func:`linalg.broadcast_reals`."""
     rp = linalg.require_density(rho_plus, "rho_plus")
     rm = linalg.require_density(rho_minus, "rho_minus")
     if rp.shape != rm.shape:
         raise ValidationError("conditional states must share the same dimension")
-    w_plus, w_minus, *rest = _numbers(rp.shape[:-2], w_plus=w_plus, w_minus=w_minus, **numbers)
+    w_plus, w_minus, *rest = linalg.broadcast_reals(rp.shape[:-2], w_plus=w_plus, w_minus=w_minus, **numbers)
     if linalg.first_failure((w_plus >= 0.0) & (w_minus >= 0.0)) is not None:
         raise ValidationError(f"way probabilities must be non-negative, got {w_plus}, {w_minus}")
     with np.errstate(over="ignore"):  # a sum that overflows is inf, which fails the test
@@ -281,7 +271,8 @@ def deviations(rep: dict, sp: BranchSpectra, pure_polarized: np.ndarray) -> dict
     :func:`hierarchy_reports` columns ``rep`` (with a leading axis), NaN where
     one does not apply: |max(P, R) - D| on two-level markers; |V^2 + Xi^2 - 1|
     and |D - Xi|, zero where ``pure_polarized`` marks a pure marker and a
-    polarized quanton; |chi - its closed form|, P^2/Xi^2 where P > R, else
+    polarized quanton; the ceiling slack P + Q - PQ - D of every instance;
+    |chi - its closed form|, P^2/Xi^2 where P > R, else
     the chi closed form of the rho_d0 spectrum that ``sp`` must hold."""
     p, r, xi_value, chi = rep["p"], rep["r"], rep["xi"], rep["chi"]
     closed = np.full(np.shape(chi), np.nan)
@@ -298,6 +289,7 @@ def deviations(rep: dict, sp: BranchSpectra, pure_polarized: np.ndarray) -> dict
         "pure_saturation_xi": np.where(pure_polarized,
                                        np.abs(linalg.squared(rep["v"]) + linalg.squared(xi_value) - 1.0), np.nan),
         "pure_saturation_d": np.where(pure_polarized, np.abs(rep["xi_minus_d"]), np.nan),
+        "d_ceiling_slack": p + rep["q"] - p * rep["q"] - rep["d"],
         "chi_closed_dev": np.abs(chi - closed),
     }
 
@@ -315,7 +307,7 @@ def _polarized_branches(k: BranchKernel, sp: BranchSpectra, failed: dict | None)
     """The contrast factor C of the branch sign(s) selects at |s| = 1, the only branch
     populated there, for every instance of a polarized kernel, and its spectra ``sp``
     with NaN for a P that saturates, which fails: a later 1 - P^2 divides nothing by zero."""
-    unsaturated = sp.p < 1.0 - PURE_S_ATOL
+    unsaturated = sp.p < 1.0 - SATURATION_ATOL
     linalg.require_members(unsaturated, DegenerateBranchError,
                            "predictability {!r} saturates; identity divides by 1 - P^2", sp.p, failed=failed)
     if not unsaturated.all():

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import IdentityError, ValidationError
 from .interferometer import tilted_blocks
-from .linalg import SIGMA_X, SIGMA_Z, first_failure, label, reals, require_members, squared
+from .linalg import SIGMA_X, SIGMA_Z, broadcast_reals, first_failure, label, require_members, squared
 from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, SQDS_XI_ATOL, TIE_ATOL
 
 FIGURE3_RESOLUTION = 101  # points per side of the fig3 grid
@@ -50,20 +50,16 @@ class SqdsForms:
     """
 
     def __init__(self, p_d, v_d0, p_q, phi_ent):
-        fields = {"p_d": p_d, "v_d0": v_d0, "p_q": p_q, "phi_ent": phi_ent}
-        for name, value in fields.items():
+        named = {"p_d": p_d, "v_d0": v_d0, "p_q": p_q, "phi_ent": phi_ent}
+        fields = dict(zip(named, broadcast_reals(**named)))
+        for name, a in fields.items():
             # A frozen copy, so that the checks below hold for as long as the forms do.
-            a = fields[name] = np.array(reals(value, name))
+            a = fields[name] = a.copy()
             a.setflags(write=False)
             # In range before the Bloch norm squares it, so that no square overflows.
             i = None if name == "phi_ent" else first_failure((a >= 0.0) & (a <= 1.0))
             if i is not None:
                 raise ValidationError(f"{label(name, i)} must lie in [0, 1], got {a[i]}")
-        try:
-            np.broadcast_shapes(*(a.shape for a in fields.values()))
-        except ValueError:
-            raise ValidationError("p_d, v_d0, p_q and phi_ent must broadcast together, got shapes "
-                                  + ", ".join(str(a.shape) for a in fields.values())) from None
         self.p_d, self.v_d0, self.p_q, self.phi_ent = p_d, v_d0, p_q, phi_ent = fields.values()
         norm_sq = squared(p_d) + squared(v_d0)
         i = first_failure(norm_sq <= 1.0 + CONSTRUCTION_ATOL)

@@ -225,16 +225,16 @@ def sweep_plan(cfg: SweepConfig) -> list:
 
 
 def _check_stats(kind: str) -> dict:
-    """``{"count", "violations", "worst"}`` per check of ``kind``, in summary.json's key order."""
+    """``{"count", "violations", "worst"}`` per listed check of ``kind``, in summary.json's key order."""
     return {c.name: {"count": 0, "violations": 0, "worst": None}
-            for c in sorted((c for c in CHECKS if c.kind == kind), key=lambda c: c.listed)}
+            for c in sorted((c for c in CHECKS if c.kind == kind and c.listed is not None), key=lambda c: c.listed)}
 
 
 @dataclass
 class SweepSummary:
     """What a sweep has found so far, updated chunk by chunk, so that it can be read mid-sweep.
 
-    ``worst_instance`` is the first smallest slack, by instance and then in run order, as
+    ``worst_instance`` is the first smallest slack of a listed row, by instance and then in run order, as
     ``{"check", "slack", "labels", "instance"}``, its JSON built at each read from ``_worst``, which holds
     copies of the instance's fields: a chunk that lowers the smallest slack replaces it, one that ties keeps it.
     """
@@ -323,7 +323,7 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, fields: Callabl
     stats = {**summary.slack_checks, **summary.deviation_checks}
     for c, count, failures, worst in zip(CHECKS, applies.sum(axis=1).tolist(), violating.sum(axis=1).tolist(),
                                           (sign * signed.min(axis=1)).tolist()):
-        if count:
+        if count and c.listed is not None:
             st = stats[c.name]
             st["count"] += count
             st["violations"] += failures
@@ -344,9 +344,9 @@ def _record(chunk: range, lanes: list, cols: dict, errors: dict, fields: Callabl
     summary.degenerate_count += len(errors) - int(np.count_nonzero(violating[error]))
     summary.instance_count += int(np.count_nonzero(checked))
 
-    # The chunk's first smallest slack, by instance and then in run order;
-    # a later chunk that only ties it keeps the earlier record.
-    signed[sign < 0.0] = np.inf
+    # The chunk's first smallest slack of a listed row, by instance and then
+    # in run order; a later chunk that only ties it keeps the earlier record.
+    signed[[c.kind != "slack" or c.listed is None for c in CHECKS]] = np.inf
     i = int(signed.min(axis=0).argmin())
     rank = int(signed[:, i].argmin())
     if signed[rank, i] < (math.inf if summary._worst is None else summary._worst["slack"]):

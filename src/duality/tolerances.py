@@ -16,7 +16,8 @@ DEGENERATE_WEIGHT = 1e-12
 PIVOT_ATOL = 1e-12
 
 # Xi at or below these counts as zero, so chi = D^2/Xi^2 is not formed: the
-# generic engine's Xi, and the SQDS closed-form Xi_Q.
+# generic engine's Xi, and the SQDS closed-form Xi_Q.  XI_ATOL's margin against
+# the chi_closed_form row is not measured.
 XI_ATOL = 1e-12
 SQDS_XI_ATOL = 1e-15
 
@@ -24,15 +25,31 @@ SQDS_XI_ATOL = 1e-15
 IDENTITY_ATOL = 1e-10
 
 # A way operator within this of a multiple of the identity counts as one:
-# the regime test (state-independent ways) of the main and chi checks.
+# the regime test (state-independent ways) of the main and chi checks.  Gated
+# tilted pairs perturbed by e^{itH}, t up to 6e-11, kept slack_main >= -2.4e-15
+# and chi_closed_dev <= 2.3e-10, a margin of four against its 1e-9.
 STATE_INDEPENDENT_ATOL = 1e-10
 
-# |s| must be exactly polarized (to construction tolerance) for the
-# pure-branch identities to apply.
-PURE_S_ATOL = 1e-12
-PURITY_ATOL = 1e-10
+# A marker within this of purity one, |tr rho_d0^2 - 1| <= PURITY_ATOL, counts
+# as pure, and at |s| = 1 (exactly) gets the pure-marker rows of
+# measures.CHECKS: the internal identities at IDENTITY_ATOL, the two pure
+# saturations at 1e-10 and the pure identity at 1e-9.  Their error grows with
+# the purity defect: no row failed at a defect of 2e-12, twenty times this
+# tolerance, and at 1e-13 the largest pure saturation was 2.4e-13.  Generated
+# pure markers lie within 8.9e-16 of one, a hundred times inside it.  Every
+# other marker gets the mixing bound, which holds for any marker.  A
+# polarized quanton has no tolerance: the identities' error grows as the
+# defect of |s| over 4 w+ w-, so s one ulp below one can fail them.
+PURITY_ATOL = 1e-13
+
+# A polarized P at or above 1 - SATURATION_ATOL saturates: the |s| = 1 checks
+# divide by 1 - P^2, and record such a member as degenerate.  A member whose
+# ways both pass DEGENERATE_WEIGHT has 1 - P = 2 min(w+, w-) >= 2e-12, so only
+# round-off brings it here.
+SATURATION_ATOL = 1e-12
 
 # Two branch expressions (P > R versus P <= R) count as tied within TIE_ATOL
-# and must then agree within BRANCH_AGREE_ATOL.
+# and must then agree within BRANCH_AGREE_ATOL.  TIE_ATOL's margin against
+# the chi_closed_form row is not measured.
 TIE_ATOL = 1e-12
 BRANCH_AGREE_ATOL = 1e-10

@@ -5,7 +5,7 @@ route: Kronecker products, the assembled joint unitary and the quanton
 optics.  The quantities the engine reads from its kernel (way
 probabilities, conditional marker states, the fringe) are extracted from
 it projectively.  ``matrix_from_pairs`` parses one matrix of the instance
-JSON schema on its own, the reference for the one-pass parse of
+JSON schema on its own, the reference for the parse of
 ``instance_from_dict``.  ``decimal_report`` computes the report of a
 two-level instance from its stored numbers in 45-digit decimal arithmetic,
 with no numpy at all.
@@ -79,9 +79,10 @@ def matrix_from_pairs(pairs, n: int, name: str) -> np.ndarray:
     """One matrix of an instance object, checked and converted on its own.
 
     The matrix and each of its n*n [re, im] pairs must be a list, tuple or
-    numpy array, and every entry a real number other than a bool; the first
-    offending entry names the type in the error.  Conversion is one nested
-    ``np.asarray`` per matrix.
+    numpy array.  Its entries, numbered 2 * pair + part, are then checked
+    one by one: each must be a real number other than a bool, within the
+    float range, and then each must be finite.  The first offending entry
+    is named.
     """
     sequences = (list, tuple, np.ndarray)
     try:
@@ -91,12 +92,19 @@ def matrix_from_pairs(pairs, n: int, name: str) -> np.ndarray:
         shaped = False
     if not shaped:
         raise ValidationError(f"{name} must be a list of {n * n} [re, im] pairs")
-    for x in (x for pair in pairs for x in pair):
+    entries = [x for pair in pairs for x in pair]
+    for k, x in enumerate(entries):
         if type(x) is bool or not isinstance(x, numbers.Real):
-            raise ValidationError(f"{name} entries: expected a JSON number, got {type(x).__name__}")
-    flat = np.asarray(pairs, dtype=float)
-    with np.errstate(invalid="ignore"):  # 1j * inf
-        return (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
+            raise ValidationError(f"{name} entries[{k}] must be a real number, got {x!r}")
+        try:
+            float(x)
+        except OverflowError:
+            raise ValidationError(f"{name} entries[{k}] must be finite, got a value beyond the float range") from None
+    for k, x in enumerate(map(float, entries)):
+        if not math.isfinite(x):
+            raise ValidationError(f"{name} entries[{k}] must be finite, got {x}")
+    flat = np.array([float(x) for x in entries]).reshape(-1, 2)
+    return (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
 
 
 def _cmul(x: tuple, y: tuple) -> tuple:

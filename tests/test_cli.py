@@ -165,8 +165,9 @@ def test_analyze_rejects_non_finite_matrix_entries(tmp_path, capsys, name, value
     path = tmp_path / "non_finite.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
-    expected = text if name != "vmm" else "nan"
-    assert capsys.readouterr().err == f"error: {name} entries must be finite, got {expected}\n"
+    # Entry 7 is pair 3's imaginary part; vmm's own first bad entry is entry 0.
+    at, expected = (7, text) if name != "vmm" else (0, "nan")
+    assert capsys.readouterr().err == f"error: {name} entries[{at}] must be finite, got {expected}\n"
 
 
 def test_analyze_linalg_error_exits_2(tmp_path, capsys, monkeypatch):
@@ -239,6 +240,26 @@ def test_verify_small_sweep(tmp_path, capsys):
     csv_lines = (out / "instances.csv").read_text(encoding="utf-8").splitlines()
     assert csv_lines[0].startswith("index,block_class,wwm_class,s_class,n,s,phi,v,p,q,d,xi")
     assert len(csv_lines) == 1 + summary["instance_count"]
+
+
+def test_a_failing_unlisted_row_exits_1_and_shows_only_as_violations(tmp_path, monkeypatch):
+    # d_ceiling (listed=None) gated at +1, which every instance fails: verify
+    # exits 1 and names it in violations, while the rows, the counts and the
+    # worst instance are those of the clean run.
+    argv = ["verify", "--seed", "3", "--count", "2", "--dims", "2,3"]
+    assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
+    monkeypatch.setattr(sweep, "CHECKS", tuple(
+        check._replace(threshold=1.0) if check.name == "d_ceiling" else check for check in sweep.CHECKS))
+    assert main([*argv, "--out", str(tmp_path / "patched")]) == 1
+    clean, patched = (json.loads((tmp_path / out / "summary.json").read_text(encoding="utf-8"))
+                      for out in ("clean", "patched"))
+    assert {v["check"] for v in patched["violations"]} == {"d_ceiling"}
+    assert patched["violation_count"] == patched["instance_count"] == clean["instance_count"]
+    for summary in (clean, patched):
+        del summary["violations"], summary["violation_count"], summary["runtime_seconds"]
+    assert patched == clean
+    assert ((tmp_path / "clean" / "instances.csv").read_bytes()
+            == (tmp_path / "patched" / "instances.csv").read_bytes())
 
 
 def test_verify_deterministic_output(tmp_path):

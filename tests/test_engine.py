@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from duality import interferometer, linalg, measures, sweep
 from duality.errors import DegenerateBranchError, IdentityError, ValidationError
@@ -184,7 +184,7 @@ STOPPED = ("pure_identity_residual", "mixing_bound_slack", "contrast_recompositi
 
 # The column each gated check reads.
 RECORD_SLACKS = {"o2p": "slack_o2p", "o2q": "slack_o2q", "o2_nuevita": "slack_o2_nuevita", "o1": "slack_o1",
-                 "main": "slack_main", "mixing_bound": "mixing_bound_slack"}
+                 "d_ceiling": "d_ceiling_slack", "main": "slack_main", "mixing_bound": "mixing_bound_slack"}
 RECORD_DEVIATIONS = {"pure_identity": "pure_identity_residual", "chi_closed_form": "chi_closed_dev",
                      "d_two_level": "d_two_level", "contrast_recomposition": "contrast_recomposition",
                      "pure_saturation_xi": "pure_saturation_xi", "pure_saturation_d": "pure_saturation_d"}
@@ -244,6 +244,18 @@ def test_record_gates_at_the_thresholds():
     assert chunk.checked.all() and summary.instance_count == 3
 
 
+def test_record_gates_an_unlisted_row_and_lists_it_nowhere_else():
+    # d_ceiling has no key in summary.json: its failure is a violation, but
+    # its count is kept nowhere, and its smallest slack, which comes first,
+    # is not the worst instance's.
+    summary, chunk = recorded(3, {("d_ceiling", 0): 0.01, ("d_ceiling", 1): -1.0, ("o1", 2): 0.02})
+    assert "d_ceiling" not in stats(summary)
+    assert [(v["labels"]["index"], v["check"], v["slack"]) for v in summary.violations] == [(1, "d_ceiling", -1.0)]
+    worst = summary.worst_instance
+    assert (worst["check"], worst["slack"], worst["labels"]["index"]) == ("o1", 0.02, 2)
+    assert chunk.checked.all()
+
+
 def test_record_neither_counts_nor_gates_nan_cells():
     nan = math.nan
     summary, _ = recorded(3, {("main", 0): nan, ("main", 1): nan, ("main", 2): 0.3,
@@ -258,7 +270,7 @@ def test_record_neither_counts_nor_gates_nan_cells():
 
 
 def test_record_skips_checks_after_an_identity_error():
-    # Instance 2 fails an internal identity after its first seven checks ran,
+    # Instance 2 fails an internal identity after its first eight checks ran,
     # so evaluate leaves it NaN in the columns of every later check; instance
     # 3 is degenerate before any, so evaluate leaves it NaN in every column.
     errors = {2: IdentityError("half-difference spectrum is not symmetric"), 3: DegenerateBranchError("no amplitude")}
@@ -1026,13 +1038,15 @@ def test_the_purity_test_classifies_every_generated_marker_as_its_lane(seed, dim
     purity, pure = measures._purities(sweep._draw(seed, jobs, dim)[2])
     assert pure.tolist() == [job[2] == "pure" for job in jobs]
     # Far from the tolerance on both sides.
-    assert np.all(np.where(pure, np.abs(purity - 1.0) < 1e-14, purity < 1.0 - 100 * PURITY_ATOL))
+    assert np.all(np.where(pure, np.abs(purity - 1.0) < 1e-14, purity < 1.0 - 1e-8))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8])
-@pytest.mark.parametrize("eps, pure", [(1e-11, True), (1e-9, False)])
+@pytest.mark.parametrize("eps, pure", [(2e-14, True), (1e-9, False)])
 def test_a_marker_within_the_purity_tolerance_gets_the_pure_identity(dim, eps, pure):
-    # A rank-2 marker (1 - eps) |a><a| + eps |b><b| has purity 1 - 2 eps + 2 eps^2.
+    # A rank-2 marker (1 - eps) |a><a| + eps |b><b| has purity 1 - 2 eps + 2 eps^2,
+    # within PURITY_ATOL of one at eps = 2e-14.
+    assert (2.0 * eps <= PURITY_ATOL) == pure
     gen = linalg.rng(31, dim)
     basis = linalg.haar_unitary_from(gen, dim)
     rho = (1.0 - eps) * np.outer(basis[:, 0], basis[:, 0].conj()) + eps * np.outer(basis[:, 1], basis[:, 1].conj())
@@ -1044,6 +1058,37 @@ def test_a_marker_within_the_purity_tolerance_gets_the_pure_identity(dim, eps, p
         assert cols["pure_identity_residual"][0] <= 1e-10
     else:
         assert cols["mixing_bound_slack"][0] >= -measures.SLACK_TOL
+
+
+# |s| at the edge of polarized: exactly one, one ulp below it, and 1e-13 and
+# 1e-12 below it, which the earlier tolerance of 1e-12 counted as polarized.
+EDGE_INVERSIONS = [sign * (1.0 - defect) for sign in (1.0, -1.0) for defect in (0.0, 2.0 ** -53, 1e-13, 1e-12)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 8),
+       block=st.sampled_from(("unitary_pair", "general_unitary", "tilted_pair")),
+       theta=st.floats(2e-3, math.pi / 4.0), edge=st.floats(0.0, 1.0), s=st.sampled_from(EDGE_INVERSIONS))
+@example(seed=7, dim=3, block="tilted_pair", theta=2e-3, edge=0.0, s=1.0 - 1e-12)  # an exactly pure marker
+def test_every_instance_counted_pure_and_polarized_passes_every_row(seed, dim, block, theta, edge, s):
+    # A generated pure marker mixed with an orthogonal state up to the edge of
+    # PURITY_ATOL, on blocks of every class; tilted pairs take the generated
+    # pair's unitaries, at way weights down to sin^2(2e-3) = 4e-6.  However
+    # evaluate classifies the instance, no test fails and every row passes.
+    inst = generate_instance(seed, 0, dim, "pure", "s_pure", "general_unitary" if block == "general_unitary"
+                             else "unitary_pair")
+    blocks = from_tilted_pair(theta, inst.blocks.vpp, inst.blocks.vpm) if block == "tilted_pair" else inst.blocks
+    vectors = np.linalg.eigh(inst.rho_d0)[1]
+    eps = edge * PURITY_ATOL / 2.0  # purity 1 - 2 eps + 2 eps^2
+    rho = (1.0 - eps) * np.outer(vectors[:, -1], vectors[:, -1].conj()) + eps * np.outer(vectors[:, 0],
+                                                                                        vectors[:, 0].conj())
+    stack = WwmBlocks(*(getattr(blocks, name)[None] for name in ("vpp", "vpm", "vmp", "vmm")))
+    cols, errors = evaluate(np.array([s]), stack, ((rho + rho.conj().T) / 2.0)[None], np.zeros(1))
+    assert not errors
+    for check in measures.CHECKS:
+        value = cols[check.column][0] if check.column else np.nan
+        assert np.isnan(value) or (value >= check.threshold if check.kind == "slack" else value <= check.threshold), (
+            check.name, value)
 
 
 @pytest.mark.parametrize("lead", [(), (2, 3)])

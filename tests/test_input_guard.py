@@ -22,7 +22,21 @@ from duality.sqds import SqdsForms
 NUMBERS = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.complex_numbers())
 ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
                     hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4))
-JUNK = st.one_of(NUMBERS, ARRAYS, st.text(max_size=3), st.none(),
+BOOLS = st.one_of(st.booleans(), st.booleans().map(np.bool_))
+
+
+@st.composite
+def with_a_bool(draw, values):
+    """``values``, a list of numbers, with one of them replaced by a Python or numpy bool,
+    as a flat list or with each element nested in a list of its own."""
+    values = list(values)
+    values[draw(st.integers(0, len(values) - 1))] = draw(BOOLS)
+    return [[x] for x in values] if draw(st.booleans()) else values
+
+
+# Floats or ints with a bool among them, which numpy would read as 1.0 or 0.0.
+BOOL_MIXES = st.lists(st.one_of(st.floats(), st.integers(-3, 3)), min_size=1, max_size=3).flatmap(with_a_bool)
+JUNK = st.one_of(NUMBERS, ARRAYS, st.text(max_size=3), st.none(), BOOL_MIXES,
                  st.lists(st.one_of(st.floats(), st.lists(st.floats(), max_size=2)), max_size=3))
 
 
@@ -182,6 +196,46 @@ def test_sqds_forms_raise_only_duality_errors(fields):
 def test_formula_functions_reject_non_numbers_and_mismatched_shapes(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evaluate([*STACK[0][:-1].tolist(), True], *STACK[1:]),
+    lambda: SqdsForms([0.5, True], 0.0, 0.3, 0.4),
+    lambda: from_tilted_pair([0.3, True], np.stack([np.eye(2)] * 2), np.stack([np.eye(2)] * 2)),
+    lambda: distinguishability([0.5, True], np.stack([HALF] * 2), [0.5, 0.0], np.stack([HALF] * 2)),
+    lambda: r_measure(0.5, np.stack([HALF] * 2), 0.5, np.stack([HALF] * 2), [0.0, True]),
+], ids=["evaluate", "sqds-forms", "tilted-pair", "distinguishability", "r_measure"])
+def test_a_bool_among_numbers_is_not_read_as_one(call):
+    with pytest.raises(ValidationError, match=r"\] must be a real number, got True"):
+        call()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_bool_among_numbers_is_rejected_at_every_real_number_boundary(data):
+    def mixed(values, label):
+        return data.draw(with_a_bool(values), label=label)
+
+    s, blocks, rho, phi = STACK
+    states = np.stack([HALF] * 2)
+    calls = [
+        lambda: evaluate(mixed(s.tolist(), "s"), blocks, rho, phi),
+        lambda: evaluate(s, blocks, rho, mixed(phi.tolist(), "phi")),
+        lambda: from_tilted_pair(mixed([0.3, 0.4], "theta"), np.stack([np.eye(2)] * 2), np.stack([np.eye(2)] * 2)),
+        lambda: distinguishability(mixed([0.0, 1.0], "w_plus"), states, [1.0, 0.0], states),
+        lambda: r_measure([0.5, 0.5], states, [0.5, 0.5], states, mixed([0.0, 1.0], "p")),
+    ]
+    fields = {"p_d": [0.0, 0.0], "v_d0": [0.0, 0.0], "p_q": [0.5, 1.0], "phi_ent": [0.1, 0.2]}
+    name = data.draw(st.sampled_from(sorted(fields)), label="field")
+    calls.append(lambda: SqdsForms(**{**fields, name: mixed(fields[name], name)}))
+    matrix = data.draw(st.sampled_from(MATRIX_NAMES), label="matrix")
+    d = {**GOOD_INSTANCE, "blocks": dict(GOOD_INSTANCE["blocks"])}
+    target = d if matrix == "rho_d0" else d["blocks"]
+    target[matrix] = [*target[matrix][:-1], mixed(target[matrix][-1], matrix)]
+    calls.append(lambda: instance_from_dict(d))
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
 
 
 @pytest.mark.parametrize("call, message", [

@@ -538,20 +538,12 @@ def parsed(d) -> str:
 
 
 def parsed_by_reference(d) -> str:
-    """:func:`parsed` with each matrix parsed on its own by the reference,
-    then the first matrix with a non-finite entry named."""
+    """:func:`parsed` with each matrix parsed on its own by the reference, in order."""
     mats = (d["rho_d0"], *(d["blocks"][name] for name in MATRIX_NAMES[1:]))
     try:
-        out = [matrix_from_pairs(m, d["n"], name).tolist() for m, name in zip(mats, MATRIX_NAMES)]
+        return repr([matrix_from_pairs(m, d["n"], name).tolist() for m, name in zip(mats, MATRIX_NAMES)])
     except ValidationError as exc:
         return str(exc)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return f"malformed instance object: {exc}"
-    for m, name in zip(mats, MATRIX_NAMES):
-        bad = [x for pair in m for x in pair if not math.isfinite(x)]
-        if bad:
-            return f"{name} entries must be finite, got {float(bad[0])}"
-    return repr(out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -564,7 +556,7 @@ def test_one_pass_parse_equals_the_per_matrix_reference(d):
 @pytest.mark.parametrize("name", MATRIX_NAMES)
 def test_parse_errors_name_their_matrix(name):
     good = random_instance(4, dim=2).to_dict()
-    for where, value, message in (("entry", "0.5", f"{name} entries: expected a JSON number, got str"),
+    for where, value, message in (("entry", "0.5", f"{name} entries[7] must be a real number, got '0.5'"),
                                   ("pair", [0.5], f"{name} must be a list of 4 [re, im] pairs")):
         d = json.loads(json.dumps(good))
         target = d if name == "rho_d0" else d["blocks"]
@@ -580,10 +572,10 @@ def test_parse_errors_name_their_matrix(name):
 def test_parse_errors_name_the_first_malformed_part():
     good = random_instance(4, dim=2).to_dict()
     for bad, message in (({"rho_d0": (1, 0, 2 ** 1100), "vpp": (3, 1, "0.5")},
-                          "malformed instance object: int too large to convert to float"),
-                         ({"vpm": (1, 1, True), "vmp": (0, 0, None)}, "vpm entries: expected a JSON number, got bool"),
-                         ({"vmm": (1, 0, "0.5")}, "vmm entries: expected a JSON number, got str"),
-                         ({"vmm": (0, 1, None)}, "vmm entries: expected a JSON number, got NoneType")):
+                          "rho_d0 entries[2] must be finite, got a value beyond the float range"),
+                         ({"vpm": (1, 1, True), "vmp": (0, 0, None)}, "vpm entries[3] must be a real number, got True"),
+                         ({"vmm": (1, 0, "0.5")}, "vmm entries[2] must be a real number, got '0.5'"),
+                         ({"vmm": (0, 1, None)}, "vmm entries[1] must be a real number, got None")):
         d = json.loads(json.dumps(good))
         for name, (i, j, value) in bad.items():
             (d if name == "rho_d0" else d["blocks"])[name][i][j] = value

@@ -89,12 +89,15 @@ def test_reals_accepts_every_finite_real_number(value, expected):
 
 @pytest.mark.parametrize("value, message", [
     (True, "x must be a real number"), ("0.5", "x must be a real number"), (0.5j, "x must be a real number"),
-    ([0.5, [0.5]], "x must be a real number"), ([True, 2 ** 70], "x must be a real number"),
-    ([Fraction(1, 2), Decimal("0.5")], "x must be a real number"), (np.nan, "x must be finite"),
+    ([0.5, [0.5]], r"x\[1\] must be a real number, got \[0.5\]"), ([True, 2 ** 70], r"x\[0\] must be a real number"),
+    ([Fraction(1, 2), Decimal("0.5")], r"x\[1\] must be a real number"), (np.nan, "x must be finite"),
     (10 ** 400, "x must be finite, got a value beyond the float range"),
     ([Fraction(1, 2), Fraction(10 ** 400, 3)], r"x\[1\] must be finite, got a value beyond the float range"),
+    # A bool anywhere, which numpy alone would read as 1.0 beside a float.
+    ([0.5, True], r"x\[1\] must be a real number, got True"),
+    ([[0.5], [np.True_]], r"x\[1, 0\] must be a real number, got (np\.)?True"),
 ], ids=["bool", "numeric-string", "complex", "ragged", "object-with-bool", "object-with-decimal", "nan",
-        "int-beyond-float", "fraction-beyond-float"])
+        "int-beyond-float", "fraction-beyond-float", "float-then-bool", "nested-numpy-bool"])
 def test_reals_rejects_what_is_not_a_finite_real_number(value, message):
     with pytest.raises(ValidationError, match=message):
         linalg.reals(value, "x")

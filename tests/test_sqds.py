@@ -71,7 +71,8 @@ def test_forms_reject_non_finite_fields():
                                    Decimal("0.1")])
 def test_forms_reject_non_numbers_and_bools(name, value):
     good = dict(p_d=0.0, v_d0=0.2, p_q=0.3, phi_ent=0.4)
-    with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+    # A list names its first bad element.
+    with pytest.raises(ValidationError, match=rf"{name}(\[1\])? must be a real number"):
         SqdsForms(**{**good, name: value})
 
 
