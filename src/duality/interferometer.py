@@ -19,6 +19,7 @@ fully polarized quanton (s = 1) give unit fringe visibility.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -74,8 +75,9 @@ class WwmBlocks:
         return self.vpp.shape[-1]
 
 
-def validate_instances(s, blocks: WwmBlocks, rho_d0, phi) -> np.ndarray:
-    """Check instance fields and return ``rho_d0`` as a complex array.
+def validate_instances(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check instance fields and return ``s`` and ``phi`` as float arrays and
+    ``rho_d0`` as a complex array.
 
     ``s`` and ``phi`` have the blocks' leading shape: scalars for one
     instance, arrays of shape (N,) beside N stacked blocks and marker states.
@@ -96,7 +98,7 @@ def validate_instances(s, blocks: WwmBlocks, rho_d0, phi) -> np.ndarray:
     if i is not None:
         raise ValidationError(
             f"assembled {linalg.label('joint operator', i)} is not unitary within {VALIDATION_ATOL:.0e}")
-    return rho
+    return s, phi, rho
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,8 @@ class InterferometerInstance:
     endpoints are the pure-preparation cases used throughout.  ``rho_d0`` is
     the marker's initial density matrix and ``phi`` the phase-shifter angle.
     Construction validates every field, including block unitarity
-    (:func:`validate_instances`); it takes one instance, not a stack.
+    (:func:`validate_instances`), and keeps ``s`` and ``phi`` as the floats
+    it checked; it takes one instance, not a stack.
     """
 
     s: float
@@ -198,9 +201,11 @@ class InterferometerInstance:
     phi: float = 0.0
 
     def __post_init__(self):
-        rho = validate_instances(self.s, self.blocks, self.rho_d0, self.phi)
+        s, phi, rho = validate_instances(self.s, self.blocks, self.rho_d0, self.phi)
         if rho.ndim != 2:
             raise ValidationError(f"an instance takes one set of (n, n) blocks, got a stack of shape {rho.shape}")
+        object.__setattr__(self, "s", float(s))
+        object.__setattr__(self, "phi", float(phi))
         object.__setattr__(self, "rho_d0", _frozen_array(rho))
 
     @property
@@ -236,20 +241,31 @@ def matrix_to_pairs(m) -> list:
     return np.ascontiguousarray(linalg.as_square(m)).view(float).reshape(-1, 2).tolist()
 
 
-def _entries(pairs, size: int, name: str) -> np.ndarray:
-    """The entries of one matrix of ``size`` [re, im] pairs, as :func:`linalg.reals` floats."""
+def _shaped(pairs, size: int) -> bool:
+    """Whether one matrix is ``size`` [re, im] pairs: JSON arrays, or tuples or numpy arrays from a Python caller."""
     try:
-        # The matrix and each pair are JSON arrays, or tuples or numpy arrays from a Python caller.
-        shaped = (len(pairs) == size and set(map(len, pairs)) == {2}
-                  and {type(pairs), *map(type, pairs)} <= {list, tuple, np.ndarray})
+        return (len(pairs) == size and set(map(len, pairs)) == {2}
+                and {type(pairs), *map(type, pairs)} <= {list, tuple, np.ndarray})
     except TypeError:  # a number or a 0-d array where a sequence belongs
-        shaped = False
-    if not shaped:
-        raise ValidationError(f"{name} must be a list of {size} [re, im] pairs")
-    return linalg.reals(list(itertools.chain.from_iterable(pairs)), f"{name} entries")
+        return False
 
 
 _MATRICES = ("rho_d0", "vpp", "vpm", "vmp", "vmm")
+
+
+def _entries(matrices: list, size: int) -> np.ndarray:
+    """The entries of the :data:`_MATRICES`, ``size`` [re, im] pairs each, as one array of :func:`linalg.reals`
+    floats, checked at once; should that fail, a matrix at a time, in full, to name the first malformed one.
+    The shape of each matrix's entries is checked too, so a part that is itself a sequence is rejected."""
+    with contextlib.suppress(ValidationError):
+        if all(_shaped(pairs, size) for pairs in matrices):
+            entries = list(itertools.chain.from_iterable(itertools.chain.from_iterable(matrices)))
+            return linalg.reals(entries, "entries", (len(matrices) * 2 * size,))
+    for pairs, name in zip(matrices, _MATRICES):
+        if not _shaped(pairs, size):
+            raise ValidationError(f"{name} must be a list of {size} [re, im] pairs")
+        linalg.reals(list(itertools.chain.from_iterable(pairs)), f"{name} entries", (2 * size,))
+    raise AssertionError("unreachable: the entries failed together but passed one matrix at a time")
 
 
 def instance_from_dict(d: dict) -> InterferometerInstance:
@@ -258,17 +274,16 @@ def instance_from_dict(d: dict) -> InterferometerInstance:
     ``n`` must be an integer and every other number a JSON number: a bool or
     a string is rejected, not converted.  Every matrix entry must be finite,
     which Python's ``json`` does not ensure (it reads ``NaN`` and
-    ``Infinity``).  The matrices are checked in order, each in full, so an
-    error names the first malformed matrix; ``s`` and ``phi`` are checked
-    with the instance, by :func:`validate_instances`.
+    ``Infinity``).  An error names the first malformed matrix; ``s`` and
+    ``phi`` are checked with the instance, by :func:`validate_instances`.
     """
     try:
         n = linalg.integer(d["n"], "n", 1)
         s, phi = d["s"], d["phi"]
-        flat = np.concatenate([_entries(d["rho_d0"] if name == "rho_d0" else d["blocks"][name], n * n, name)
-                               for name in _MATRICES]).reshape(5, n, n, 2)
+        matrices = [d["rho_d0"] if name == "rho_d0" else d["blocks"][name] for name in _MATRICES]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed instance object: {exc}") from exc
+    flat = _entries(matrices, n * n).reshape(5, n, n, 2)
     # x + 1j*y, not a complex view, which would keep an imaginary -0.0 that x + 1j*y has always made +0.0.
     rho, *blocks = flat[..., 0] + 1j * flat[..., 1]
     return InterferometerInstance(s=s, blocks=WwmBlocks.adopt(*blocks), rho_d0=rho, phi=phi)

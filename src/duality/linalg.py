@@ -66,8 +66,8 @@ def first_failure(ok):
     comparison, fails the check.
     """
     # One instance's checks are numpy scalars, whose truth value is cheap;
-    # a stack's take one count, which costs a third of ``ok.all()``.
-    if np.count_nonzero(ok) == ok.size if ok.ndim else ok:
+    # a stack's take one reduction.
+    if ok.all() if ok.ndim else ok:
         return None
     return np.unravel_index(int(np.argmin(ok)), np.shape(ok))
 
@@ -205,31 +205,32 @@ def integer(value, name: str, low: int, high: int | None = None) -> int:
 
 
 def reals(value, name: str, lead: tuple | None = None) -> np.ndarray:
-    """``value`` as an array of finite floats, of shape ``lead`` if given: the one check of
-    real-number input.  An ndarray of a real dtype passes as it is.  Anything else, a Python
-    number or a sequence of them, flat or nested, or an object array, has the type of every
-    element checked once: each must be a real number (``numbers.Real``), such as a ``Fraction``
-    or an int beyond 64 bits, converted with ``float``.  A bool, numpy's included, a string, a
-    complex number, any other object and a ragged sequence are rejected wherever they appear,
-    and the error names the first such element."""
-    a = value
-    if type(a) is float or type(a) is list and set(map(type, a)) <= {float}:
-        a = np.array(a, dtype=float)  # the fast case: a float, or a flat list of floats as JSON gives
-    elif isinstance(a, np.ndarray) and a.dtype.kind != "O":
-        if a.dtype.kind not in "fiu":
+    """``value`` as an array of finite floats, of shape ``lead`` if given: the one check of real-number
+    input.  An ndarray of a real dtype passes.  Anything else, a Python number or a sequence of them, flat
+    or nested, or an object array, passes when the type of each element, checked once per type, is a real
+    number's (``numbers.Real``, as ``Fraction``), a bool's excepted; the first other element is named."""
+    if isinstance(value, np.ndarray) and value.dtype.kind != "O":
+        if value.dtype.kind not in "fiu":
             raise ValidationError(f"{name} must be a real number, got {value!r}")
-        a = a.astype(float, copy=False)
+        objects, real = value, True
+    elif type(value) is float or type(value) is list and _real_types(value):
+        objects, real = value, True  # the fast case: a float, or a flat list of numbers as JSON gives
     else:
         try:
-            objects = np.asarray(a, dtype=object)
+            objects = np.asarray(value, dtype=object)
         except ValueError as exc:  # nested arrays of mismatched shapes
             raise ValidationError(f"{name} must be a real number: {exc}") from None
-        a = np.empty(objects.shape)
-        for i, x in zip(np.ndindex(a.shape), objects.flat):
+        real = _real_types(objects.flat)
+    try:
+        a = np.asarray(objects, dtype=float) if real else None  # each element as float() converts it
+    except OverflowError:  # an int or a Fraction beyond the float range
+        a = None
+    if a is None:  # name the first element that is no real number or overflows
+        for i, x in np.ndenumerate(np.asarray(objects, dtype=object)):
             if isinstance(x, bool) or not isinstance(x, numbers.Real):
                 raise ValidationError(f"{label(name, i)} must be a real number, got {x!r}")
             try:
-                a[i] = float(x)
+                float(x)
             except OverflowError:
                 raise ValidationError(f"{label(name, i)} must be finite, got a value beyond the float range") from None
     if lead is not None and a.shape != lead:
@@ -238,6 +239,11 @@ def reals(value, name: str, lead: tuple | None = None) -> np.ndarray:
     if i is not None:
         raise ValidationError(f"{label(name, i)} must be finite, got {a[i]}")
     return a
+
+
+def _real_types(values) -> bool:
+    """Whether every element of ``values`` is a real number other than a bool, by a check of each type."""
+    return not any(issubclass(t, bool) or not issubclass(t, numbers.Real) for t in set(map(type, values)))
 
 
 def broadcast_reals(lead: tuple = (), **named) -> list:

@@ -448,7 +448,8 @@ def evaluate(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[dict, dict]:
         got = blocks.vpp.shape if isinstance(blocks, WwmBlocks) else type(blocks).__name__
         raise ValidationError(f"evaluate takes WwmBlocks stacked as (N, n, n), got {got}; measure one "
                               "instance through InterferometerInstance and hierarchy_report")
-    k = branch_kernel(blocks, s, validate_instances(s, blocks, rho_d0, phi), phi)
+    s, phi, rho = validate_instances(s, blocks, rho_d0, phi)
+    k = branch_kernel(blocks, s, rho, phi)
     cols, errors = _measured(k, _purities(k.rho_d0)[1])
     return {"s": k.s, "phi": k.phi, **cols}, errors
 

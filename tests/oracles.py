@@ -79,10 +79,13 @@ def matrix_from_pairs(pairs, n: int, name: str) -> np.ndarray:
     """One matrix of an instance object, checked and converted on its own.
 
     The matrix and each of its n*n [re, im] pairs must be a list, tuple or
-    numpy array.  Its entries, numbered 2 * pair + part, are then checked
-    one by one: each must be a real number other than a bool, within the
-    float range, and then each must be finite.  The first offending entry
-    is named.
+    numpy array.  Its 2n^2 entries, numbered 2 * pair + part, are read as
+    numpy reads a nested list: when every part is itself a sequence of one
+    length, those form a further dimension, and an element is numbered by
+    its index in each.  The elements are checked one by one: each must be a
+    real number other than a bool and within the float range.  Then the
+    entries must form a flat list of 2n^2, and each must be finite.  The
+    first offending element is named.
     """
     sequences = (list, tuple, np.ndarray)
     try:
@@ -92,14 +95,18 @@ def matrix_from_pairs(pairs, n: int, name: str) -> np.ndarray:
         shaped = False
     if not shaped:
         raise ValidationError(f"{name} must be a list of {n * n} [re, im] pairs")
-    entries = [x for pair in pairs for x in pair]
-    for k, x in enumerate(entries):
+    grid = np.asarray([x for pair in pairs for x in pair], dtype=object)
+    for k, x in zip(np.ndindex(grid.shape), grid.flat):
+        at = f"{name} entries[{', '.join(map(str, k))}]"
         if type(x) is bool or not isinstance(x, numbers.Real):
-            raise ValidationError(f"{name} entries[{k}] must be a real number, got {x!r}")
+            raise ValidationError(f"{at} must be a real number, got {x!r}")
         try:
             float(x)
         except OverflowError:
-            raise ValidationError(f"{name} entries[{k}] must be finite, got a value beyond the float range") from None
+            raise ValidationError(f"{at} must be finite, got a value beyond the float range") from None
+    if grid.shape != (2 * n * n,):
+        raise ValidationError(f"{name} entries must have leading shape {(2 * n * n,)}, got {grid.shape}")
+    entries = list(grid)
     for k, x in enumerate(map(float, entries)):
         if not math.isfinite(x):
             raise ValidationError(f"{name} entries[{k}] must be finite, got {x}")

@@ -119,6 +119,21 @@ def test_analyze_rejects_non_numeric_json_fields(tmp_path, capsys, where, value)
         instance_from_dict(data)
 
 
+@pytest.mark.parametrize("names", [("vpp",), ("rho_d0", "vpp", "vpm", "vmp", "vmm")], ids=["one", "all"])
+def test_analyze_rejects_matrix_parts_wrapped_in_lists(tmp_path, capsys, names):
+    # [[[0.5], [0.0]], ...]: every re and im part a one-element list, so the
+    # matrix reads as a nested list of the wrong shape, not of numbers.
+    data = InterferometerInstance(s=0.0, blocks=from_unitary_pair(I2, I2),
+                                  rho_d0=np.diag([0.5, 0.5]).astype(complex)).to_dict()
+    for name in names:
+        target = data if name == "rho_d0" else data["blocks"]
+        target[name] = [[[x] for x in pair] for pair in target[name]]
+    path = tmp_path / "wrapped.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {names[0]} entries must have leading shape (8,), got (8, 1)\n"
+
+
 def test_analyze_invalid_instance_exits_2(tmp_path, capsys):
     inst = InterferometerInstance(s=0.0, blocks=from_unitary_pair(I2, I2),
                                   rho_d0=np.diag([0.5, 0.5]).astype(complex))

@@ -905,7 +905,8 @@ def polarized_lane(dim: int, wwm: str) -> tuple:
     """The kernel and spectra of the polarized members with ``wwm`` markers of an every_lane_class stack."""
     jobs = every_lane_class(dim)
     s, blocks, rho, phi = drawn(13, jobs, dim)
-    k = interferometer.branch_kernel(blocks, s, validate_instances(s, blocks, rho, phi), phi)
+    s, phi, rho = validate_instances(s, blocks, rho, phi)
+    k = interferometer.branch_kernel(blocks, s, rho, phi)
     k = k.take([i for i, job in enumerate(jobs) if job[2:] == (wwm, "s_pure")])
     return k, measures.branch_spectra(k, True)
 

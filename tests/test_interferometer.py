@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -448,7 +449,8 @@ def test_instance_rejects_inversion_or_phase_off_the_blocks_leading_shape(stacke
         blocks = WwmBlocks(*(np.stack([m, m]) for m in (blocks.vpp, blocks.vpm, blocks.vmp, blocks.vmm)))
         rho, lead = np.stack([rho, rho]), (2,)
     good = {"s": np.full(lead, 0.5), "phi": np.zeros(lead)}
-    assert validate_instances(blocks=blocks, rho_d0=rho, **good).shape == (*lead, 2, 2)
+    s, phi, rho_checked = validate_instances(blocks=blocks, rho_d0=rho, **good)
+    assert (s.shape, phi.shape, rho_checked.shape) == (lead, lead, (*lead, 2, 2))
     if stacked:
         with pytest.raises(ValidationError, match=r"one set of \(n, n\) blocks, got a stack of shape \(2, 2, 2\)"):
             InterferometerInstance(blocks=blocks, rho_d0=rho, **good)
@@ -500,6 +502,7 @@ ENTRIES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e
 # A malformed part: an entry, a pair or a whole matrix.
 BAD_ENTRIES = st.one_of(st.booleans(), st.sampled_from(["0.5", None, 1j, [0.5], 2 ** 1100, np.bool_(True)]))
 BAD_PAIRS = st.sampled_from([[0.5], [0.5, 0.0, 0.0], None, "ab", {"a": 0.5, "b": 0.0}, 0.5, np.zeros(()), (0.5,)])
+WRAPS = (lambda x: [x], lambda x: [], lambda x: [x, x], lambda x: (x,), lambda x: np.array([x]), lambda x: [[x]])
 
 
 @st.composite
@@ -513,11 +516,14 @@ def instance_objects(draw):
         mats[name] = draw(st.sampled_from([pairs, tuple(map(tuple, pairs)), np.array(pairs)]))
     for name in draw(st.lists(st.sampled_from(MATRIX_NAMES), max_size=2, unique=True)):
         pairs = [list(pair) for pair in mats[name]]
-        i, level = draw(st.integers(0, n * n - 1)), draw(st.sampled_from(("entry", "pair", "matrix")))
+        i, level = draw(st.integers(0, n * n - 1)), draw(st.sampled_from(("entry", "pair", "parts", "matrix")))
         if level == "entry":
             pairs[i][draw(st.integers(0, 1))] = draw(BAD_ENTRIES)
         elif level == "pair":
             pairs[i] = draw(BAD_PAIRS)
+        elif level == "parts":  # every part of the matrix in a sequence of its own
+            wrap = draw(st.sampled_from(WRAPS))
+            pairs = [[wrap(x) for x in pair] for pair in pairs]
         else:
             pairs = draw(st.sampled_from([pairs[:-1], pairs + pairs[:1], None, 2.0, "x", dict(enumerate(pairs)),
                                           set(map(tuple, pairs)), np.array(pairs)[None]]))
@@ -582,6 +588,24 @@ def test_parse_errors_name_the_first_malformed_part():
         if len(bad) == 1:  # a second bad entry, later in the same matrix
             d["blocks"]["vmm"][3][0] = False
         assert parsed(d) == parsed_by_reference(d) == message
+    # Every part of a matrix, or of all five, wrapped in a list: a sequence
+    # where a number belongs, which fails the shape of the matrix's entries.
+    for names in (("vpm",), ("vpm", "vmp"), MATRIX_NAMES):
+        for wrap, shape in ((lambda x: [x], (8, 1)), (lambda x: [], (8, 0)), (lambda x: [x, 0.0], (8, 2))):
+            d = json.loads(json.dumps(good))
+            for name in names:
+                target = d if name == "rho_d0" else d["blocks"]
+                target[name] = [[wrap(x) for x in pair] for pair in target[name]]
+            message = f"{names[0]} entries must have leading shape (8,), got {shape}"
+            assert parsed(d) == parsed_by_reference(d) == message
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                instance_from_dict(d)
+    d = json.loads(json.dumps(good))
+    d["blocks"]["vmp"] = np.array(d["blocks"]["vmp"])[..., None]  # (n*n, 2, 1) from a Python caller
+    assert parsed(d) == parsed_by_reference(d) == "vmp entries must have leading shape (8,), got (8, 1)"
+    d["blocks"]["vmp"] = [[[x] for x in pair] for pair in good["blocks"]["vmp"]]
+    d["blocks"]["vmp"][1][1] = [True]  # a wrapped part that is no number is named by its index
+    assert parsed(d) == parsed_by_reference(d) == "vmp entries[3, 0] must be a real number, got True"
 
 
 def test_deserialization_rejects_malformed():

@@ -79,12 +79,30 @@ def test_validation_rejects_empty_matrices(shape):
 
 @pytest.mark.parametrize("value, expected", [
     (0.5, 0.5), (np.int64(3), 3.0), ([0.25, 1], [0.25, 1.0]),
-    # Numbers numpy holds only as objects are converted one by one.
+    # Numbers numpy holds only as objects, flat, nested or in an object array.
     (Fraction(1, 2), 0.5), (2 ** 70, 2.0 ** 70), ([Fraction(1, 4), 2 ** 64, 0.5], [0.25, 2.0 ** 64, 0.5]),
-], ids=["float", "numpy-int", "list", "fraction", "int-beyond-64-bits", "object-list"])
+    ([[Fraction(1, 4)], [2 ** 64]], [[0.25], [2.0 ** 64]]), (np.array([Fraction(3, 4), 1], dtype=object), [0.75, 1.0]),
+], ids=["float", "numpy-int", "list", "fraction", "int-beyond-64-bits", "object-list", "nested-objects",
+        "object-array"])
 def test_reals_accepts_every_finite_real_number(value, expected):
     a = linalg.reals(value, "x")
     assert a.dtype == np.float64 and a.tolist() == expected
+
+
+REAL_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2 ** 1023, 2 ** 1023),
+                         st.fractions(max_denominator=10 ** 30), st.floats(allow_nan=False, allow_infinity=False,
+                                                                           width=32).map(np.float32),
+                         st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(REAL_NUMBERS, max_size=12), nested=st.booleans())
+def test_reals_converts_every_element_as_float_does(values, nested):
+    # The bulk conversion of a flat list, a nested list or an object array gives float(x) of each element, bit for bit.
+    expected = [float(x) for x in values]
+    for value in ([[x] for x in values] if nested else values, np.array(values + [None], dtype=object)[:-1]):
+        a = linalg.reals(value, "x")
+        assert repr(a.ravel().tolist()) == repr(expected)
 
 
 @pytest.mark.parametrize("value, message", [

@@ -50,7 +50,7 @@ def stacked_reports(copies: list) -> list:
                          for name in ("vpp", "vpm", "vmp", "vmm")))
     s = np.array([c.s for c in copies])
     phi = np.array([c.phi for c in copies])
-    rho = validate_instances(s, blocks, np.stack([c.rho_d0 for c in copies]), phi)
+    s, phi, rho = validate_instances(s, blocks, np.stack([c.rho_d0 for c in copies]), phi)
     k = branch_kernel(blocks, s, rho, phi)
     columns = hierarchy_reports(k, branch_spectra(k, False))
     return [_report({name: col[i] for name, col in columns.items()}) for i in range(len(copies))]
