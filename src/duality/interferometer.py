@@ -87,17 +87,13 @@ def validate_instances(s, blocks: WwmBlocks, rho_d0, phi) -> tuple[np.ndarray, n
     """
     lead = blocks.vpp.shape[:-2]
     s, phi = linalg.reals(s, "inversion s", lead), linalg.reals(phi, "phase phi", lead)
-    i = linalg.first_failure(np.abs(s) <= 1.0)
-    if i is not None:
-        raise ValidationError(f"inversion {linalg.label('s', i)} must lie in [-1, 1], got {s[i]}")
+    linalg.require_members(np.abs(s) <= 1.0, ValidationError, "inversion {at} must lie in [-1, 1], got {}", s, name="s")
     rho = linalg.require_density(rho_d0, "rho_d0")
     if rho.shape != blocks.vpp.shape:
         raise ValidationError(
             f"rho_d0 dimension {rho.shape[-1]} does not match block dimension {blocks.n}")
-    i = linalg.first_failure(validate_unitarity(blocks))
-    if i is not None:
-        raise ValidationError(
-            f"assembled {linalg.label('joint operator', i)} is not unitary within {VALIDATION_ATOL:.0e}")
+    linalg.require_members(validate_unitarity(blocks), ValidationError, "assembled {at} is not unitary within {:.0e}",
+                           VALIDATION_ATOL, name="joint operator")
     return s, phi, rho
 
 
@@ -322,9 +318,8 @@ def validate_unitarity(blocks: WwmBlocks):
 
 def _require_unitary(u, name: str) -> np.ndarray:
     a = linalg.as_square(u, name)
-    i = linalg.first_failure(linalg.is_unitary(a))
-    if i is not None:
-        raise ValidationError(f"{linalg.label(name, i)} is not unitary within {VALIDATION_ATOL:.0e}")
+    linalg.require_members(linalg.is_unitary(a), ValidationError, "{at} is not unitary within {:.0e}", VALIDATION_ATOL,
+                           name=name)
     return a
 
 

@@ -58,9 +58,11 @@ def squared(x):
     return np.float_power(x, 2.0)
 
 
-def first_failure(ok):
-    """Index tuple of the first False entry of the boolean array ``ok``
-    (``()`` for a scalar), or None when every entry holds.
+def require_members(ok, error: type, message: str, *values, name: str = "", failed: dict | None = None) -> None:
+    """Fail each member of a batch whose entry of the boolean array ``ok`` is False: ``error``, its
+    message ``message`` formatted with ``values``, arrays that broadcast to ``ok``, at that entry.
+    Raise the first, whose message reads ``{at}`` as the member's :func:`label` in ``name``; or
+    record each in the dict ``failed``, under its flat position, unless one is there.
 
     Checks are written as "ok" masks, so that NaN, which fails every
     comparison, fails the check.
@@ -68,19 +70,10 @@ def first_failure(ok):
     # One instance's checks are numpy scalars, whose truth value is cheap;
     # a stack's take one reduction.
     if ok.all() if ok.ndim else ok:
-        return None
-    return np.unravel_index(int(np.argmin(ok)), np.shape(ok))
-
-
-def require_members(ok, error: type, message: str, *values, failed: dict | None = None) -> None:
-    """Fail each member of a batch whose entry of the boolean array ``ok`` is False: ``error``, its
-    message ``message`` formatted with ``values``, arrays that broadcast to ``ok``, at that entry.
-    Raise the first, or record each in the dict ``failed``, under its flat position, unless one is there."""
-    i = first_failure(ok)
-    if i is None:
         return
     if failed is None:
-        raise error(message.format(*(np.broadcast_to(v, np.shape(ok))[i].item() for v in values)))
+        i = np.unravel_index(int(np.argmin(ok)), np.shape(ok))
+        raise error(message.format(*(np.broadcast_to(v, np.shape(ok))[i].item() for v in values), at=label(name, i)))
     values = [np.broadcast_to(v, np.shape(ok)).ravel() for v in values]
     for j in np.flatnonzero(~ok).tolist():
         failed.setdefault(j, error(message.format(*(v[j].item() for v in values))))
@@ -110,10 +103,8 @@ def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_square(m, name)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test, without a warning
         dev = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
-    i = first_failure(dev <= CONSTRUCTION_ATOL)
-    if i is not None:
-        raise ValidationError(
-            f"{label(name, i)} is not Hermitian (max deviation {dev[i]:.3e} > {CONSTRUCTION_ATOL:.0e})")
+    require_members(dev <= CONSTRUCTION_ATOL, ValidationError, "{at} is not Hermitian (max deviation {:.3e} > {:.0e})",
+                    dev, CONSTRUCTION_ATOL, name=name)
     return a
 
 
@@ -136,17 +127,14 @@ def require_density(rho, name: str = "rho") -> np.ndarray:
     a = require_hermitian(rho, name)
     with np.errstate(over="ignore"):  # an overflowing trace is inf, which fails the test
         tr = a.trace(0, -2, -1).real
-    i = first_failure(np.abs(tr - 1.0) <= CONSTRUCTION_ATOL)
-    if i is not None:
-        raise ValidationError(f"{label(name, i)} must have unit trace, got {float(tr[i])!r}")
+    require_members(np.abs(tr - 1.0) <= CONSTRUCTION_ATOL, ValidationError, "{at} must have unit trace, got {!r}",
+                    tr, name=name)
     try:
         np.linalg.cholesky(a + VALIDATION_ATOL * np.eye(a.shape[-1]))
     except np.linalg.LinAlgError:
         low = np.linalg.eigvalsh(a).min(axis=-1)
-        i = first_failure(low >= -VALIDATION_ATOL)
-        if i is not None:
-            raise ValidationError(
-                f"{label(name, i)} is not positive semidefinite (min eigenvalue {low[i]:.3e})") from None
+        require_members(low >= -VALIDATION_ATOL, ValidationError,
+                        "{at} is not positive semidefinite (min eigenvalue {:.3e})", low, name=name)
     return a
 
 
@@ -161,9 +149,8 @@ def hermitian_eigen(m) -> HermitianEigen:
     Raises :class:`ValidationError` for an eigenvalue beyond the float range.
     """
     eigen = _hermitian_eigen(require_hermitian(m))
-    i = first_failure(np.isfinite(eigen.values).all(axis=-1))
-    if i is not None:
-        raise ValidationError(f"{label('matrix', i)} has an eigenvalue beyond the float range")
+    require_members(np.isfinite(eigen.values).all(axis=-1), ValidationError,
+                    "{at} has an eigenvalue beyond the float range", name="matrix")
     return eigen
 
 
@@ -187,9 +174,7 @@ def trace_norm(m):
     a = require_hermitian(m)
     with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails the test
         norm = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
-    i = first_failure(np.isfinite(norm))
-    if i is not None:
-        raise ValidationError(f"{label('matrix', i)} has a trace norm beyond the float range")
+    require_members(np.isfinite(norm), ValidationError, "{at} has a trace norm beyond the float range", name="matrix")
     return float(norm) if a.ndim == 2 else norm
 
 
@@ -235,9 +220,7 @@ def reals(value, name: str, lead: tuple | None = None) -> np.ndarray:
                 raise ValidationError(f"{label(name, i)} must be finite, got a value beyond the float range") from None
     if lead is not None and a.shape != lead:
         raise ValidationError(f"{name} must have leading shape {lead}, got {a.shape}")
-    i = first_failure(np.isfinite(a))
-    if i is not None:
-        raise ValidationError(f"{label(name, i)} must be finite, got {a[i]}")
+    require_members(np.isfinite(a), ValidationError, "{at} must be finite, got {}", a, name=name)
     return a
 
 

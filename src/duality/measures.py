@@ -45,7 +45,7 @@ from .interferometer import (BranchKernel, InterferometerInstance, WwmBlocks, br
                              validate_instances)
 from .interferometer import evolve  # noqa: F401  (kept importable from this module)
 from .tolerances import (DEGENERATE_WEIGHT, IDENTITY_ATOL, PURITY_ATOL, SATURATION_ATOL, STATE_INDEPENDENT_ATOL,
-                         TIE_ATOL, VALIDATION_ATOL, XI_ATOL)
+                         VALIDATION_ATOL, XI_ATOL)
 
 # Every inequality in this package is asserted as slack >= -SLACK_TOL; the
 # slack itself carries eigenvalue round-off, so exact comparisons are never
@@ -97,9 +97,8 @@ def _float_or_array(a):
 
 
 def _clamped_unit(x: np.ndarray, name: str) -> np.ndarray:
-    i = linalg.first_failure((x >= -SLACK_TOL) & (x <= 1.0 + SLACK_TOL))
-    if i is not None:
-        raise ValidationError(f"{name} must lie in [0, 1], got {float(x[i])!r}")
+    linalg.require_members((x >= -SLACK_TOL) & (x <= 1.0 + SLACK_TOL), ValidationError,
+                           name + " must lie in [0, 1], got {!r}", x)
     return np.clip(x, 0.0, 1.0)
 
 
@@ -110,12 +109,12 @@ def _validate_conditionals(w_plus, rho_plus, w_minus, rho_minus, **numbers) -> l
     if rp.shape != rm.shape:
         raise ValidationError("conditional states must share the same dimension")
     w_plus, w_minus, *rest = linalg.broadcast_reals(rp.shape[:-2], w_plus=w_plus, w_minus=w_minus, **numbers)
-    if linalg.first_failure((w_plus >= 0.0) & (w_minus >= 0.0)) is not None:
-        raise ValidationError(f"way probabilities must be non-negative, got {w_plus}, {w_minus}")
+    linalg.require_members((w_plus >= 0.0) & (w_minus >= 0.0), ValidationError,
+                           "way probabilities must be non-negative, got {}, {}", w_plus, w_minus)
     with np.errstate(over="ignore"):  # a sum that overflows is inf, which fails the test
-        i = linalg.first_failure(np.abs(w_plus + w_minus - 1.0) <= VALIDATION_ATOL)
-        if i is not None:
-            raise ValidationError(f"way probabilities must sum to one, got {float((w_plus + w_minus)[i])!r}")
+        total = w_plus + w_minus
+    linalg.require_members(np.abs(total - 1.0) <= VALIDATION_ATOL, ValidationError,
+                           "way probabilities must sum to one, got {!r}", total)
     return [rp, rm, w_plus, w_minus, *rest]
 
 
@@ -272,11 +271,12 @@ def deviations(rep: dict, sp: BranchSpectra, pure_polarized: np.ndarray) -> dict
     one does not apply: |max(P, R) - D| on two-level markers; |V^2 + Xi^2 - 1|
     and |D - Xi|, zero where ``pure_polarized`` marks a pure marker and a
     polarized quanton; the ceiling slack P + Q - PQ - D of every instance;
-    |chi - its closed form|, P^2/Xi^2 where P > R, else
-    the chi closed form of the rho_d0 spectrum that ``sp`` must hold."""
+    |chi - its closed form|, P^2/Xi^2 where P > R, else the chi closed form of
+    the rho_d0 spectrum that ``sp`` must hold.  The two are equal at P = R, so
+    the branch needs no tie tolerance."""
     p, r, xi_value, chi = rep["p"], rep["r"], rep["xi"], rep["chi"]
     closed = np.full(np.shape(chi), np.nan)
-    by_p = ~np.isnan(chi) & (p > r + TIE_ATOL)
+    by_p = ~np.isnan(chi) & (p > r)
     closed[by_p] = linalg.squared(p[by_p]) / linalg.squared(xi_value[by_p])
     by_spectrum = ~np.isnan(chi) & ~by_p
     if by_spectrum.any():
@@ -424,12 +424,10 @@ def mixing_bounds(k: BranchKernel, sp: BranchSpectra, failed: dict | None = None
     the columns ``mixing_bound_slack`` and ``contrast_recomposition``, each gated by the :data:`CHECKS` row
     that reads it.  A saturating P raises, or is recorded in ``failed`` (:func:`linalg.require_members`)."""
     contrast, sp = _polarized_branches(k, sp, failed)
-    terms = sp.marker_values * _eigenvector_elements(k, sp)[0]
-    # One add per eigenvector, in eigenvector order, as a running sum over
-    # the components with a non-degenerate weight adds them.
-    recomposed = np.zeros_like(contrast)
-    for weight, term in zip(np.moveaxis(sp.marker_values, -1, 0), np.moveaxis(terms, -1, 0)):
-        recomposed = recomposed + np.where(weight > DEGENERATE_WEIGHT, term, 0.0)
+    terms = np.where(sp.marker_values > DEGENERATE_WEIGHT, sp.marker_values * _eigenvector_elements(k, sp)[0], 0.0)
+    # Added left to right, in eigenvector order, as a running sum over the components
+    # with a non-degenerate weight adds them (np.sum would add pairwise).
+    recomposed = np.cumsum(terms, axis=-1)[..., -1]
     return {"mixing_bound_slack": 1.0 - _branch_sum(sp, linalg.squared(_modulus(contrast))),
             "contrast_recomposition": _modulus(recomposed - contrast)}
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import IdentityError, ValidationError
 from .interferometer import tilted_blocks
-from .linalg import SIGMA_X, SIGMA_Z, broadcast_reals, first_failure, label, require_members, squared
+from .linalg import SIGMA_X, SIGMA_Z, broadcast_reals, require_members, squared
 from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, SQDS_XI_ATOL, TIE_ATOL
 
 FIGURE3_RESOLUTION = 101  # points per side of the fig3 grid
@@ -57,15 +57,13 @@ class SqdsForms:
             a = fields[name] = a.copy()
             a.setflags(write=False)
             # In range before the Bloch norm squares it, so that no square overflows.
-            i = None if name == "phi_ent" else first_failure((a >= 0.0) & (a <= 1.0))
-            if i is not None:
-                raise ValidationError(f"{label(name, i)} must lie in [0, 1], got {a[i]}")
+            if name != "phi_ent":
+                require_members((a >= 0.0) & (a <= 1.0), ValidationError, "{at} must lie in [0, 1], got {}", a,
+                                name=name)
         self.p_d, self.v_d0, self.p_q, self.phi_ent = p_d, v_d0, p_q, phi_ent = fields.values()
         norm_sq = squared(p_d) + squared(v_d0)
-        i = first_failure(norm_sq <= 1.0 + CONSTRUCTION_ATOL)
-        if i is not None:
-            raise ValidationError(
-                f"detecton Bloch norm exceeds one: {label('p_d^2 + v_d0^2', i)} = {float(norm_sq[i])!r}")
+        require_members(norm_sq <= 1.0 + CONSTRUCTION_ATOL, ValidationError,
+                        "detecton Bloch norm exceeds one: {at} = {!r}", norm_sq, name="p_d^2 + v_d0^2")
         # math.sin and math.cos: numpy's vectorized loops may round differently from one value alone.
         sin_phi, cos_phi = (np.reshape([f(t) for t in phi_ent.flat], phi_ent.shape) for f in (math.sin, math.cos))
         self.p_sq = squared(p_q)

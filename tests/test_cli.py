@@ -639,16 +639,11 @@ def summary_digest(tmp_path, capsys, argv, code) -> str:
     return hashlib.sha256(kept.encode()).hexdigest()
 
 
-def fail_every_deviation_check(monkeypatch):
-    monkeypatch.setattr(sweep, "CHECKS", tuple(
-        check._replace(threshold=-1.0) if check.kind == "deviation" else check for check in sweep.CHECKS))
-
-
-def test_summary_json_golden_with_violations(tmp_path, capsys, monkeypatch):
+def test_summary_json_golden_with_violations(tmp_path, capsys, fail_every_deviation_check):
     # Every deviation check fails, so the summary holds a record, with its
     # instance JSON, per violation at n = 2 and n = 8 (digest recorded with
     # numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64, and the json module as the encoder).
-    fail_every_deviation_check(monkeypatch)
+    fail_every_deviation_check()
     assert summary_digest(tmp_path, capsys, ["--seed", "0", "--count", "1", "--dims", "2,8"], 1) == (
         "9addade9a8628d448cd746ed6906455fc7a9dca4c3c79200e9c06ae211c58104")
 
@@ -723,9 +718,9 @@ def test_json_text_rejects_what_the_json_module_rejects(obj):
     (SweepConfig(seed=0, count=1, dims=(2, 8)), True),
     (SweepConfig(seed=9, count=8, dims=(2, 3, 8)), True),
 ])
-def test_json_text_of_summaries(monkeypatch, cfg, failing):
+def test_json_text_of_summaries(fail_every_deviation_check, cfg, failing):
     if failing:
-        fail_every_deviation_check(monkeypatch)
+        fail_every_deviation_check()
     summary, _ = run_sweep(cfg)
     assert (len(summary.violations) > 0) == failing
     data = summary.to_dict()

@@ -38,7 +38,7 @@ from duality.sweep import (
     sweep_plan,
     write_instances_csv,
 )
-from duality.tolerances import PURITY_ATOL, TIE_ATOL, VALIDATION_ATOL
+from duality.tolerances import PURITY_ATOL, VALIDATION_ATOL
 
 
 def row_alone(seed: int, row: dict) -> dict:
@@ -58,7 +58,7 @@ def row_alone(seed: int, row: dict) -> dict:
     if rep["chi"] is not None:
         values = linalg.hermitian_eigen(inst.rho_d0).values
         d1, d2 = float(values[0]), max(float(values[1]), 0.0)
-        closed = (rep["p"] ** 2 / rep["xi"] ** 2 if rep["p"] > rep["r"] + TIE_ATOL else
+        closed = (rep["p"] ** 2 / rep["xi"] ** 2 if rep["p"] > rep["r"] else
                   1.0 - 4.0 * d1 * d2 * rep["p"] * rep["p"] / (rep["xi"] * rep["xi"]))
         out["chi_closed_dev"] = abs(rep["chi"] - closed)
     return out
@@ -145,13 +145,8 @@ def test_summary_equals_a_loop_over_its_rows():
         row["slack_main"] is None and row["xi_minus_d"] < -1e-9 for row in rows)
 
 
-def fail_every_deviation_check(monkeypatch):
-    monkeypatch.setattr(sweep, "CHECKS", tuple(
-        check._replace(threshold=-1.0) if check.kind == "deviation" else check for check in sweep.CHECKS))
-
-
-def test_violations_come_in_index_then_check_order(monkeypatch):
-    fail_every_deviation_check(monkeypatch)
+def test_violations_come_in_index_then_check_order(monkeypatch, fail_every_deviation_check):
+    fail_every_deviation_check()
     # Four chunks, each of which holds instances of all three dimensions.
     monkeypatch.setattr(sweep, "_CHUNK_ENTRIES", 512)
     cfg = SweepConfig(seed=6, count=3, dims=(2, 3, 8))
@@ -324,14 +319,14 @@ def sweep_output(cfg) -> tuple:
 
 
 @pytest.mark.parametrize("failing", [False, True])
-def test_outputs_do_not_depend_on_the_chunk_budget(monkeypatch, failing):
+def test_outputs_do_not_depend_on_the_chunk_budget(monkeypatch, fail_every_deviation_check, failing):
     # Budgets from one instance per chunk to the shipped one, the largest;
     # the sweep spans dims 2, 3 and 8 and the tilted lane, and its 5616
     # entries make two chunks even at the shipped budget.  With every
     # deviation check failing, the violations cross chunk boundaries, so
     # their order is pinned too.
     if failing:
-        fail_every_deviation_check(monkeypatch)
+        fail_every_deviation_check()
     cfg = SweepConfig(seed=9, count=9, dims=(2, 3, 8))
     assert any(lane[0] == sweep.STRINGENCY_CLASS for lane in sweep_plan(cfg))
     outputs = {}

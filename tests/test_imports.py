@@ -1,7 +1,7 @@
 """Checks on the package's source: it imports nothing outside the standard
 library and numpy, the SQDS closed forms import nothing of the engine's
-measures, integer arguments have one validator, and the README lists the
-names the package exports."""
+measures, integer arguments have one validator, a failing member is named
+through one function, and the README lists the names the package exports."""
 
 import ast
 import re
@@ -45,6 +45,29 @@ def test_only_linalg_checks_for_integers():
                     and any(alias.name == "Integral" for alias in node.names)):
                 found.append((name, node.lineno))
     assert found and {name for name, _ in found} == {"linalg.py"}, found
+
+
+def test_only_require_members_names_a_failing_member():
+    # A check that names its first failing member goes through linalg.require_members, the one function that
+    # turns a failing mask into an error.  So linalg.label is called there and in linalg.reals' walk over
+    # element types, which names an element by its type, not by a mask; and no module keeps a first_failure.
+    callers, first_failure = set(), []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            # A definition, an import, a name or an attribute.
+            if "first_failure" in (getattr(child, "name", None), getattr(child, "asname", None),
+                                   getattr(child, "id", None), getattr(child, "attr", None)):
+                first_failure.append((module, child.lineno))
+            if isinstance(child, ast.Call) and "label" in (getattr(child.func, "id", None),
+                                                           getattr(child.func, "attr", None)):
+                callers.add((module, function))
+            visit(child, module, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    for name, tree in modules().items():
+        visit(tree, name, None)
+    assert callers == {("linalg.py", "require_members"), ("linalg.py", "reals")}, callers
+    assert not first_failure, first_failure
 
 
 def test_sqds_imports_nothing_from_measures():

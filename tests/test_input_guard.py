@@ -244,7 +244,11 @@ def test_a_bool_among_numbers_is_rejected_at_every_real_number_boundary(data):
     (lambda: r_measure(0.5, HALF, 0.5, HALF, 1.5), "p must lie in [0, 1], got 1.5"),
     (lambda: r_measure(0.5, HALF, 0.5, HALF, -0.1), "p must lie in [0, 1], got -0.1"),
     (lambda: distinguishability(-0.5, HALF, 1.5, HALF), "way probabilities must be non-negative, got -0.5, 1.5"),
-], ids=["unitary-pair-shapes", "tilted-pair-shapes", "p-above-one", "p-below-zero", "negative-way"])
+    # A stack's error gives the first failing member's values.
+    (lambda: distinguishability([0.5, -0.5], np.stack([HALF, HALF]), [0.5, 1.5], np.stack([HALF, HALF])),
+     "way probabilities must be non-negative, got -0.5, 1.5"),
+], ids=["unitary-pair-shapes", "tilted-pair-shapes", "p-above-one", "p-below-zero", "negative-way",
+        "negative-way-in-a-stack"])
 def test_out_of_range_arguments_are_named_in_the_error(call, message):
     with pytest.raises(ValidationError) as raised:
         call()

@@ -114,8 +114,10 @@ def test_reals_converts_every_element_as_float_does(values, nested):
     # A bool anywhere, which numpy alone would read as 1.0 beside a float.
     ([0.5, True], r"x\[1\] must be a real number, got True"),
     ([[0.5], [np.True_]], r"x\[1, 0\] must be a real number, got (np\.)?True"),
+    # Nested arrays of mismatched shapes, which numpy cannot put in one object array.
+    ([np.zeros((2, 2)), np.zeros((2, 3))], "x must be a real number: could not broadcast"),
 ], ids=["bool", "numeric-string", "complex", "ragged", "object-with-bool", "object-with-decimal", "nan",
-        "int-beyond-float", "fraction-beyond-float", "float-then-bool", "nested-numpy-bool"])
+        "int-beyond-float", "fraction-beyond-float", "float-then-bool", "nested-numpy-bool", "ragged-arrays"])
 def test_reals_rejects_what_is_not_a_finite_real_number(value, message):
     with pytest.raises(ValidationError, match=message):
         linalg.reals(value, "x")

@@ -218,6 +218,30 @@ def test_chi_column_equals_the_spectrum_closed_form_from_consistent_inputs():
     assert (cols["chi_closed_dev"] <= 1e-9).all()
 
 
+CHI_THRESHOLD = {check.name: check.threshold for check in measures.CHECKS}["chi_closed_form"]
+
+
+def test_chi_closed_form_holds_next_to_the_p_r_tie():
+    # p_q 3e-13 above its tie Q/sqrt(0.66 + Q^2) (|s_D|^2 = 0.34, quality Q) puts 0 < P - R <= 1e-12; the
+    # spectrum branch there reads R^2/Xi^2, about (P^2 - R^2)/Xi^2 off chi, past 1e-9 once Xi < 1e-3.
+    quality = np.array([1e-3, 1e-4, 1e-5])
+    forms = SqdsForms(0.3, 0.5, quality / np.sqrt(0.66 + quality ** 2) + 3e-13, np.arcsin(2.0 * quality))
+    cols, errors = evaluate(*sqds_instances(forms))
+    assert not errors
+    assert ((cols["p"] - cols["r"] > 0.0) & (cols["p"] - cols["r"] <= 1e-12)).all()
+    assert (cols["chi_closed_dev"] <= CHI_THRESHOLD).all()  # chi is formed, and holds
+
+
+def test_chi_closed_form_holds_at_small_xi():
+    # Away from any tie, the round-off of D^2/Xi^2 grows as 1/Xi (Xi from 2.2e-7 down to 2.2e-9 here):
+    # chi is formed only where it stays inside the row's threshold.
+    quality = np.array([1e-7, 1e-7, 1e-8, 1e-8, 1e-9, 1e-9])
+    forms = SqdsForms(0.3, 0.5, quality * np.array([0.5, 2.0, 0.5, 2.0, 0.5, 2.0]), np.arcsin(2.0 * quality))
+    cols, errors = evaluate(*sqds_instances(forms))
+    assert not errors and not np.isnan(cols["slack_main"]).any()  # every instance is gated
+    assert not (cols["chi_closed_dev"] > CHI_THRESHOLD).any()
+
+
 # --- hierarchy report ------------------------------------------------------------------
 
 def test_report_identity_blocks():
