@@ -94,22 +94,14 @@ def _render(obj, level: int) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{_key(k)}: {_render(v, level + 1)}" for k, v in obj.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_render(v, level + 1)}" for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(json.dumps(key))  # unrounded, as json.dumps keeps keys
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _json_text(obj) -> str:
-    """``json.dumps(indent=2)`` of ``obj`` with every float first rounded to
-    12 significant digits, plus a newline, rendered in one pass."""
+    """``json.dumps(indent=2)`` of ``obj``, whose keys are str, with every float
+    first rounded to 12 significant digits, plus a newline, rendered in one pass."""
     return _render(obj, 0) + "\n"
 
 

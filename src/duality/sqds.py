@@ -32,7 +32,7 @@ import numpy as np
 from .errors import IdentityError, ValidationError
 from .interferometer import tilted_blocks
 from .linalg import SIGMA_X, SIGMA_Z, broadcast_reals, require_members, squared
-from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, SQDS_XI_ATOL, TIE_ATOL
+from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, SQDS_XI_ATOL
 
 FIGURE3_RESOLUTION = 101  # points per side of the fig3 grid
 FIGURE4_SAMPLES = 201  # points on the fig4 curve
@@ -45,8 +45,8 @@ class SqdsForms:
     Each field is a finite real number or an array of them, and the four broadcast together;
     p_d, v_d0 and p_q lie in [0, 1], and p_d^2 + v_d0^2 <= 1.  The constructor checks this once
     and raises :class:`ValidationError` naming the first failing element; it keeps each field
-    as a read-only copy.  Delta and chi check
-    their branches on first use, so a caller meets the errors of only the forms it reads.
+    as a read-only copy.  Delta and chi take their P_Q branch where P_Q > R_Q and their spectrum
+    branch elsewhere; chi is checked against 1 - Delta / Xi_Q^2 on first use.
     """
 
     def __init__(self, p_d, v_d0, p_q, phi_ent):
@@ -76,18 +76,9 @@ class SqdsForms:
         self.r_q = np.sqrt(np.maximum(0.0, self.p_sq * squared(self.s_d_norm) + self.coherent))
         self.d_q = np.maximum(p_q, self.r_q)
         self.v_q = self.v_q0 * np.sqrt(squared(cos_phi) + squared(p_d) * squared(sin_phi))
-
-    def by_branch(self, upper, lower, name: str):
-        """``upper`` where P_Q > R_Q, ``lower`` where P_Q < R_Q, and at a tie their mean, if they agree."""
-        tied = np.abs(self.p_q - self.r_q) <= TIE_ATOL
-        require_members(~tied | (np.abs(upper - lower) <= BRANCH_AGREE_ATOL), IdentityError,
-                        name + "branch expressions disagree at the P = R tie: {!r} vs {!r}", upper, lower)
-        return np.where(tied, 0.5 * (upper + lower), np.where(self.p_q > self.r_q, upper, lower))
-
-    @cached_property
-    def delta(self):
-        """Gap between the squared visibility bounds, V_D^2 - V_Xi^2 = Xi_Q^2 - D_Q^2."""
-        return self.by_branch(self.coherent, self.p_sq * self.impurity, "")
+        # Gap between the squared visibility bounds, V_D^2 - V_Xi^2 = Xi_Q^2 - D_Q^2.  Its two branches
+        # are equal at P_Q = R_Q, so the tie takes either.
+        self.delta = np.where(p_q > self.r_q, self.coherent, self.p_sq * self.impurity)
 
     @cached_property
     def chi(self):
@@ -96,8 +87,8 @@ class SqdsForms:
         # Xi = 0 (and so P_Q = 0, as Xi >= P_Q) leaves no way information: chi = 1 by convention.
         informed = self.xi_q > SQDS_XI_ATOL
         xi_sq = np.where(informed, squared(self.xi_q), 1.0)
-        chi = self.by_branch(np.where(informed, self.p_sq / xi_sq, 1.0),
-                             np.where(informed, 1.0 - self.impurity * self.p_sq / xi_sq, 1.0), "chi ")
+        chi = np.where(informed, np.where(self.p_q > self.r_q, self.p_sq / xi_sq,
+                                          1.0 - self.impurity * self.p_sq / xi_sq), 1.0)
         closed = 1.0 - self.delta / xi_sq
         require_members(~informed | (np.abs(chi - closed) <= BRANCH_AGREE_ATOL), IdentityError,
                         "chi branch value {!r} disagrees with 1 - Delta/Xi^2 = {!r}", chi, closed)

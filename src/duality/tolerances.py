@@ -52,9 +52,7 @@ PURITY_ATOL = 1e-13
 # round-off brings it here.
 SATURATION_ATOL = 1e-12
 
-# Two branch expressions of the SQDS closed forms (P_Q > R_Q versus
-# P_Q <= R_Q) count as tied within TIE_ATOL and must then agree within
-# BRANCH_AGREE_ATOL.  The chi_closed_form row takes no tie tolerance: its two
-# branches are equal at P = R, so it picks P^2/Xi^2 where P > R.
-TIE_ATOL = 1e-12
+# The SQDS chi, from its P_Q > R_Q or its P_Q <= R_Q branch, must agree with
+# 1 - Delta / Xi_Q^2 within BRANCH_AGREE_ATOL.  No branch takes a tie
+# tolerance: the two are equal at P = R, so P^2/Xi^2 is picked where P > R.
 BRANCH_AGREE_ATOL = 1e-10

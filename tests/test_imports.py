@@ -1,7 +1,8 @@
 """Checks on the package's source: it imports nothing outside the standard
 library and numpy, the SQDS closed forms import nothing of the engine's
 measures, integer arguments have one validator, a failing member is named
-through one function, and the README lists the names the package exports."""
+through one function, every named tolerance is used, and the README lists the
+names the package exports."""
 
 import ast
 import re
@@ -80,6 +81,17 @@ def test_sqds_imports_nothing_from_measures():
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
     assert imported and not any("measures" in name.split(".") for name in imported), imported
+
+
+def test_every_tolerance_is_imported_by_another_module():
+    # tolerances.py is the one table of named tolerances, so each constant there is read by some module of the
+    # package; one that none imports is a tolerance nothing honours any more.
+    parsed = modules()
+    defined = {target.id for node in parsed["tolerances.py"].body if isinstance(node, ast.Assign)
+               for target in node.targets if isinstance(target, ast.Name)}
+    imported = {alias.name for name, tree in parsed.items() if name != "tolerances.py" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "tolerances" for alias in node.names}
+    assert defined and defined <= imported, sorted(defined - imported)
 
 
 def test_readme_api_list_matches_the_package_exports():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duality import measures, sqds
-from duality.errors import DegenerateBranchError, IdentityError, ValidationError
+from duality.errors import DegenerateBranchError, ValidationError
 from duality.linalg import rng
 from duality.measures import evaluate
 from duality.sqds import SqdsForms, figure3_grid, figure4_curve, sqds_instances, write_figure3_csv, write_figure4_csv
@@ -38,6 +38,27 @@ def engine(forms: SqdsForms) -> dict:
     cols, errors = evaluate(*sqds_instances(forms))
     assert errors == {}
     return cols
+
+
+def next_to_the_tie(p_d, v_d0, sin_phi, offset) -> tuple:
+    """(p_d, v_d0, p_q, phi_ent) with p_q ``offset`` from its P = R tie Q / sqrt(1 - |s_D|^2 + Q^2), where
+    Q = v_d0 sin_phi, clipped to [0, 1]; each argument a number or an array."""
+    quality = np.multiply(v_d0, sin_phi)
+    # Q = 0 ties at P = 0 (at every P if |s_D| = 1); the added one keeps 0/0 out.
+    impurity = np.maximum(0.0, 1.0 - np.square(p_d) - np.square(v_d0)) + (quality == 0.0)
+    tie = quality / np.sqrt(impurity + np.square(quality))
+    return p_d, v_d0, np.clip(tie + offset, 0.0, 1.0), np.arcsin(sin_phi)
+
+
+def near_tie_forms(count, seed) -> SqdsForms:
+    """``count`` random mixed-detecton configurations, a third at their P = R tie and the others within 1e-12
+    of it, with sin Phi, and so the quality Q, down to 1e-12."""
+    gen = rng(seed)
+    p_d = gen.uniform(0.0, 1.0, count)
+    v_d0 = gen.uniform(0.0, 1.0, count) * np.sqrt(1.0 - p_d ** 2)
+    sin_phi = 10.0 ** gen.uniform(-12.0, 0.0, count)
+    offset = np.where(np.arange(count) % 3 == 0, 0.0, gen.uniform(-1e-12, 1e-12, count))
+    return SqdsForms(*next_to_the_tie(p_d, v_d0, sin_phi, offset))
 
 
 # --- input checks -----------------------------------------------------------------
@@ -205,6 +226,17 @@ def test_chi_degenerate_xi_convention():
     assert SqdsForms(p_d=0.0, v_d0=0.0, p_q=[0.0, 1e-16, 5e-16, 1e-15], phi_ent=0.3).chi.tolist() == [1.0] * 4
 
 
+def test_chi_holds_next_to_the_p_r_tie():
+    # p_q 3e-13 above its tie Q/sqrt(0.66 + Q^2) (|s_D|^2 = 0.34, quality Q) puts 0 < P - R <= 1e-12.  The two
+    # branches differ there by about (P^2 - R^2)/Xi^2, past BRANCH_AGREE_ATOL once Q < 1e-3; chi takes the P branch.
+    quality = np.array([1e-3, 1e-4, 1e-5])
+    forms = SqdsForms(0.3, 0.5, quality / np.sqrt(0.66 + quality ** 2) + 3e-13, np.arcsin(2.0 * quality))
+    assert ((forms.p_q - forms.r_q > 0.0) & (forms.p_q - forms.r_q <= 1e-12)).all()
+    assert np.array_equal(forms.chi, forms.p_sq / forms.xi_q ** 2)
+    assert float(forms.chi[0]) == pytest.approx(0.6024096386709656, abs=1e-15)
+    assert np.abs(engine(forms)["chi"] - forms.chi).max() <= 1e-9
+
+
 def test_d_is_the_larger_of_p_and_r_and_delta_is_bounded():
     forms = random_forms(400, seed=0)
     assert np.array_equal(forms.d_q, np.maximum(forms.p_q, forms.r_q))
@@ -232,22 +264,28 @@ def grid_points(draw):
     return 0.0, s, p, math.pi / 2.0
 
 
+@st.composite
+def near_ties(draw):
+    # A configuration within 1e-12 of its P = R tie, absolutely or relative to P, with sin Phi down to 1e-12.
+    p_d = draw(st.floats(0.0, 1.0))
+    v_d0 = draw(st.floats(0.0, math.sqrt(1.0 - p_d * p_d)))
+    sin_phi = 10.0 ** draw(st.floats(-12.0, 0.0))
+    tie = next_to_the_tie(p_d, v_d0, sin_phi, 0.0)[2]
+    offset = draw(st.floats(-1e-12, 1e-12)) * draw(st.sampled_from([0.0, 1.0, float(tie)]))
+    return tuple(map(float, next_to_the_tie(p_d, v_d0, sin_phi, offset)))
+
+
 def bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
-@given(cfgs=st.lists(st.one_of(configs(), grid_points(), st.just((0.0, 0.0, 0.0, math.pi / 2.0))),
+@given(cfgs=st.lists(st.one_of(configs(), grid_points(), near_ties(), st.just((0.0, 0.0, 0.0, math.pi / 2.0))),
                      min_size=1, max_size=8))
 def test_stack_closed_forms_equal_each_config_alone(cfgs):
     stack = SqdsForms(*np.array(cfgs).T)
     for name in FORMS:
-        try:
-            values = [getattr(SqdsForms(*cfg), name) for cfg in cfgs]
-        except IdentityError:  # the stack fails where a member does
-            with pytest.raises(IdentityError):
-                getattr(stack, name)
-            continue
+        values = [getattr(SqdsForms(*cfg), name) for cfg in cfgs]  # no valid configuration raises
         assert {np.shape(value) for value in values} == {()}
         assert bits(getattr(stack, name)) == bits(values), name
 
@@ -260,21 +298,6 @@ def test_figure_grids_build_one_forms_each(monkeypatch):
     figure3_grid()
     figure4_curve()
     assert built == [(sqds.FIGURE3_RESOLUTION ** 2,), (sqds.FIGURE4_SAMPLES,)]
-
-
-def test_grid_raises_the_first_tied_disagreement_in_grid_order(monkeypatch):
-    # Wider tolerances make near-diagonal points ties whose branches disagree;
-    # the grid must raise what a loop over its points, |s_D| outermost, raises first.
-    monkeypatch.setattr(sqds, "TIE_ATOL", 0.02)
-    monkeypatch.setattr(sqds, "BRANCH_AGREE_ATOL", 1e-3)
-    with pytest.raises(IdentityError) as alone:
-        for s in GRID:
-            for p in GRID:
-                SqdsForms(0.0, float(s), float(p), math.pi / 2.0).delta
-    with pytest.raises(IdentityError) as grid:
-        figure3_grid()
-    assert str(grid.value) == str(alone.value)
-    assert "0.00039936 vs 0.0015993600000000002" in str(alone.value)  # not the first tie, at the corner
 
 
 def test_figure_points_equal_each_config_alone():
@@ -369,6 +392,14 @@ def test_dual_route_agreement_sample():
         assert np.abs(cols[name] - closed).max() <= 1e-9, name
     # The stringency ratio by the engine's D^2/Xi^2, at every configuration.
     assert np.abs(cols["chi"] - forms.chi).max() <= 1e-12
+
+
+def test_dual_route_agreement_next_to_the_tie():
+    # Delta = Xi^2 - D^2 by both routes, where P_Q and R_Q lie within 1e-12 of each other.
+    forms = near_tie_forms(600, seed=11)
+    assert np.abs(forms.p_q - forms.r_q).max() <= 1e-12
+    cols = engine(forms)
+    assert np.abs(cols["xi"] ** 2 - cols["d"] ** 2 - forms.delta).max() <= 1e-13
 
 
 def test_generic_instances_pass_the_stringency_gate():
