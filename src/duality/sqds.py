@@ -25,14 +25,13 @@ where parametrizations could disagree, the engine is authoritative.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
-from .errors import IdentityError, ValidationError
+from .errors import ValidationError
 from .interferometer import tilted_blocks
 from .linalg import SIGMA_X, SIGMA_Z, broadcast_reals, require_members, squared
-from .tolerances import BRANCH_AGREE_ATOL, CONSTRUCTION_ATOL, SQDS_XI_ATOL
+from .tolerances import CONSTRUCTION_ATOL, SQDS_XI_ATOL
 
 FIGURE3_RESOLUTION = 101  # points per side of the fig3 grid
 FIGURE4_SAMPLES = 201  # points on the fig4 curve
@@ -45,8 +44,8 @@ class SqdsForms:
     Each field is a finite real number or an array of them, and the four broadcast together;
     p_d, v_d0 and p_q lie in [0, 1], and p_d^2 + v_d0^2 <= 1.  The constructor checks this once
     and raises :class:`ValidationError` naming the first failing element; it keeps each field
-    as a read-only copy.  Delta and chi take their P_Q branch where P_Q > R_Q and their spectrum
-    branch elsewhere; chi is checked against 1 - Delta / Xi_Q^2 on first use.
+    as a read-only copy.  Every form is computed here: Delta and chi take their P_Q branch where
+    P_Q > R_Q and their spectrum branch elsewhere, and chi = 1 where Xi_Q is zero.
     """
 
     def __init__(self, p_d, v_d0, p_q, phi_ent):
@@ -76,23 +75,15 @@ class SqdsForms:
         self.r_q = np.sqrt(np.maximum(0.0, self.p_sq * squared(self.s_d_norm) + self.coherent))
         self.d_q = np.maximum(p_q, self.r_q)
         self.v_q = self.v_q0 * np.sqrt(squared(cos_phi) + squared(p_d) * squared(sin_phi))
-        # Gap between the squared visibility bounds, V_D^2 - V_Xi^2 = Xi_Q^2 - D_Q^2.  Its two branches
-        # are equal at P_Q = R_Q, so the tie takes either.
-        self.delta = np.where(p_q > self.r_q, self.coherent, self.p_sq * self.impurity)
-
-    @cached_property
-    def chi(self):
-        """Stringency ratio D_Q^2 / Xi_Q^2: P_Q^2 / Xi_Q^2 where the predictability dominates,
-        otherwise 1 - 4 D1 D2 P_Q^2 / Xi_Q^2; required to equal 1 - Delta / Xi_Q^2."""
+        # Gap between the squared visibility bounds, V_D^2 - V_Xi^2 = Xi_Q^2 - D_Q^2, and the stringency
+        # ratio chi = D_Q^2 / Xi_Q^2 = 1 - Delta / Xi_Q^2.  The two branches of each are equal at P_Q = R_Q,
+        # so the tie takes either.
+        by_p = p_q > self.r_q
+        self.delta = np.where(by_p, self.coherent, self.p_sq * self.impurity)
         # Xi = 0 (and so P_Q = 0, as Xi >= P_Q) leaves no way information: chi = 1 by convention.
         informed = self.xi_q > SQDS_XI_ATOL
         xi_sq = np.where(informed, squared(self.xi_q), 1.0)
-        chi = np.where(informed, np.where(self.p_q > self.r_q, self.p_sq / xi_sq,
-                                          1.0 - self.impurity * self.p_sq / xi_sq), 1.0)
-        closed = 1.0 - self.delta / xi_sq
-        require_members(~informed | (np.abs(chi - closed) <= BRANCH_AGREE_ATOL), IdentityError,
-                        "chi branch value {!r} disagrees with 1 - Delta/Xi^2 = {!r}", chi, closed)
-        return chi
+        self.chi = np.where(informed, np.where(by_p, self.p_sq / xi_sq, 1.0 - self.impurity * self.p_sq / xi_sq), 1.0)
 
 
 def sqds_instances(forms: SqdsForms) -> tuple:

@@ -51,8 +51,3 @@ PURITY_ATOL = 1e-13
 # ways both pass DEGENERATE_WEIGHT has 1 - P = 2 min(w+, w-) >= 2e-12, so only
 # round-off brings it here.
 SATURATION_ATOL = 1e-12
-
-# The SQDS chi, from its P_Q > R_Q or its P_Q <= R_Q branch, must agree with
-# 1 - Delta / Xi_Q^2 within BRANCH_AGREE_ATOL.  No branch takes a tie
-# tolerance: the two are equal at P = R, so P^2/Xi^2 is picked where P > R.
-BRANCH_AGREE_ATOL = 1e-10

@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import conditional_states_from_final
 
 from duality import measures, sqds
 from duality.errors import DegenerateBranchError, ValidationError
-from duality.linalg import rng
+from duality.interferometer import InterferometerInstance, WwmBlocks
+from duality.linalg import rng, squared
 from duality.measures import evaluate
 from duality.sqds import SqdsForms, figure3_grid, figure4_curve, sqds_instances, write_figure3_csv, write_figure4_csv
 from duality.tolerances import XI_ATOL
@@ -213,10 +215,23 @@ def test_chi_frozen_point():
 
 
 def test_chi_equals_one_minus_delta_over_xi_sq():
+    # The only check of this identity.  On the spectrum branch both sides are one float expression, Xi_Q^2 squared
+    # as the forms square it; on the P branch they differ by the rounding of Xi_Q^2 alone.
     forms = random_forms(400, seed=6)
-    informed = forms.xi_q > 1e-8
-    assert informed.sum() == 400
-    assert np.abs(forms.chi - (1.0 - forms.delta / forms.xi_q ** 2))[informed].max() <= 1e-10
+    assert (forms.xi_q > 1e-8).all()
+    closed = 1.0 - forms.delta / squared(forms.xi_q)
+    by_spectrum = forms.p_q <= forms.r_q
+    assert 0 < by_spectrum.sum() < 400
+    assert np.array_equal(forms.chi[by_spectrum], closed[by_spectrum])
+    assert np.abs(forms.chi - closed).max() <= 1e-15
+
+
+def test_chi_does_not_read_the_other_forms_after_construction():
+    # Every form is computed by the constructor, so a caller's edit of one changes no other.
+    forms = SqdsForms([0.3, 0.1], 0.5, [0.4, 0.2], 1.0)
+    forms.p_sq[0] = 25.0
+    forms.xi_q[:] = 10.0
+    assert np.array_equal(forms.chi, SqdsForms([0.3, 0.1], 0.5, [0.4, 0.2], 1.0).chi)
 
 
 def test_chi_degenerate_xi_convention():
@@ -228,7 +243,7 @@ def test_chi_degenerate_xi_convention():
 
 def test_chi_holds_next_to_the_p_r_tie():
     # p_q 3e-13 above its tie Q/sqrt(0.66 + Q^2) (|s_D|^2 = 0.34, quality Q) puts 0 < P - R <= 1e-12.  The two
-    # branches differ there by about (P^2 - R^2)/Xi^2, past BRANCH_AGREE_ATOL once Q < 1e-3; chi takes the P branch.
+    # branches differ there by about (P^2 - R^2)/Xi^2, past 1e-10 once Q < 1e-3; chi takes the P branch.
     quality = np.array([1e-3, 1e-4, 1e-5])
     forms = SqdsForms(0.3, 0.5, quality / np.sqrt(0.66 + quality ** 2) + 3e-13, np.arcsin(2.0 * quality))
     assert ((forms.p_q - forms.r_q > 0.0) & (forms.p_q - forms.r_q <= 1e-12)).all()
@@ -400,6 +415,45 @@ def test_dual_route_agreement_next_to_the_tie():
     assert np.abs(forms.p_q - forms.r_q).max() <= 1e-12
     cols = engine(forms)
     assert np.abs(cols["xi"] ** 2 - cols["d"] ** 2 - forms.delta).max() <= 1e-13
+
+
+def jozsa_delta(forms: SqdsForms) -> tuple:
+    """Delta = (1 - D^2) - (1 - P^2) F^2 for each configuration of ``forms``, and the mask of those measured.
+
+    The SQDS has n = 2 and conditional marker states of equal purity, where F^2 = 1 - Q^2 and so this equals
+    Xi^2 - D^2.  rho+- come from the oracle's projective route, F^2 = tr rho+ rho- + 2 sqrt(det rho+ det rho-)
+    is Jozsa's qubit fidelity, and D and P are the engine's.  A configuration with a degenerate way is not
+    measured.
+    """
+    s, blocks, rho_d0, phi = sqds_instances(forms)
+    cols, errors = evaluate(s, blocks, rho_d0, phi)
+    f_sq = np.full(len(s), np.nan)
+    for i in range(len(s)):
+        member = WwmBlocks(*(getattr(blocks, name)[i] for name in ("vpp", "vpm", "vmp", "vmm")))
+        inst = InterferometerInstance(s[i], member, rho_d0[i], phi[i])
+        try:
+            _, rho_plus, _, rho_minus = conditional_states_from_final(inst)
+        except DegenerateBranchError:
+            continue
+        dets = np.linalg.det(rho_plus).real * np.linalg.det(rho_minus).real
+        f_sq[i] = np.trace(rho_plus @ rho_minus).real + 2.0 * math.sqrt(max(0.0, dets))
+    measured = ~np.isnan(f_sq)
+    assert sorted(errors) == np.flatnonzero(~measured).tolist()
+    return (1.0 - cols["d"] ** 2) - (1.0 - cols["p"] ** 2) * f_sq, measured
+
+
+def test_delta_by_the_fidelity_route():
+    forms = random_forms(600, seed=12)
+    delta, measured = jozsa_delta(forms)
+    assert measured.all()
+    assert np.abs(delta - forms.delta).max() <= 1e-14
+    # A coarse fig3 grid; its P_Q = 1 row sends the quanton one way only.
+    values = np.linspace(0.0, 1.0, 41)
+    s_d, p_q = np.repeat(values, 41), np.tile(values, 41)
+    forms = SqdsForms(0.0, s_d, p_q, HALF_PI)
+    delta, measured = jozsa_delta(forms)
+    assert np.array_equal(~measured, p_q == 1.0)
+    assert np.abs(delta - forms.delta)[measured].max() <= 1e-14
 
 
 def test_generic_instances_pass_the_stringency_gate():
